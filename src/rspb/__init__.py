@@ -14,7 +14,6 @@ from .augustin import (
 from .errors import (
     ComputationError,
     NonConvergenceError,
-    NotCertifiedError,
     PreconditionError,
     RateOutOfRangeError,
     SpbError,
@@ -60,17 +59,6 @@ from .measures import (
     tilted_measure,
     uniform_dist,
     zchannel,
-)
-from .oracle import (
-    DiscreteProduct,
-    GaussianProduct,
-    McEstimate,
-    NpCurve,
-    brute_spe,
-    exact_np_tradeoff,
-    fd_derivative_check,
-    mc_error_probability,
-    third_moment_inequality_check,
 )
 from .refined import (
     RspbReport,

@@ -26,6 +26,8 @@ from .errors import (
 from .measures import DiscreteChannel, FiniteDist, renyi_divergence
 
 DEFAULT_FP_TOL = 1e-12
+# The order that stands in for the rate endpoint at order zero.
+LOW_ORDER_PROBE = 1e-6
 DEFAULT_FP_MAX_ITER = 20000
 ALT_IDENTITY_TOL = 1e-9
 

@@ -3,9 +3,10 @@
 Every numeric quantity is in nats. Single evaluations print one JSON object;
 rate sweeps print CSV with a fixed column order. All floating output is
 rounded to 9 significant digits and all randomness is seeded, so identical
-invocations produce byte-identical output. Exit codes: 0 success, 1
-unreadable input file, 2 precondition violation, 3 non-convergence or
-non-certification (a partial report is still printed).
+invocations produce byte-identical output. Exit codes: 0 success (also when
+the reader closes stdout early), 1 unreadable input file, 2 precondition
+violation, 3 non-convergence or non-certification (a partial report is still
+printed).
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
-from . import verify as verify_mod
 from .augustin import (
     augustin_capacity,
     augustin_fixed_point,
@@ -120,22 +119,6 @@ def _emit_csv(rows):
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:
         writer.writerow([_csv_cell(row.get(col)) for col in SWEEP_COLUMNS])
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SPB_THREADS")
-    if raw is None:
-        return 1
-    value = int(raw)
-    return os.cpu_count() or 1 if value == 0 else max(1, value)
-
-
-def _map_rows(fn, grid):
-    workers = _worker_count()
-    if workers <= 1:
-        return [fn(x) for x in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, grid))
 
 
 def _parse_grid(spec: str):
@@ -270,7 +253,7 @@ def _cmd_spe(args):
     comp = _get_dist(args.composition, channel.input_size)
     if ":" in args.rate:
         grid = _parse_grid(args.rate)
-        rows = _map_rows(lambda r: _spe_row(channel, comp, args.n, float(r)), grid)
+        rows = [_spe_row(channel, comp, args.n, float(r)) for r in grid]
         _emit_csv(rows)
         return EXIT_OK
     rate = float(args.rate)
@@ -344,7 +327,7 @@ def _cmd_awgn(args):
         raise PreconditionError("give --order or --rate")
     if args.rate is not None and ":" in args.rate:
         grid = _parse_grid(args.rate)
-        rows = _map_rows(lambda r: _awgn_row(params, args.n, float(r)), grid)
+        rows = [_awgn_row(params, args.n, float(r)) for r in grid]
         _emit_csv(rows)
         return EXIT_OK
     if args.rate is not None:
@@ -455,6 +438,9 @@ def _cmd_htbe(args):
 
 
 def _cmd_verify(args):
+    # the suites run on the oracle's heavier imports, so only this command loads them
+    from . import verify as verify_mod
+
     kwargs = {}
     if args.suite == "htbe":
         if args.n is not None:
@@ -587,6 +573,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout went away (`rspb ... | head`): not an error.
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -70,7 +70,3 @@ class NonConvergenceError(ComputationError):
     def __init__(self, message: str, residual: float):
         self.residual = residual
         super().__init__(f"{message} (residual {residual:.3e})")
-
-
-class NotCertifiedError(ComputationError):
-    pass

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     AlphabetMismatchError,
@@ -26,6 +25,27 @@ from .errors import (
 NORMALIZATION_TOL = 1e-12
 FILE_ROW_TOL = 1e-9
 ATOM_MERGE_TOL = 1e-12
+
+
+def _logsumexp(a, axis=None):
+    """ln(sum(exp(a))) along `axis`, in the log1p form of Blanchard, Higham and
+    Higham (IMA J. Numer. Anal. 2021).
+
+    The k terms at the peak are split off, so the result is
+    peak + ln k + log1p(rest / k) with rest the shifted sum of the others.
+    Where that is not finite (all terms -inf, or a +inf term) the direct
+    ln(sum(exp(a))) is returned instead.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        peak = np.max(a, axis=axis, keepdims=True)
+        at_peak = a == peak
+        count = np.sum(at_peak, axis=axis, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(at_peak, -np.inf, a) - peak), axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + peak
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+    out = np.where(np.isfinite(out), out, direct)
+    return np.squeeze(out, axis=axis)[()]
 
 
 def _as_masses(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
@@ -206,7 +226,7 @@ def renyi_divergence(rho: float, w: FiniteDist, q: FiniteDist) -> float:
         if s1 > -1.0:
             val = np.log1p(s1) / (rho - 1.0)
     if val is None:
-        val = float(logsumexp(rho * lw + (1.0 - rho) * lq)) / (rho - 1.0)
+        val = float(_logsumexp(rho * lw + (1.0 - rho) * lq)) / (rho - 1.0)
     if val < 0.0:
         # Holder guarantees non-negativity; only rounding can dip below zero.
         if val < -1e-9:
@@ -232,7 +252,7 @@ def tilted_measure(rho: float, w: FiniteDist, q: FiniteDist) -> FiniteDist:
     joint = (wm > 0) & (qm > 0)
     logits = rho * np.log(wm[joint]) + (1.0 - rho) * np.log(qm[joint])
     out = np.zeros_like(wm)
-    out[joint] = np.exp(logits - logsumexp(logits))
+    out[joint] = np.exp(logits - _logsumexp(logits))
     return FiniteDist(out)
 
 
@@ -272,7 +292,14 @@ def tilted_log_moments(rho: float, w: FiniteDist, q: FiniteDist) -> tuple:
     third central absolute moment, both restricted to the part of w that is
     absolutely continuous in q.
     """
-    t = tilted_measure(rho, w, q)
+    return _tilt_moments(w, q, tilted_measure(rho, w, q))[:3]
+
+
+def _tilt_moments(w: FiniteDist, q: FiniteDist, t: FiniteDist) -> tuple:
+    """(mean, a2, a3, ratios) of L = ln(w/q) under the tilt t of w toward q.
+
+    `ratios` holds L on the support of t, for callers that inspect its range.
+    """
     tm = t.masses
     sup = (tm > 0) & (q.masses > 0)
     ratios = np.log(w.masses[sup]) - np.log(q.masses[sup])
@@ -281,7 +308,7 @@ def tilted_log_moments(rho: float, w: FiniteDist, q: FiniteDist) -> tuple:
     centered = ratios - mean
     a2 = float(np.dot(weights, centered**2))
     a3 = float(np.dot(weights, np.abs(centered) ** 3))
-    return mean, a2, a3
+    return mean, a2, a3, ratios
 
 
 def identity_residuals(rho: float, w: FiniteDist, q: FiniteDist) -> float:
@@ -334,17 +361,16 @@ class ProductLogRatio:
     q_minus_inf: float
 
 
-def _merge_atoms(values, w_mass, q_mass, tol):
+def _merge_atoms(values, tol, *masses):
+    """Sort atoms by value and collapse each run whose steps are at most tol.
+
+    A run keeps its smallest value and the sum of each mass array over it.
+    Returns (values, *masses) of the merged atoms.
+    """
     order = np.argsort(values, kind="stable")
     values = values[order]
-    w_mass = w_mass[order]
-    q_mass = q_mass[order]
-    splits = np.flatnonzero(np.diff(values) > tol) + 1
-    groups = np.split(np.arange(values.size), splits)
-    out_v = np.array([values[g[0]] for g in groups])
-    out_w = np.array([w_mass[g].sum() for g in groups])
-    out_q = np.array([q_mass[g].sum() for g in groups])
-    return out_v, out_w, out_q
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+    return (values[starts], *(np.add.reduceat(m[order], starts) for m in masses))
 
 
 def product_log_ratio(w_seq, q_seq, budget: int = 2_000_000,
@@ -376,7 +402,7 @@ def product_log_ratio(w_seq, q_seq, budget: int = 2_000_000,
         values = (values[:, None] + v_i[None, :]).ravel()
         w_mass = (w_mass[:, None] * pw_i[None, :]).ravel()
         q_mass = (q_mass[:, None] * pq_i[None, :]).ravel()
-        values, w_mass, q_mass = _merge_atoms(values, w_mass, q_mass, merge_tol)
+        values, w_mass, q_mass = _merge_atoms(values, merge_tol, w_mass, q_mass)
     return ProductLogRatio(
         values=values,
         w_mass=w_mass,
@@ -395,13 +421,10 @@ def read_distribution(path) -> FiniteDist:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "masses" not in data:
         raise ValueError(f"{path}: expected an object with a 'masses' field")
-    arr = np.asarray(data["masses"], dtype=float)
-    if np.any(arr < 0):
-        raise ValueError(f"{path}: negative entries are not allowed")
-    total = float(arr.sum())
-    if abs(total - 1.0) > FILE_ROW_TOL:
-        raise ValueError(f"{path}: masses sum to {total}, outside tolerance {FILE_ROW_TOL}")
-    return FiniteDist(arr / total)
+    try:
+        return FiniteDist(_as_masses(data["masses"], FILE_ROW_TOL))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_channel(path) -> DiscreteChannel:

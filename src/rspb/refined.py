@@ -27,13 +27,11 @@ from .htbe import HtParams
 from .measures import DiscreteChannel, FiniteDist, tilted_log_moments
 from .spe import spe_parametric
 from .symmetric import (
+    _capacity_endpoints,
     center_order_independent,
     check_renyi_symmetry,
     component_quantities,
-    symmetric_center,
 )
-
-LOW_ORDER_PROBE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,10 +135,11 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
     n = len(channels)
     if n < 1:
         raise SymmetryError("need at least one component channel")
+    # Equal components, however built, are certified and solved once.
     distinct = {}
     layout = []
     for ch in channels:
-        key = id(ch)
+        key = (ch.input_size, ch.row_matrix().tobytes())
         distinct.setdefault(key, ch)
         layout.append(key)
     for key, ch in distinct.items():
@@ -148,8 +147,9 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
         if not report.is_symmetric:
             idx = layout.index(key)
             raise SymmetryError(f"component {idx} failed symmetry certification")
-    low = sum(symmetric_center(LOW_ORDER_PROBE, distinct[k])[1] for k in layout)
-    high = sum(symmetric_center(1.0, distinct[k])[1] for k in layout)
+    ends = {k: _capacity_endpoints(ch) for k, ch in distinct.items()}
+    low = sum(ends[k][0] for k in layout)
+    high = sum(ends[k][1] for k in layout)
     if not low < log_M_over_L < high:
         raise RateOutOfRangeError(log_M_over_L, low, high)
 

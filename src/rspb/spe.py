@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augustin import (
+    LOW_ORDER_PROBE,
     ConstraintSet,
     augustin_capacity,
     augustin_fixed_point,
@@ -34,7 +35,6 @@ from .measures import DiscreteChannel, FiniteDist
 # float noise.
 RHO_FLOOR = 1e-6
 RHO_CEIL = 1.0 - 1e-9
-LOW_ORDER_PROBE = 1e-6
 RATE_RESIDUAL_TOL = 1e-10
 EXPONENT_CONSISTENCY_TOL = 1e-8
 

@@ -15,13 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .augustin import augustin_fixed_point
+from .augustin import LOW_ORDER_PROBE, augustin_fixed_point
 from .errors import RateOutOfRangeError, SymmetryError
 from .measures import (
     DiscreteChannel,
     FiniteDist,
+    _logsumexp,
+    _merge_atoms,
+    _tilt_moments,
     renyi_divergence,
     tilted_measure,
     uniform_dist,
@@ -30,7 +32,6 @@ from .measures import (
 DEFAULT_ORDER_GRID = tuple(np.round(np.arange(1, 21) * 0.05, 2))
 DEFAULT_SYMMETRY_TOL = 1e-9
 PROFILE_MERGE_TOL = 1e-9
-LOW_ORDER_PROBE = 1e-6
 
 
 def symmetric_center(rho: float, channel: DiscreteChannel) -> tuple:
@@ -49,8 +50,8 @@ def symmetric_center(rho: float, channel: DiscreteChannel) -> tuple:
         cap = sum(renyi_divergence(1.0, row, center) for row in channel.rows) / n_in
         return center, float(cap)
     with np.errstate(divide="ignore"):
-        log_m = (logsumexp(rho * lw, axis=0) - math.log(n_in)) / rho
-    log_norm = float(logsumexp(log_m))
+        log_m = (_logsumexp(rho * lw, axis=0) - math.log(n_in)) / rho
+    log_norm = float(_logsumexp(log_m))
     center = FiniteDist(np.exp(log_m - log_norm))
     capacity = rho / (rho - 1.0) * log_norm
     return center, float(capacity)
@@ -60,14 +61,7 @@ def _profile(row: FiniteDist, center: FiniteDist, merge_tol: float):
     """Merged (log-ratio, mass) atoms of one input's likelihood profile."""
     sup = row.support
     values = np.log(row.masses[sup]) - np.log(center.masses[sup])
-    masses = row.masses[sup]
-    order = np.argsort(values, kind="stable")
-    values, masses = values[order], masses[order]
-    splits = np.flatnonzero(np.diff(values) > merge_tol) + 1
-    groups = np.split(np.arange(values.size), splits)
-    v = np.array([values[g[0]] for g in groups])
-    m = np.array([masses[g].sum() for g in groups])
-    return v, m
+    return _merge_atoms(values, merge_tol, row.masses[sup])
 
 
 def _profile_distance(a, b) -> float:
@@ -153,13 +147,7 @@ def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricCompo
     tilt = tilted_measure(rho, row, center)
     rate_term = renyi_divergence(1.0, tilt, center)
     exponent_term = renyi_divergence(1.0, tilt, row)
-    sup = tilt.support
-    ratios = np.log(row.masses[sup]) - np.log(center.masses[sup])
-    weights = tilt.masses[sup]
-    mean = float(weights @ ratios)
-    centered = ratios - mean
-    a2 = float(weights @ centered**2)
-    a3 = float(weights @ np.abs(centered) ** 3)
+    _, a2, a3, ratios = _tilt_moments(row, center, tilt)
     nonconstant = bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
     for other in channel.rows[1:]:
         t2 = tilted_measure(rho, other, center)

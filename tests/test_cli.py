@@ -1,5 +1,10 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,13 +237,36 @@ def test_capacity_with_cost_constraint_file(capsys, tmp_path):
     assert report["optimizer"][1] == pytest.approx(0.2, abs=1e-5)
 
 
-def test_sweep_threads_env_is_deterministic(capsys, monkeypatch):
-    _, serial, _ = run_cli(capsys, "awgn", "--sigma2", "1", "--cost", "1",
-                           "--rate", "0.05:0.3:7", "--n", "1000")
-    monkeypatch.setenv("SPB_THREADS", "3")
-    _, threaded, _ = run_cli(capsys, "awgn", "--sigma2", "1", "--cost", "1",
-                             "--rate", "0.05:0.3:7", "--n", "1000")
-    monkeypatch.setenv("SPB_THREADS", "0")
-    _, auto, _ = run_cli(capsys, "awgn", "--sigma2", "1", "--cost", "1",
-                         "--rate", "0.05:0.3:7", "--n", "1000")
-    assert serial == threaded == auto
+def test_closed_stdout_exits_0_quietly(monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    err = io.StringIO()
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+        monkeypatch.setattr(sys, "stderr", err)
+        code = main(["spe", "--bsc", "0.1", "--rate", "0.02:0.35:4"])
+    assert code == 0
+    assert err.getvalue() == ""
+
+
+def test_import_loads_no_scipy():
+    probe = (
+        "import sys, rspb, rspb.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

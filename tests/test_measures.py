@@ -14,6 +14,8 @@ from rspb.errors import (
 )
 from rspb.measures import (
     DiscreteChannel,
+    _logsumexp,
+    _merge_atoms,
     FiniteDist,
     bec,
     bern,
@@ -208,6 +210,44 @@ def test_product_log_ratio_binary_collapse():
     # values are 10 ln 1.8 - k ln 9 in decreasing-k order after sorting
     expected = sorted(10 * math.log(1.8) - kk * LN9 for kk in range(11))
     assert np.allclose(np.sort(atoms.values), expected, atol=1e-9)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        a = rng.normal(scale=rng.choice([1.0, 30.0, 400.0]), size=(rng.integers(1, 6), 5))
+        if rng.random() < 0.5:
+            a = np.round(a)  # ties at the peak
+        a[rng.random(a.shape) < 0.25] = -np.inf
+        if rng.random() < 0.2:
+            a[:, 0] = -np.inf  # a column with no finite term
+        for axis in (None, 0, 1):
+            got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+
+def test_merge_atoms_matches_group_loop():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 40, 600):
+        values = np.round(rng.normal(size=size) * 4) * 0.25 + rng.normal(size=size) * 1e-14
+        w, q = rng.random(size), rng.random(size)
+        order = np.argsort(values, kind="stable")
+        runs = np.split(order, np.flatnonzero(np.diff(values[order]) > 1e-12) + 1)
+        got_v, got_w, got_q = _merge_atoms(values, 1e-12, w, q)
+        assert np.array_equal(got_v, [values[r[0]] for r in runs])
+        # reduceat sums each run in sequence, the loop pairwise
+        slack = size * np.finfo(float).eps
+        assert np.allclose(got_w, [w[r].sum() for r in runs], rtol=slack, atol=0)
+        assert np.allclose(got_q, [q[r].sum() for r in runs], rtol=slack, atol=0)
+
+
+def test_product_log_ratio_singular_pair():
+    atoms = product_log_ratio([bern(0.0)], [bern(1.0)])
+    assert atoms.values.size == 0
+    assert atoms.w_plus_inf == 1.0 and atoms.q_minus_inf == 1.0
 
 
 def test_product_log_ratio_budget():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import rspb.refined
 from rspb.errors import CompositionError, RateOutOfRangeError, SymmetryError
 from rspb.gaussian import AwgnParams, awgn_parametric
 from rspb.htbe import HtParams
@@ -96,6 +97,20 @@ def test_symmetric_rejects_asymmetric_component():
     with pytest.raises(SymmetryError) as err:
         rspb_symmetric([bsc(0.1), zchannel(0.5)], 0.1)
     assert "1" in str(err.value)
+
+
+def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
+    calls = []
+    certify = rspb.refined.check_renyi_symmetry
+
+    def counting(channel, *args, **kwargs):
+        calls.append(channel)
+        return certify(channel, *args, **kwargs)
+
+    monkeypatch.setattr(rspb.refined, "check_renyi_symmetry", counting)
+    separate = rspb_symmetric([bsc(0.1) for _ in range(8)], 8 * R_CRIT)
+    assert len(calls) == 1
+    assert separate == rspb_symmetric([bsc(0.1)] * 8, 8 * R_CRIT)
 
 
 def test_symmetric_rate_range():
