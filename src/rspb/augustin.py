@@ -23,7 +23,7 @@ from .errors import (
     InvalidOrderError,
     NonConvergenceError,
 )
-from .measures import DiscreteChannel, FiniteDist, renyi_divergence
+from .measures import DiscreteChannel, FiniteDist, _logsumexp, _power_mean
 
 DEFAULT_FP_TOL = 1e-12
 # The order that stands in for the rate endpoint at order zero.
@@ -48,6 +48,14 @@ def _check_inputs(rho: float, p: FiniteDist, channel: DiscreteChannel):
         raise InvalidOrderError(f"order must lie in (0, 1], got {rho}")
     if p.alphabet_size != channel.input_size:
         raise AlphabetMismatchError("input distribution does not match channel inputs")
+
+
+def _support_rows(p: FiniteDist, channel: DiscreteChannel) -> tuple:
+    """Masses, channel rows and log-rows of the inputs in the support of p."""
+    sup = p.support
+    w_rows = channel.row_matrix()[sup]
+    with np.errstate(divide="ignore"):
+        return p.masses[sup], w_rows, np.log(w_rows)
 
 
 def _solve_grid(rhos, weights, lw, w_rows, tol, max_iter, q0=None):
@@ -98,7 +106,10 @@ def _solve_grid(rhos, weights, lw, w_rows, tol, max_iter, q0=None):
         if stable.any():
             boost = np.zeros_like(step)
             boost[stable] = ratio[stable] / (1.0 - ratio[stable])
-            Qn = Qn + delta * boost[:, None]
+            jump = Qn + delta * boost[:, None]
+            # A mass the jump zeroes would stay zero under every later plain
+            # step, a fixed point on a face of the simplex; it halves instead.
+            Qn = np.where((jump <= 0.0) & (Qn > 0.0), 0.5 * Qn, jump)
             np.clip(Qn, 0.0, None, out=Qn)
             Qn /= Qn.sum(axis=1, keepdims=True)
             ratio = np.where(stable, np.nan, ratio)
@@ -177,11 +188,7 @@ def augustin_fixed_point(
     plain mixture directly.
     """
     _check_inputs(rho, p, channel)
-    sup = p.support
-    weights = p.masses[sup]
-    w_rows = channel.row_matrix()[sup]
-    with np.errstate(divide="ignore"):
-        lw = np.log(w_rows)
+    weights, w_rows, lw = _support_rows(p, channel)
     if rho == 1.0:
         q = weights @ w_rows
         info = float(weights @ _row_divergences(1.0, lw, q))
@@ -219,11 +226,7 @@ def augustin_information_grid(
     rhos = np.asarray(rhos, dtype=float)
     for r in rhos:
         _check_inputs(float(r), p, channel)
-    sup = p.support
-    weights = p.masses[sup]
-    w_rows = channel.row_matrix()[sup]
-    with np.errstate(divide="ignore"):
-        lw = np.log(w_rows)
+    weights, w_rows, lw = _support_rows(p, channel)
     Q, steps, _ = _solve_grid(rhos, weights, lw, w_rows, tol, max_iter)
     bad = steps > tol
     if bad.any():
@@ -240,11 +243,7 @@ def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel
     """Order-derivative of the Augustin information at rho."""
     _check_inputs(rho, p, channel)
     sol = augustin_fixed_point(rho, p, channel)
-    sup = p.support
-    weights = p.masses[sup]
-    w_rows = channel.row_matrix()[sup]
-    with np.errstate(divide="ignore"):
-        lw = np.log(w_rows)
+    weights, w_rows, lw = _support_rows(p, channel)
     q = sol.mean.masses
     if rho == 1.0:
         with np.errstate(divide="ignore"):
@@ -275,11 +274,7 @@ def tilted_kl_pair(
     rho: float, p: FiniteDist, channel: DiscreteChannel, q: np.ndarray
 ) -> tuple:
     """(D_1(tilt || q | p), D_1(tilt || W | p)) at a prepared mean q."""
-    sup = p.support
-    weights = p.masses[sup]
-    w_rows = channel.row_matrix()[sup]
-    with np.errstate(divide="ignore"):
-        lw = np.log(w_rows)
+    weights, w_rows, lw = _support_rows(p, channel)
     if rho == 1.0:
         t = w_rows
     else:
@@ -352,45 +347,43 @@ class CapacityResult:
     certified: bool
 
 
-def _ba_search(rho, channel, tol, max_iter, lam=0.0, costs=None, p0=None):
-    """Coordinate-ascent with multiplicative updates on the input simplex.
+# an output that only vanishing inputs reach can leave q = 0 there and D = inf
+@np.errstate(invalid="ignore")
+def _power_mean_ascent(rho, lw, penalty, lp, tol, max_iter):
+    """Raise the Sibson information of p = exp(lp), or its Renyi-Gallager form
+    under the penalty; returns lp and the power-mean center q of p.
 
-    The exponent of the update is the per-input divergence to the current
-    mean (shifted by a cost penalty when lam > 0); the step is halved when
-    the objective decreases. Returns the best iterate seen.
+    Step: p(x) <- p(x) exp(s (D_rho(W(x)||q) - penalty(x))). s = rho is a
+    Jensen majorization step that never lowers the value (Blahut-Arimoto at
+    order one); a longer step that lowers it is dropped. s then moves to the
+    secant root of the value's slope along the step, taken to first order in
+    D - value: at most 8 s after a kept step, s/2 after a dropped one, never
+    below rho. Stops once max_x [D - penalty] is within tol/10 of the value.
     """
-    n_in = channel.input_size
-    p = np.full(n_in, 1.0 / n_in) if p0 is None else np.array(p0, dtype=float)
-    rows = channel.row_matrix()
-    with np.errstate(divide="ignore"):
-        lw = np.log(rows)
-    q_warm = None
-    step = 1.0
-    best = None
+    def state(lp):
+        p = np.exp(lp)
+        if rho < 1.0:
+            q, value = _power_mean(rho, lw, lp + (1.0 - rho) * penalty)
+            return lp, _row_divergences(rho, lw, q) - penalty, value, q, p
+        q = p @ np.exp(lw)
+        d = _row_divergences(1.0, lw, q) - penalty
+        return lp, d, float(p[p > 0] @ d[p > 0]), q, p
+
+    cur, s = state(lp), rho
     for _ in range(max_iter):
-        sol = augustin_fixed_point(rho, FiniteDist(p), channel, q0=q_warm)
-        q = sol.mean.masses
-        q_warm = q
-        d = _row_divergences(rho, lw, q)
-        info = float(p @ np.where(p > 0, d, 0.0))
-        score = info - (0.0 if lam == 0.0 else lam * float(p @ costs))
-        d_eff = d if lam == 0.0 else d - lam * costs
-        finite = np.isfinite(d_eff)
-        if not finite.all():
-            d_eff = np.where(finite, d_eff, d_eff[finite].max() + 50.0)
-        gap = float(d_eff.max() - (info if lam == 0.0 else score))
-        if best is None or score > best[0]:
-            best = (score, p.copy(), q.copy(), d.copy(), info, gap)
-        elif score < best[0] - 1e-14:
-            step = max(step * 0.5, 1e-2)
-        if gap <= 0.1 * tol:
+        lp, d, value = cur[:3]
+        if d.max() - value <= 0.1 * tol:
             break
-        logits = step * (d_eff - d_eff.max())
-        p = p * np.exp(logits)
-        p = np.clip(p, 1e-300, None)
-        p /= p.sum()
-    _, p, q, d, info, gap = best
-    return p, q, d, info, gap
+        g = np.minimum(d - d[np.isfinite(d)].max(), 0.0)
+        trial = state(lp + s * g - _logsumexp(lp + s * g))
+        s0, s1 = (float(st[4] @ ((st[1] - st[4] @ st[1]) * g)) for st in (cur, trial))
+        root = s * s0 / (s0 - s1) if s0 > s1 else 2.0 * s
+        # equal values up to rounding count as kept, so that s keeps its scale
+        if trial[2] >= value - 8.0 * np.spacing(abs(value)) or s == rho:
+            cur, s = trial, max(min(root, 8.0 * s), rho)
+        else:
+            s = max(min(root, 0.5 * s), rho)
+    return cur[0], cur[3]
 
 
 def augustin_capacity(
@@ -402,11 +395,13 @@ def augustin_capacity(
 ) -> CapacityResult:
     """Maximize the Augustin information over a constraint set.
 
-    For the unconstrained set the returned certificate gap is
-    max_x D_rho(W(x) || center) - capacity, which brackets the true capacity
-    from above; a gap within tol certifies the value. Cost constraints use
-    the analogous Lagrangian certificate, single distributions degenerate to
-    the fixed point, and explicit lists are enumerated exactly.
+    Sibson and Augustin capacities and centers coincide, so a power-mean
+    ascent finds the optimizer p; one Augustin fixed point from its power-mean
+    center gives the center, C = sum_x p(x) D_rho(W(x) || center) and the gap
+    max_x D_rho(W(x) || center) - C, which certifies C within tol. A cost
+    constraint bisects the Lagrange multiplier, warm-starting each ascent,
+    and certifies with the Lagrangian gap. Single distributions reduce to
+    the fixed point; lists are enumerated exactly.
     """
     if constraint is None:
         constraint = ConstraintSet.all_inputs()
@@ -420,38 +415,41 @@ def augustin_capacity(
             if best is None or sol.information > best[0]:
                 best = (sol.information, sol.mean, cand)
         return CapacityResult(best[0], best[1], best[2], 0.0, True)
-    if constraint.kind == "all":
-        p, q, _, info, gap = _ba_search(rho, channel, tol, max_iter)
-        return CapacityResult(info, FiniteDist(q), FiniteDist(p), gap, gap <= tol)
-
-    # cost constraint: try the unconstrained optimum, then sweep the
-    # Lagrange multiplier until the budget binds.
-    costs = constraint.costs
-    budget = constraint.budget
-    if costs.size != channel.input_size:
+    n_in = channel.input_size
+    uniform = FiniteDist(np.full(n_in, 1.0 / n_in))
+    _check_inputs(rho, uniform, channel)
+    priced = constraint.kind == "cost"
+    costs, budget = (constraint.costs, constraint.budget) if priced else (np.zeros(n_in), 0.0)
+    if costs.size != n_in:
         raise AlphabetMismatchError("cost vector length does not match channel inputs")
-    p, q, d, info, gap = _ba_search(rho, channel, tol, max_iter)
-    if float(p @ costs) <= budget + 1e-12:
-        return CapacityResult(info, FiniteDist(q), FiniteDist(p), gap, gap <= tol)
-    lam_lo, lam_hi = 0.0, 1.0
-    while True:
-        p, q, d, info, _ = _ba_search(rho, channel, tol, max_iter, lam=lam_hi, costs=costs)
-        if float(p @ costs) <= budget:
-            break
-        lam_lo = lam_hi
-        lam_hi *= 2.0
+    lw = channel.log_row_matrix()
+
+    def ascend(lam, lp):
+        lp, q = _power_mean_ascent(rho, lw, lam * costs, lp, tol, max_iter)
+        return lp, q, budget - float(np.exp(lp) @ costs)
+
+    # raise the multiplier until the budget holds, then bisect toward where
+    # it binds until the slackness term lam * slack of the gap is below tol/10
+    lam_lo, lam_hi = 0.0, 0.0
+    lp, q, slack = ascend(0.0, uniform.log_masses())
+    while slack < -1e-12:
+        lam_lo, lam_hi = lam_hi, max(2.0 * lam_hi, 1.0)
         if lam_hi > 1e9:
             raise ComputationError("cost multiplier search diverged")
+        lp, q, slack = ascend(lam_hi, lp)
+    best = lp, q
     for _ in range(60):
+        if lam_hi * slack <= 0.1 * tol:
+            break
         lam = 0.5 * (lam_lo + lam_hi)
-        p, q, d, info, _ = _ba_search(rho, channel, tol, max_iter, lam=lam, costs=costs)
-        if float(p @ costs) <= budget:
-            lam_hi = lam
+        lp, q, mid_slack = ascend(lam, lp)
+        if mid_slack >= -1e-12:
+            lam_hi, slack, best = lam, mid_slack, (lp, q)
         else:
             lam_lo = lam
-    p, q, d, info, _ = _ba_search(rho, channel, tol, max_iter, lam=lam_hi, costs=costs)
-    gap = float(np.max(d - lam_hi * costs) + lam_hi * budget - info)
-    feasible = float(p @ costs) <= budget + 1e-9
-    return CapacityResult(
-        info, FiniteDist(q), FiniteDist(p), gap, feasible and gap <= tol
-    )
+    p = FiniteDist(np.exp(best[0]))
+    sol = augustin_fixed_point(rho, p, channel, q0=best[1])
+    d = _row_divergences(rho, lw, sol.mean.masses)
+    gap = float(np.max(d - lam_hi * costs) + lam_hi * budget - sol.information)
+    certified = gap <= tol and float(p.masses @ costs) <= budget + 1e-9
+    return CapacityResult(sol.information, sol.mean, p, gap, certified)

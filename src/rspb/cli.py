@@ -583,12 +583,12 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except PreconditionError as exc:
         print(f"error: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ValueError as exc:
+        print(f"error: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except ComputationError as exc:
         _emit({"partial": True, "error": type(exc).__name__, "detail": str(exc)})
         print(f"error: not certified: {exc}", file=sys.stderr)

@@ -22,6 +22,10 @@ class InvalidOrderError(PreconditionError):
     pass
 
 
+class InvalidProbabilityError(PreconditionError, ValueError):
+    """A probability or a mass vector lies outside the simplex."""
+
+
 class InfiniteDivergenceError(PreconditionError):
     pass
 

@@ -20,6 +20,7 @@ from .errors import (
     BudgetExceededError,
     InfiniteDivergenceError,
     InvalidOrderError,
+    InvalidProbabilityError,
 )
 
 NORMALIZATION_TOL = 1e-12
@@ -43,20 +44,35 @@ def _logsumexp(a, axis=None):
         count = np.sum(at_peak, axis=axis, keepdims=True, dtype=float)
         rest = np.sum(np.exp(np.where(at_peak, -np.inf, a) - peak), axis=axis, keepdims=True)
         out = np.log1p(rest / count) + np.log(count) + peak
-        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-    out = np.where(np.isfinite(out), out, direct)
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
     return np.squeeze(out, axis=axis)[()]
+
+
+def _power_mean(rho: float, lw: np.ndarray, log_weights: np.ndarray) -> tuple:
+    """Power-mean center and value of log-rows lw at an order rho in (0, 1).
+
+    With b(y) = sum_x exp(log_weights[x]) W(y|x)^rho, the center is
+    proportional to b^(1/rho) and the value is rho/(rho-1) ln sum_y b^(1/rho).
+    For input masses p as weights these are the Sibson center and
+    information of p; weights p(x) exp((1-rho) lam c(x)) give the
+    Renyi-Gallager form of the cost-penalized information.
+    """
+    log_m = _logsumexp(rho * lw + log_weights[:, None], axis=0) / rho
+    log_norm = float(_logsumexp(log_m))
+    return np.exp(log_m - log_norm), rho / (rho - 1.0) * log_norm
 
 
 def _as_masses(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("masses must be a non-empty 1-d sequence")
+        raise InvalidProbabilityError("masses must be a non-empty 1-d sequence")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("masses must be finite and non-negative")
+        raise InvalidProbabilityError("masses must be finite and non-negative")
     total = float(arr.sum())
     if abs(total - 1.0) > tol:
-        raise ValueError(f"masses sum to {total}, off from 1 by more than {tol}")
+        raise InvalidProbabilityError(f"masses sum to {total}, off from 1 by more than {tol}")
     return arr / total
 
 
@@ -135,7 +151,7 @@ class DiscreteChannel:
 def bern(p: float) -> FiniteDist:
     """Two-point distribution with mass p on symbol 1."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise InvalidProbabilityError("p must lie in [0, 1]")
     return FiniteDist(np.array([1.0 - p, p]))
 
 
@@ -157,7 +173,7 @@ def bsc(p: float) -> DiscreteChannel:
 def bec(eps: float) -> DiscreteChannel:
     """Binary erasure channel; outputs ordered (0, erasure, 1)."""
     if not 0.0 <= eps <= 1.0:
-        raise ValueError("erasure probability must lie in [0, 1]")
+        raise InvalidProbabilityError("erasure probability must lie in [0, 1]")
     row0 = FiniteDist(np.array([1.0 - eps, eps, 0.0]))
     row1 = FiniteDist(np.array([0.0, eps, 1.0 - eps]))
     return DiscreteChannel((row0, row1))

@@ -21,8 +21,8 @@ from .errors import RateOutOfRangeError, SymmetryError
 from .measures import (
     DiscreteChannel,
     FiniteDist,
-    _logsumexp,
     _merge_atoms,
+    _power_mean,
     _tilt_moments,
     renyi_divergence,
     tilted_measure,
@@ -49,12 +49,8 @@ def symmetric_center(rho: float, channel: DiscreteChannel) -> tuple:
         center = FiniteDist(channel.row_matrix().mean(axis=0))
         cap = sum(renyi_divergence(1.0, row, center) for row in channel.rows) / n_in
         return center, float(cap)
-    with np.errstate(divide="ignore"):
-        log_m = (_logsumexp(rho * lw, axis=0) - math.log(n_in)) / rho
-    log_norm = float(_logsumexp(log_m))
-    center = FiniteDist(np.exp(log_m - log_norm))
-    capacity = rho / (rho - 1.0) * log_norm
-    return center, float(capacity)
+    center, capacity = _power_mean(rho, lw, np.full(n_in, -math.log(n_in)))
+    return FiniteDist(center), float(capacity)
 
 
 def _profile(row: FiniteDist, center: FiniteDist, merge_tol: float):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rspb.augustin import (
+    LOW_ORDER_PROBE,
     ConstraintSet,
     augustin_capacity,
     augustin_fixed_point,
@@ -16,11 +17,13 @@ from rspb.augustin import (
 from rspb.errors import FeasibilityError, InvalidOrderError, NonConvergenceError
 from rspb.measures import (
     DiscreteChannel,
+    FiniteDist,
     bern,
     bsc,
     conditional_renyi_divergence,
     point_mass,
     renyi_divergence,
+    tilted_measure,
     uniform_dist,
     zchannel,
 )
@@ -209,3 +212,114 @@ def test_constraint_file_parsing(tmp_path):
     f.write_text(json.dumps({"kind": "mystery"}))
     with pytest.raises(ValueError):
         read_constraint(f)
+
+
+# ---------------------------------------------------------------------------
+# checks made from outside the solvers
+
+
+def channel_of(rows) -> DiscreteChannel:
+    return DiscreteChannel(tuple(FiniteDist(r) for r in np.asarray(rows, dtype=float)))
+
+
+def mean_residual(rho, p, channel, q):
+    """Total variation between q and sum_x p(x) tilt_rho(W(x), q)."""
+    center = FiniteDist(q)
+    tilts = [m * tilted_measure(rho, row, center).masses
+             for m, row in zip(p.masses, channel.rows) if m > 0]
+    return 0.5 * float(np.abs(sum(tilts) - q).sum())
+
+
+def assert_capacity_certified(rho, channel, res, tol, costs=None, budget=None):
+    """Bracket the capacity without trusting augustin_capacity.
+
+    Upper end: max_x D_rho(W(x)||center) - C, or under a cost its best
+    Lagrangian form, whose minimum over lam >= 0 sits at 0 or where two
+    inputs' terms cross. Lower end: the center is positive on the optimizer's
+    output support, is its Augustin mean, and C = sum_x p(x) D_rho(W(x)||center).
+    """
+    p, center = res.optimizer.masses, res.center
+    d = np.array([renyi_divergence(rho, row, center) for row in channel.rows])
+    upper = d.max()
+    if costs is not None:
+        costs = np.asarray(costs, dtype=float)
+        lams = [0.0] + [(d[i] - d[j]) / (costs[i] - costs[j]) for i in range(d.size)
+                        for j in range(i) if costs[i] != costs[j]]
+        upper = min(np.max(d - lam * costs) + lam * budget for lam in lams if lam >= 0)
+        assert p @ costs <= budget + 1e-9
+    assert res.certified
+    assert -1e-12 <= upper - res.capacity <= tol
+    assert np.all(center.masses[p @ channel.row_matrix() > 0] > 0)
+    assert mean_residual(rho, res.optimizer, channel, center.masses) <= 1e-10
+    assert float(p[p > 0] @ d[p > 0]) == pytest.approx(res.capacity, abs=1e-8)
+
+
+R8X16 = np.random.default_rng(0).dirichlet(np.ones(16), size=8)
+
+
+FACE_TRAPS = {
+    # D3x4 of the benchmark's sweep block (21, 0): an extrapolation jump
+    # clipped the third mass to 0, where plain steps kept it.
+    "D3x4": [
+        [0.07166792048537111, 0.6133291993169675, 0.0003136235344389157, 0.3146892566632225],
+        [0.011872535223838573, 0.23661461758727959, 0.001953726619693391, 0.7495591205691885],
+        [0.3642050281774652, 0.2992398496154449, 0.32621497204521266, 0.010340150161877107],
+    ],
+    # D4x8 of sweep block (201, 0): trapped the same way at orders up to 0.01,
+    # and plain steps alone do not converge at order 1e-6.
+    "D4x8": [
+        [0.024926844114303803, 0.1057236478646747, 0.07142747477157303, 0.0066176482929810035,
+         0.46781953592907055, 0.04682359572760969, 0.03602791747725866, 0.2406333358225285],
+        [0.04319212233482996, 0.07496895016007181, 0.14981451067867407, 0.00043504705674356,
+         0.29463690841865625, 0.01833288067506834, 0.14469825330636707, 0.27392132736958896],
+        [0.069191726932149, 0.13567989920792647, 0.05444586799787507, 0.17330074502638418,
+         0.09185559986730893, 0.4021452246605571, 0.06894292698961149, 0.004438009318187948],
+        [0.01978883037866928, 0.37739294000833856, 0.07577403925033735, 0.2080468809903106,
+         0.007264085280614409, 0.1348400480495381, 0.07593605328528134, 0.10095712275691042],
+    ],
+}
+
+
+@pytest.mark.parametrize("name, rho", [
+    ("D3x4", 0.02637610819043479), ("D4x8", LOW_ORDER_PROBE), ("D4x8", 0.01)])
+def test_fixed_point_leaves_no_face_of_the_simplex(name, rho):
+    channel = channel_of(FACE_TRAPS[name])
+    p = uniform_dist(channel.input_size)
+    sol = augustin_fixed_point(rho, p, channel)
+    assert np.all(sol.mean.masses > 0)
+    assert mean_residual(rho, p, channel, sol.mean.masses) <= 1e-10
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_capacity_r8x16_certifies(rho):
+    channel = channel_of(R8X16)
+    res = augustin_capacity(rho, channel, tol=1e-10)
+    assert_capacity_certified(rho, channel, res, 1e-10)
+
+
+def test_capacity_r2x3_low_order_is_not_on_a_face():
+    # the same rule at 2x3; an earlier solver reported 0.037620 as certified
+    channel = channel_of(np.random.default_rng(0).dirichlet(np.ones(3), size=2))
+    res = augustin_capacity(0.05, channel)
+    assert_capacity_certified(0.05, channel, res, 1e-8)
+    assert 0.034757 <= res.capacity <= 0.035007
+
+
+def test_capacity_z_channel_cost_certifies():
+    costs, budget = [0.0, 1.0], 0.3
+    res = augustin_capacity(0.5, zchannel(0.3), ConstraintSet.cost(costs, budget))
+    assert_capacity_certified(0.5, zchannel(0.3), res, 1e-8, costs, budget)
+    assert res.optimizer.masses[1] == pytest.approx(budget, abs=1e-6)
+
+
+def test_capacity_random_channels_with_zeros_certify():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        n_in, n_out = int(rng.integers(2, 9)), int(rng.integers(2, 17))
+        rows = rng.dirichlet(np.ones(n_out), size=n_in)
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[np.arange(n_in), rng.integers(0, n_out, size=n_in)] += 0.1
+        channel = channel_of(rows / rows.sum(axis=1, keepdims=True))
+        rho = float(rng.uniform(0.02, 0.98))
+        res = augustin_capacity(rho, channel)
+        assert_capacity_certified(rho, channel, res, 1e-8)

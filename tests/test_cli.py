@@ -70,6 +70,10 @@ def test_malformed_file_exits_1(capsys, tmp_path):
         capsys, "divergence", "--order", "0.5", "--w", str(bad), "--q", str(bad)
     )
     assert code == 1
+    bad.write_text('{"inputs": 2, "outputs": 2, "rows": [[0.9, 0.1], [0.1, 0.9]')
+    code, _, err = run_cli(capsys, "capacity", "--order", "0.5", "--channel", str(bad))
+    assert code == 1
+    assert "cannot read" in err
 
 
 def test_precondition_violation_exits_2(capsys):
@@ -79,6 +83,15 @@ def test_precondition_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "augustin", "--order", "1.5", "--bsc", "0.1")
     assert code == 2
     code, _, err = run_cli(capsys, "spe", "--rate", "0.1")
+    assert code == 2
+    # out-of-range channel parameters read no file
+    code, _, err = run_cli(capsys, "spe", "--bsc", "1.5", "--rate", "0.1")
+    assert code == 2
+    assert "precondition" in err
+    code, _, err = run_cli(capsys, "capacity", "--order", "0.5", "--bsc", "-0.2")
+    assert code == 2
+    assert "precondition" in err
+    code, _, err = run_cli(capsys, "capacity", "--order", "1.5", "--bsc", "0.1")
     assert code == 2
 
 
@@ -148,6 +161,17 @@ def test_capacity_report(capsys):
     assert report["certified"] is True
     assert report["capacity"] == pytest.approx(0.223143551, abs=1e-7)
     assert report["optimizer"] == [0.5, 0.5]
+
+
+def test_capacity_r8x16_file_certifies(capsys, tmp_path):
+    rows = np.random.default_rng(0).dirichlet(np.ones(16), size=8)
+    chan = tmp_path / "r8x16.json"
+    chan.write_text(json.dumps({"inputs": 8, "outputs": 16, "rows": rows.tolist()}))
+    code, out, _ = run_cli(capsys, "capacity", "--order", "0.5", "--channel", str(chan))
+    assert code == 0
+    report = json.loads(out)
+    assert report["certified"] is True
+    assert report["certificate_gap"] <= 1e-8
 
 
 def test_rspb_modes(capsys):

@@ -11,6 +11,7 @@ from rspb.errors import (
     BudgetExceededError,
     InfiniteDivergenceError,
     InvalidOrderError,
+    PreconditionError,
 )
 from rspb.measures import (
     DiscreteChannel,
@@ -33,6 +34,7 @@ from rspb.measures import (
     tilted_measure,
     uniform_dist,
     point_mass,
+    zchannel,
 )
 from conftest import random_dist
 
@@ -43,6 +45,8 @@ def test_finite_dist_rejects_negative_and_unnormalized():
     with pytest.raises(ValueError):
         FiniteDist(np.array([0.5, -0.5, 1.0]))
     with pytest.raises(ValueError):
+        FiniteDist(np.array([0.6, 0.6]))
+    with pytest.raises(PreconditionError):
         FiniteDist(np.array([0.6, 0.6]))
     d = FiniteDist(np.array([0.5, 0.5 + 5e-13]))
     assert abs(d.masses.sum() - 1.0) < 1e-16
@@ -291,3 +295,8 @@ def test_canonical_channels():
     e = bec(0.3)
     assert np.allclose(e.rows[0].masses, [0.7, 0.3, 0.0])
     assert np.allclose(e.rows[1].masses, [0.0, 0.3, 0.7])
+    # out-of-range parameters are precondition violations that stay ValueErrors
+    for make, bad in ((bern, 1.5), (bsc, -0.2), (bec, 1.1), (zchannel, 2.0)):
+        with pytest.raises(PreconditionError) as info:
+            make(bad)
+        assert isinstance(info.value, ValueError)
