@@ -242,21 +242,24 @@ def augustin_information_grid(
 def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:
     """Order-derivative of the Augustin information at rho."""
     _check_inputs(rho, p, channel)
-    sol = augustin_fixed_point(rho, p, channel)
-    weights, w_rows, lw = _support_rows(p, channel)
-    q = sol.mean.masses
-    if rho == 1.0:
-        with np.errstate(divide="ignore"):
-            lq = np.log(q)
-        total = 0.0
-        for wx, weight in zip(w_rows, weights):
-            m = wx > 0
-            lr = np.log(wx[m]) - lq[m]
-            mean = float(wx[m] @ lr)
-            total += 0.5 * weight * float(wx[m] @ (lr - mean) ** 2)
-        return total
-    t = _tilted_rows(rho, lw, q)
-    return float(weights @ _kl_rows(t, w_rows)) / (rho - 1.0) ** 2
+    q = augustin_fixed_point(rho, p, channel).mean.masses
+    return _info_derivative(rho, p, channel, q, tilted_kl_pair(rho, p, channel, q)[1])
+
+
+def _info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel, q, d1_tw) -> float:
+    """The derivative at the mean q, given D_1(tilt || W | p) there."""
+    if rho < 1.0:
+        return d1_tw / (rho - 1.0) ** 2
+    weights, w_rows, _ = _support_rows(p, channel)
+    with np.errstate(divide="ignore"):
+        lq = np.log(q)
+    total = 0.0
+    for wx, weight in zip(w_rows, weights):
+        m = wx > 0
+        lr = np.log(wx[m]) - lq[m]
+        mean = float(wx[m] @ lr)
+        total += 0.5 * weight * float(wx[m] @ (lr - mean) ** 2)
+    return total
 
 
 def haroutunian_rate(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:

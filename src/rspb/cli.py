@@ -22,11 +22,11 @@ from dataclasses import asdict, fields, is_dataclass
 import numpy as np
 
 from .augustin import (
+    _info_derivative,
     augustin_capacity,
     augustin_fixed_point,
-    augustin_info_derivative,
-    haroutunian_rate,
     read_constraint,
+    tilted_kl_pair,
 )
 from .errors import ComputationError, PreconditionError, SpbError
 from .gaussian import AwgnParams, awgn_capacity, awgn_parametric, awgn_rho_star, shannon_cone, theta_of_rho
@@ -190,6 +190,8 @@ def _cmd_augustin(args):
     channel = _get_channel(args)
     p = _get_dist(args.input_dist, channel.input_size)
     sol = augustin_fixed_point(args.order, p, channel, tol=args.tol, max_iter=args.max_iter)
+    q = sol.mean.masses
+    rate, d1_tw = tilted_kl_pair(args.order, p, channel, q)
     report = {
         "order": args.order,
         "mean": sol.mean,
@@ -197,8 +199,8 @@ def _cmd_augustin(args):
         "iterations": sol.iterations,
         "residual": sol.residual,
         "identity_residual": sol.alt_identity_residual,
-        "haroutunian_rate": haroutunian_rate(args.order, p, channel),
-        "info_derivative": augustin_info_derivative(args.order, p, channel),
+        "haroutunian_rate": rate,
+        "info_derivative": _info_derivative(args.order, p, channel, q, d1_tw),
         "tolerance": args.tol,
         "max_iter": args.max_iter,
     }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augustin import augustin_fixed_point
+from .augustin import LOW_ORDER_PROBE
 from .errors import (
     CompositionError,
     RateOutOfRangeError,
@@ -25,7 +25,7 @@ from .errors import (
 from .gaussian import AwgnParams, awgn_parametric, awgn_rho_star
 from .htbe import HtParams
 from .measures import DiscreteChannel, FiniteDist, tilted_log_moments
-from .spe import spe_parametric
+from .spe import _find_order, spe_parametric
 from .symmetric import (
     _capacity_endpoints,
     center_order_independent,
@@ -113,10 +113,9 @@ def rspb_constant_composition(
     rate = log_M_over_L / n
     point = spe_parametric(composition, channel, rate)
     rho = point.rho_star
-    sol = augustin_fixed_point(rho, composition, channel)
     a2 = a3 = 0.0
     for x in composition.support:
-        _, m2, m3 = tilted_log_moments(rho, channel.rows[x], sol.mean)
+        _, m2, m3 = tilted_log_moments(rho, channel.rows[x], point.mean)
         a2 += float(composition.masses[x]) * m2
         a3 += float(composition.masses[x]) * m3
     params = HtParams.from_moments(a2, a3)
@@ -153,25 +152,15 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
     if not low < log_M_over_L < high:
         raise RateOutOfRangeError(log_M_over_L, low, high)
 
-    def summed(rho):
+    def summed(rho, _warm):
         comp = {k: component_quantities(rho, ch) for k, ch in distinct.items()}
-        total = sum(comp[k].rate_term for k in layout)
-        return total, comp
+        return sum(comp[k].rate_term for k in layout), comp
 
-    lo, hi = 1e-9, 1.0 - 1e-9
-    best = None
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        total, comp = summed(mid)
-        if best is None or abs(total - log_M_over_L) < abs(best[1] - log_M_over_L):
-            best = (mid, total, comp)
-        if abs(total - log_M_over_L) <= 1e-12 * max(1.0, abs(log_M_over_L)):
-            break
-        if total < log_M_over_L:
-            lo = mid
-        else:
-            hi = mid
-    rho, _, comp = best
+    tol = 1e-12 * max(1.0, abs(log_M_over_L))
+    rho, _, comp = _find_order(
+        summed, log_M_over_L, (LOW_ORDER_PROBE, *summed(LOW_ORDER_PROBE, None)),
+        (1.0, high, None), lambda rho, total, _: abs(total - log_M_over_L) <= tol,
+    )
     exponent_total = sum(comp[k].exponent_term for k in layout)
     a2 = sum(comp[k].a2 for k in layout) / n
     a3 = sum(comp[k].a3 for k in layout) / n

@@ -3,13 +3,14 @@
 The exponent at rate R is the supremum over orders in (0, 1) of
 (1 - rho) / rho * (I_rho - R). For rates strictly between the small-order
 information limit and the order-one information there is a unique interior
-order at which the tilted-channel rate matches R; bisection on that monotone
-rate profile gives the exponent, its slope, and the order in one shot. A
-plain grid supremum is kept alongside as a cheap cross-check.
+order at which the tilted-channel rate matches R; Brent's root-finder on
+that monotone rate profile gives the exponent, its slope, and the order in
+one shot. A plain grid supremum is kept alongside as a cheap cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,41 +30,113 @@ from .errors import (
 )
 from .measures import DiscreteChannel, FiniteDist
 
-# The rate-range precondition compares against the information at 1e-6, and
-# the tilted rate never exceeds the information, so 1e-6 is always a valid
-# lower bracket once the precondition holds; probing below it only fights
-# float noise.
-RHO_FLOOR = 1e-6
-RHO_CEIL = 1.0 - 1e-9
 RATE_RESIDUAL_TOL = 1e-10
 EXPONENT_CONSISTENCY_TOL = 1e-8
+# Absolute order tolerance of the root-finder: a bracket narrower than this,
+# plus rounding, holds no order worth another solve.
+ORDER_XTOL = 1e-15
+
+
+def _find_order(rate_at, target, lo, hi, done):
+    """Brent's method for the order where a non-decreasing rate crosses target.
+
+    lo and hi are solved (order, rate, state) triples, lo's rate below the
+    target and hi's above. rate_at(rho, warm) returns (rate, state) at a new
+    order; warm is the state at the least solved order whose rate lies above
+    the target. That is the nearest such order, since every probe lies inside
+    the bracket, and it is the only safe warm start: a mean solved at a lower
+    order can hold masses so tiny that a fixed point stops at once next to a
+    face of the simplex. Each probe interpolates inversely through the last
+    three points (a secant through two), falling back to halving when the
+    interpolant leaves the bracket or shrinks it more slowly than halving
+    would (Brent, Algorithms for Minimization Without Derivatives, 1973,
+    ch. 4). It interpolates sqrt(rate) - sqrt(target), which has the same
+    root: when every input reaches a common output the tilted rate grows
+    like rho^2 from 0, so its square root is near linear in the order, and
+    low rates need about half the probes. Returns the first probe that
+    done(rho, rate, state) accepts or, once the bracket is spent, the probe
+    with the smallest residual.
+    """
+    eps = np.finfo(float).eps
+    root = math.sqrt(target)
+    a, fa = lo[0], math.sqrt(max(lo[1], 0.0)) - root
+    b, fb = hi[0], math.sqrt(max(hi[1], 0.0)) - root
+    c, fc = a, fa
+    d = e = b - a
+    upper, best = hi, None
+    while True:
+        # b is the best end of the bracket [b, c]; a is the previous b
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * eps * abs(b) + 0.5 * ORDER_XTOL
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1:
+            return best
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q, p = (-q, p) if p > 0.0 else (q, -p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
+        else:
+            e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        rate, state = rate_at(b, upper[2])
+        fb = math.sqrt(max(rate, 0.0)) - root
+        point = (b, rate, state)
+        if best is None or abs(rate - target) < abs(best[1] - target):
+            best = point
+        if done(*point):
+            return point
+        if fb > 0.0 and b < upper[0]:
+            upper = point
 
 
 @dataclass(frozen=True)
 class SpePoint:
-    """One point of the exponent-rate curve, with the matching order."""
+    """One point of the exponent-rate curve, with the matching order and mean."""
 
     rate: float
     rho_star: float
     exponent: float
     slope: float
+    mean: FiniteDist
 
 
 def _rate_endpoints(p: FiniteDist, channel: DiscreteChannel) -> tuple:
-    low = augustin_fixed_point(LOW_ORDER_PROBE, p, channel).information
-    high = augustin_fixed_point(1.0, p, channel).information
-    return low, high
+    """Fixed points at the low probe order and at order one."""
+    return (augustin_fixed_point(LOW_ORDER_PROBE, p, channel),
+            augustin_fixed_point(1.0, p, channel))
 
 
 def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpePoint:
     """Solve the parametric characterization of the exponent at one rate.
 
-    Bisects the tilted-channel rate profile over orders in (0, 1), then reads
-    off the exponent as the KL divergence of the tilted channel from the true
-    channel and the slope as (rho* - 1) / rho*. The result is cross-checked
-    against the direct form (1 - rho*) / rho* * (I_rho* - rate).
+    Finds the order where the tilted-channel rate profile over (0, 1) meets
+    the rate, then reads off the exponent as the KL divergence of the tilted
+    channel from the true channel and the slope as (rho* - 1) / rho*. The
+    result is cross-checked against the direct form
+    (1 - rho*) / rho* * (I_rho* - rate).
     """
-    low, high = _rate_endpoints(p, channel)
+    return _spe_point(p, channel, rate, _rate_endpoints(p, channel))
+
+
+def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> SpePoint:
+    """spe_parametric with the endpoint fixed points already solved."""
+    low_sol, high_sol = ends
+    low, high = low_sol.information, high_sol.information
     if high - low <= 1e-12:
         raise DegenerateChannelError(
             f"rate profile is flat ({low!r} to {high!r}); no interior order exists"
@@ -71,43 +144,33 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
     if not low < rate < high:
         raise RateOutOfRangeError(rate, low, high)
 
-    def rate_at(rho, q_warm):
-        sol = augustin_fixed_point(rho, p, channel, q0=q_warm)
+    def solved(rho, sol):
         d1_tq, d1_tw = tilted_kl_pair(rho, p, channel, sol.mean.masses)
-        return d1_tq, d1_tw, sol
+        return rho, d1_tq, (sol, d1_tw)
 
-    lo, hi = RHO_FLOOR, RHO_CEIL
-    r_hi, _, sol = rate_at(hi, None)
-    if rate >= r_hi:
-        raise RateOutOfRangeError(rate, low, r_hi)
-    q_warm = sol.mean.masses
-    best = None
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        r_mid, d1_tw, sol = rate_at(mid, q_warm)
-        q_warm = sol.mean.masses
-        residual = abs(r_mid - rate)
-        if best is None or residual < abs(best[1] - rate):
-            best = (mid, r_mid, d1_tw, sol)
+    def rate_at(rho, warm):
+        return solved(rho, augustin_fixed_point(rho, p, channel, q0=warm[0].mean.masses))[1:]
+
+    def done(rho, r, _):
         # push well below the 1e-10 rate-residual target so that derived
         # quantities with a 1/rho factor (slope, the direct exponent form)
         # still land inside their own tolerances
-        if residual <= 1e-2 * RATE_RESIDUAL_TOL and (
-            (1.0 - mid) / mid * residual <= 1e-10
-        ):
-            break
-        if r_mid < rate:
-            lo = mid
-        else:
-            hi = mid
-    rho_star, _, exponent, sol = best
+        residual = abs(r - rate)
+        return residual <= 1e-2 * RATE_RESIDUAL_TOL and (1.0 - rho) / rho * residual <= 1e-10
+
+    # the tilted rate is at most the information, so the probe order is below
+    # the crossing; at order one the tilt is the channel and the rate is high
+    rho_star, _, (sol, exponent) = _find_order(
+        rate_at, rate, solved(LOW_ORDER_PROBE, low_sol), solved(1.0, high_sol), done
+    )
     slope = (rho_star - 1.0) / rho_star
     direct = (1.0 - rho_star) / rho_star * (sol.information - rate)
     if abs(direct - exponent) > EXPONENT_CONSISTENCY_TOL:
         raise ComputationError(
             f"exponent forms disagree by {abs(direct - exponent):.3e}"
         )
-    return SpePoint(rate=rate, rho_star=rho_star, exponent=exponent, slope=slope)
+    return SpePoint(rate=rate, rho_star=rho_star, exponent=exponent, slope=slope,
+                    mean=sol.mean)
 
 
 def spe_grid_sup(
@@ -137,12 +200,12 @@ class ConstrainedSpe:
 
 def _point_or_limit(p: FiniteDist, channel: DiscreteChannel, rate: float):
     """Exponent value for one input distribution, honoring the edge cases."""
-    low, high = _rate_endpoints(p, channel)
-    if rate >= high:
+    ends = _rate_endpoints(p, channel)
+    if rate >= ends[1].information:
         return 0.0, None
-    if rate <= low:
+    if rate <= ends[0].information:
         return np.inf, None
-    pt = spe_parametric(p, channel, rate)
+    pt = _spe_point(p, channel, rate, ends)
     return pt.exponent, pt
 
 

@@ -4,7 +4,7 @@ A channel is Renyi symmetric when the law of the log-likelihood ratio
 against the order rho center does not depend on the input, at every order
 with finite capacity. For such channels the center comes from a closed-form
 power mean over a uniform input, which also covers Gallager-symmetric
-partitions, and the sphere-packing solve reduces to scalar bisection on a
+partitions, and the sphere-packing solve reduces to a scalar root-find on a
 single input's tilted rate. Certification is numeric on a finite order grid
 since the definition quantifies over all orders.
 """
@@ -28,6 +28,7 @@ from .measures import (
     tilted_measure,
     uniform_dist,
 )
+from .spe import _find_order
 
 DEFAULT_ORDER_GRID = tuple(np.round(np.arange(1, 21) * 0.05, 2))
 DEFAULT_SYMMETRY_TOL = 1e-9
@@ -188,7 +189,8 @@ def parametric_symmetric(
 ) -> SymmetricSpePoint:
     """Sphere-packing point of a Renyi symmetric channel at one rate.
 
-    Bisects the single-input tilted rate against the power-mean center. The
+    Finds the order where the single-input tilted rate against the
+    power-mean center meets the rate (at order one it is the capacity). The
     slope claim (rho*-1)/rho* is certified when either the tilted log ratio
     is non-constant for some input or the center is order-independent on the
     probe grid; otherwise the point is returned with the flag down.
@@ -203,19 +205,15 @@ def parametric_symmetric(
     low, high = _capacity_endpoints(channel)
     if not low < rate < high:
         raise RateOutOfRangeError(rate, low, high)
-    lo, hi = 1e-9, 1.0 - 1e-9
-    best = None
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        comp = component_quantities(mid, channel)
-        if best is None or abs(comp.rate_term - rate) < abs(best.rate_term - rate):
-            best = comp
-        if abs(comp.rate_term - rate) <= 1e-12:
-            break
-        if comp.rate_term < rate:
-            lo = mid
-        else:
-            hi = mid
+
+    def rate_at(rho, _warm):
+        comp = component_quantities(rho, channel)
+        return comp.rate_term, comp
+
+    _, _, best = _find_order(
+        rate_at, rate, (LOW_ORDER_PROBE, *rate_at(LOW_ORDER_PROBE, None)), (1.0, high, None),
+        lambda rho, r, _: abs(r - rate) <= 1e-12,
+    )
     certified = best.tilt_nonconstant or center_order_independent(channel, rho_grid, tol)
     return SymmetricSpePoint(
         rate=rate,

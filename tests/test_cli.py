@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rspb.augustin import augustin_info_derivative, haroutunian_rate
 from rspb.cli import main
+from rspb.measures import uniform_dist, zchannel
 
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
 
@@ -224,6 +226,32 @@ def test_augustin_command(capsys):
     report = json.loads(out)
     assert report["information"] == pytest.approx(0.223143551, abs=1e-8)
     assert report["residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("order", ["0.3", "1"])
+def test_augustin_command_solves_once(capsys, monkeypatch, order):
+    import rspb.augustin
+    import rspb.cli
+
+    calls = []
+    solve = rspb.augustin.augustin_fixed_point
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rspb.cli, "augustin_fixed_point", counting)
+    monkeypatch.setattr(rspb.augustin, "augustin_fixed_point", counting)
+    code, out, _ = run_cli(capsys, "augustin", "--order", order, "--zchannel", "0.3")
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    report = json.loads(out)
+    p, ch, rho = uniform_dist(2), zchannel(0.3), float(order)
+    assert report["haroutunian_rate"] == pytest.approx(haroutunian_rate(rho, p, ch), rel=1e-8)
+    assert report["info_derivative"] == pytest.approx(
+        augustin_info_derivative(rho, p, ch), rel=1e-8
+    )
 
 
 def test_channel_flags_are_exclusive(capsys):

@@ -14,6 +14,7 @@ from rspb.refined import (
     rspb_symmetric,
 )
 from rspb.spe import spe_grid_sup
+from rspb.symmetric import symmetric_center
 
 LN9 = math.log(9.0)
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -111,6 +112,23 @@ def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
     separate = rspb_symmetric([bsc(0.1) for _ in range(8)], 8 * R_CRIT)
     assert len(calls) == 1
     assert separate == rspb_symmetric([bsc(0.1)] * 8, 8 * R_CRIT)
+
+
+def test_symmetric_product_takes_at_most_16_component_solves(monkeypatch):
+    calls = []
+    solve = rspb.refined.component_quantities
+
+    def counting(rho, channel):
+        calls.append(rho)
+        return solve(rho, channel)
+
+    monkeypatch.setattr(rspb.refined, "component_quantities", counting)
+    high = 4 * sum(symmetric_center(1.0, ch)[1] for ch in (bsc(0.1), bsc(0.2)))
+    for frac in (1e-3, 0.5, 0.99):
+        calls.clear()
+        rep = rspb_symmetric([bsc(0.1), bsc(0.2)] * 4, frac * high)
+        assert len(calls) <= 16, frac
+        assert rep.slope_certified
 
 
 def test_symmetric_rate_range():

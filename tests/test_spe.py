@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rspb.augustin import ConstraintSet, augustin_fixed_point
+import rspb.spe
+from rspb.augustin import ConstraintSet, augustin_fixed_point, tilted_kl_pair
 from rspb.errors import DegenerateChannelError, RateOutOfRangeError
-from rspb.measures import DiscreteChannel, bern, bsc, point_mass, uniform_dist
+from rspb.measures import DiscreteChannel, FiniteDist, bern, bsc, point_mass, uniform_dist
 from rspb.oracle import fd_derivative_check
 from rspb.spe import spe_constrained, spe_grid_sup, spe_parametric
 from conftest import random_channel
@@ -137,3 +138,58 @@ def test_constrained_single_and_list():
     # the point mass has zero information at every order, so its exponent is 0
     assert listed.value == pytest.approx(E_CRIT, abs=1e-10)
     assert listed.argmax_p.allclose(uniform_dist(2))
+
+
+def _counting_solves(monkeypatch):
+    """Record the order of every fixed-point solve the spe module makes."""
+    calls = []
+    solve = rspb.spe.augustin_fixed_point
+
+    def counting(rho, *args, **kwargs):
+        calls.append(rho)
+        return solve(rho, *args, **kwargs)
+
+    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", counting)
+    return calls
+
+
+def test_point_takes_at_most_12_solves(monkeypatch, rng):
+    calls = _counting_solves(monkeypatch)
+    spe_parametric(U2, bsc(0.1), 0.1308120)
+    assert len(calls) <= 12
+    for n_in, n_out in ((2, 3), (3, 4), (4, 8), (2, 2), (8, 16)):
+        channel = random_channel(rng, n_in, n_out)
+        p = uniform_dist(n_in)
+        low = augustin_fixed_point(1e-6, p, channel).information
+        high = augustin_fixed_point(1.0, p, channel).information
+        for frac in (1e-3, 0.5, 0.995):
+            calls.clear()
+            spe_parametric(p, channel, low + frac * (high - low))
+            assert len(calls) <= 12, (n_in, n_out, frac)
+
+
+def test_constrained_single_solves_endpoints_once(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    spe_parametric(bern(0.3), bsc(0.1), 0.1)
+    direct = len(calls)
+    calls.clear()
+    spe_constrained(bsc(0.1), ConstraintSet.single(bern(0.3)), 0.1)
+    assert len(calls) == direct
+
+
+# A Z-like channel whose order-rho mean puts mass below 1e-13 on the second
+# output at small orders. A fixed point warm-started from such a mean at a
+# higher order stops after one step on a wrong mean, so the root-finder must
+# warm-start only from a mean solved above the crossing.
+NEAR_FACE = DiscreteChannel(
+    (FiniteDist(np.array([1.0, 0.0])),
+     FiniteDist(np.array([0.8423361549121465, 0.1576638450878535])))
+)
+
+
+@pytest.mark.parametrize("rate", [5.801940196384637e-05, 1e-6, 2e-7])
+def test_near_face_rate_residual_from_cold_solve(rate):
+    pt = spe_parametric(U2, NEAR_FACE, rate)
+    cold = augustin_fixed_point(pt.rho_star, U2, NEAR_FACE)
+    residual = tilted_kl_pair(pt.rho_star, U2, NEAR_FACE, cold.mean.masses)[0] - rate
+    assert abs(residual) <= 1e-10
