@@ -54,7 +54,6 @@ from .measures import (
     read_distribution,
     renyi_divergence,
     tensor_dist,
-    tilted_channel,
     tilted_log_moments,
     tilted_measure,
     uniform_dist,

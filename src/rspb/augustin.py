@@ -3,9 +3,11 @@
 The Augustin mean of order rho for an input distribution P is the unique
 output law minimizing the conditional Renyi divergence; it is computed here
 as the fixed point of the tilted-channel mixture map, started from the
-order-one mean (which dominates every candidate). Orders above one are
-rejected: the sphere-packing machinery only needs (0, 1], and the fixed
-point map is only trusted there.
+closed-form power-mean (Sibson) center of the same order. That center is the
+Augustin mean at order one and, for full-support rows, in the limit of small
+orders, where plain iteration is slowest. Orders above one are rejected:
+the sphere-packing machinery only needs (0, 1], and the fixed point map is
+only trusted there.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ DEFAULT_FP_TOL = 1e-12
 LOW_ORDER_PROBE = 1e-6
 DEFAULT_FP_MAX_ITER = 20000
 ALT_IDENTITY_TOL = 1e-9
+# Weight of the order-one mean mixed into every start. The map keeps a zero
+# mass at zero, and at small orders a power-mean center can underflow to 0
+# where the mean is positive; the mix keeps every reachable output positive.
+START_MIX = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,18 +64,25 @@ def _support_rows(p: FiniteDist, channel: DiscreteChannel) -> tuple:
         return p.masses[sup], w_rows, np.log(w_rows)
 
 
-def _solve_grid(rhos, weights, lw, w_rows, tol, max_iter, q0=None):
-    """Iterate q <- sum_x p(x) tilt_rho(W(x), q) for a whole grid of orders.
+def _start_rows(rhos: np.ndarray, weights, w_rows, lw) -> np.ndarray:
+    """Power-mean center of p at each order, with START_MIX of the order-one
+    mean p W mixed in."""
+    # order one gives an infinite value beside its center; only centers are used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center = _power_mean(rhos, lw, np.log(weights))[0]
+    return (1.0 - START_MIX) * center + START_MIX * (weights @ w_rows)
+
+
+def _solve_grid(rhos, weights, lw, Q, tol, max_iter):
+    """Iterate q <- sum_x p(x) tilt_rho(W(x), q) for a whole grid of orders,
+    from the start rows Q, one per order.
 
     The map contracts like (1 - rho), which is hopeless to iterate plainly
     for tiny orders, so once the per-order step ratio stabilizes we take a
     geometric-series extrapolation jump and let a few plain steps re-certify
     the tolerance. Returns (Q, steps, iterations) with one row per order.
     """
-    rhos = np.asarray(rhos, dtype=float)
-    q1 = weights @ w_rows
     n_orders = rhos.size
-    Q = np.tile(q1, (n_orders, 1)) if q0 is None else np.array(q0, dtype=float)
     steps = np.zeros(n_orders)
     iters = np.zeros(n_orders, dtype=int)
     prev_step = np.full(n_orders, np.nan)
@@ -178,12 +191,12 @@ def augustin_fixed_point(
     channel: DiscreteChannel,
     tol: float = DEFAULT_FP_TOL,
     max_iter: int = DEFAULT_FP_MAX_ITER,
-    q0: np.ndarray | None = None,
 ) -> AugustinSolution:
     """Solve for the order rho Augustin mean of (p, channel).
 
-    Starts from the order-one mean, stops when the total-variation step falls
-    below tol, and cross-checks the converged information value against its
+    Starts from the power-mean center of the same order (with START_MIX of
+    the order-one mean), stops when the total-variation step falls below
+    tol, and cross-checks the converged information value against its
     tilted-channel KL decomposition before returning. Order one returns the
     plain mixture directly.
     """
@@ -193,8 +206,10 @@ def augustin_fixed_point(
         q = weights @ w_rows
         info = float(weights @ _row_divergences(1.0, lw, q))
         return AugustinSolution(FiniteDist(q), info, 0, 0.0, 0.0)
-    start = None if q0 is None else np.asarray(q0, dtype=float)[None, :]
-    Q, steps, iters = _solve_grid([rho], weights, lw, w_rows, tol, max_iter, start)
+    rhos = np.array([rho], dtype=float)
+    Q, steps, iters = _solve_grid(
+        rhos, weights, lw, _start_rows(rhos, weights, w_rows, lw), tol, max_iter
+    )
     q = Q[0]
     if steps[0] > tol:
         raise NonConvergenceError(
@@ -227,7 +242,9 @@ def augustin_information_grid(
     for r in rhos:
         _check_inputs(float(r), p, channel)
     weights, w_rows, lw = _support_rows(p, channel)
-    Q, steps, _ = _solve_grid(rhos, weights, lw, w_rows, tol, max_iter)
+    Q, steps, _ = _solve_grid(
+        rhos, weights, lw, _start_rows(rhos, weights, w_rows, lw), tol, max_iter
+    )
     bad = steps > tol
     if bad.any():
         raise NonConvergenceError(
@@ -354,23 +371,22 @@ class CapacityResult:
 @np.errstate(invalid="ignore")
 def _power_mean_ascent(rho, lw, penalty, lp, tol, max_iter):
     """Raise the Sibson information of p = exp(lp), or its Renyi-Gallager form
-    under the penalty; returns lp and the power-mean center q of p.
+    under the penalty; returns lp.
 
-    Step: p(x) <- p(x) exp(s (D_rho(W(x)||q) - penalty(x))). s = rho is a
-    Jensen majorization step that never lowers the value (Blahut-Arimoto at
-    order one); a longer step that lowers it is dropped. s then moves to the
-    secant root of the value's slope along the step, taken to first order in
-    D - value: at most 8 s after a kept step, s/2 after a dropped one, never
-    below rho. Stops once max_x [D - penalty] is within tol/10 of the value.
+    Step: p(x) <- p(x) exp(s (D_rho(W(x)||q) - penalty(x))), q the power-mean
+    center of the weights. s = rho is a Jensen majorization step that never
+    lowers the value (Blahut-Arimoto at order one); a longer step that lowers
+    it is dropped. s then moves to the secant root of the value's slope along
+    the step, taken to first order in D - value: at most 8 s after a kept
+    step, s/2 after a dropped one, never below rho. Stops once max_x [D - penalty] is within tol/10 of the value.
     """
     def state(lp):
         p = np.exp(lp)
         if rho < 1.0:
             q, value = _power_mean(rho, lw, lp + (1.0 - rho) * penalty)
-            return lp, _row_divergences(rho, lw, q) - penalty, value, q, p
-        q = p @ np.exp(lw)
-        d = _row_divergences(1.0, lw, q) - penalty
-        return lp, d, float(p[p > 0] @ d[p > 0]), q, p
+            return lp, _row_divergences(rho, lw, q) - penalty, value, p
+        d = _row_divergences(1.0, lw, p @ np.exp(lw)) - penalty
+        return lp, d, float(p[p > 0] @ d[p > 0]), p
 
     cur, s = state(lp), rho
     for _ in range(max_iter):
@@ -379,14 +395,14 @@ def _power_mean_ascent(rho, lw, penalty, lp, tol, max_iter):
             break
         g = np.minimum(d - d[np.isfinite(d)].max(), 0.0)
         trial = state(lp + s * g - _logsumexp(lp + s * g))
-        s0, s1 = (float(st[4] @ ((st[1] - st[4] @ st[1]) * g)) for st in (cur, trial))
+        s0, s1 = (float(st[3] @ ((st[1] - st[3] @ st[1]) * g)) for st in (cur, trial))
         root = s * s0 / (s0 - s1) if s0 > s1 else 2.0 * s
         # equal values up to rounding count as kept, so that s keeps its scale
         if trial[2] >= value - 8.0 * np.spacing(abs(value)) or s == rho:
             cur, s = trial, max(min(root, 8.0 * s), rho)
         else:
             s = max(min(root, 0.5 * s), rho)
-    return cur[0], cur[3]
+    return cur[0]
 
 
 def augustin_capacity(
@@ -399,8 +415,9 @@ def augustin_capacity(
     """Maximize the Augustin information over a constraint set.
 
     Sibson and Augustin capacities and centers coincide, so a power-mean
-    ascent finds the optimizer p; one Augustin fixed point from its power-mean
-    center gives the center, C = sum_x p(x) D_rho(W(x) || center) and the gap
+    ascent finds the optimizer p; one Augustin fixed point at p, started like
+    every other at the power-mean center of p, gives the center,
+    C = sum_x p(x) D_rho(W(x) || center) and the gap
     max_x D_rho(W(x) || center) - C, which certifies C within tol. A cost
     constraint bisects the Lagrange multiplier, warm-starting each ascent,
     and certifies with the Lagrangian gap. Single distributions reduce to
@@ -428,30 +445,30 @@ def augustin_capacity(
     lw = channel.log_row_matrix()
 
     def ascend(lam, lp):
-        lp, q = _power_mean_ascent(rho, lw, lam * costs, lp, tol, max_iter)
-        return lp, q, budget - float(np.exp(lp) @ costs)
+        lp = _power_mean_ascent(rho, lw, lam * costs, lp, tol, max_iter)
+        return lp, budget - float(np.exp(lp) @ costs)
 
     # raise the multiplier until the budget holds, then bisect toward where
     # it binds until the slackness term lam * slack of the gap is below tol/10
     lam_lo, lam_hi = 0.0, 0.0
-    lp, q, slack = ascend(0.0, uniform.log_masses())
+    lp, slack = ascend(0.0, uniform.log_masses())
     while slack < -1e-12:
         lam_lo, lam_hi = lam_hi, max(2.0 * lam_hi, 1.0)
         if lam_hi > 1e9:
             raise ComputationError("cost multiplier search diverged")
-        lp, q, slack = ascend(lam_hi, lp)
-    best = lp, q
+        lp, slack = ascend(lam_hi, lp)
+    best = lp
     for _ in range(60):
         if lam_hi * slack <= 0.1 * tol:
             break
         lam = 0.5 * (lam_lo + lam_hi)
-        lp, q, mid_slack = ascend(lam, lp)
+        lp, mid_slack = ascend(lam, lp)
         if mid_slack >= -1e-12:
-            lam_hi, slack, best = lam, mid_slack, (lp, q)
+            lam_hi, slack, best = lam, mid_slack, lp
         else:
             lam_lo = lam
-    p = FiniteDist(np.exp(best[0]))
-    sol = augustin_fixed_point(rho, p, channel, q0=best[1])
+    p = FiniteDist(np.exp(best))
+    sol = augustin_fixed_point(rho, p, channel)
     d = _row_divergences(rho, lw, sol.mean.masses)
     gap = float(np.max(d - lam_hi * costs) + lam_hi * budget - sol.information)
     certified = gap <= tol and float(p.masses @ costs) <= budget + 1e-9

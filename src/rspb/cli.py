@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -225,13 +226,15 @@ def _cmd_capacity(args):
     return EXIT_OK if res.certified else EXIT_UNCERTIFIED
 
 
-def _spe_row(channel, comp, n, rate):
+def _sweep_row(rate, n, bound, at_rate):
+    """One CSV row: bound(n, n * rate), a refined-bound report, when n is
+    given, else the (rho_star, exponent, slope) triple of at_rate(rate)."""
     row = dict.fromkeys(SWEEP_COLUMNS)
     row["rate"] = rate
     row["status"] = "ok"
     try:
         if n is not None:
-            rep = rspb_constant_composition(channel, comp, n, rate * n)
+            rep = bound(n, rate * n)
             row.update(
                 rho_star=rep.rho_star,
                 exponent=rep.exponent_total / n,
@@ -241,10 +244,7 @@ def _spe_row(channel, comp, n, rate):
                 applicable=rep.applicable,
             )
         else:
-            pt = spe_parametric(comp, channel, rate)
-            row.update(
-                rho_star=pt.rho_star, exponent=pt.exponent, slope=pt.slope
-            )
+            row.update(zip(("rho_star", "exponent", "slope"), at_rate(rate)))
     except SpbError as exc:
         row["status"] = type(exc).__name__
     return row
@@ -253,10 +253,14 @@ def _spe_row(channel, comp, n, rate):
 def _cmd_spe(args):
     channel = _get_channel(args)
     comp = _get_dist(args.composition, channel.input_size)
+    bound = partial(rspb_constant_composition, channel, comp)
+
+    def at_rate(rate):
+        pt = spe_parametric(comp, channel, rate)
+        return pt.rho_star, pt.exponent, pt.slope
+
     if ":" in args.rate:
-        grid = _parse_grid(args.rate)
-        rows = [_spe_row(channel, comp, args.n, float(r)) for r in grid]
-        _emit_csv(rows)
+        _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in _parse_grid(args.rate)])
         return EXIT_OK
     rate = float(args.rate)
     point = spe_parametric(comp, channel, rate)
@@ -269,7 +273,7 @@ def _cmd_spe(args):
     if args.grid_size:
         report["grid_sup"] = spe_grid_sup(comp, channel, rate, args.grid_size)
     if args.output == "csv":
-        _emit_csv([_spe_row(channel, comp, args.n, rate)])
+        _emit_csv([_sweep_row(rate, args.n, bound, at_rate)])
     else:
         _emit(report)
     return EXIT_OK
@@ -299,38 +303,18 @@ def _cmd_symmetric(args):
     return EXIT_OK
 
 
-def _awgn_row(params, n, rate):
-    row = dict.fromkeys(SWEEP_COLUMNS)
-    row["rate"] = rate
-    row["status"] = "ok"
-    try:
-        if n is not None:
-            rep = rspb_awgn_equality(n, rate * n, params)
-            row.update(
-                rho_star=rep.rho_star,
-                exponent=rep.exponent_total / n,
-                slope=rep.slope,
-                log_prefactor=rep.log_prefactor,
-                bound_log=rep.bound_log,
-                applicable=rep.applicable,
-            )
-        else:
-            rho = awgn_rho_star(rate, params)
-            pt = awgn_parametric(rho, params)
-            row.update(rho_star=rho, exponent=pt.esp, slope=pt.slope)
-    except SpbError as exc:
-        row["status"] = type(exc).__name__
-    return row
-
-
 def _cmd_awgn(args):
     params = AwgnParams(sigma2=args.sigma2, cost=args.cost)
     if args.order is None and args.rate is None:
         raise PreconditionError("give --order or --rate")
+    bound = partial(rspb_awgn_equality, params=params)
+
+    def at_rate(rate):
+        pt = awgn_parametric(awgn_rho_star(rate, params), params)
+        return pt.rho, pt.esp, pt.slope
+
     if args.rate is not None and ":" in args.rate:
-        grid = _parse_grid(args.rate)
-        rows = [_awgn_row(params, args.n, float(r)) for r in grid]
-        _emit_csv(rows)
+        _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in _parse_grid(args.rate)])
         return EXIT_OK
     if args.rate is not None:
         rate = float(args.rate)
@@ -365,7 +349,7 @@ def _cmd_awgn(args):
         if args.rate is not None:
             report["rho_star"] = rho
     if args.output == "csv":
-        _emit_csv([_awgn_row(params, args.n, report.get("rate", math.nan))])
+        _emit_csv([_sweep_row(report.get("rate", math.nan), args.n, bound, at_rate)])
     else:
         _emit(report)
     return EXIT_OK

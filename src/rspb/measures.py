@@ -39,10 +39,10 @@ def _logsumexp(a, axis=None):
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        peak = np.max(a, axis=axis, keepdims=True)
+        peak = a.max(axis=axis, keepdims=True)
         at_peak = a == peak
-        count = np.sum(at_peak, axis=axis, keepdims=True, dtype=float)
-        rest = np.sum(np.exp(np.where(at_peak, -np.inf, a) - peak), axis=axis, keepdims=True)
+        count = at_peak.sum(axis=axis, keepdims=True, dtype=float)
+        rest = np.exp(np.where(at_peak, -np.inf, a) - peak).sum(axis=axis, keepdims=True)
         out = np.log1p(rest / count) + np.log(count) + peak
         finite = np.isfinite(out)
         if not finite.all():
@@ -50,18 +50,20 @@ def _logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def _power_mean(rho: float, lw: np.ndarray, log_weights: np.ndarray) -> tuple:
+def _power_mean(rho, lw: np.ndarray, log_weights: np.ndarray) -> tuple:
     """Power-mean center and value of log-rows lw at an order rho in (0, 1).
 
     With b(y) = sum_x exp(log_weights[x]) W(y|x)^rho, the center is
     proportional to b^(1/rho) and the value is rho/(rho-1) ln sum_y b^(1/rho).
     For input masses p as weights these are the Sibson center and
     information of p; weights p(x) exp((1-rho) lam c(x)) give the
-    Renyi-Gallager form of the cost-penalized information.
+    Renyi-Gallager form of the cost-penalized information. An array of
+    orders broadcasts: one center row and one value per order.
     """
-    log_m = _logsumexp(rho * lw + log_weights[:, None], axis=0) / rho
-    log_norm = float(_logsumexp(log_m))
-    return np.exp(log_m - log_norm), rho / (rho - 1.0) * log_norm
+    r = np.asarray(rho, dtype=float)[..., None, None]
+    log_m = _logsumexp(r * lw + log_weights[:, None], axis=-2) / r[..., 0]
+    log_norm = _logsumexp(log_m, axis=-1)
+    return np.exp(log_m - log_norm[..., None]), rho / (rho - 1.0) * log_norm
 
 
 def _as_masses(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
@@ -292,13 +294,6 @@ def conditional_renyi_divergence(
             return np.inf
         total += float(p.masses[x]) * d
     return total
-
-
-def tilted_channel(rho: float, channel: DiscreteChannel, q: FiniteDist) -> DiscreteChannel:
-    """Channel whose row x is the order rho tilt of W(x) toward q."""
-    if q.alphabet_size != channel.output_size:
-        raise AlphabetMismatchError("output distribution does not match channel outputs")
-    return DiscreteChannel(tuple(tilted_measure(rho, r, q) for r in channel.rows))
 
 
 def tilted_log_moments(rho: float, w: FiniteDist, q: FiniteDist) -> tuple:

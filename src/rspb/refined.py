@@ -12,7 +12,7 @@ astronomically large M never overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,14 +152,14 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
     if not low < log_M_over_L < high:
         raise RateOutOfRangeError(log_M_over_L, low, high)
 
-    def summed(rho, _warm):
+    def summed(rho):
         comp = {k: component_quantities(rho, ch) for k, ch in distinct.items()}
         return sum(comp[k].rate_term for k in layout), comp
 
     tol = 1e-12 * max(1.0, abs(log_M_over_L))
     rho, _, comp = _find_order(
-        summed, log_M_over_L, (LOW_ORDER_PROBE, *summed(LOW_ORDER_PROBE, None)),
-        (1.0, high, None), lambda rho, total, _: abs(total - log_M_over_L) <= tol,
+        summed, log_M_over_L, (LOW_ORDER_PROBE, summed(LOW_ORDER_PROBE)[0]),
+        (1.0, high), lambda rho, total, _: abs(total - log_M_over_L) <= tol,
     )
     exponent_total = sum(comp[k].exponent_term for k in layout)
     a2 = sum(comp[k].a2 for k in layout) / n
@@ -214,23 +214,6 @@ def rspb_awgn_inequality(
     base = rspb_awgn_equality(n + 1, log_M_over_L, shifted)
     rate = log_M_over_L / n
     rho = awgn_rho_star(rate, shifted)
-    point = awgn_parametric(rho, shifted)
-    exponent_total = n * point.esp
-    return RspbReport(
-        n=n,
-        rate=rate,
-        rho_star=rho,
-        exponent_total=exponent_total,
-        log_prefactor=base.bound_log + exponent_total,
-        bound_log=base.bound_log,
-        condition_lhs=base.condition_lhs,
-        condition_rhs=base.condition_rhs,
-        applicable=base.applicable,
-        a2=base.a2,
-        a3=base.a3,
-        log_delta_hat=base.log_delta_hat,
-        slope_certified=True,
-        condition_lhs_printed=base.condition_lhs_printed,
-        condition_rhs_printed=base.condition_rhs_printed,
-        applicable_printed=base.applicable_printed,
-    )
+    exponent_total = n * awgn_parametric(rho, shifted).esp
+    return replace(base, n=n, rate=rate, rho_star=rho, exponent_total=exponent_total,
+                   log_prefactor=base.bound_log + exponent_total)

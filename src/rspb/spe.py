@@ -40,22 +40,18 @@ ORDER_XTOL = 1e-15
 def _find_order(rate_at, target, lo, hi, done):
     """Brent's method for the order where a non-decreasing rate crosses target.
 
-    lo and hi are solved (order, rate, state) triples, lo's rate below the
-    target and hi's above. rate_at(rho, warm) returns (rate, state) at a new
-    order; warm is the state at the least solved order whose rate lies above
-    the target. That is the nearest such order, since every probe lies inside
-    the bracket, and it is the only safe warm start: a mean solved at a lower
-    order can hold masses so tiny that a fixed point stops at once next to a
-    face of the simplex. Each probe interpolates inversely through the last
-    three points (a secant through two), falling back to halving when the
-    interpolant leaves the bracket or shrinks it more slowly than halving
-    would (Brent, Algorithms for Minimization Without Derivatives, 1973,
-    ch. 4). It interpolates sqrt(rate) - sqrt(target), which has the same
-    root: when every input reaches a common output the tilted rate grows
-    like rho^2 from 0, so its square root is near linear in the order, and
-    low rates need about half the probes. Returns the first probe that
-    done(rho, rate, state) accepts or, once the bracket is spent, the probe
-    with the smallest residual.
+    lo and hi are solved (order, rate) pairs, lo's rate below the target and
+    hi's above. rate_at(rho) returns (rate, state) at a new order; the state
+    comes back with the chosen probe. Each probe interpolates inversely
+    through the last three points (a secant through two), falling back to
+    halving when the interpolant leaves the bracket or shrinks it more slowly
+    than halving would (Brent, Algorithms for Minimization Without
+    Derivatives, 1973, ch. 4). It interpolates sqrt(rate) - sqrt(target),
+    which has the same root: when every input reaches a common output the
+    tilted rate grows like rho^2 from 0, so its square root is near linear in
+    the order, and low rates need about half the probes. Returns the first
+    (rho, rate, state) probe that done(rho, rate, state) accepts or, once the
+    bracket is spent, the probe with the smallest residual.
     """
     eps = np.finfo(float).eps
     root = math.sqrt(target)
@@ -63,7 +59,7 @@ def _find_order(rate_at, target, lo, hi, done):
     b, fb = hi[0], math.sqrt(max(hi[1], 0.0)) - root
     c, fc = a, fa
     d = e = b - a
-    upper, best = hi, None
+    best = None
     while True:
         # b is the best end of the bracket [b, c]; a is the previous b
         if (fb > 0.0) == (fc > 0.0):
@@ -93,15 +89,13 @@ def _find_order(rate_at, target, lo, hi, done):
             e = d = m
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        rate, state = rate_at(b, upper[2])
+        rate, state = rate_at(b)
         fb = math.sqrt(max(rate, 0.0)) - root
         point = (b, rate, state)
         if best is None or abs(rate - target) < abs(best[1] - target):
             best = point
         if done(*point):
             return point
-        if fb > 0.0 and b < upper[0]:
-            upper = point
 
 
 @dataclass(frozen=True)
@@ -144,12 +138,12 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
     if not low < rate < high:
         raise RateOutOfRangeError(rate, low, high)
 
-    def solved(rho, sol):
+    def tilted_rate(rho, sol):
         d1_tq, d1_tw = tilted_kl_pair(rho, p, channel, sol.mean.masses)
-        return rho, d1_tq, (sol, d1_tw)
+        return d1_tq, (sol, d1_tw)
 
-    def rate_at(rho, warm):
-        return solved(rho, augustin_fixed_point(rho, p, channel, q0=warm[0].mean.masses))[1:]
+    def rate_at(rho):
+        return tilted_rate(rho, augustin_fixed_point(rho, p, channel))
 
     def done(rho, r, _):
         # push well below the 1e-10 rate-residual target so that derived
@@ -161,7 +155,8 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
     # the tilted rate is at most the information, so the probe order is below
     # the crossing; at order one the tilt is the channel and the rate is high
     rho_star, _, (sol, exponent) = _find_order(
-        rate_at, rate, solved(LOW_ORDER_PROBE, low_sol), solved(1.0, high_sol), done
+        rate_at, rate, (LOW_ORDER_PROBE, tilted_rate(LOW_ORDER_PROBE, low_sol)[0]),
+        (1.0, tilted_rate(1.0, high_sol)[0]), done,
     )
     slope = (rho_star - 1.0) / rho_star
     direct = (1.0 - rho_star) / rho_star * (sol.information - rate)

@@ -206,12 +206,12 @@ def parametric_symmetric(
     if not low < rate < high:
         raise RateOutOfRangeError(rate, low, high)
 
-    def rate_at(rho, _warm):
+    def rate_at(rho):
         comp = component_quantities(rho, channel)
         return comp.rate_term, comp
 
     _, _, best = _find_order(
-        rate_at, rate, (LOW_ORDER_PROBE, *rate_at(LOW_ORDER_PROBE, None)), (1.0, high, None),
+        rate_at, rate, (LOW_ORDER_PROBE, rate_at(LOW_ORDER_PROBE)[0]), (1.0, high),
         lambda rho, r, _: abs(r - rate) <= 1e-12,
     )
     certified = best.tilt_nonconstant or center_order_independent(channel, rho_grid, tol)

@@ -139,6 +139,20 @@ def test_sweep_with_blocklength_fills_prefactor(capsys):
     assert row[6] in ("true", "false")
 
 
+@pytest.mark.parametrize("argv", [
+    ("spe", "--bsc", "0.1"),
+    ("spe", "--bsc", "0.1", "--n", "600"),
+    ("awgn", "--sigma2", "1", "--cost", "1"),
+    ("awgn", "--sigma2", "1", "--cost", "1", "--n", "500"),
+])
+def test_single_rate_csv_row_matches_sweep_row(capsys, argv):
+    code, single, _ = run_cli(capsys, *argv, "--rate", "0.125", "--output", "csv")
+    assert code == 0
+    _, sweep, _ = run_cli(capsys, *argv, "--rate", "0.125:0.25:2")
+    assert single.strip().split("\n") == sweep.strip().split("\n")[:2]
+    assert single.strip().endswith(",ok")
+
+
 def test_byte_identical_invocations(capsys):
     _, out1, _ = run_cli(capsys, "verify", "identities", "--seed", "7", "--pairs", "20")
     _, out2, _ = run_cli(capsys, "verify", "identities", "--seed", "7", "--pairs", "20")

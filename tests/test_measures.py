@@ -29,7 +29,6 @@ from rspb.measures import (
     read_distribution,
     renyi_divergence,
     tensor_dist,
-    tilted_channel,
     tilted_log_moments,
     tilted_measure,
     uniform_dist,
@@ -136,14 +135,6 @@ def test_conditional_divergence_examples():
     zch = DiscreteChannel((bern(0.0), bern(0.5)))
     d = conditional_renyi_divergence(1.0, zch, bern(0.0), point_mass(0, 2))
     assert d == 0.0
-
-
-def test_tilted_channel_rowwise():
-    out = tilted_channel(0.5, bsc(0.1), bern(0.5))
-    assert out.rows[0].allclose(bern(0.25), tol=1e-15)
-    assert out.rows[1].allclose(bern(0.75), tol=1e-15)
-    same = tilted_channel(1.0, bsc(0.1), bern(0.5))
-    assert same.rows[0] is bsc(0.1).rows[0] or same.rows[0].allclose(bern(0.1))
 
 
 def test_tilted_log_moments_two_point_closed_forms():

@@ -141,13 +141,14 @@ def test_constrained_single_and_list():
 
 
 def _counting_solves(monkeypatch):
-    """Record the order of every fixed-point solve the spe module makes."""
+    """Record the order, and any argument past the channel, of every
+    fixed-point solve the spe module makes."""
     calls = []
     solve = rspb.spe.augustin_fixed_point
 
-    def counting(rho, *args, **kwargs):
-        calls.append(rho)
-        return solve(rho, *args, **kwargs)
+    def counting(rho, p, channel, *args, **kwargs):
+        calls.append((rho, args, kwargs))
+        return solve(rho, p, channel, *args, **kwargs)
 
     monkeypatch.setattr(rspb.spe, "augustin_fixed_point", counting)
     return calls
@@ -178,9 +179,10 @@ def test_constrained_single_solves_endpoints_once(monkeypatch):
 
 
 # A Z-like channel whose order-rho mean puts mass below 1e-13 on the second
-# output at small orders. A fixed point warm-started from such a mean at a
-# higher order stops after one step on a wrong mean, so the root-finder must
-# warm-start only from a mean solved above the crossing.
+# output at small orders. A fixed point started from such a mean at a higher
+# order would stop after one step on a wrong mean; each solve starts from the
+# power-mean center of its own order instead, and the rate it finds must match
+# a fresh solve at rho*.
 NEAR_FACE = DiscreteChannel(
     (FiniteDist(np.array([1.0, 0.0])),
      FiniteDist(np.array([0.8423361549121465, 0.1576638450878535])))
@@ -193,3 +195,13 @@ def test_near_face_rate_residual_from_cold_solve(rate):
     cold = augustin_fixed_point(pt.rho_star, U2, NEAR_FACE)
     residual = tilted_kl_pair(pt.rho_star, U2, NEAR_FACE, cold.mean.masses)[0] - rate
     assert abs(residual) <= 1e-10
+
+
+def test_no_solve_passes_a_start(monkeypatch, rng):
+    calls = _counting_solves(monkeypatch)
+    spe_parametric(U2, bsc(0.1), 0.1308120)
+    spe_parametric(U2, NEAR_FACE, 1e-6)
+    spe_parametric(uniform_dist(3), random_channel(rng, 3, 4), 0.05)
+    assert len(calls) > 6
+    # every solve is (rho, p, channel) alone, so it starts where the solver does
+    assert all(not args and not kwargs for _, args, kwargs in calls)
