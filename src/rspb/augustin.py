@@ -83,7 +83,8 @@ def _solve_grid(rhos, weights, lw, Q, tol, max_iter):
     the tolerance. Returns (Q, steps, iterations) with one row per order.
     """
     n_orders = rhos.size
-    steps = np.zeros(n_orders)
+    # an order that takes no step has certified nothing; order one is exact
+    steps = np.where(rhos < 1.0, np.inf, 0.0)
     iters = np.zeros(n_orders, dtype=int)
     prev_step = np.full(n_orders, np.nan)
     prev_ratio = np.full(n_orders, np.nan)
@@ -93,14 +94,7 @@ def _solve_grid(rhos, weights, lw, Q, tol, max_iter):
             break
         idx = np.flatnonzero(active)
         Qa = Q[idx]
-        with np.errstate(divide="ignore"):
-            lq = np.log(Qa)
-        logits = rhos[idx, None, None] * lw[None, :, :] + (
-            1.0 - rhos[idx, None, None]
-        ) * lq[:, None, :]
-        peak = logits.max(axis=2, keepdims=True)
-        tilts = np.exp(logits - peak)
-        tilts /= tilts.sum(axis=2, keepdims=True)
+        tilts = _tilted_rows(rhos[idx, None, None], lw, Qa[:, None, :])
         Qn = np.einsum("s,asy->ay", weights, tilts)
         delta = Qn - Qa
         step = 0.5 * np.abs(delta).sum(axis=1)
@@ -169,13 +163,15 @@ def _row_divergences(rho: float, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tilted_rows(rho: float, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _tilted_rows(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """W(y|x)^rho q(y)^(1-rho), normalized over the last axis; rho and q
+    broadcast against lw, so one call tilts a grid of orders and means."""
     with np.errstate(divide="ignore"):
         lq = np.log(q)
     logits = rho * lw + (1.0 - rho) * lq
-    peak = logits.max(axis=1, keepdims=True)
+    peak = logits.max(axis=-1, keepdims=True)
     t = np.exp(logits - peak)
-    t /= t.sum(axis=1, keepdims=True)
+    t /= t.sum(axis=-1, keepdims=True)
     return t
 
 

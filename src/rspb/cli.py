@@ -373,6 +373,8 @@ def _cmd_rspb(args):
         channel = _get_channel(args)
         rep = rspb_symmetric([channel] * args.n, log_ml)
     else:
+        if args.sigma2 is None or args.cost is None:
+            raise PreconditionError(f"--mode {args.mode} needs --sigma2 and --cost")
         params = AwgnParams(sigma2=args.sigma2, cost=args.cost)
         if args.mode == "awgn":
             rep = rspb_awgn_equality(args.n, log_ml, params)

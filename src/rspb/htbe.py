@@ -106,6 +106,8 @@ def htbe_converse(
     """
     if beta <= 0:
         raise PreconditionError("beta must be positive")
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
     if not 0 < rho < 1:
         raise PreconditionError(f"order must lie in (0, 1), got {rho}")
     root = rho * math.sqrt(params.a2 * n)
@@ -141,6 +143,8 @@ def htbe_achievability(
     """Upper bound achieved by the explicit threshold test, for any beta > 0."""
     if beta <= 0:
         raise PreconditionError("beta must be positive")
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
     if not 0 < rho < 1:
         raise PreconditionError(f"order must lie in (0, 1), got {rho}")
     a2 = params.a2

@@ -89,6 +89,9 @@ def test_non_convergence_reports_residual():
     with pytest.raises(NonConvergenceError) as err:
         augustin_fixed_point(0.5, U2, zchannel(0.5), tol=1e-15, max_iter=2)
     assert err.value.residual > 0
+    # a solve that takes no step certifies nothing, even from a close start
+    with pytest.raises(NonConvergenceError):
+        augustin_fixed_point(0.3, U2, zchannel(0.3), max_iter=0)
 
 
 # Dirichlet channels of the sweep benchmark (seed 2 block 1, a 2x3; seed 10

@@ -95,6 +95,24 @@ def test_precondition_violation_exits_2(capsys):
     assert "precondition" in err
     code, _, err = run_cli(capsys, "capacity", "--order", "1.5", "--bsc", "0.1")
     assert code == 2
+    code, _, err = run_cli(
+        capsys, "htbe", "--order", "0.5", "--n", "0", "--beta", "0.004",
+        "--w-bern", "0.1", "--q-bern", "0.5",
+    )
+    assert code == 2
+    assert "precondition" in err
+    code, _, err = run_cli(capsys, "rspb", "--mode", "awgn", "--n", "10", "--rate", "0.1")
+    assert code == 2
+    assert "precondition" in err
+
+
+def test_fixed_point_without_steps_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "augustin", "--order", "0.3", "--zchannel", "0.3", "--max-iter", "0"
+    )
+    assert code == 3
+    assert json.loads(out)["error"] == "NonConvergenceError"
+    assert "not certified" in err
 
 
 def test_sweep_csv_shape(capsys):

@@ -85,6 +85,9 @@ def test_converse_formula_arithmetic():
     assert rep.q_budget_log == pytest.approx(math.log(beta) - d1tq, rel=1e-12)
     with pytest.raises(PreconditionError):
         htbe_converse(0.5, n, 0.0, params, d1tq, d1tw)
+    for bad_n in (0, -3):
+        with pytest.raises(PreconditionError):
+            htbe_converse(0.5, bad_n, beta, params, d1tq, d1tw)
 
 
 def test_achievability_formula_arithmetic():
@@ -101,6 +104,9 @@ def test_achievability_formula_arithmetic():
     )
     assert rep.achievability_w_log == pytest.approx(expected, rel=1e-12)
     assert rep.applicable
+    for bad_n in (0, -3):
+        with pytest.raises(PreconditionError):
+            htbe_achievability(rho, bad_n, beta, params, 10.0, 5.0)
 
 
 def test_gap_between_bounds_independent_of_n_and_totals():

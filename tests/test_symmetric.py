@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rspb.augustin import augustin_capacity
+from rspb import augustin
+from rspb.augustin import augustin_capacity, augustin_fixed_point
 from rspb.errors import RateOutOfRangeError, SymmetryError
 from rspb.measures import (
+    DiscreteChannel,
+    FiniteDist,
     bec,
     bern,
     bsc,
@@ -14,8 +18,10 @@ from rspb.measures import (
     uniform_dist,
     zchannel,
 )
+from rspb.refined import rspb_symmetric
 from rspb.spe import spe_parametric
 from rspb.symmetric import (
+    DEFAULT_ORDER_GRID,
     center_order_independent,
     check_renyi_symmetry,
     component_quantities,
@@ -60,12 +66,62 @@ def test_center_matches_capacity_search():
     assert 0.5 * np.abs(center.masses - res.center.masses).sum() <= 1e-7
 
 
+def _channel(rows):
+    return DiscreteChannel(tuple(FiniteDist(r) for r in np.asarray(rows, dtype=float)))
+
+
+CYCLIC4 = _channel([np.roll([0.7, 0.2, 0.06, 0.04], k) for k in range(4)])
+
+
 def test_symmetry_certification():
     assert check_renyi_symmetry(bsc(0.1), tol=1e-9).is_symmetric
     assert check_renyi_symmetry(bec(0.3), tol=1e-9).is_symmetric
     report = check_renyi_symmetry(zchannel(0.5), tol=1e-9)
     assert not report.is_symmetric
     assert report.max_divergence_spread > 1e-9
+    assert report.max_center_fixed_point_tv > 1e-9
+    # one map step moves the center by at most (exp((1-rho) spread) - 1)/2
+    assert report.max_center_fixed_point_tv <= 0.5 * math.expm1(report.max_divergence_spread)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [bsc(0.11), bec(0.3), CYCLIC4, product_channel(bsc(0.1), bec(0.3))],
+    ids=["bsc", "bec", "cyclic4", "bsc_x_bec"],
+)
+def test_certified_centers_are_the_iterated_augustin_means(channel):
+    report = check_renyi_symmetry(channel)
+    assert report.is_symmetric
+    u = uniform_dist(channel.input_size)
+    for rho in DEFAULT_ORDER_GRID:
+        mean = augustin_fixed_point(float(rho), u, channel).mean.masses
+        center = report.center_per_order[float(rho)].masses
+        assert 0.5 * np.abs(mean - center).sum() <= 1e-10
+
+
+def test_symmetric_path_runs_no_fixed_point(monkeypatch):
+    calls = []
+    solve = augustin._solve_grid
+
+    def counted(*args):
+        calls.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(augustin, "_solve_grid", counted)
+    augustin_fixed_point(0.5, uniform_dist(2), zchannel(0.3))
+    assert len(calls) == 1
+    calls.clear()
+    check_renyi_symmetry(bsc(0.11))
+    parametric_symmetric(bec(0.3), 0.25)
+    rspb_symmetric([bsc(0.1), bec(0.3), bsc(0.1)], 0.5)
+    assert calls == []
+
+
+def test_dead_output_certifies_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_renyi_symmetry(_channel([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]]))
+    assert report.is_symmetric
 
 
 def test_symmetry_report_contents():
