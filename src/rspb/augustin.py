@@ -13,6 +13,7 @@ only trusted there.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .errors import (
     FeasibilityError,
     InvalidOrderError,
     NonConvergenceError,
+    PreconditionError,
 )
 from .measures import DiscreteChannel, FiniteDist, _logsumexp, _power_mean
 
@@ -40,13 +42,24 @@ START_MIX = 1e-9
 
 @dataclass(frozen=True)
 class AugustinSolution:
-    """Converged fixed point: mean, information, and iteration diagnostics."""
+    """Converged fixed point: mean, information, and iteration diagnostics.
+
+    residual is the total-variation size of the last step of the map and
+    alt_identity_residual the gap between information and its tilted-channel
+    decomposition rho/(1-rho) tilted_exponent + tilted_rate (0 at order one).
+    tilted_rate = D_1(tilt || mean | p) and tilted_exponent =
+    D_1(tilt || W | p) are the tilted-channel pair at the returned mean,
+    equal bit for bit to tilted_kl_pair(rho, p, channel, mean.masses); at
+    order one the tilt is the channel itself.
+    """
 
     mean: FiniteDist
     information: float
     iterations: int
     residual: float
     alt_identity_residual: float
+    tilted_rate: float
+    tilted_exponent: float
 
 
 def _check_inputs(rho: float, p: FiniteDist, channel: DiscreteChannel):
@@ -81,51 +94,67 @@ def _solve_grid(rhos, weights, lw, Q, tol, max_iter):
     for tiny orders, so once the per-order step ratio stabilizes we take a
     geometric-series extrapolation jump and let a few plain steps re-certify
     the tolerance. Returns (Q, steps, iterations) with one row per order.
+    Needs tol >= 0, so that a kept step is positive and the next step ratio
+    is defined.
     """
-    n_orders = rhos.size
     # an order that takes no step has certified nothing; order one is exact
     steps = np.where(rhos < 1.0, np.inf, 0.0)
-    iters = np.zeros(n_orders, dtype=int)
-    prev_step = np.full(n_orders, np.nan)
-    prev_ratio = np.full(n_orders, np.nan)
-    active = rhos < 1.0
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        Qa = Q[idx]
-        tilts = _tilted_rows(rhos[idx, None, None], lw, Qa[:, None, :])
-        Qn = np.einsum("s,asy->ay", weights, tilts)
-        delta = Qn - Qa
-        step = 0.5 * np.abs(delta).sum(axis=1)
-        iters[idx] += 1
-        steps[idx] = step
-        done = step <= tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = step / prev_step[idx]
-        stable = (
-            ~done
-            & np.isfinite(ratio)
-            & np.isfinite(prev_ratio[idx])
-            & (ratio < 1.0)
-            & (np.abs(ratio - prev_ratio[idx]) < 0.02 * ratio)
-        )
-        if stable.any():
-            boost = np.zeros_like(step)
-            boost[stable] = ratio[stable] / (1.0 - ratio[stable])
-            jump = Qn + delta * boost[:, None]
-            # A mass the jump zeroes would stay zero under every later plain
-            # step, a fixed point on a face of the simplex; it halves instead.
-            Qn = np.where((jump <= 0.0) & (Qn > 0.0), 0.5 * Qn, jump)
-            np.clip(Qn, 0.0, None, out=Qn)
-            Qn /= Qn.sum(axis=1, keepdims=True)
-            ratio = np.where(stable, np.nan, ratio)
-            step = np.where(stable, np.nan, step)
-        Q[idx] = Qn
-        prev_step[idx] = step
-        prev_ratio[idx] = ratio
-        sub = np.flatnonzero(active)[done]
-        active[sub] = False
+    iters = np.zeros(rhos.size, dtype=int)
+    # The orders still iterating, compacted: their indices, rho * ln W,
+    # 1 - rho, means, last steps and the (step, ratio) pair that the next
+    # ratio test reads, nan after a jump. Q, steps and iters are written back
+    # only when some order finishes, and after the loop.
+    idx = np.flatnonzero(rhos < 1.0)
+    r = rhos[idx, None, None]
+    r_lw, one_r = r * lw, 1.0 - r
+    q = Q[idx]
+    last = steps[idx].tolist()
+    prev = [(math.nan, math.nan)] * idx.size
+    n = 0
+    with np.errstate(divide="ignore"):
+        while idx.size and n < max_iter:
+            n += 1
+            # the tilt stays bound until the next one replaces it: freeing it
+            # at once costs page faults on large grids
+            t = _tilt(r_lw, one_r, q[:, None, :])
+            qn = np.einsum("s,asy->ay", weights, t)
+            delta = qn - q
+            step = 0.5 * np.abs(delta).sum(axis=1)
+            last = step.tolist()
+            boost = [0.0] * len(last)
+            keep, jumped = [], False
+            for j, s in enumerate(last):
+                if s <= tol:
+                    continue
+                keep.append(j)
+                ratio = s / prev[j][0]
+                if ratio < 1.0 and abs(ratio - prev[j][1]) < 0.02 * ratio:
+                    boost[j] = ratio / (1.0 - ratio)
+                    prev[j] = (math.nan, math.nan)
+                    jumped = True
+                else:
+                    prev[j] = (s, ratio)
+            if jumped:
+                boost = np.array(boost)
+                jump = qn + delta * boost[:, None]
+                # A mass the jump zeroes would stay zero under every later plain
+                # step, a fixed point on a face of the simplex; it halves instead.
+                qn = np.where((jump <= 0.0) & (qn > 0.0), 0.5 * qn, jump)
+                np.clip(qn, 0.0, None, out=qn)
+                # only the rows that jumped are renormalized, so that each order
+                # of a grid runs bit for bit as it would alone
+                qn /= np.where(boost > 0.0, qn.sum(axis=1), 1.0)[:, None]
+            q = qn
+            if not keep:
+                break
+            if len(keep) < len(last):
+                done = np.ones(len(last), dtype=bool)
+                done[keep] = False
+                Q[idx[done]], steps[idx[done]], iters[idx[done]] = q[done], step[done], n
+                idx, r_lw, one_r, q = idx[keep], r_lw[keep], one_r[keep], q[keep]
+                last = [last[j] for j in keep]
+                prev = [prev[j] for j in keep]
+    Q[idx], steps[idx], iters[idx] = q, last, n
     return Q, steps, iters
 
 
@@ -167,10 +196,15 @@ def _tilted_rows(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
     """W(y|x)^rho q(y)^(1-rho), normalized over the last axis; rho and q
     broadcast against lw, so one call tilts a grid of orders and means."""
     with np.errstate(divide="ignore"):
-        lq = np.log(q)
-    logits = rho * lw + (1.0 - rho) * lq
-    peak = logits.max(axis=-1, keepdims=True)
-    t = np.exp(logits - peak)
+        return _tilt(rho * lw, 1.0 - rho, q)
+
+
+def _tilt(r_lw, one_r, q):
+    """_tilted_rows from rho * ln W and 1 - rho; callers ignore the
+    divide-by-zero warning of ln 0."""
+    t = r_lw + one_r * np.log(q)
+    t -= t.max(axis=-1, keepdims=True)
+    np.exp(t, out=t)
     t /= t.sum(axis=-1, keepdims=True)
     return t
 
@@ -179,6 +213,13 @@ def _kl_rows(t: np.ndarray, ref: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(t > 0, t * (np.log(t) - np.log(ref)), 0.0)
     return terms.sum(axis=1)
+
+
+def _check_limits(tol: float, max_iter: int):
+    if not (tol >= 0 and max_iter >= 0):
+        raise PreconditionError(
+            f"tol and max_iter must be non-negative, got {tol} and {max_iter}"
+        )
 
 
 def augustin_fixed_point(
@@ -197,33 +238,36 @@ def augustin_fixed_point(
     plain mixture directly.
     """
     _check_inputs(rho, p, channel)
+    _check_limits(tol, max_iter)
     weights, w_rows, lw = _support_rows(p, channel)
     if rho == 1.0:
-        q = weights @ w_rows
-        info = float(weights @ _row_divergences(1.0, lw, q))
-        return AugustinSolution(FiniteDist(q), info, 0, 0.0, 0.0)
-    rhos = np.array([rho], dtype=float)
-    Q, steps, iters = _solve_grid(
-        rhos, weights, lw, _start_rows(rhos, weights, w_rows, lw), tol, max_iter
-    )
-    q = Q[0]
-    if steps[0] > tol:
-        raise NonConvergenceError(
-            f"fixed point did not converge in {max_iter} iterations", float(steps[0])
+        q, iterations, step = weights @ w_rows, 0, 0.0
+    else:
+        rhos = np.array([rho], dtype=float)
+        Q, steps, iters = _solve_grid(
+            rhos, weights, lw, _start_rows(rhos, weights, w_rows, lw), tol, max_iter
         )
+        q, iterations, step = Q[0], int(iters[0]), float(steps[0])
+        if step > tol:
+            raise NonConvergenceError(
+                f"fixed point did not converge in {max_iter} iterations", step
+            )
     info = float(weights @ _row_divergences(rho, lw, q))
-    t = _tilted_rows(rho, lw, q)
-    d1_tw = float(weights @ _kl_rows(t, w_rows))
-    d1_tq = float(weights @ _kl_rows(t, q[None, :]))
-    alt = abs(info - (rho / (1.0 - rho) * d1_tw + d1_tq))
-    # The rho/(1-rho) factor amplifies rounding in d1_tw, so the gate widens
-    # by exactly that unavoidable factor; it stays at 1e-9 for rho <= 0.9999.
-    gate = max(ALT_IDENTITY_TOL, 64 * np.finfo(float).eps * rho / (1.0 - rho))
-    if alt > gate:
-        raise ComputationError(
-            f"tilted-channel identity residual {alt:.3e} exceeds {gate:.3e}"
-        )
-    return AugustinSolution(FiniteDist(q), info, int(iters[0]), float(steps[0]), alt)
+    mean = FiniteDist(q)
+    # at the renormalized mean, so that the pair equals tilted_kl_pair(mean)
+    rate, exponent = _tilted_pair(rho, weights, w_rows, lw, mean.masses)
+    alt = 0.0
+    if rho < 1.0:
+        alt = abs(info - (rho / (1.0 - rho) * exponent + rate))
+        # The rho/(1-rho) factor amplifies rounding in the exponent, so the gate
+        # widens by exactly that unavoidable factor; it stays at 1e-9 for
+        # rho <= 0.9999.
+        gate = max(ALT_IDENTITY_TOL, 64 * np.finfo(float).eps * rho / (1.0 - rho))
+        if alt > gate:
+            raise ComputationError(
+                f"tilted-channel identity residual {alt:.3e} exceeds {gate:.3e}"
+            )
+    return AugustinSolution(mean, info, iterations, step, alt, rate, exponent)
 
 
 def augustin_information_grid(
@@ -237,6 +281,7 @@ def augustin_information_grid(
     rhos = np.asarray(rhos, dtype=float)
     for r in rhos:
         _check_inputs(float(r), p, channel)
+    _check_limits(tol, max_iter)
     weights, w_rows, lw = _support_rows(p, channel)
     Q, steps, _ = _solve_grid(
         rhos, weights, lw, _start_rows(rhos, weights, w_rows, lw), tol, max_iter
@@ -254,9 +299,8 @@ def augustin_information_grid(
 
 def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:
     """Order-derivative of the Augustin information at rho."""
-    _check_inputs(rho, p, channel)
-    q = augustin_fixed_point(rho, p, channel).mean.masses
-    return _info_derivative(rho, p, channel, q, tilted_kl_pair(rho, p, channel, q)[1])
+    sol = augustin_fixed_point(rho, p, channel)
+    return _info_derivative(rho, p, channel, sol.mean.masses, sol.tilted_exponent)
 
 
 def _info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel, q, d1_tw) -> float:
@@ -281,24 +325,23 @@ def haroutunian_rate(rho: float, p: FiniteDist, channel: DiscreteChannel) -> flo
     Non-decreasing in the order; its inverse supplies the parametric order
     for the sphere-packing exponent.
     """
-    _check_inputs(rho, p, channel)
-    sol = augustin_fixed_point(rho, p, channel)
-    return tilted_kl_pair(rho, p, channel, sol.mean.masses)[0]
+    return augustin_fixed_point(rho, p, channel).tilted_rate
+
+
+def _tilted_pair(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
+    """(D_1(tilt || q | p), D_1(tilt || W | p)) from the support rows of p."""
+    t = w_rows if rho == 1.0 else _tilted_rows(rho, lw, q)
+    return (
+        float(weights @ _kl_rows(t, q[None, :])),
+        float(weights @ _kl_rows(t, w_rows)),
+    )
 
 
 def tilted_kl_pair(
     rho: float, p: FiniteDist, channel: DiscreteChannel, q: np.ndarray
 ) -> tuple:
     """(D_1(tilt || q | p), D_1(tilt || W | p)) at a prepared mean q."""
-    weights, w_rows, lw = _support_rows(p, channel)
-    if rho == 1.0:
-        t = w_rows
-    else:
-        t = _tilted_rows(rho, lw, q)
-    return (
-        float(weights @ _kl_rows(t, q[None, :])),
-        float(weights @ _kl_rows(t, w_rows)),
-    )
+    return _tilted_pair(rho, *_support_rows(p, channel), q)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +462,7 @@ def augustin_capacity(
     and certifies with the Lagrangian gap. Single distributions reduce to
     the fixed point; lists are enumerated exactly.
     """
+    _check_limits(tol, max_iter)
     if constraint is None:
         constraint = ConstraintSet.all_inputs()
     if constraint.kind == "single":

@@ -21,7 +21,6 @@ from .augustin import (
     augustin_capacity,
     augustin_fixed_point,
     augustin_information_grid,
-    tilted_kl_pair,
 )
 from .errors import (
     ComputationError,
@@ -138,12 +137,9 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
     if not low < rate < high:
         raise RateOutOfRangeError(rate, low, high)
 
-    def tilted_rate(rho, sol):
-        d1_tq, d1_tw = tilted_kl_pair(rho, p, channel, sol.mean.masses)
-        return d1_tq, (sol, d1_tw)
-
     def rate_at(rho):
-        return tilted_rate(rho, augustin_fixed_point(rho, p, channel))
+        sol = augustin_fixed_point(rho, p, channel)
+        return sol.tilted_rate, sol
 
     def done(rho, r, _):
         # push well below the 1e-10 rate-residual target so that derived
@@ -154,10 +150,11 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
 
     # the tilted rate is at most the information, so the probe order is below
     # the crossing; at order one the tilt is the channel and the rate is high
-    rho_star, _, (sol, exponent) = _find_order(
-        rate_at, rate, (LOW_ORDER_PROBE, tilted_rate(LOW_ORDER_PROBE, low_sol)[0]),
-        (1.0, tilted_rate(1.0, high_sol)[0]), done,
+    rho_star, _, sol = _find_order(
+        rate_at, rate, (LOW_ORDER_PROBE, low_sol.tilted_rate), (1.0, high_sol.tilted_rate),
+        done,
     )
+    exponent = sol.tilted_exponent
     slope = (rho_star - 1.0) / rho_star
     direct = (1.0 - rho_star) / rho_star * (sol.information - rate)
     if abs(direct - exponent) > EXPONENT_CONSISTENCY_TOL:

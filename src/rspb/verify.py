@@ -22,7 +22,7 @@ from .measures import (
     tilted_measure,
 )
 from .oracle import brute_spe, exact_np_tradeoff, independent_triple, third_moment_inequality_check
-from .spe import spe_parametric
+from .spe import _rate_endpoints, _spe_point
 
 CANONICAL_W = 0.1
 CANONICAL_Q = 0.5
@@ -171,12 +171,12 @@ def verify_spe(instances: int = 6, grid_size: int = 4096, seed: int = 0) -> dict
         n_in = int(rng.integers(2, 4))
         channel = _random_channel(rng, n_in, 2)
         p = _random_dist(rng, n_in)
-        low = augustin_fixed_point(1e-6, p, channel).information
-        high = augustin_fixed_point(1.0, p, channel).information
+        ends = _rate_endpoints(p, channel)
+        low, high = ends[0].information, ends[1].information
         if high - low < 1e-3:
             continue
         rate = low + (0.25 + 0.5 * rng.random()) * (high - low)
-        point = spe_parametric(p, channel, rate)
+        point = _spe_point(p, channel, rate, ends)
         brute = brute_spe(p, channel, rate, grid_size=grid_size)
         ok = brute <= point.exponent + 1e-10 and point.exponent - brute <= 1e-4
         checks.append(

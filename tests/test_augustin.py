@@ -7,17 +7,27 @@ import pytest
 from rspb.augustin import (
     LOW_ORDER_PROBE,
     ConstraintSet,
+    _solve_grid,
+    _start_rows,
+    _support_rows,
     augustin_capacity,
     augustin_fixed_point,
     augustin_info_derivative,
     augustin_information_grid,
     haroutunian_rate,
     read_constraint,
+    tilted_kl_pair,
 )
-from rspb.errors import FeasibilityError, InvalidOrderError, NonConvergenceError
+from rspb.errors import (
+    FeasibilityError,
+    InvalidOrderError,
+    NonConvergenceError,
+    PreconditionError,
+)
 from rspb.measures import (
     DiscreteChannel,
     FiniteDist,
+    bec,
     bern,
     bsc,
     conditional_renyi_divergence,
@@ -92,6 +102,16 @@ def test_non_convergence_reports_residual():
     # a solve that takes no step certifies nothing, even from a close start
     with pytest.raises(NonConvergenceError):
         augustin_fixed_point(0.3, U2, zchannel(0.3), max_iter=0)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(-1.0, 100), (1e-12, -1), (math.nan, 100)])
+def test_negative_limits_are_preconditions(tol, max_iter):
+    with pytest.raises(PreconditionError):
+        augustin_fixed_point(0.3, U2, bsc(0.1), tol=tol, max_iter=max_iter)
+    with pytest.raises(PreconditionError):
+        augustin_information_grid([0.3, 0.6], U2, bsc(0.1), tol=tol, max_iter=max_iter)
+    with pytest.raises(PreconditionError):
+        augustin_capacity(0.5, bsc(0.1), tol=tol, max_iter=max_iter)
 
 
 # Dirichlet channels of the sweep benchmark (seed 2 block 1, a 2x3; seed 10
@@ -360,14 +380,47 @@ def test_capacity_z_channel_cost_certifies():
     assert res.optimizer.masses[1] == pytest.approx(budget, abs=1e-6)
 
 
+def channel_with_zeros(rng) -> DiscreteChannel:
+    """A random 2-8 x 2-16 channel with about 30 % exact zeros."""
+    n_in, n_out = int(rng.integers(2, 9)), int(rng.integers(2, 17))
+    rows = rng.dirichlet(np.ones(n_out), size=n_in)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[np.arange(n_in), rng.integers(0, n_out, size=n_in)] += 0.1
+    return channel_of(rows / rows.sum(axis=1, keepdims=True))
+
+
 def test_capacity_random_channels_with_zeros_certify():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        n_in, n_out = int(rng.integers(2, 9)), int(rng.integers(2, 17))
-        rows = rng.dirichlet(np.ones(n_out), size=n_in)
-        rows[rng.random(rows.shape) < 0.3] = 0.0
-        rows[np.arange(n_in), rng.integers(0, n_out, size=n_in)] += 0.1
-        channel = channel_of(rows / rows.sum(axis=1, keepdims=True))
+        channel = channel_with_zeros(rng)
         rho = float(rng.uniform(0.02, 0.98))
         res = augustin_capacity(rho, channel)
         assert_capacity_certified(rho, channel, res, 1e-8)
+
+
+def test_grid_solve_matches_one_order_solves():
+    """Each order of a grid runs bit for bit as a solve of that order alone:
+    same iterations, same last step, same mean."""
+    rng = np.random.default_rng(0)
+    rhos = np.array([LOW_ORDER_PROBE, 1e-3, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
+    for _ in range(20):
+        channel = channel_with_zeros(rng)
+        p = random_dist(rng, channel.input_size)
+        weights, w_rows, lw = _support_rows(p, channel)
+        start = _start_rows(rhos, weights, w_rows, lw)
+        Q, steps, iters = _solve_grid(rhos, weights, lw, start.copy(), 1e-12, 20000)
+        for i in range(rhos.size):
+            q, step, n = _solve_grid(rhos[i:i + 1], weights, lw, start[i:i + 1].copy(),
+                                     1e-12, 20000)
+            assert (iters[i], steps[i]) == (n[0], step[0])
+            assert np.array_equal(Q[i], q[0])
+
+
+@pytest.mark.parametrize("rho", [LOW_ORDER_PROBE, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("channel", [bsc(0.1), bec(0.3), zchannel(0.3), channel_of(R8X16)],
+                         ids=["bsc", "bec", "z", "R8x16"])
+def test_solution_carries_its_tilted_pair(rho, channel):
+    p = uniform_dist(channel.input_size)
+    sol = augustin_fixed_point(rho, p, channel)
+    pair = tilted_kl_pair(rho, p, channel, sol.mean.masses)
+    assert (sol.tilted_rate, sol.tilted_exponent) == pair

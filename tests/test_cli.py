@@ -104,6 +104,13 @@ def test_precondition_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "rspb", "--mode", "awgn", "--n", "10", "--rate", "0.1")
     assert code == 2
     assert "precondition" in err
+    code, _, err = run_cli(capsys, "augustin", "--order", "0.3", "--bsc", "0.1",
+                           "--max-iter", "-1")
+    assert code == 2
+    assert "precondition" in err
+    code, _, err = run_cli(capsys, "capacity", "--order", "0.5", "--bsc", "0.1", "--tol", "-1")
+    assert code == 2
+    assert "precondition" in err
 
 
 def test_fixed_point_without_steps_exits_3(capsys):

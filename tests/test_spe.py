@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rspb.augustin
 import rspb.spe
 from rspb.augustin import ConstraintSet, augustin_fixed_point, tilted_kl_pair
 from rspb.errors import DegenerateChannelError, RateOutOfRangeError
@@ -152,6 +153,21 @@ def _counting_solves(monkeypatch):
 
     monkeypatch.setattr(rspb.spe, "augustin_fixed_point", counting)
     return calls
+
+
+def test_point_reads_the_tilted_pair_from_its_solves(monkeypatch):
+    calls = []
+    pair = rspb.augustin.tilted_kl_pair
+
+    def counting(*args):
+        calls.append(args[0])
+        return pair(*args)
+
+    for module in (rspb.augustin, rspb.spe):
+        monkeypatch.setattr(module, "tilted_kl_pair", counting, raising=False)
+    spe_parametric(U2, bsc(0.1), 0.1308120)
+    spe_parametric(uniform_dist(3), random_channel(np.random.default_rng(4), 3, 4), 0.05)
+    assert calls == []
 
 
 def test_point_takes_at_most_12_solves(monkeypatch, rng):
