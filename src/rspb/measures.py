@@ -303,18 +303,18 @@ def tilted_log_moments(rho: float, w: FiniteDist, q: FiniteDist) -> tuple:
     third central absolute moment, both restricted to the part of w that is
     absolutely continuous in q.
     """
-    return _tilt_moments(w, q, tilted_measure(rho, w, q))[:3]
+    return _tilt_moments(w.masses, q.masses, tilted_measure(rho, w, q).masses)[:3]
 
 
-def _tilt_moments(w: FiniteDist, q: FiniteDist, t: FiniteDist) -> tuple:
-    """(mean, a2, a3, ratios) of L = ln(w/q) under the tilt t of w toward q.
+def _tilt_moments(w: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple:
+    """(mean, a2, a3, ratios) of L = ln(w/q) under the tilt t of w toward q,
+    all three given as mass arrays.
 
     `ratios` holds L on the support of t, for callers that inspect its range.
     """
-    tm = t.masses
-    sup = (tm > 0) & (q.masses > 0)
-    ratios = np.log(w.masses[sup]) - np.log(q.masses[sup])
-    weights = tm[sup] / tm[sup].sum()
+    sup = (t > 0) & (q > 0)
+    ratios = np.log(w[sup]) - np.log(q[sup])
+    weights = t[sup] / t[sup].sum()
     mean = float(np.dot(weights, ratios))
     centered = ratios - mean
     a2 = float(np.dot(weights, centered**2))

@@ -16,22 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augustin import LOW_ORDER_PROBE
-from .errors import (
-    CompositionError,
-    RateOutOfRangeError,
-    SymmetryError,
-)
+from .errors import CompositionError, SymmetryError
 from .gaussian import AwgnParams, awgn_parametric, awgn_rho_star
 from .htbe import HtParams
 from .measures import DiscreteChannel, FiniteDist, tilted_log_moments
-from .spe import _find_order, spe_parametric
-from .symmetric import (
-    _capacity_endpoints,
-    center_order_independent,
-    check_renyi_symmetry,
-    component_quantities,
-)
+from .spe import spe_parametric
+from .symmetric import _solve_symmetric
 
 
 @dataclass(frozen=True)
@@ -134,40 +124,9 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
     n = len(channels)
     if n < 1:
         raise SymmetryError("need at least one component channel")
-    # Equal components, however built, are certified and solved once.
-    distinct = {}
-    layout = []
-    for ch in channels:
-        key = (ch.input_size, ch.row_matrix().tobytes())
-        distinct.setdefault(key, ch)
-        layout.append(key)
-    for key, ch in distinct.items():
-        report = check_renyi_symmetry(ch)
-        if not report.is_symmetric:
-            idx = layout.index(key)
-            raise SymmetryError(f"component {idx} failed symmetry certification")
-    ends = {k: _capacity_endpoints(ch) for k, ch in distinct.items()}
-    low = sum(ends[k][0] for k in layout)
-    high = sum(ends[k][1] for k in layout)
-    if not low < log_M_over_L < high:
-        raise RateOutOfRangeError(log_M_over_L, low, high)
-
-    def summed(rho):
-        comp = {k: component_quantities(rho, ch) for k, ch in distinct.items()}
-        return sum(comp[k].rate_term for k in layout), comp
-
-    tol = 1e-12 * max(1.0, abs(log_M_over_L))
-    rho, _, comp = _find_order(
-        summed, log_M_over_L, (LOW_ORDER_PROBE, summed(LOW_ORDER_PROBE)[0]),
-        (1.0, high), lambda rho, total, _: abs(total - log_M_over_L) <= tol,
-    )
-    exponent_total = sum(comp[k].exponent_term for k in layout)
-    a2 = sum(comp[k].a2 for k in layout) / n
-    a3 = sum(comp[k].a3 for k in layout) / n
-    certified = any(comp[k].tilt_nonconstant for k in layout) or all(
-        center_order_independent(ch) for ch in distinct.values()
-    )
-    params = HtParams.from_moments(a2, a3)
+    rho, comps, certified = _solve_symmetric(channels, log_M_over_L)
+    exponent_total = sum(c.exponent_term for c in comps)
+    params = HtParams.from_moments(sum(c.a2 for c in comps) / n, sum(c.a3 for c in comps) / n)
     return _assemble(n, log_M_over_L / n, rho, exponent_total, params,
                      slope_certified=certified)
 

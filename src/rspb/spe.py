@@ -25,6 +25,7 @@ from .augustin import (
 from .errors import (
     ComputationError,
     DegenerateChannelError,
+    PreconditionError,
     RateOutOfRangeError,
 )
 from .measures import DiscreteChannel, FiniteDist
@@ -175,7 +176,7 @@ def spe_grid_sup(
     approaches it at the grid resolution.
     """
     if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
+        raise PreconditionError(f"grid_size must be at least 64, got {grid_size}")
     rhos = np.arange(1, grid_size) / grid_size
     info = augustin_information_grid(rhos, p, channel)
     vals = (1.0 - rhos) / rhos * (info - rate)

@@ -1,12 +1,14 @@
-"""Renyi symmetry: detection, power-mean centers, and the parametric solve.
+"""Renyi symmetry: detection, power-mean centers, and the one order solve.
 
 A channel is Renyi symmetric when the law of the log-likelihood ratio
 against the order rho center does not depend on the input, at every order
 with finite capacity. For such channels the center comes from a closed-form
 power mean over a uniform input, which also covers Gallager-symmetric
-partitions, and the sphere-packing solve reduces to a scalar root-find on a
-single input's tilted rate. Certification is numeric on a finite order grid
-since the definition quantifies over all orders.
+partitions. Certification is numeric on a finite order grid since the
+definition quantifies over all orders. On a product of such channels the
+sphere-packing order solves one scalar equation, summed tilted rates equal
+to ln M - ln L; `_solve_symmetric` solves it, a single channel at rate R
+being the one-component case, on the array kernels of `augustin`.
 """
 
 from __future__ import annotations
@@ -16,17 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augustin import LOW_ORDER_PROBE, _tilted_rows
-from .errors import RateOutOfRangeError, SymmetryError
-from .measures import (
-    DiscreteChannel,
-    FiniteDist,
-    _merge_atoms,
-    _power_mean,
-    _tilt_moments,
-    renyi_divergence,
-    tilted_measure,
-)
+from .augustin import LOW_ORDER_PROBE, _kl_rows, _row_divergences, _tilted_rows
+from .errors import InvalidOrderError, PreconditionError, RateOutOfRangeError, SymmetryError
+from .measures import DiscreteChannel, FiniteDist, _merge_atoms, _power_mean, _tilt_moments
 from .spe import _find_order
 
 DEFAULT_ORDER_GRID = tuple(np.round(np.arange(1, 21) * 0.05, 2))
@@ -34,38 +28,35 @@ DEFAULT_SYMMETRY_TOL = 1e-9
 PROFILE_MERGE_TOL = 1e-9
 
 
+def _uniform_centers(rhos, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
+    """Uniform-input centers (FiniteDists) and capacities at each order.
+
+    Orders below one share one broadcast power mean. At order one the center
+    is the row mixture and the capacity the mean KL divergence to it.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    if not np.all((rhos > 0) & (rhos <= 1)):
+        raise InvalidOrderError(f"orders must lie in (0, 1], got {rhos.tolist()}")
+    low = rhos < 1.0
+    masses = np.broadcast_to(w_rows.mean(axis=0), (rhos.size, w_rows.shape[1])).copy()
+    caps = np.empty(rhos.size)
+    masses[low], caps[low] = _power_mean(rhos[low], lw, np.full(len(lw), -math.log(len(lw))))
+    centers = [FiniteDist(m) for m in masses]
+    for k in np.flatnonzero(~low):
+        caps[k] = _row_divergences(1.0, lw, centers[k].masses).mean()
+    return centers, caps.tolist()
+
+
 def symmetric_center(rho: float, channel: DiscreteChannel) -> tuple:
     """Power-mean center and capacity for a uniform input.
 
     The center is proportional to (mean_x W(y|x)^rho)^(1/rho) over outputs;
     its 1-norm gives the capacity as rho/(rho-1) ln ||m||. At order one this
-    degenerates to the uniform-input mixture and mutual information.
+    degenerates to the uniform-input mixture and mutual information. Orders
+    outside (0, 1] raise InvalidOrderError.
     """
-    if not 0 < rho <= 1:
-        raise ValueError(f"order must lie in (0, 1], got {rho}")
-    lw = channel.log_row_matrix()
-    n_in = channel.input_size
-    if rho == 1.0:
-        center = FiniteDist(channel.row_matrix().mean(axis=0))
-        cap = sum(renyi_divergence(1.0, row, center) for row in channel.rows) / n_in
-        return center, float(cap)
-    center, capacity = _power_mean(rho, lw, np.full(n_in, -math.log(n_in)))
-    return FiniteDist(center), float(capacity)
-
-
-def _profile(row: FiniteDist, center: FiniteDist, merge_tol: float):
-    """Merged (log-ratio, mass) atoms of one input's likelihood profile."""
-    sup = row.support
-    values = np.log(row.masses[sup]) - np.log(center.masses[sup])
-    return _merge_atoms(values, merge_tol, row.masses[sup])
-
-
-def _profile_distance(a, b) -> float:
-    va, ma = a
-    vb, mb = b
-    if va.size != vb.size:
-        return math.inf
-    return float(max(np.max(np.abs(va - vb)), np.max(np.abs(ma - mb))))
+    centers, caps = _uniform_centers([rho], channel.row_matrix(), channel.log_row_matrix())
+    return centers[0], caps[0]
 
 
 @dataclass(frozen=True)
@@ -97,34 +88,41 @@ def check_renyi_symmetry(
     are checked: the per-input divergences to c agree, the per-input
     log-likelihood-ratio profiles agree as merged multisets, and one
     application of the uniform-input Augustin map leaves c in place (see
-    SymmetryReport). No fixed point is iterated. Report-only; never raises.
+    SymmetryReport). No fixed point is iterated. A failing channel is
+    reported, not raised; a negative or NaN tol raises PreconditionError.
     """
-    spread_max = 0.0
-    profile_max = 0.0
-    center_tv_max = 0.0
-    centers = {}
-    lw = channel.log_row_matrix()
-    for rho in rho_grid:
-        rho = float(rho)
-        center, _ = symmetric_center(rho, channel)
-        centers[rho] = center
-        divs = [renyi_divergence(rho, row, center) for row in channel.rows]
-        spread_max = max(spread_max, max(divs) - min(divs))
-        profiles = [_profile(row, center, PROFILE_MERGE_TOL) for row in channel.rows]
-        for prof in profiles[1:]:
-            profile_max = max(profile_max, _profile_distance(profiles[0], prof))
-        # at order one the map is the row mixture, whatever q; tilting would
-        # form 0 * (-inf) on an output no input reaches
-        rows = channel.row_matrix() if rho == 1.0 else _tilted_rows(rho, lw, center.masses)
-        image = rows.mean(axis=0)
-        center_tv_max = max(
-            center_tv_max, 0.5 * float(np.abs(image - center.masses).sum())
-        )
+    if not tol >= 0:
+        raise PreconditionError(f"tol must be non-negative, got {tol}")
+    rhos = np.asarray(rho_grid, dtype=float)
+    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
+    centers, _ = _uniform_centers(rhos, w_rows, lw)
+    masses = np.array([c.masses for c in centers])
+    # at order one the map is the row mixture, whatever q; tilting would
+    # form 0 * (-inf) on an output no input reaches
+    low = rhos < 1.0
+    images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()
+    images[low] = _tilted_rows(rhos[low, None, None], lw, masses[low, None, :]).mean(axis=1)
+    center_tv_max = float(0.5 * np.abs(images - masses).sum(axis=1).max())
+    spread_max = profile_max = 0.0
+    support = w_rows > 0
+    for rho, c in zip(rhos, masses):
+        divs = _row_divergences(rho, lw, c)
+        spread_max = max(spread_max, float(divs.max() - divs.min()))
+        with np.errstate(divide="ignore"):
+            lc = np.log(c)
+        (v0, m0), *others = [
+            _merge_atoms(lw[x, s] - lc[s], PROFILE_MERGE_TOL, w_rows[x, s])
+            for x, s in enumerate(support)
+        ]
+        for v, m in others:
+            same = v.size == v0.size
+            gap = max(np.abs(v - v0).max(), np.abs(m - m0).max()) if same else math.inf
+            profile_max = max(profile_max, float(gap))
     ok = spread_max <= tol and profile_max <= tol and center_tv_max <= tol
     return SymmetryReport(
         is_symmetric=ok,
-        checked_orders=tuple(float(r) for r in rho_grid),
-        center_per_order=centers,
+        checked_orders=tuple(rhos.tolist()),
+        center_per_order=dict(zip(rhos.tolist(), centers)),
         max_divergence_spread=spread_max,
         max_profile_distance=profile_max,
         max_center_fixed_point_tv=center_tv_max,
@@ -147,39 +145,76 @@ class SymmetricComponent:
 def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricComponent:
     """Tilted rate/exponent/moments of a symmetric channel at one order.
 
-    Uses input 0; symmetry makes the values input-independent, which is
-    asserted against the other inputs.
+    Every input is tilted toward the center; symmetry makes the tilted rates
+    input-independent, which is asserted, and the values of input 0 are
+    returned.
     """
-    center, _ = symmetric_center(rho, channel)
-    row = channel.rows[0]
-    tilt = tilted_measure(rho, row, center)
-    rate_term = renyi_divergence(1.0, tilt, center)
-    exponent_term = renyi_divergence(1.0, tilt, row)
-    _, a2, a3, ratios = _tilt_moments(row, center, tilt)
+    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
+    (center,), _ = _uniform_centers([rho], w_rows, lw)
+    c = center.masses
+    tilts = w_rows if rho == 1.0 else _tilted_rows(rho, lw, c)
+    rates, exponents = _kl_rows(tilts, c), _kl_rows(tilts, w_rows)
+    if rates.max() - rates.min() > 1e-8:
+        raise SymmetryError("tilted rate differs across inputs")
+    _, a2, a3, ratios = _tilt_moments(w_rows[0], c, tilts[0])
     nonconstant = bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
-    for other in channel.rows[1:]:
-        t2 = tilted_measure(rho, other, center)
-        if abs(renyi_divergence(1.0, t2, center) - rate_term) > 1e-8:
-            raise SymmetryError("tilted rate differs across inputs")
-    return SymmetricComponent(rho, center, rate_term, exponent_term, a2, a3, nonconstant)
+    return SymmetricComponent(
+        rho, center, float(rates[0]), float(exponents[0]), a2, a3, nonconstant
+    )
 
 
-def _capacity_endpoints(channel: DiscreteChannel) -> tuple:
-    low = symmetric_center(LOW_ORDER_PROBE, channel)[1]
-    high = symmetric_center(1.0, channel)[1]
-    return low, high
+def center_order_independent(report: SymmetryReport, tol: float = 1e-9) -> bool:
+    """True when the certified power-mean centers do not move across the
+    report's orders."""
+    masses = np.array([c.masses for c in report.center_per_order.values()])
+    return bool(np.all(0.5 * np.abs(masses - masses[0]).sum(axis=1) <= tol))
 
 
-def center_order_independent(
-    channel: DiscreteChannel, probe_orders=DEFAULT_ORDER_GRID, tol: float = 1e-9
-) -> bool:
-    """True when the power-mean center does not move across the probe grid."""
-    ref = symmetric_center(float(probe_orders[0]), channel)[0]
-    for rho in probe_orders[1:]:
-        c = symmetric_center(float(rho), channel)[0]
-        if 0.5 * float(np.abs(c.masses - ref.masses).sum()) > tol:
-            return False
-    return True
+def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
+                     tol: float = DEFAULT_SYMMETRY_TOL) -> tuple:
+    """Order where the summed tilted rates of the components meet target.
+
+    Equal components, however built, are certified and solved once. The
+    bracket runs from LOW_ORDER_PROBE to order one, where the rates are the
+    capacities. The slope (rho*-1)/rho* is certified when some component's
+    tilted log ratio is non-constant or every certified center is
+    order-independent. Returns (rho*, the per-component quantities at rho*
+    in the order of `channels`, certified).
+    """
+    distinct, layout = {}, []
+    for ch in channels:
+        key = (ch.input_size, ch.row_matrix().tobytes())
+        distinct.setdefault(key, ch)
+        layout.append(key)
+    reports, ends = {}, {}
+    for key, ch in distinct.items():
+        report = reports[key] = check_renyi_symmetry(ch, rho_grid, tol)
+        if not report.is_symmetric:
+            raise SymmetryError(
+                f"component {layout.index(key)} failed symmetry certification "
+                f"(spread {report.max_divergence_spread:.3e}, "
+                f"profile {report.max_profile_distance:.3e})"
+            )
+        rows = ch.row_matrix(), ch.log_row_matrix()
+        ends[key] = _uniform_centers((LOW_ORDER_PROBE, 1.0), *rows)[1]
+    low = sum(ends[k][0] for k in layout)
+    high = sum(ends[k][1] for k in layout)
+    if not low < target < high:
+        raise RateOutOfRangeError(target, low, high)
+
+    def summed(rho):
+        comp = {k: component_quantities(rho, ch) for k, ch in distinct.items()}
+        return sum(comp[k].rate_term for k in layout), comp
+
+    stop = 1e-12 * max(1.0, abs(target))
+    rho, _, comp = _find_order(
+        summed, target, (LOW_ORDER_PROBE, summed(LOW_ORDER_PROBE)[0]), (1.0, high),
+        lambda rho, total, _: abs(total - target) <= stop,
+    )
+    certified = any(comp[k].tilt_nonconstant for k in layout) or all(
+        center_order_independent(r, tol) for r in reports.values()
+    )
+    return rho, [comp[k] for k in layout], certified
 
 
 @dataclass(frozen=True)
@@ -200,37 +235,17 @@ def parametric_symmetric(
 ) -> SymmetricSpePoint:
     """Sphere-packing point of a Renyi symmetric channel at one rate.
 
-    Finds the order where the single-input tilted rate against the
-    power-mean center meets the rate (at order one it is the capacity). The
-    slope claim (rho*-1)/rho* is certified when either the tilted log ratio
-    is non-constant for some input or the center is order-independent on the
-    probe grid; otherwise the point is returned with the flag down.
+    The one-component case of `_solve_symmetric`: the order where the
+    single-input tilted rate against the power-mean center meets the rate
+    (at order one it is the capacity), with the slope (rho*-1)/rho* and its
+    certification flag.
     """
-    report = check_renyi_symmetry(channel, rho_grid, tol)
-    if not report.is_symmetric:
-        raise SymmetryError(
-            f"channel failed symmetry certification "
-            f"(spread {report.max_divergence_spread:.3e}, "
-            f"profile {report.max_profile_distance:.3e})"
-        )
-    low, high = _capacity_endpoints(channel)
-    if not low < rate < high:
-        raise RateOutOfRangeError(rate, low, high)
-
-    def rate_at(rho):
-        comp = component_quantities(rho, channel)
-        return comp.rate_term, comp
-
-    _, _, best = _find_order(
-        rate_at, rate, (LOW_ORDER_PROBE, rate_at(LOW_ORDER_PROBE)[0]), (1.0, high),
-        lambda rho, r, _: abs(r - rate) <= 1e-12,
-    )
-    certified = best.tilt_nonconstant or center_order_independent(channel, rho_grid, tol)
+    rho, (comp,), certified = _solve_symmetric([channel], rate, rho_grid, tol)
     return SymmetricSpePoint(
         rate=rate,
-        rho_star=best.rho,
-        exponent=best.exponent_term,
-        slope=(best.rho - 1.0) / best.rho,
+        rho_star=rho,
+        exponent=comp.exponent_term,
+        slope=(rho - 1.0) / rho,
         slope_certified=certified,
-        center=best.center,
+        center=comp.center,
     )

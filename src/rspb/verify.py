@@ -2,7 +2,9 @@
 
 Each suite returns {"suite": name, "checks": [...], "all_pass": bool} where
 every check lists the property, the concrete instance, the observed values,
-and whether it passed. The CLI serializes these verbatim.
+and whether it passed. The CLI serializes these verbatim. A suite passes
+only when it ran at least one check and every check passed; a size below 1
+raises PreconditionError.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from .augustin import augustin_fixed_point
+from .errors import PreconditionError
 from .htbe import ht_params, htbe_achievability, htbe_converse, threshold_gamma, threshold_test
 from .measures import (
     DiscreteChannel,
@@ -39,6 +42,18 @@ def _check(property_name, instance, observed, bound, ok):
     }
 
 
+def _require_counts(**counts):
+    for name, value in counts.items():
+        if value < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {value}")
+
+
+def _suite(name, checks) -> dict:
+    # a suite that ran no check has shown nothing, so it does not pass
+    return {"suite": name, "checks": checks,
+            "all_pass": bool(checks) and all(c["pass"] for c in checks)}
+
+
 def _random_dist(rng, size):
     masses = rng.dirichlet(np.ones(size))
     masses = np.clip(masses, 1e-9, None)
@@ -58,6 +73,7 @@ def verify_htbe(ns=(64, 128, 256), betas_per_n: int = 10, seed: int = 0) -> dict
     exp(achievability_w_log) at the corresponding type-I budget; the
     explicit threshold test must also respect its Q-side budget.
     """
+    _require_counts(blocklengths=len(ns), betas_per_n=betas_per_n)
     w1, q1 = bern(CANONICAL_W), bern(CANONICAL_Q)
     rho = CANONICAL_RHO
     t1 = tilted_measure(rho, w1, q1)
@@ -122,11 +138,12 @@ def verify_htbe(ns=(64, 128, 256), betas_per_n: int = 10, seed: int = 0) -> dict
                     test.exact and test.type_i <= budget * (1 + 1e-12),
                 )
             )
-    return {"suite": "htbe", "checks": checks, "all_pass": all(c["pass"] for c in checks)}
+    return _suite("htbe", checks)
 
 
 def verify_identities(pairs: int = 200, fixed_points: int = 40, seed: int = 0) -> dict:
     """Variational-identity residuals and fixed-point certificates at random."""
+    _require_counts(pairs=pairs, fixed_points=fixed_points)
     rng = np.random.default_rng(seed)
     checks = []
     worst = 0.0
@@ -159,12 +176,16 @@ def verify_identities(pairs: int = 200, fixed_points: int = 40, seed: int = 0) -
         _check("information KL-decomposition residual", f"{fixed_points} random instances",
                worst_alt, 1e-9, worst_alt <= 1e-9)
     )
-    return {"suite": "identities", "checks": checks,
-            "all_pass": all(c["pass"] for c in checks)}
+    return _suite("identities", checks)
 
 
 def verify_spe(instances: int = 6, grid_size: int = 4096, seed: int = 0) -> dict:
-    """Agreement of the parametric exponent with the brute-force twin."""
+    """Agreement of the parametric exponent with the brute-force twin.
+
+    Instances whose rate profile is nearly flat are skipped; if all are, the
+    suite checked nothing and does not pass.
+    """
+    _require_counts(instances=instances)
     rng = np.random.default_rng(seed)
     checks = []
     for k in range(instances):
@@ -184,11 +205,12 @@ def verify_spe(instances: int = 6, grid_size: int = 4096, seed: int = 0) -> dict
                    f"instance {k}, rate={rate:.6g}",
                    {"parametric": point.exponent, "brute": brute}, 1e-4, ok)
         )
-    return {"suite": "spe", "checks": checks, "all_pass": all(c["pass"] for c in checks)}
+    return _suite("spe", checks)
 
 
 def verify_thirdmoment(count: int = 1000, seed: int = 0) -> dict:
     """Exhaustive third-moment inequality on random finite triples."""
+    _require_counts(count=count)
     rng = np.random.default_rng(seed)
     checks = []
     failures = 0
@@ -212,8 +234,7 @@ def verify_thirdmoment(count: int = 1000, seed: int = 0) -> dict:
         _check("constructed equality case", "fully correlated symmetric sign",
                {"lhs": lhs, "rhs": rhs}, None, abs(lhs - rhs) <= 1e-12)
     )
-    return {"suite": "thirdmoment", "checks": checks,
-            "all_pass": all(c["pass"] for c in checks)}
+    return _suite("thirdmoment", checks)
 
 
 SUITES = {

@@ -111,6 +111,30 @@ def test_precondition_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "capacity", "--order", "0.5", "--bsc", "0.1", "--tol", "-1")
     assert code == 2
     assert "precondition" in err
+    code, _, err = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1", "--grid-size", "10")
+    assert code == 2
+    assert "precondition" in err
+    code, out, err = run_cli(capsys, "symmetric", "--bsc", "0.1", "--tol", "-1")
+    assert code == 2
+    assert out == ""
+    assert "precondition" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spe", "--instances", "0"),
+        ("identities", "--pairs", "0"),
+        ("thirdmoment", "--count", "-3"),
+        ("htbe", "--n", "64", "--betas", "0"),
+    ],
+    ids=["spe", "identities", "thirdmoment", "htbe"],
+)
+def test_verify_with_nothing_to_check_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "precondition" in err
 
 
 def test_fixed_point_without_steps_exits_3(capsys):
@@ -257,6 +281,30 @@ def test_symmetric_command(capsys):
     code, out, _ = run_cli(capsys, "symmetric", "--zchannel", "0.5")
     assert code == 0
     assert json.loads(out)["is_symmetric"] is False
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("symmetric", "--bec", "0.3", "--rate", "0.25"), "symmetric_bec0.3_rate0.25.json"),
+        (("rspb", "--mode", "symmetric", "--bsc", "0.1", "--n", "600", "--rate", "0.1308120"),
+         "rspb_symmetric_bsc0.1_n600.json"),
+    ],
+    ids=["symmetric", "rspb"],
+)
+def test_symmetric_outputs_match_golden(capsys, argv, name):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    golden = json.loads((GOLDEN / name).read_text())
+    # a difference of equal divergences: its value is rounding, not a result
+    if "max_divergence_spread" in golden:
+        del golden["max_divergence_spread"]
+        assert report.pop("max_divergence_spread") <= 1e-15
+    assert report == golden
 
 
 def test_augustin_command(capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-import rspb.refined
+import rspb.symmetric
 from rspb.errors import CompositionError, RateOutOfRangeError, SymmetryError
 from rspb.gaussian import AwgnParams, awgn_parametric
 from rspb.htbe import HtParams
@@ -102,13 +102,13 @@ def test_symmetric_rejects_asymmetric_component():
 
 def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
     calls = []
-    certify = rspb.refined.check_renyi_symmetry
+    certify = rspb.symmetric.check_renyi_symmetry
 
     def counting(channel, *args, **kwargs):
         calls.append(channel)
         return certify(channel, *args, **kwargs)
 
-    monkeypatch.setattr(rspb.refined, "check_renyi_symmetry", counting)
+    monkeypatch.setattr(rspb.symmetric, "check_renyi_symmetry", counting)
     separate = rspb_symmetric([bsc(0.1) for _ in range(8)], 8 * R_CRIT)
     assert len(calls) == 1
     assert separate == rspb_symmetric([bsc(0.1)] * 8, 8 * R_CRIT)
@@ -116,13 +116,13 @@ def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
 
 def test_symmetric_product_takes_at_most_16_component_solves(monkeypatch):
     calls = []
-    solve = rspb.refined.component_quantities
+    solve = rspb.symmetric.component_quantities
 
     def counting(rho, channel):
         calls.append(rho)
         return solve(rho, channel)
 
-    monkeypatch.setattr(rspb.refined, "component_quantities", counting)
+    monkeypatch.setattr(rspb.symmetric, "component_quantities", counting)
     high = 4 * sum(symmetric_center(1.0, ch)[1] for ch in (bsc(0.1), bsc(0.2)))
     for frac in (1e-3, 0.5, 0.99):
         calls.clear()

@@ -6,7 +6,7 @@ import pytest
 import rspb.augustin
 import rspb.spe
 from rspb.augustin import ConstraintSet, augustin_fixed_point, tilted_kl_pair
-from rspb.errors import DegenerateChannelError, RateOutOfRangeError
+from rspb.errors import DegenerateChannelError, PreconditionError, RateOutOfRangeError
 from rspb.measures import DiscreteChannel, FiniteDist, bern, bsc, point_mass, uniform_dist
 from rspb.oracle import fd_derivative_check
 from rspb.spe import spe_constrained, spe_grid_sup, spe_parametric
@@ -83,7 +83,7 @@ def test_grid_sup_anchors():
     assert val == pytest.approx(E_CRIT, abs=1e-5)
     assert spe_grid_sup(U2, bsc(0.1), I_ONE + 0.01, 128) == 0.0
     assert spe_grid_sup(point_mass(0, 2), bsc(0.1), 0.05, 128) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         spe_grid_sup(U2, bsc(0.1), 0.1, 32)
 
 

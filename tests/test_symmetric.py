@@ -6,7 +6,7 @@ import pytest
 
 from rspb import augustin
 from rspb.augustin import augustin_capacity, augustin_fixed_point
-from rspb.errors import RateOutOfRangeError, SymmetryError
+from rspb.errors import InvalidOrderError, PreconditionError, RateOutOfRangeError, SymmetryError
 from rspb.measures import (
     DiscreteChannel,
     FiniteDist,
@@ -163,7 +163,7 @@ def test_parametric_symmetric_bec_certified():
     # the erasure channel's center does move with the order
     comp = component_quantities(point.rho_star, bec(0.3))
     assert comp.tilt_nonconstant
-    assert not center_order_independent(bec(0.3))
+    assert not center_order_independent(check_renyi_symmetry(bec(0.3)))
 
 
 def test_parametric_symmetric_rejects_asymmetric_and_bad_rate():
@@ -191,3 +191,31 @@ def test_component_quantities_input_independent():
         abs=1e-12,
     )
     assert comp.a2 == pytest.approx(tilt_flip * (1 - tilt_flip) * math.log(4.0) ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "channel, rate", [(bsc(0.1), R_CRIT), (bec(0.3), 0.25), (CYCLIC4, 0.3)],
+    ids=["bsc", "bec", "cyclic4"],
+)
+def test_single_channel_is_the_one_component_product(channel, rate):
+    point = parametric_symmetric(channel, rate)
+    rep = rspb_symmetric([channel], rate)
+    assert rep.rho_star == point.rho_star
+    assert rep.exponent_total == point.exponent
+    assert rep.slope_certified == point.slope_certified
+
+
+def test_component_quantities_rejects_input_dependent_rates():
+    with pytest.raises(SymmetryError):
+        component_quantities(0.5, zchannel(0.3))
+
+
+def test_symmetry_preconditions():
+    for tol in (-1.0, math.nan):
+        with pytest.raises(PreconditionError):
+            check_renyi_symmetry(bsc(0.1), tol=tol)
+    for rho in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(InvalidOrderError):
+            symmetric_center(rho, bsc(0.1))
+    with pytest.raises(InvalidOrderError):
+        check_renyi_symmetry(bsc(0.1), rho_grid=(0.5, 1.5))

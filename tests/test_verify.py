@@ -1,5 +1,8 @@
 import pytest
 
+from rspb import verify
+from rspb.augustin import augustin_fixed_point
+from rspb.errors import PreconditionError
 from rspb.verify import run_suite
 
 
@@ -38,3 +41,32 @@ def test_all_runs_every_suite():
     # only check the aggregation shape using the cheapest members
     report = run_suite("thirdmoment", count=10, seed=0)
     assert set(report) == {"suite", "checks", "all_pass"}
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("spe", {"instances": 0}),
+        ("identities", {"pairs": 0}),
+        ("identities", {"fixed_points": 0}),
+        ("thirdmoment", {"count": -3}),
+        ("htbe", {"ns": (64,), "betas_per_n": 0}),
+        ("htbe", {"ns": ()}),
+    ],
+)
+def test_sizes_below_one_are_rejected(name, kwargs):
+    with pytest.raises(PreconditionError):
+        run_suite(name, **kwargs)
+
+
+def test_suite_that_checks_nothing_does_not_pass(monkeypatch):
+    # equal endpoint solves make every instance's rate profile flat, so the
+    # suite skips them all
+    def flat(p, channel):
+        sol = augustin_fixed_point(1.0, p, channel)
+        return sol, sol
+
+    monkeypatch.setattr(verify, "_rate_endpoints", flat)
+    report = run_suite("spe", instances=3, grid_size=256)
+    assert report["checks"] == []
+    assert report["all_pass"] is False
