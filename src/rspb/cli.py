@@ -280,7 +280,8 @@ def _cmd_spe(args):
 
 def _cmd_symmetric(args):
     channel = _get_channel(args)
-    report = check_renyi_symmetry(channel, tol=args.tol)
+    point = None if args.rate is None else parametric_symmetric(channel, args.rate, tol=args.tol)
+    report = check_renyi_symmetry(channel, tol=args.tol) if point is None else point.report
     out = {
         "is_symmetric": report.is_symmetric,
         "checked_orders": list(report.checked_orders),
@@ -289,8 +290,7 @@ def _cmd_symmetric(args):
         "max_center_fixed_point_tv": report.max_center_fixed_point_tv,
         "center_per_order": {f"{k:g}": v for k, v in report.center_per_order.items()},
     }
-    if args.rate is not None:
-        point = parametric_symmetric(channel, args.rate, tol=args.tol)
+    if point is not None:
         out["parametric"] = {
             "rate": point.rate,
             "rho_star": point.rho_star,

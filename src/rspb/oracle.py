@@ -297,6 +297,8 @@ def brute_spe(
     iteration, so agreement with the parametric solve is an independent
     check. The grid {i/grid_size} is nested under doubling.
     """
+    if grid_size < 2:
+        raise PreconditionError(f"grid_size must be at least 2, got {grid_size}")
     rhos = np.arange(1, grid_size) / grid_size
     sup = p.support
     weights = p.masses[sup]

@@ -5,7 +5,8 @@ The exponent at rate R is the supremum over orders in (0, 1) of
 information limit and the order-one information there is a unique interior
 order at which the tilted-channel rate matches R; Brent's root-finder on
 that monotone rate profile gives the exponent, its slope, and the order in
-one shot. A plain grid supremum is kept alongside as a cheap cross-check.
+one shot, and over a constraint set the same root-finder runs on the
+capacity curve. A plain grid supremum is kept alongside as a cross-check.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .augustin import (
     augustin_capacity,
     augustin_fixed_point,
     augustin_information_grid,
+    tilted_kl_pair,
 )
 from .errors import (
     ComputationError,
@@ -127,6 +129,13 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
     return _spe_point(p, channel, rate, _rate_endpoints(p, channel))
 
 
+def _rate_met(rho: float, residual: float) -> bool:
+    """Stop rule of the exponent root-finds, on the residual |rate(rho) - R|."""
+    # well below the 1e-10 rate-residual target, so that quantities with a
+    # 1/rho factor (slope, the direct exponent form) meet their own tolerances
+    return residual <= 1e-2 * RATE_RESIDUAL_TOL and (1.0 - rho) / rho * residual <= 1e-10
+
+
 def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> SpePoint:
     """spe_parametric with the endpoint fixed points already solved."""
     low_sol, high_sol = ends
@@ -142,18 +151,11 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
         sol = augustin_fixed_point(rho, p, channel)
         return sol.tilted_rate, sol
 
-    def done(rho, r, _):
-        # push well below the 1e-10 rate-residual target so that derived
-        # quantities with a 1/rho factor (slope, the direct exponent form)
-        # still land inside their own tolerances
-        residual = abs(r - rate)
-        return residual <= 1e-2 * RATE_RESIDUAL_TOL and (1.0 - rho) / rho * residual <= 1e-10
-
     # the tilted rate is at most the information, so the probe order is below
     # the crossing; at order one the tilt is the channel and the rate is high
     rho_star, _, sol = _find_order(
         rate_at, rate, (LOW_ORDER_PROBE, low_sol.tilted_rate), (1.0, high_sol.tilted_rate),
-        done,
+        lambda rho, r, _: _rate_met(rho, abs(r - rate)),
     )
     exponent = sol.tilted_exponent
     slope = (rho_star - 1.0) / rho_star
@@ -211,53 +213,43 @@ def spe_constrained(
     """Supremum of the exponent over a constraint set.
 
     Swapping the two suprema reduces the search to the capacity curve: the
-    exponent of the set is sup over orders of (1-rho)/rho (C_rho - rate), so
-    a golden-section search over the order with a certified capacity solve at
-    each probe locates the optimizing input distribution, which is then fed
-    back through the single-distribution parametric solve.
+    exponent of the set is sup over orders of (1-rho)/rho (C_rho - rate),
+    attained where the tilted rate of the capacity center at the optimizer
+    meets the rate. `_find_order` finds that order between the capacity
+    solves at LOW_ORDER_PROBE and at order one (rates at or beyond their
+    capacities give inf and 0), and its optimizer is fed back through the
+    single-distribution solve. The result is certified when the order-one
+    and interior capacities certify, the root meets the `spe_parametric`
+    stop rule and the low capacity plus its gap is below the rate. Single
+    distributions and lists are enumerated exactly.
     """
-    if constraint.kind == "single":
-        value, pt = _point_or_limit(constraint.dist, channel, rate)
-        return ConstrainedSpe(value, constraint.dist, pt, True)
-    if constraint.kind == "list":
+    if constraint.kind in ("single", "list"):
         best = None
-        for cand in constraint.dists:
+        for cand in (constraint.dist,) if constraint.kind == "single" else constraint.dists:
             value, pt = _point_or_limit(cand, channel, rate)
             if best is None or value > best[0]:
                 best = (value, cand, pt)
-        return ConstrainedSpe(best[0], best[1], best[2], True)
+        return ConstrainedSpe(*best, True)
+    if math.isnan(rate):
+        raise RateOutOfRangeError(rate, 0.0, math.inf)
+    solves = []
 
-    certified = True
-
-    def objective(rho):
-        nonlocal certified
+    def rate_at(rho):
         res = augustin_capacity(rho, channel, constraint, tol=tol)
-        certified = certified and res.certified
-        return (1.0 - rho) / rho * (res.capacity - rate), res
+        solves.append(res)
+        return tilted_kl_pair(rho, res.optimizer, channel, res.center.masses)[0], res
 
-    grid = np.linspace(0.02, 0.98, 33)
-    vals = [objective(float(r))[0] for r in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    phi = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, res1 = objective(float(x1))
-    f2, res2 = objective(float(x2))
-    for _ in range(40):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            res1 = res2
-            x2 = a + phi * (b - a)
-            f2, res2 = objective(float(x2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            res2 = res1
-            x1 = b - phi * (b - a)
-            f1, res1 = objective(float(x1))
-    best_res = res1 if f1 >= f2 else res2
-    p_opt = best_res.optimizer
-    value, pt = _point_or_limit(p_opt, channel, rate)
-    return ConstrainedSpe(value, p_opt, pt, certified)
+    (low_rate, low), (high_rate, high) = rate_at(LOW_ORDER_PROBE), rate_at(1.0)
+    if rate >= high.capacity:
+        return ConstrainedSpe(0.0, high.optimizer, None, high.certified)
+    if rate <= low.capacity:
+        # a feasible input reaches the low capacity, so the exponent is inf
+        return ConstrainedSpe(math.inf, low.optimizer, None, True)
+    rho, r, best = _find_order(
+        rate_at, rate, (LOW_ORDER_PROBE, low_rate), (1.0, high_rate),
+        lambda rho, r, _: _rate_met(rho, abs(r - rate)),
+    )
+    certified = (_rate_met(rho, abs(r - rate)) and all(res.certified for res in solves[1:])
+                 and low.capacity + low.certificate_gap < rate)
+    value, pt = _point_or_limit(best.optimizer, channel, rate)
+    return ConstrainedSpe(value, best.optimizer, pt, certified)

@@ -115,8 +115,11 @@ def check_renyi_symmetry(
             for x, s in enumerate(support)
         ]
         for v, m in others:
-            same = v.size == v0.size
-            gap = max(np.abs(v - v0).max(), np.abs(m - m0).max()) if same else math.inf
+            gap = math.inf
+            if v.size == v0.size:
+                # equal atoms are 0 apart, also the +inf ones where c underflows
+                gaps = np.abs(np.subtract(v, v0, out=np.zeros(v.size), where=v != v0))
+                gap = max(gaps.max(), np.abs(m - m0).max())
             profile_max = max(profile_max, float(gap))
     ok = spread_max <= tol and profile_max <= tol and center_tv_max <= tol
     return SymmetryReport(
@@ -178,8 +181,8 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
     bracket runs from LOW_ORDER_PROBE to order one, where the rates are the
     capacities. The slope (rho*-1)/rho* is certified when some component's
     tilted log ratio is non-constant or every certified center is
-    order-independent. Returns (rho*, the per-component quantities at rho*
-    in the order of `channels`, certified).
+    order-independent. Returns (rho*, the per-component quantities at rho*,
+    their symmetry reports, both in the order of `channels`, certified).
     """
     distinct, layout = {}, []
     for ch in channels:
@@ -214,7 +217,7 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
     certified = any(comp[k].tilt_nonconstant for k in layout) or all(
         center_order_independent(r, tol) for r in reports.values()
     )
-    return rho, [comp[k] for k in layout], certified
+    return rho, [comp[k] for k in layout], [reports[k] for k in layout], certified
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,7 @@ class SymmetricSpePoint:
     slope: float
     slope_certified: bool
     center: FiniteDist
+    report: SymmetryReport
 
 
 def parametric_symmetric(
@@ -238,9 +242,9 @@ def parametric_symmetric(
     The one-component case of `_solve_symmetric`: the order where the
     single-input tilted rate against the power-mean center meets the rate
     (at order one it is the capacity), with the slope (rho*-1)/rho* and its
-    certification flag.
+    certification flag, and the symmetry report that certified the channel.
     """
-    rho, (comp,), certified = _solve_symmetric([channel], rate, rho_grid, tol)
+    rho, (comp,), (report,), certified = _solve_symmetric([channel], rate, rho_grid, tol)
     return SymmetricSpePoint(
         rate=rate,
         rho_star=rho,
@@ -248,4 +252,5 @@ def parametric_symmetric(
         slope=(rho - 1.0) / rho,
         slope_certified=certified,
         center=comp.center,
+        report=report,
     )

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rspb.cli
+import rspb.symmetric
 from rspb.augustin import augustin_info_derivative, haroutunian_rate
 from rspb.cli import main
 from rspb.measures import uniform_dist, zchannel
@@ -115,6 +117,10 @@ def test_precondition_violation_exits_2(capsys):
     assert code == 2
     assert "precondition" in err
     code, out, err = run_cli(capsys, "symmetric", "--bsc", "0.1", "--tol", "-1")
+    assert code == 2
+    assert out == ""
+    assert "precondition" in err
+    code, out, err = run_cli(capsys, "verify", "spe", "--grid-size", "1")
     assert code == 2
     assert out == ""
     assert "precondition" in err
@@ -281,6 +287,27 @@ def test_symmetric_command(capsys):
     code, out, _ = run_cli(capsys, "symmetric", "--zchannel", "0.5")
     assert code == 0
     assert json.loads(out)["is_symmetric"] is False
+
+
+def test_symmetric_rate_certifies_once(capsys, monkeypatch):
+    calls = []
+    certify = rspb.symmetric.check_renyi_symmetry
+
+    def counting(channel, *args, **kwargs):
+        calls.append(channel)
+        return certify(channel, *args, **kwargs)
+
+    for module in (rspb.symmetric, rspb.cli):
+        monkeypatch.setattr(module, "check_renyi_symmetry", counting)
+    code, out, _ = run_cli(capsys, "symmetric", "--bsc", "0.1", "--rate", "0.1")
+    assert code == 0
+    assert json.loads(out)["is_symmetric"] is True
+    assert len(calls) == 1
+    for argv in (("--zchannel", "0.5", "--rate", "0.05"), ("--bsc", "0.1", "--rate", "5")):
+        code, out, err = run_cli(capsys, "symmetric", *argv)
+        assert code == 2
+        assert out == ""
+        assert "precondition" in err
 
 
 GOLDEN = Path(__file__).parent / "golden"

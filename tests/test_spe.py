@@ -5,9 +5,18 @@ import pytest
 
 import rspb.augustin
 import rspb.spe
-from rspb.augustin import ConstraintSet, augustin_fixed_point, tilted_kl_pair
+from rspb.augustin import ConstraintSet, augustin_capacity, augustin_fixed_point, tilted_kl_pair
 from rspb.errors import DegenerateChannelError, PreconditionError, RateOutOfRangeError
-from rspb.measures import DiscreteChannel, FiniteDist, bern, bsc, point_mass, uniform_dist
+from rspb.measures import (
+    DiscreteChannel,
+    FiniteDist,
+    bec,
+    bern,
+    bsc,
+    point_mass,
+    uniform_dist,
+    zchannel,
+)
 from rspb.oracle import fd_derivative_check
 from rspb.spe import spe_constrained, spe_grid_sup, spe_parametric
 from conftest import random_channel
@@ -139,6 +148,67 @@ def test_constrained_single_and_list():
     # the point mass has zero information at every order, so its exponent is 0
     assert listed.value == pytest.approx(E_CRIT, abs=1e-10)
     assert listed.argmax_p.allclose(uniform_dist(2))
+
+
+R8X16 = DiscreteChannel(tuple(
+    FiniteDist(m) for m in np.random.default_rng(0).dirichlet(np.ones(16), size=8)
+))
+ALL = ConstraintSet.all_inputs()
+
+
+# (channel, constraint, rate, value): values are those of a 33-point order
+# grid refined by 40 golden-section steps, an order search that shares no
+# logic with the root-find, or None where only the certificate is checked
+@pytest.mark.parametrize(
+    "channel, constraint, rate, value",
+    [
+        (bsc(0.1), ALL, 0.0, math.inf),
+        (bsc(0.1), ALL, 0.05, 0.216341242564238),
+        (bsc(0.1), ALL, 0.1, 0.12788746919890392),
+        (bsc(0.1), ALL, 0.2, 0.04029236546921471),
+        (bec(0.3), ALL, 0.05, 0.8837269731821933),
+        (bec(0.3), ALL, 0.1, 0.6690947553247982),
+        (bec(0.3), ALL, 0.2, 0.3586559747365889),
+        (zchannel(0.3), ALL, 0.05, 0.03692205561235368),
+        (zchannel(0.3), ALL, 0.1, 0.0025298180681334226),
+        (zchannel(0.3), ALL, 0.2, 0.0),
+        (R8X16, ALL, 0.1, 0.1289986981098806),
+        (zchannel(0.3), ConstraintSet.cost([0.0, 1.0], 0.3), 0.05, None),
+    ],
+    ids=["bsc-low-limit", "bsc-.05", "bsc-.1", "bsc-.2", "bec-.05", "bec-.1", "bec-.2",
+         "z-.05", "z-.1", "z-capacity", "r8x16-.1", "z-cost-.05"],
+)
+def test_constrained_order_root_find(monkeypatch, channel, constraint, rate, value):
+    calls = []
+    solve = rspb.spe.augustin_capacity
+
+    def counting(rho, *args, **kwargs):
+        calls.append(rho)
+        return solve(rho, *args, **kwargs)
+
+    monkeypatch.setattr(rspb.spe, "augustin_capacity", counting)
+    res = spe_constrained(channel, constraint, rate)
+    assert res.certified
+    if value is not None:
+        assert res.value == pytest.approx(value, abs=1e-10)
+    if res.point is None:
+        # a limit is decided by the two bracket solves alone
+        assert math.isinf(res.value) or res.value == 0.0
+        assert len(calls) == 2
+        return
+    assert len(calls) <= 12
+    rho = res.point.rho_star
+    cap = augustin_capacity(rho, channel, constraint).capacity
+    assert abs((1.0 - rho) / rho * (cap - rate) - res.value) <= 1e-8
+
+
+def test_constrained_nan_rate_raises_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rspb.spe, "augustin_capacity", lambda *args, **kw: calls.append(args))
+    for constraint in (ALL, ConstraintSet.cost([0.0, 1.0], 0.3)):
+        with pytest.raises(RateOutOfRangeError):
+            spe_constrained(bsc(0.1), constraint, math.nan)
+    assert calls == []
 
 
 def _counting_solves(monkeypatch):

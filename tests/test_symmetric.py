@@ -124,6 +124,16 @@ def test_dead_output_certifies_without_warnings():
     assert report.is_symmetric
 
 
+def test_underflowed_center_profiles_are_compared_without_nan():
+    # at order 1e-6 the BEC center underflows to [0, 1, 0], so both inputs'
+    # profiles hold a +inf atom; equal infinities must compare as 0 apart
+    # (the suite turns RuntimeWarning into an error)
+    report = check_renyi_symmetry(bec(0.3), rho_grid=(1e-6, 0.5))
+    assert report.center_per_order[1e-6].masses.tolist() == [0.0, 1.0, 0.0]
+    assert report.max_profile_distance == 0.0
+    assert report.is_symmetric
+
+
 def test_symmetry_report_contents():
     report = check_renyi_symmetry(bsc(0.1))
     assert len(report.checked_orders) == 20
