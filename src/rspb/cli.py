@@ -51,7 +51,7 @@ from .refined import (
     rspb_constant_composition,
     rspb_symmetric,
 )
-from .spe import spe_grid_sup, spe_parametric
+from .spe import _check_grid_size, spe_grid_sup, spe_parametric
 from .symmetric import check_renyi_symmetry, parametric_symmetric
 
 EXIT_OK = 0
@@ -262,7 +262,16 @@ def _cmd_spe(args):
         _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in _parse_grid(args.rate)])
         return EXIT_OK
     rate = float(args.rate)
+    # a rate out of range fails the command here, unlike a sweep row
     point = spe_parametric(comp, channel, rate)
+    if args.output == "csv":
+        # the row has no grid supremum, but a bad --grid-size still fails
+        if args.grid_size:
+            _check_grid_size(args.grid_size)
+        row = _sweep_row(rate, args.n, partial(bound, point=point),
+                         lambda _: (point.rho_star, point.exponent, point.slope))
+        _emit_csv([row])
+        return EXIT_OK
     report = {
         "rate": rate,
         "rho_star": point.rho_star,
@@ -271,10 +280,7 @@ def _cmd_spe(args):
     }
     if args.grid_size:
         report["grid_sup"] = spe_grid_sup(comp, channel, rate, args.grid_size)
-    if args.output == "csv":
-        _emit_csv([_sweep_row(rate, args.n, bound, at_rate)])
-    else:
-        _emit(report)
+    _emit(report)
     return EXIT_OK
 
 
@@ -425,7 +431,7 @@ def _cmd_htbe(args):
 
 
 def _cmd_verify(args):
-    # the suites run on the oracle's heavier imports, so only this command loads them
+    # only the suites use the oracle, so only this command loads it
     from . import verify as verify_mod
 
     kwargs = {}

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize
 
 from .errors import PreconditionError
-from .gaussian import AwgnParams, gaussian_closed_forms, theta_of_rho
+from .gaussian import AwgnParams
 from .measures import DiscreteChannel, FiniteDist, product_log_ratio
 
 # ---------------------------------------------------------------------------
@@ -261,6 +259,9 @@ def _info_binary_grid(rhos: np.ndarray, weights, w_rows, q_grid: int = 4000):
 
 def _info_softmax(rho: float, weights, w_rows, z0: np.ndarray) -> tuple:
     """min_q by L-BFGS-B over a softmax chart, warm-started at z0."""
+    # the only scipy use in the package: deferred so that the binary-output
+    # path, and with it every verification suite, runs on numpy alone
+    from scipy.optimize import minimize
 
     def objective(z):
         z = z - z.max()
@@ -315,42 +316,7 @@ def brute_spe(
 
 
 # ---------------------------------------------------------------------------
-# Gaussian moments by quadrature
-
-
-def awgn_exact_tilted_moments(rho: float, x: float, params: AwgnParams) -> tuple:
-    """Exact (a2, a3) of the Gaussian log ratio under the tilted law.
-
-    The second moment has a closed form used by the main path; the third
-    absolute moment is integrated adaptively here so tests can confirm the
-    closed-form upper bound actually dominates it.
-    """
-    theta = theta_of_rho(rho, params)
-    _, mu_t, v_t = gaussian_closed_forms(rho, x, theta, params)
-    sigma2 = params.sigma2
-
-    def log_ratio(y):
-        return (
-            -((y - x) ** 2) / (2.0 * sigma2)
-            + y**2 / (2.0 * theta)
-            + 0.5 * math.log(theta / sigma2)
-        )
-
-    mean = (
-        -(v_t + (mu_t - x) ** 2) / (2.0 * sigma2)
-        + (v_t + mu_t**2) / (2.0 * theta)
-        + 0.5 * math.log(theta / sigma2)
-    )
-    scale = math.sqrt(v_t)
-
-    def density(y):
-        return math.exp(-((y - mu_t) ** 2) / (2.0 * v_t)) / (scale * math.sqrt(2 * math.pi))
-
-    a2 = quad(lambda y: (log_ratio(y) - mean) ** 2 * density(y),
-              mu_t - 12 * scale, mu_t + 12 * scale, limit=200)[0]
-    a3 = quad(lambda y: abs(log_ratio(y) - mean) ** 3 * density(y),
-              mu_t - 12 * scale, mu_t + 12 * scale, limit=200)[0]
-    return float(a2), float(a3)
+# Gaussian reference values
 
 
 def gaussian_kl(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float:

@@ -20,7 +20,7 @@ from .errors import CompositionError, SymmetryError
 from .gaussian import AwgnParams, awgn_parametric, awgn_rho_star
 from .htbe import HtParams
 from .measures import DiscreteChannel, FiniteDist, tilted_log_moments
-from .spe import spe_parametric
+from .spe import SpePoint, spe_parametric
 from .symmetric import _solve_symmetric
 
 
@@ -88,12 +88,15 @@ def rspb_constant_composition(
     composition: FiniteDist,
     n: int,
     log_M_over_L: float,
+    point: SpePoint | None = None,
 ) -> RspbReport:
     """Lower bound for length-n codes whose codewords share one composition.
 
     The moment constants weight each input's tilted log-ratio moments by the
     composition, matching a codeword that uses input x exactly n*P(x) times.
-    The factor-4 term absorbs the Markov halving over messages.
+    The factor-4 term absorbs the Markov halving over messages. A caller
+    that already solved `spe_parametric(composition, channel, rate)` passes
+    it as `point`; it is used when its rate is exactly log_M_over_L / n.
     """
     if n < 1:
         raise CompositionError("n must be a positive integer")
@@ -101,7 +104,8 @@ def rspb_constant_composition(
     if np.any(np.abs(counts - np.round(counts)) > 1e-9):
         raise CompositionError(f"n * composition is not integral for n={n}")
     rate = log_M_over_L / n
-    point = spe_parametric(composition, channel, rate)
+    if point is None or point.rate != rate:
+        point = spe_parametric(composition, channel, rate)
     rho = point.rho_star
     a2 = a3 = 0.0
     for x in composition.support:

@@ -168,6 +168,11 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
                     mean=sol.mean)
 
 
+def _check_grid_size(grid_size: int):
+    if grid_size < 64:
+        raise PreconditionError(f"grid_size must be at least 64, got {grid_size}")
+
+
 def spe_grid_sup(
     p: FiniteDist, channel: DiscreteChannel, rate: float, grid_size: int = 4096
 ) -> float:
@@ -177,8 +182,7 @@ def spe_grid_sup(
     a nested way; the value never exceeds the parametric exponent and
     approaches it at the grid resolution.
     """
-    if grid_size < 64:
-        raise PreconditionError(f"grid_size must be at least 64, got {grid_size}")
+    _check_grid_size(grid_size)
     rhos = np.arange(1, grid_size) / grid_size
     info = augustin_information_grid(rhos, p, channel)
     vals = (1.0 - rhos) / rhos * (info - rate)

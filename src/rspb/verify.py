@@ -3,8 +3,8 @@
 Each suite returns {"suite": name, "checks": [...], "all_pass": bool} where
 every check lists the property, the concrete instance, the observed values,
 and whether it passed. The CLI serializes these verbatim. A suite passes
-only when it ran at least one check and every check passed; a size below 1
-raises PreconditionError.
+only when it ran at least one check (`spe`: one per requested instance) and
+every check passed; a size below 1 raises PreconditionError.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .spe import _rate_endpoints, _spe_point
 CANONICAL_W = 0.1
 CANONICAL_Q = 0.5
 CANONICAL_RHO = 0.5
+# Draws `verify_spe` may make per requested instance. About 6 % of its draws
+# have a flat rate profile, so the cap only stops a suite whose draws are all
+# flat.
+SPE_DRAWS_PER_INSTANCE = 20
 
 
 def _check(property_name, instance, observed, bound, ok):
@@ -48,10 +52,11 @@ def _require_counts(**counts):
             raise PreconditionError(f"{name} must be at least 1, got {value}")
 
 
-def _suite(name, checks) -> dict:
-    # a suite that ran no check has shown nothing, so it does not pass
+def _suite(name, checks, wanted: int = 1) -> dict:
+    # a suite that ran fewer checks than it set out to has not shown what
+    # was asked, so it does not pass; none at all shows nothing
     return {"suite": name, "checks": checks,
-            "all_pass": bool(checks) and all(c["pass"] for c in checks)}
+            "all_pass": len(checks) >= wanted and all(c["pass"] for c in checks)}
 
 
 def _random_dist(rng, size):
@@ -182,13 +187,18 @@ def verify_identities(pairs: int = 200, fixed_points: int = 40, seed: int = 0) -
 def verify_spe(instances: int = 6, grid_size: int = 4096, seed: int = 0) -> dict:
     """Agreement of the parametric exponent with the brute-force twin.
 
-    Instances whose rate profile is nearly flat are skipped; if all are, the
-    suite checked nothing and does not pass.
+    A draw whose rate profile is nearly flat has no interior rate to check,
+    so it is skipped and drawing goes on until `instances` draws have been
+    checked, within SPE_DRAWS_PER_INSTANCE * instances draws. Each check is
+    labelled with its draw index. The suite passes only when it checked
+    `instances` draws and every check passed.
     """
     _require_counts(instances=instances)
     rng = np.random.default_rng(seed)
     checks = []
-    for k in range(instances):
+    for k in range(SPE_DRAWS_PER_INSTANCE * instances):
+        if len(checks) == instances:
+            break
         n_in = int(rng.integers(2, 4))
         channel = _random_channel(rng, n_in, 2)
         p = _random_dist(rng, n_in)
@@ -205,7 +215,7 @@ def verify_spe(instances: int = 6, grid_size: int = 4096, seed: int = 0) -> dict
                    f"instance {k}, rate={rate:.6g}",
                    {"parametric": point.exponent, "brute": brute}, 1e-4, ok)
         )
-    return _suite("spe", checks)
+    return _suite("spe", checks, wanted=instances)
 
 
 def verify_thirdmoment(count: int = 1000, seed: int = 0) -> dict:

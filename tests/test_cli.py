@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import rspb.cli
+import rspb.refined
 import rspb.symmetric
 from rspb.augustin import augustin_info_derivative, haroutunian_rate
 from rspb.cli import main
 from rspb.measures import uniform_dist, zchannel
+from rspb.spe import spe_parametric
 
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
 
@@ -426,13 +428,66 @@ def test_closed_stdout_exits_0_quietly(monkeypatch, tmp_path):
     assert err.getvalue() == ""
 
 
-def test_import_loads_no_scipy():
-    probe = (
-        "import sys, rspb, rspb.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _run_python(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+
+
+def test_import_loads_no_scipy():
+    probe = (
+        "import sys, rspb, rspb.cli, rspb.verify, rspb.oracle; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = _run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spe", "--instances", "1", "--grid-size", "256", "--seed", "11"),
+    ("identities", "--pairs", "20"),
+    ("thirdmoment", "--count", "50"),
+    ("htbe", "--n", "64", "--betas", "2"),
+], ids=["spe", "identities", "thirdmoment", "htbe"])
+def test_verify_runs_without_scipy(argv):
+    proc = _run_python(
+        "import sys; sys.modules['scipy'] = None; from rspb.cli import main; "
+        f"sys.exit(main({['verify', *argv]!r}))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
+
+
+@pytest.mark.parametrize("extra", [
+    ("--rate", "3.0"),
+    ("--rate", "3.0", "--n", "600"),
+    ("--rate", "0.1", "--grid-size", "10"),
+])
+def test_single_rate_csv_precondition_exits_2(capsys, extra):
+    # unlike a sweep row, a single rate fails the command
+    code, out, err = run_cli(capsys, "spe", "--bsc", "0.1", *extra, "--output", "csv")
+    assert code == 2
+    assert out == ""
+    assert "precondition" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--n", "600"), ("--grid-size", "256")])
+def test_single_rate_csv_solves_once(capsys, monkeypatch, extra):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return spe_parametric(*args)
+
+    def no_grid(*args):
+        raise AssertionError("csv mode prints no grid supremum")
+
+    monkeypatch.setattr(rspb.cli, "spe_parametric", counting)
+    monkeypatch.setattr(rspb.refined, "spe_parametric", counting)
+    monkeypatch.setattr(rspb.cli, "spe_grid_sup", no_grid)
+    code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.125", *extra,
+                           "--output", "csv")
+    assert code == 0 and out.strip().endswith(",ok")
+    assert len(calls) == 1

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from rspb.augustin import augustin_fixed_point
 from rspb.errors import BudgetExceededError, PreconditionError
-from rspb.gaussian import AwgnParams, awgn_parametric, theta_of_rho
+from rspb.gaussian import AwgnParams, awgn_parametric, gaussian_closed_forms, theta_of_rho
 from rspb.measures import bern, bsc, uniform_dist
 from rspb.oracle import (
     DiscreteProduct,
     GaussianProduct,
-    awgn_exact_tilted_moments,
     brute_spe,
     discrete_llr_rule,
     exact_np_tradeoff,
@@ -173,6 +173,41 @@ def test_brute_spe_edges():
     assert fine >= coarse - 1e-12
 
 
+def awgn_exact_tilted_moments(rho: float, x: float, params: AwgnParams) -> tuple:
+    """Exact (a2, a3) of the Gaussian log ratio under the tilted law.
+
+    The second moment has a closed form used by the main path; the third
+    absolute moment is integrated adaptively here so that the tests can
+    confirm the closed-form upper bound actually dominates it.
+    """
+    theta = theta_of_rho(rho, params)
+    _, mu_t, v_t = gaussian_closed_forms(rho, x, theta, params)
+    sigma2 = params.sigma2
+
+    def log_ratio(y):
+        return (
+            -((y - x) ** 2) / (2.0 * sigma2)
+            + y**2 / (2.0 * theta)
+            + 0.5 * math.log(theta / sigma2)
+        )
+
+    mean = (
+        -(v_t + (mu_t - x) ** 2) / (2.0 * sigma2)
+        + (v_t + mu_t**2) / (2.0 * theta)
+        + 0.5 * math.log(theta / sigma2)
+    )
+    scale = math.sqrt(v_t)
+
+    def density(y):
+        return math.exp(-((y - mu_t) ** 2) / (2.0 * v_t)) / (scale * math.sqrt(2 * math.pi))
+
+    a2 = quad(lambda y: (log_ratio(y) - mean) ** 2 * density(y),
+              mu_t - 12 * scale, mu_t + 12 * scale, limit=200)[0]
+    a3 = quad(lambda y: abs(log_ratio(y) - mean) ** 3 * density(y),
+              mu_t - 12 * scale, mu_t + 12 * scale, limit=200)[0]
+    return float(a2), float(a3)
+
+
 def test_gaussian_exact_moments_match_closed_forms():
     params = AwgnParams(1.0, 1.0)
     point = awgn_parametric(0.5, params)
@@ -196,7 +231,6 @@ def test_gaussian_kl_and_rule():
 def test_gaussian_threshold_test_budget_by_monte_carlo():
     # no finite enumeration exists for Gaussian products, so the threshold
     # test's Q-side budget is checked by simulation instead
-    from rspb.gaussian import gaussian_closed_forms
     from rspb.htbe import threshold_gamma
 
     params = AwgnParams(1.0, 1.0)

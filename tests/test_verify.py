@@ -70,3 +70,36 @@ def test_suite_that_checks_nothing_does_not_pass(monkeypatch):
     report = run_suite("spe", instances=3, grid_size=256)
     assert report["checks"] == []
     assert report["all_pass"] is False
+
+
+# seeds whose first draw (or first two, for 1519786607) has a flat rate
+# profile: `--instances 1` used to check nothing on them
+FLAT_DRAW_SEEDS = (11, 1921983831, 1072590699, 1052106405, 1558804511, 1519786607,
+                   1742176588, 1226435812, 1947537187, 1774095464)
+
+
+@pytest.mark.parametrize("seed", FLAT_DRAW_SEEDS)
+def test_flat_draws_are_replaced(seed):
+    report = run_suite("spe", instances=1, grid_size=256, seed=seed)
+    assert len(report["checks"]) == 1
+    assert not report["checks"][0]["instance"].startswith("instance 0,")
+    assert report["all_pass"]
+
+
+def test_suite_short_of_its_instances_does_not_pass(monkeypatch):
+    # only the first draw has a rate range, so the second instance never comes
+    real = verify._rate_endpoints
+    calls = []
+
+    def flat_after_first(p, channel):
+        calls.append(channel)
+        if len(calls) == 1:
+            return real(p, channel)
+        sol = augustin_fixed_point(1.0, p, channel)
+        return sol, sol
+
+    monkeypatch.setattr(verify, "_rate_endpoints", flat_after_first)
+    report = run_suite("spe", instances=2, grid_size=256)
+    assert len(report["checks"]) == 1 and report["checks"][0]["pass"]
+    assert report["all_pass"] is False
+    assert len(calls) == 2 * verify.SPE_DRAWS_PER_INSTANCE
