@@ -6,7 +6,8 @@ rounded to 9 significant digits and all randomness is seeded, so identical
 invocations produce byte-identical output. Exit codes: 0 success (also when
 the reader closes stdout early), 1 unreadable input file, 2 precondition
 violation, 3 non-convergence or non-certification (a partial report is still
-printed).
+printed). Each subcommand imports only the layers it computes with: single-rate
+`awgn` and the Gaussian `rspb` modes run without numpy; rate grids use it.
 """
 
 from __future__ import annotations
@@ -19,40 +20,12 @@ import os
 import sys
 from dataclasses import asdict, fields, is_dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .augustin import (
-    _info_derivative,
-    augustin_capacity,
-    augustin_fixed_point,
-    read_constraint,
-)
 from .errors import ComputationError, PreconditionError, SpbError
-from .gaussian import AwgnParams, awgn_capacity, awgn_parametric, awgn_rho_star, shannon_cone, theta_of_rho
-from .htbe import ht_params, htbe_achievability, htbe_converse, threshold_gamma, threshold_test
-from .measures import (
-    FiniteDist,
-    bec,
-    bern,
-    bsc,
-    identity_residuals,
-    read_channel,
-    read_distribution,
-    renyi_divergence,
-    tilted_log_moments,
-    tilted_measure,
-    uniform_dist,
-    zchannel,
-)
-from .refined import (
-    rspb_awgn_equality,
-    rspb_awgn_inequality,
-    rspb_constant_composition,
-    rspb_symmetric,
-)
-from .spe import _check_grid_size, spe_grid_sup, spe_parametric
-from .symmetric import check_renyi_symmetry, parametric_symmetric
+
+if TYPE_CHECKING:
+    from .measures import FiniteDist
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -79,8 +52,14 @@ def _fmt_float(x: float):
     return float(f"{x:.9g}")
 
 
+def _is_dist(obj) -> bool:
+    # a FiniteDist exists only once measures is loaded: look for it, never import it
+    measures = sys.modules.get(f"{__package__}.measures")
+    return measures is not None and isinstance(obj, measures.FiniteDist)
+
+
 def _jsonable(obj):
-    if isinstance(obj, FiniteDist):
+    if _is_dist(obj):
         return _jsonable(obj.masses)
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable({f.name: getattr(obj, f.name) for f in fields(obj)})
@@ -88,14 +67,15 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt_float(float(obj))
+    if hasattr(obj, "tolist"):
+        # a numpy array or scalar: nested lists of Python scalars
+        return _jsonable(obj.tolist())
     return obj
 
 
@@ -129,6 +109,8 @@ def _parse_grid(spec: str):
     count = int(parts[2])
     if count < 2 or not start < stop:
         raise PreconditionError("grid needs count >= 2 and start < stop")
+    import numpy as np
+
     return np.linspace(start, stop, count)
 
 
@@ -144,6 +126,8 @@ def _add_channel_args(sp):
 
 
 def _get_channel(args):
+    from .measures import bec, bsc, read_channel, zchannel
+
     picks = [
         ("channel", args.channel),
         ("bsc", args.bsc),
@@ -160,6 +144,8 @@ def _get_channel(args):
 
 
 def _get_dist(spec: str, size: int) -> FiniteDist:
+    from .measures import read_distribution, uniform_dist
+
     if spec == "uniform":
         return uniform_dist(size)
     return read_distribution(spec)
@@ -170,6 +156,14 @@ def _get_dist(spec: str, size: int) -> FiniteDist:
 
 
 def _cmd_divergence(args):
+    from .measures import (
+        identity_residuals,
+        read_distribution,
+        renyi_divergence,
+        tilted_log_moments,
+        tilted_measure,
+    )
+
     w = read_distribution(args.w)
     q = read_distribution(args.q)
     report = {
@@ -187,6 +181,8 @@ def _cmd_divergence(args):
 
 
 def _cmd_augustin(args):
+    from .augustin import _info_derivative, augustin_fixed_point
+
     channel = _get_channel(args)
     p = _get_dist(args.input_dist, channel.input_size)
     sol = augustin_fixed_point(args.order, p, channel, tol=args.tol, max_iter=args.max_iter)
@@ -209,6 +205,8 @@ def _cmd_augustin(args):
 
 
 def _cmd_capacity(args):
+    from .augustin import augustin_capacity, read_constraint
+
     channel = _get_channel(args)
     constraint = read_constraint(args.constraint) if args.constraint else None
     res = augustin_capacity(args.order, channel, constraint, tol=args.tol)
@@ -250,6 +248,9 @@ def _sweep_row(rate, n, bound, at_rate):
 
 
 def _cmd_spe(args):
+    from .refined import rspb_constant_composition
+    from .spe import _check_grid_size, spe_grid_sup, spe_parametric
+
     channel = _get_channel(args)
     comp = _get_dist(args.composition, channel.input_size)
     bound = partial(rspb_constant_composition, channel, comp)
@@ -285,6 +286,8 @@ def _cmd_spe(args):
 
 
 def _cmd_symmetric(args):
+    from .symmetric import check_renyi_symmetry, parametric_symmetric
+
     channel = _get_channel(args)
     point = None if args.rate is None else parametric_symmetric(channel, args.rate, tol=args.tol)
     report = check_renyi_symmetry(channel, tol=args.tol) if point is None else point.report
@@ -309,6 +312,16 @@ def _cmd_symmetric(args):
 
 
 def _cmd_awgn(args):
+    from .gaussian import (
+        AwgnParams,
+        awgn_capacity,
+        awgn_parametric,
+        awgn_rho_star,
+        shannon_cone,
+        theta_of_rho,
+    )
+    from .refined import rspb_awgn_equality
+
     params = AwgnParams(sigma2=args.sigma2, cost=args.cost)
     if args.order is None and args.rate is None:
         raise PreconditionError("give --order or --rate")
@@ -367,6 +380,14 @@ def _report_dict(rep):
 
 
 def _cmd_rspb(args):
+    from .gaussian import AwgnParams
+    from .refined import (
+        rspb_awgn_equality,
+        rspb_awgn_inequality,
+        rspb_constant_composition,
+        rspb_symmetric,
+    )
+
     if args.log_m_over_l is None and args.rate is None:
         raise PreconditionError("give --log-m-over-l or --rate")
     log_ml = args.log_m_over_l if args.log_m_over_l is not None else args.rate * args.n
@@ -391,6 +412,9 @@ def _cmd_rspb(args):
 
 
 def _cmd_htbe(args):
+    from .htbe import ht_params, htbe_achievability, htbe_converse, threshold_gamma, threshold_test
+    from .measures import bern, read_distribution, renyi_divergence, tilted_measure
+
     if args.w_bern is not None:
         w = bern(args.w_bern)
     elif args.w:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceededError, DegeneratePairError, PreconditionError
-from .measures import product_log_ratio, tilted_log_moments
+
+# numpy and measures are imported by the two functions that use them, so the
+# Gaussian closed forms, which need only HtParams, load neither
 
 BERRY_ESSEEN_CONSTANT = 0.56
 TWO_SQRT_2PI_E = 2.0 * math.sqrt(2.0 * math.pi * math.e)
@@ -62,6 +62,10 @@ def ht_params(rho: float, w_seq, q_seq) -> HtParams:
     order rho tilted measure; a degenerate pair (constant ratio in every
     component) is rejected because the window constant is undefined there.
     """
+    import numpy as np
+
+    from .measures import tilted_log_moments
+
     if not 0 < rho < 1:
         raise PreconditionError(f"order must lie in (0, 1), got {rho}")
     if len(w_seq) != len(q_seq) or not len(w_seq):
@@ -203,6 +207,8 @@ def threshold_test(
     space fits in the enumeration budget the exact error pair is attached;
     otherwise only the rule is returned.
     """
+    from .measures import product_log_ratio, tilted_log_moments
+
     if not 0 < rho < 1:
         raise PreconditionError(f"order must lie in (0, 1), got {rho}")
     mean_total = 0.0

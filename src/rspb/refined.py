@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CompositionError, SymmetryError
 from .gaussian import AwgnParams, awgn_parametric, awgn_rho_star
 from .htbe import HtParams
-from .measures import DiscreteChannel, FiniteDist, tilted_log_moments
-from .spe import SpePoint, spe_parametric
-from .symmetric import _solve_symmetric
+
+if TYPE_CHECKING:
+    from .measures import DiscreteChannel, FiniteDist
+    from .spe import SpePoint
+
+# The discrete bounds import numpy and their solvers when called, so the
+# Gaussian bounds run on the standard library alone.
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,11 @@ def rspb_constant_composition(
     that already solved `spe_parametric(composition, channel, rate)` passes
     it as `point`; it is used when its rate is exactly log_M_over_L / n.
     """
+    import numpy as np
+
+    from .measures import tilted_log_moments
+    from .spe import spe_parametric
+
     if n < 1:
         raise CompositionError("n must be a positive integer")
     counts = n * composition.masses
@@ -124,6 +132,8 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
     slope certification of the parametric characterization is propagated into
     the report.
     """
+    from .symmetric import _solve_symmetric
+
     channels = list(channels)
     n = len(channels)
     if n < 1:

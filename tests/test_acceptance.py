@@ -34,11 +34,12 @@ from rspb.measures import (
     uniform_dist,
     zchannel,
 )
-from rspb.oracle import exact_np_tradeoff, fd_derivative_check, independent_triple, third_moment_inequality_check
+from rspb.oracle import exact_np_tradeoff, independent_triple, third_moment_inequality_check
 from rspb.refined import rspb_constant_composition, rspb_symmetric
 from rspb.spe import spe_parametric
 from rspb.symmetric import check_renyi_symmetry, symmetric_center
 from conftest import random_channel, random_dist
+from oracle_helpers import fd_derivative_check
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)

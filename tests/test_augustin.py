@@ -37,9 +37,9 @@ from rspb.measures import (
     uniform_dist,
     zchannel,
 )
-from rspb.oracle import fd_derivative_check
 from rspb.spe import spe_parametric
 from conftest import random_channel, random_dist
+from oracle_helpers import fd_derivative_check
 
 U2 = uniform_dist(2)
 I_HALF = -2.0 * math.log(2.0 / math.sqrt(5.0))

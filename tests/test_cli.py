@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import rspb.cli
-import rspb.refined
+import rspb.augustin
+import rspb.spe
 import rspb.symmetric
 from rspb.augustin import augustin_info_derivative, haroutunian_rate
 from rspb.cli import main
@@ -299,8 +299,7 @@ def test_symmetric_rate_certifies_once(capsys, monkeypatch):
         calls.append(channel)
         return certify(channel, *args, **kwargs)
 
-    for module in (rspb.symmetric, rspb.cli):
-        monkeypatch.setattr(module, "check_renyi_symmetry", counting)
+    monkeypatch.setattr(rspb.symmetric, "check_renyi_symmetry", counting)
     code, out, _ = run_cli(capsys, "symmetric", "--bsc", "0.1", "--rate", "0.1")
     assert code == 0
     assert json.loads(out)["is_symmetric"] is True
@@ -346,9 +345,6 @@ def test_augustin_command(capsys):
 
 @pytest.mark.parametrize("order", ["0.3", "1"])
 def test_augustin_command_solves_once(capsys, monkeypatch, order):
-    import rspb.augustin
-    import rspb.cli
-
     calls = []
     solve = rspb.augustin.augustin_fixed_point
 
@@ -356,7 +352,6 @@ def test_augustin_command_solves_once(capsys, monkeypatch, order):
         calls.append(args[0])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(rspb.cli, "augustin_fixed_point", counting)
     monkeypatch.setattr(rspb.augustin, "augustin_fixed_point", counting)
     code, out, _ = run_cli(capsys, "augustin", "--order", order, "--zchannel", "0.3")
     assert code == 0
@@ -445,6 +440,84 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# the names the package exports, listed here rather than read from it, so a
+# dropped name fails; each resolves on first access
+PACKAGE_EXPORTS = {
+    "augustin": "AugustinSolution CapacityResult ConstraintSet augustin_capacity "
+                "augustin_fixed_point augustin_info_derivative augustin_information_grid "
+                "haroutunian_rate read_constraint",
+    "errors": "ComputationError NonConvergenceError PreconditionError RateOutOfRangeError "
+              "SpbError",
+    "gaussian": "AwgnParams AwgnPoint ConeQuantities awgn_capacity awgn_parametric "
+                "awgn_rho_star gaussian_closed_forms shannon_cone theta_of_rho",
+    "htbe": "HtBoundReport HtParams ThresholdTest be_gap ht_params htbe_achievability "
+            "htbe_converse threshold_gamma threshold_test",
+    "measures": "DiscreteChannel FiniteDist bec bern bsc conditional_renyi_divergence "
+                "identity_residuals point_mass product_channel read_channel "
+                "read_distribution renyi_divergence tensor_dist tilted_log_moments "
+                "tilted_measure uniform_dist zchannel",
+    "refined": "RspbReport rspb_awgn_equality rspb_awgn_inequality "
+               "rspb_constant_composition rspb_symmetric",
+    "spe": "ConstrainedSpe SpePoint spe_constrained spe_grid_sup spe_parametric",
+    "symmetric": "SymmetricSpePoint SymmetryReport check_renyi_symmetry "
+                 "parametric_symmetric symmetric_center",
+}
+LAYERS = ("augustin", "gaussian", "htbe", "measures", "oracle", "refined", "spe",
+          "symmetric", "verify")
+GAUSSIAN_SKIPS = ("numpy", "rspb.measures", "rspb.augustin", "rspb.spe", "rspb.symmetric")
+DISCRETE_SKIPS = ("rspb.augustin", "rspb.spe", "rspb.symmetric", "rspb.refined")
+AWGN = ("--sigma2", "1", "--cost", "1", "--rate", "0.1346382")
+
+
+def _modules_after(code):
+    proc = _run_python(f"{code}\nimport json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("module", ["rspb", "rspb.cli"])
+def test_import_loads_no_layer(module):
+    loaded = _modules_after(f"import {module}")
+    assert loaded.isdisjoint({"numpy", *(f"rspb.{m}" for m in LAYERS)})
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (("awgn", *AWGN), GAUSSIAN_SKIPS),
+    (("rspb", "--mode", "awgn", "--n", "500", *AWGN), GAUSSIAN_SKIPS),
+    (("rspb", "--mode", "awgn-shannon", "--n", "500", *AWGN), GAUSSIAN_SKIPS),
+    (("rspb", "--mode", "awgn-vv", "--n", "500", *AWGN), GAUSSIAN_SKIPS),
+    (("divergence", "--order", "0.5", "--w", "{w}", "--q", "{q}"), DISCRETE_SKIPS),
+    (("htbe", "--order", "0.5", "--n", "64", "--beta", "0.004", "--w-bern", "0.1",
+      "--q-bern", "0.5"), DISCRETE_SKIPS),
+], ids=["awgn", "rspb-awgn", "rspb-awgn-shannon", "rspb-awgn-vv", "divergence", "htbe"])
+def test_command_loads_only_its_layers(tmp_path, argv, skipped):
+    files = {"w": tmp_path / "w.json", "q": tmp_path / "q.json"}
+    files["w"].write_text(json.dumps({"masses": [0.25, 0.75]}))
+    files["q"].write_text(json.dumps({"masses": [0.5, 0.5]}))
+    argv = [a.format(**files) for a in argv]
+    loaded = _modules_after(
+        "import contextlib, io, sys; from rspb.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"
+        "assert code == 0, code"
+    )
+    assert loaded.isdisjoint(skipped)
+
+
+def test_package_names_resolve_on_first_access():
+    import importlib
+
+    import rspb
+
+    for module, names in PACKAGE_EXPORTS.items():
+        assert getattr(rspb, module) is importlib.import_module(f"rspb.{module}")
+        for name in names.split():
+            assert getattr(rspb, name) is getattr(getattr(rspb, module), name), name
+    with pytest.raises(AttributeError):
+        rspb.no_such_name
+    proc = _run_python("import rspb; assert rspb.spe.spe_parametric is rspb.spe_parametric")
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("spe", "--instances", "1", "--grid-size", "256", "--seed", "11"),
     ("identities", "--pairs", "20"),
@@ -484,9 +557,8 @@ def test_single_rate_csv_solves_once(capsys, monkeypatch, extra):
     def no_grid(*args):
         raise AssertionError("csv mode prints no grid supremum")
 
-    monkeypatch.setattr(rspb.cli, "spe_parametric", counting)
-    monkeypatch.setattr(rspb.refined, "spe_parametric", counting)
-    monkeypatch.setattr(rspb.cli, "spe_grid_sup", no_grid)
+    monkeypatch.setattr(rspb.spe, "spe_parametric", counting)
+    monkeypatch.setattr(rspb.spe, "spe_grid_sup", no_grid)
     code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.125", *extra,
                            "--output", "csv")
     assert code == 0 and out.strip().endswith(",ok")

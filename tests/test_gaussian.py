@@ -13,7 +13,7 @@ from rspb.gaussian import (
     shannon_cone,
     theta_of_rho,
 )
-from rspb.oracle import fd_derivative_check
+from oracle_helpers import fd_derivative_check
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 UNIT = AwgnParams(sigma2=1.0, cost=1.0)

@@ -9,20 +9,22 @@ from rspb.errors import BudgetExceededError, PreconditionError
 from rspb.gaussian import AwgnParams, awgn_parametric, gaussian_closed_forms, theta_of_rho
 from rspb.measures import bern, bsc, uniform_dist
 from rspb.oracle import (
-    DiscreteProduct,
-    GaussianProduct,
     brute_spe,
-    discrete_llr_rule,
     exact_np_tradeoff,
-    fd_derivative_check,
-    gaussian_kl,
-    gaussian_llr_rule,
     independent_triple,
-    mc_error_probability,
     third_moment_inequality_check,
 )
 from rspb.spe import spe_parametric
 from conftest import random_channel, random_dist
+from oracle_helpers import (
+    DiscreteProduct,
+    GaussianProduct,
+    discrete_llr_rule,
+    fd_derivative_check,
+    gaussian_kl,
+    gaussian_llr_rule,
+    mc_error_probability,
+)
 
 W, Q = bern(0.1), bern(0.5)
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)

@@ -17,9 +17,9 @@ from rspb.measures import (
     uniform_dist,
     zchannel,
 )
-from rspb.oracle import fd_derivative_check
 from rspb.spe import spe_constrained, spe_grid_sup, spe_parametric
 from conftest import random_channel
+from oracle_helpers import fd_derivative_check
 
 U2 = uniform_dist(2)
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
