@@ -158,37 +158,46 @@ def _solve_grid(rhos, weights, lw, Q, tol, max_iter):
     return Q, steps, iters
 
 
-def _row_divergences(rho: float, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _row_divergences(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D_rho(W(x) || q) for every prepared log-row, vectorized.
 
+    An array of orders, with one row of q per order, broadcasts to one row
+    of divergences per order, each bit for bit what its order gives alone.
     Assumes q dominates every row (true for mixtures over the rows). The
     power sum is evaluated through expm1/log1p so that precision does not
     degrade like eps/(1-rho) near order one; rows with huge exponents fall
     back to the max-shifted log-sum-exp.
     """
-    with np.errstate(divide="ignore"):
-        lq = np.log(q)
+    rho = np.asarray(rho, dtype=float)
     w = np.exp(lw)
     joint = w > 0
-    if rho == 1.0:
-        with np.errstate(invalid="ignore"):
-            terms = np.where(joint, w * (lw - lq), 0.0)
-        return terms.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        args = np.where(joint, (rho - 1.0) * (lw - lq), 0.0)
-    out = np.full(lw.shape[0], np.nan)
-    safe = args.max(axis=1) < 500.0
-    if safe.any():
-        s1 = np.einsum("xy,xy->x", w[safe], np.expm1(args[safe]))
-        with np.errstate(divide="ignore"):
-            out[safe] = np.log1p(s1) / (rho - 1.0)
-    hard = ~safe | ~(out > -np.inf)
+    one = rho == 1.0
+    ones = np.count_nonzero(one)
+    # ln 0 where q vanishes; rows past the cutoff overflow, and they and the
+    # order-one rows are replaced below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lq = np.log(q)[..., None, :]
+        diff = lw - lq
+        if ones:
+            kl = np.where(joint, w * diff, 0.0).sum(axis=-1)
+            if ones == one.size:
+                return kl
+        rm1 = rho[..., None] - 1.0
+        args = np.where(joint, rm1[..., None] * diff, 0.0)
+        out = np.log1p(np.einsum("...xy,...xy->...x", w, np.expm1(args))) / rm1
+    hard = ~((args.max(axis=-1) < 500.0) & (out > -np.inf))
+    if ones:
+        out = np.where(one[..., None], kl, out)
+        hard &= ~one[..., None]
     if hard.any():
-        logits = rho * lw[hard] + (1.0 - rho) * lq[None, :]
+        rh = np.broadcast_to(rho[..., None], out.shape)[hard][:, None]
+        logits = rh * np.broadcast_to(lw, diff.shape)[hard] + (1.0 - rh) * (
+            np.broadcast_to(lq, diff.shape)[hard]
+        )
         peak = logits.max(axis=1, keepdims=True)
         out[hard] = (
             peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
-        ) / (rho - 1.0)
+        ) / (rh[:, 0] - 1.0)
     return out
 
 
@@ -291,10 +300,9 @@ def augustin_information_grid(
         raise NonConvergenceError(
             f"{int(bad.sum())} grid orders did not converge", float(steps[bad].max())
         )
-    out = np.empty(rhos.size)
-    for i, r in enumerate(rhos):
-        out[i] = float(weights @ _row_divergences(float(r), lw, Q[i]))
-    return out
+    # one (1 x n)(n x 1) product per order runs the dot product of
+    # `weights @ row`, so each value sums as a single order's does
+    return (_row_divergences(rhos, lw, Q)[:, None, :] @ weights[:, None])[:, 0, 0]
 
 
 def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:

@@ -22,7 +22,7 @@ from dataclasses import asdict, fields, is_dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .errors import ComputationError, PreconditionError, SpbError
+from .errors import ComputationError, InvalidOrderError, PreconditionError, SpbError
 
 if TYPE_CHECKING:
     from .measures import FiniteDist
@@ -367,7 +367,9 @@ def _cmd_awgn(args):
         if args.rate is not None:
             report["rho_star"] = rho
     if args.output == "csv":
-        _emit_csv([_sweep_row(report.get("rate", math.nan), args.n, bound, at_rate)])
+        if "rate" not in report:
+            raise InvalidOrderError(f"a CSV row needs an order in (0, 1), got {rho}")
+        _emit_csv([_sweep_row(report["rate"], args.n, bound, at_rate)])
     else:
         _emit(report)
     return EXIT_OK

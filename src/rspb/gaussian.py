@@ -5,7 +5,8 @@ quadratic, capacity / rate / exponent are elementary functions of it, the
 matching order inverts in closed form, and the classical cone-angle exponent
 evaluates the same exponent through trigonometric quantities. Third absolute
 moments use the closed-form upper bound that the refined bound is defined
-with; the exact moment is available from the oracle module by quadrature.
+with; the tests compute the exact moment by quadrature
+(`awgn_exact_tilted_moments` in tests/test_oracle.py).
 """
 
 from __future__ import annotations

@@ -376,12 +376,37 @@ def _merge_atoms(values, tol, *masses):
     """Sort atoms by value and collapse each run whose steps are at most tol.
 
     A run keeps its smallest value and the sum of each mass array over it.
-    Returns (values, *masses) of the merged atoms.
+    Returns (values, *masses) of the merged atoms. A 2-D array merges each
+    row on its own, a nan value marking an absent atom: each returned row
+    holds its merged atoms first, in order, then nan values and zero masses
+    up to the longest merged row.
     """
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
-    return (values[starts], *(np.add.reduceat(m[order], starts) for m in masses))
+    rows = np.atleast_2d(values)
+    n = rows.shape[1]
+    # each row sorted, as indices into the flattened rows
+    order = np.argsort(rows, axis=1, kind="stable")
+    order += n * np.arange(len(rows))[:, None]
+    order = order.ravel()
+    ordered = rows.ravel()[order]
+    absent = np.isnan(ordered)
+    # each row and each absent atom opens a run, so that no run takes in
+    # another row or an absent atom; equal infinities are one run
+    start = np.ones(rows.shape, dtype=bool)
+    by_row = ordered.reshape(rows.shape)
+    with np.errstate(invalid="ignore"):
+        np.greater(by_row[:, 1:] - by_row[:, :-1], tol, out=start[:, 1:])
+    starts = np.flatnonzero(start.ravel() | absent)
+    kept = ~absent[starts]
+    merged = [ordered[starts][kept]]
+    merged += [np.add.reduceat(np.ravel(m)[order], starts)[kept] for m in masses]
+    if np.ndim(values) == 1:
+        return tuple(merged)
+    count = np.bincount(starts[kept] // n, minlength=len(rows))
+    slot = np.arange(count.max(initial=0)) < count[:, None]
+    out = [np.full(slot.shape, np.nan)] + [np.zeros(slot.shape) for _ in masses]
+    for a, m in zip(out, merged):
+        a[slot] = m
+    return tuple(out)
 
 
 def product_log_ratio(w_seq, q_seq, budget: int = 2_000_000,

@@ -5,10 +5,13 @@ against the order rho center does not depend on the input, at every order
 with finite capacity. For such channels the center comes from a closed-form
 power mean over a uniform input, which also covers Gallager-symmetric
 partitions. Certification is numeric on a finite order grid since the
-definition quantifies over all orders. On a product of such channels the
+definition quantifies over all orders; it is one array pass over orders x
+inputs, with no loop over the orders. On a product of such channels the
 sphere-packing order solves one scalar equation, summed tilted rates equal
 to ln M - ln L; `_solve_symmetric` solves it, a single channel at rate R
-being the one-component case, on the array kernels of `augustin`.
+being the one-component case, on the array kernels of `augustin`. Its order
+probes build only the tilted rates, and the exponent and moments are taken
+once per distinct component, at the root.
 """
 
 from __future__ import annotations
@@ -103,24 +106,25 @@ def check_renyi_symmetry(
     images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()
     images[low] = _tilted_rows(rhos[low, None, None], lw, masses[low, None, :]).mean(axis=1)
     center_tv_max = float(0.5 * np.abs(images - masses).sum(axis=1).max())
-    spread_max = profile_max = 0.0
-    support = w_rows > 0
-    for rho, c in zip(rhos, masses):
-        divs = _row_divergences(rho, lw, c)
-        spread_max = max(spread_max, float(divs.max() - divs.min()))
-        with np.errstate(divide="ignore"):
-            lc = np.log(c)
-        (v0, m0), *others = [
-            _merge_atoms(lw[x, s] - lc[s], PROFILE_MERGE_TOL, w_rows[x, s])
-            for x, s in enumerate(support)
-        ]
-        for v, m in others:
-            gap = math.inf
-            if v.size == v0.size:
-                # equal atoms are 0 apart, also the +inf ones where c underflows
-                gaps = np.abs(np.subtract(v, v0, out=np.zeros(v.size), where=v != v0))
-                gap = max(gaps.max(), np.abs(m - m0).max())
-            profile_max = max(profile_max, float(gap))
+    divs = _row_divergences(rhos, lw, masses)
+    spread_max = float((divs.max(axis=1) - divs.min(axis=1)).max())
+    # one profile row per (order, input): ln W(y|x) - ln c(y) with mass
+    # W(y|x) where W(y|x) > 0, nan where the input does not reach y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(w_rows > 0, lw - np.log(masses)[:, None, :], np.nan)
+    values, m = (
+        a.reshape(ratios.shape[:2] + (-1,))
+        for a in _merge_atoms(ratios.reshape(-1, lw.shape[1]), PROFILE_MERGE_TOL,
+                              np.tile(w_rows, (rhos.size, 1)))
+    )
+    # each input's merged profile against input 0's at the same order; equal
+    # atoms are 0 apart, also the +inf ones where c underflows
+    absent, v0 = np.isnan(values), values[:, :1]
+    profile_max = math.inf
+    if (absent == absent[:, :1]).all():
+        gaps = np.abs(np.subtract(values, v0, out=np.zeros(values.shape),
+                                  where=(values != v0) & ~absent))
+        profile_max = float(max(gaps.max(), np.abs(m - m[:, :1]).max()))
     ok = spread_max <= tol and profile_max <= tol and center_tv_max <= tol
     return SymmetryReport(
         is_symmetric=ok,
@@ -145,6 +149,18 @@ class SymmetricComponent:
     tilt_nonconstant: bool
 
 
+def _tilted_rates(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
+    """Uniform-input center at rho, each input's tilt toward it, and the
+    tilts' KL rates to it, which symmetry makes input-independent: a spread
+    above 1e-8 raises SymmetryError."""
+    (center,), _ = _uniform_centers([rho], w_rows, lw)
+    tilts = w_rows if rho == 1.0 else _tilted_rows(rho, lw, center.masses)
+    rates = _kl_rows(tilts, center.masses)
+    if rates.max() - rates.min() > 1e-8:
+        raise SymmetryError("tilted rate differs across inputs")
+    return center, tilts, rates
+
+
 def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricComponent:
     """Tilted rate/exponent/moments of a symmetric channel at one order.
 
@@ -152,17 +168,13 @@ def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricCompo
     input-independent, which is asserted, and the values of input 0 are
     returned.
     """
-    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    (center,), _ = _uniform_centers([rho], w_rows, lw)
+    w_rows = channel.row_matrix()
+    center, tilts, rates = _tilted_rates(rho, w_rows, channel.log_row_matrix())
     c = center.masses
-    tilts = w_rows if rho == 1.0 else _tilted_rows(rho, lw, c)
-    rates, exponents = _kl_rows(tilts, c), _kl_rows(tilts, w_rows)
-    if rates.max() - rates.min() > 1e-8:
-        raise SymmetryError("tilted rate differs across inputs")
     _, a2, a3, ratios = _tilt_moments(w_rows[0], c, tilts[0])
     nonconstant = bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
     return SymmetricComponent(
-        rho, center, float(rates[0]), float(exponents[0]), a2, a3, nonconstant
+        rho, center, float(rates[0]), float(_kl_rows(tilts, w_rows)[0]), a2, a3, nonconstant
     )
 
 
@@ -177,9 +189,10 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
                      tol: float = DEFAULT_SYMMETRY_TOL) -> tuple:
     """Order where the summed tilted rates of the components meet target.
 
-    Equal components, however built, are certified and solved once. The
-    bracket runs from LOW_ORDER_PROBE to order one, where the rates are the
-    capacities. The slope (rho*-1)/rho* is certified when some component's
+    Equal components, however built, are certified once, each probe takes
+    one tilted rate per distinct component, and their quantities are solved
+    once at rho*. The bracket runs from LOW_ORDER_PROBE to order one, where
+    the rates are the capacities. The slope (rho*-1)/rho* is certified when some component's
     tilted log ratio is non-constant or every certified center is
     order-independent. Returns (rho*, the per-component quantities at rho*,
     their symmetry reports, both in the order of `channels`, certified).
@@ -189,7 +202,7 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
         key = (ch.input_size, ch.row_matrix().tobytes())
         distinct.setdefault(key, ch)
         layout.append(key)
-    reports, ends = {}, {}
+    reports, ends, rows = {}, {}, {}
     for key, ch in distinct.items():
         report = reports[key] = check_renyi_symmetry(ch, rho_grid, tol)
         if not report.is_symmetric:
@@ -198,22 +211,23 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
                 f"(spread {report.max_divergence_spread:.3e}, "
                 f"profile {report.max_profile_distance:.3e})"
             )
-        rows = ch.row_matrix(), ch.log_row_matrix()
-        ends[key] = _uniform_centers((LOW_ORDER_PROBE, 1.0), *rows)[1]
+        rows[key] = ch.row_matrix(), ch.log_row_matrix()
+        ends[key] = _uniform_centers((LOW_ORDER_PROBE, 1.0), *rows[key])[1]
     low = sum(ends[k][0] for k in layout)
     high = sum(ends[k][1] for k in layout)
     if not low < target < high:
         raise RateOutOfRangeError(target, low, high)
 
     def summed(rho):
-        comp = {k: component_quantities(rho, ch) for k, ch in distinct.items()}
-        return sum(comp[k].rate_term for k in layout), comp
+        rate = {k: float(_tilted_rates(rho, *rows[k])[2][0]) for k in distinct}
+        return sum(rate[k] for k in layout), None
 
     stop = 1e-12 * max(1.0, abs(target))
-    rho, _, comp = _find_order(
+    rho, _, _ = _find_order(
         summed, target, (LOW_ORDER_PROBE, summed(LOW_ORDER_PROBE)[0]), (1.0, high),
         lambda rho, total, _: abs(total - target) <= stop,
     )
+    comp = {k: component_quantities(rho, ch) for k, ch in distinct.items()}
     certified = any(comp[k].tilt_nonconstant for k in layout) or all(
         center_order_independent(r, tol) for r in reports.values()
     )

@@ -2,7 +2,8 @@
 
 Monte Carlo estimation with reproducible Philox streams, log-likelihood
 decision rules for discrete and Gaussian products, central finite
-differences and the Gaussian KL divergence. The verification suites of
+differences, the Gaussian KL divergence, and one-order-at-a-time references
+for the array passes of `rspb.symmetric`. The verification suites of
 `rspb.verify` need none of them, so they live here rather than in
 `rspb.oracle`.
 """
@@ -14,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rspb.augustin import _row_divergences, _tilted_rows
 from rspb.errors import PreconditionError
 from rspb.gaussian import AwgnParams
+from rspb.symmetric import PROFILE_MERGE_TOL, SymmetryReport, _uniform_centers
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
@@ -149,4 +152,57 @@ def gaussian_kl(mean_a: float, var_a: float, mean_b: float, var_b: float) -> flo
     """KL divergence between univariate Gaussians, in nats."""
     return 0.5 * (
         var_a / var_b + (mean_a - mean_b) ** 2 / var_b - 1.0 + math.log(var_b / var_a)
+    )
+
+
+# ---------------------------------------------------------------------------
+# one-order-at-a-time references
+
+
+def merge_atoms_1d(values, tol, *masses):
+    """Sort atoms by value and collapse each run whose steps are at most tol
+    into its smallest value and the sum of each mass array over it."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    with np.errstate(invalid="ignore"):
+        starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+    return (values[starts], *(np.add.reduceat(m[order], starts) for m in masses))
+
+
+def symmetry_report_per_order(channel, rho_grid, tol) -> SymmetryReport:
+    """`check_renyi_symmetry` with its spread and profiles taken one order,
+    and the profiles one input, at a time: per-order `_row_divergences`
+    calls and one `merge_atoms_1d` per input."""
+    rhos = np.asarray(rho_grid, dtype=float)
+    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
+    centers, _ = _uniform_centers(rhos, w_rows, lw)
+    masses = np.array([c.masses for c in centers])
+    low = rhos < 1.0
+    images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()
+    images[low] = _tilted_rows(rhos[low, None, None], lw, masses[low, None, :]).mean(axis=1)
+    center_tv_max = float(0.5 * np.abs(images - masses).sum(axis=1).max())
+    spread_max = profile_max = 0.0
+    support = w_rows > 0
+    for rho, c in zip(rhos, masses):
+        divs = _row_divergences(float(rho), lw, c)
+        spread_max = max(spread_max, float(divs.max() - divs.min()))
+        with np.errstate(divide="ignore"):
+            lc = np.log(c)
+        (v0, m0), *others = [
+            merge_atoms_1d(lw[x, s] - lc[s], PROFILE_MERGE_TOL, w_rows[x, s])
+            for x, s in enumerate(support)
+        ]
+        for v, m in others:
+            gap = math.inf
+            if v.size == v0.size:
+                gaps = np.abs(np.subtract(v, v0, out=np.zeros(v.size), where=v != v0))
+                gap = max(gaps.max(), np.abs(m - m0).max())
+            profile_max = max(profile_max, float(gap))
+    return SymmetryReport(
+        is_symmetric=spread_max <= tol and profile_max <= tol and center_tv_max <= tol,
+        checked_orders=tuple(rhos.tolist()),
+        center_per_order=dict(zip(rhos.tolist(), centers)),
+        max_divergence_spread=spread_max,
+        max_profile_distance=profile_max,
+        max_center_fixed_point_tv=center_tv_max,
     )

@@ -126,6 +126,13 @@ def test_precondition_violation_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "precondition" in err
+    # order one has no rate below capacity, so no CSV row
+    for extra in ((), ("--n", "100")):
+        code, out, err = run_cli(capsys, "awgn", "--sigma2", "1", "--cost", "1",
+                                 "--order", "1", "--output", "csv", *extra)
+        assert code == 2
+        assert out == ""
+        assert "precondition" in err
 
 
 @pytest.mark.parametrize(

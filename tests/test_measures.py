@@ -36,6 +36,7 @@ from rspb.measures import (
     zchannel,
 )
 from conftest import random_dist
+from oracle_helpers import merge_atoms_1d
 
 LN9 = math.log(9.0)
 
@@ -237,6 +238,57 @@ def test_merge_atoms_matches_group_loop():
         slack = size * np.finfo(float).eps
         assert np.allclose(got_w, [w[r].sum() for r in runs], rtol=slack, atol=0)
         assert np.allclose(got_q, [q[r].sum() for r in runs], rtol=slack, atol=0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_merge_atoms_merges_each_row_of_a_2d_array():
+    rng = np.random.default_rng(12)
+    shape = (7, 9)
+    values = np.round(rng.normal(size=shape) * 2) * 0.5 + rng.normal(size=shape) * 1e-14
+    values[rng.random(shape) < 0.3] = np.nan  # absent atoms
+    values[1] = np.nan  # a row with no atom
+    values[2, :3] = np.inf  # equal infinities are one run
+    w, q = rng.random(shape), rng.random(shape)
+    got = _merge_atoms(values, 1e-12, w, q)
+    counts = []
+    for row in range(shape[0]):
+        present = ~np.isnan(values[row])
+        want = merge_atoms_1d(values[row, present], 1e-12, w[row, present], q[row, present])
+        n = want[0].size
+        counts.append(n)
+        for g, x in zip(got, want):
+            assert _same_bits(g[row, :n], x)
+        # padded with nan values and zero masses
+        assert np.isnan(got[0][row, n:]).all()
+        assert not got[1][row, n:].any() and not got[2][row, n:].any()
+    assert got[0].shape == (shape[0], max(counts))
+    assert counts[1] == 0 and counts[2] >= 1
+    # a 1-D array is the one-row case, unpadded
+    v0 = values[0, ~np.isnan(values[0])]
+    for g, x in zip(_merge_atoms(v0, 1e-12, w[0, :v0.size]), merge_atoms_1d(v0, 1e-12, w[0, :v0.size])):
+        assert _same_bits(g, x)
+
+
+def test_product_log_ratio_atoms_match_one_row_merges():
+    rng = np.random.default_rng(4)
+    w_seq = [random_dist(rng, 3) for _ in range(5)] + [bern(0.1)] * 6 + [bern(0.0)]
+    q_seq = [random_dist(rng, 3) for _ in range(5)] + [bern(0.5)] * 6 + [bern(0.3)]
+    atoms = product_log_ratio(w_seq, q_seq)
+    values, w_mass, q_mass = np.zeros(1), np.ones(1), np.ones(1)
+    for w, q in zip(w_seq, q_seq):
+        joint = (w.masses > 0) & (q.masses > 0)
+        v = np.log(w.masses[joint]) - np.log(q.masses[joint])
+        values, w_mass, q_mass = merge_atoms_1d(
+            (values[:, None] + v).ravel(), 1e-12,
+            (w_mass[:, None] * w.masses[joint]).ravel(),
+            (q_mass[:, None] * q.masses[joint]).ravel(),
+        )
+    assert _same_bits(atoms.values, values)
+    assert _same_bits(atoms.w_mass, w_mass)
+    assert _same_bits(atoms.q_mass, q_mass)
 
 
 def test_product_log_ratio_singular_pair():

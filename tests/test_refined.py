@@ -114,20 +114,35 @@ def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
     assert separate == rspb_symmetric([bsc(0.1)] * 8, 8 * R_CRIT)
 
 
-def test_symmetric_product_takes_at_most_16_component_solves(monkeypatch):
+def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
+    # the order probes build only the summed tilted rate; the moments and
+    # exponent come from one component_quantities call per distinct component
     calls = []
     solve = rspb.symmetric.component_quantities
 
     def counting(rho, channel):
-        calls.append(rho)
+        calls.append((rho, channel.row_matrix().tobytes()))
         return solve(rho, channel)
 
+    probes = []
+    rates = rspb.symmetric._tilted_rates
+
+    def probing(rho, *rows):
+        probes.append(rho)
+        return rates(rho, *rows)
+
     monkeypatch.setattr(rspb.symmetric, "component_quantities", counting)
+    monkeypatch.setattr(rspb.symmetric, "_tilted_rates", probing)
     high = 4 * sum(symmetric_center(1.0, ch)[1] for ch in (bsc(0.1), bsc(0.2)))
     for frac in (1e-3, 0.5, 0.99):
         calls.clear()
+        probes.clear()
         rep = rspb_symmetric([bsc(0.1), bsc(0.2)] * 4, frac * high)
-        assert len(calls) <= 16, frac
+        # at most 8 order probes of the 2 components, and the root's 2
+        assert len(probes) <= 16 + 2, frac
+        assert len(calls) == 2, frac
+        assert {rho for rho, _ in calls} == {rep.rho_star}
+        assert len({rows for _, rows in calls}) == 2
         assert rep.slope_certified
 
 

@@ -22,12 +22,15 @@ from rspb.refined import rspb_symmetric
 from rspb.spe import spe_parametric
 from rspb.symmetric import (
     DEFAULT_ORDER_GRID,
+    DEFAULT_SYMMETRY_TOL,
     center_order_independent,
     check_renyi_symmetry,
     component_quantities,
     parametric_symmetric,
     symmetric_center,
 )
+
+from oracle_helpers import symmetry_report_per_order
 
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
 E_CRIT = 0.25 * math.log(2.5) + 0.75 * math.log(0.75 / 0.9)
@@ -117,10 +120,13 @@ def test_symmetric_path_runs_no_fixed_point(monkeypatch):
     assert calls == []
 
 
+DEAD_OUTPUT = _channel([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]])
+
+
 def test_dead_output_certifies_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = check_renyi_symmetry(_channel([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]]))
+        report = check_renyi_symmetry(DEAD_OUTPUT)
     assert report.is_symmetric
 
 
@@ -132,6 +138,39 @@ def test_underflowed_center_profiles_are_compared_without_nan():
     assert report.center_per_order[1e-6].masses.tolist() == [0.0, 1.0, 0.0]
     assert report.max_profile_distance == 0.0
     assert report.is_symmetric
+
+
+REFERENCE_CHANNELS = {
+    "bsc": bsc(0.11),
+    "bec": bec(0.3),
+    "z": zchannel(0.3),
+    "cyclic4": CYCLIC4,
+    "dirichlet3x5": _channel(np.random.default_rng(5).dirichlet(np.ones(5), size=3)),
+    "dead_output": DEAD_OUTPUT,
+    # at order 1e-6 the center underflows at two outputs that one input reaches
+    "bsc_x_bec": product_channel(bsc(0.1), bec(0.3)),
+}
+REFERENCE_GRIDS = {
+    "default": DEFAULT_ORDER_GRID,
+    "tiny_half": (1e-6, 0.5),
+    "tiny_mid_one": (1e-6, 0.3, 1.0),
+}
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS.values(), ids=REFERENCE_GRIDS.keys())
+@pytest.mark.parametrize("channel", REFERENCE_CHANNELS.values(), ids=REFERENCE_CHANNELS.keys())
+def test_symmetry_report_matches_per_order_reference(channel, grid):
+    # the array pass over orders x inputs reports every field bit for bit as
+    # one order and one input at a time does, and warns nowhere
+    got = check_renyi_symmetry(channel, grid)
+    want = symmetry_report_per_order(channel, grid, DEFAULT_SYMMETRY_TOL)
+    assert got.is_symmetric == want.is_symmetric
+    assert got.checked_orders == want.checked_orders
+    assert list(got.center_per_order) == list(want.center_per_order)
+    for rho, center in want.center_per_order.items():
+        assert got.center_per_order[rho].masses.tobytes() == center.masses.tobytes()
+    for field in ("max_divergence_spread", "max_profile_distance", "max_center_fixed_point_tv"):
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
 
 
 def test_symmetry_report_contents():
