@@ -72,9 +72,7 @@ def _check_inputs(rho: float, p: FiniteDist, channel: DiscreteChannel):
 def _support_rows(p: FiniteDist, channel: DiscreteChannel) -> tuple:
     """Masses, channel rows and log-rows of the inputs in the support of p."""
     sup = p.support
-    w_rows = channel.row_matrix()[sup]
-    with np.errstate(divide="ignore"):
-        return p.masses[sup], w_rows, np.log(w_rows)
+    return p.masses[sup], channel.row_matrix()[sup], channel.log_row_matrix()[sup]
 
 
 def _start_rows(rhos: np.ndarray, weights, w_rows, lw) -> np.ndarray:

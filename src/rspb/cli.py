@@ -128,19 +128,11 @@ def _add_channel_args(sp):
 def _get_channel(args):
     from .measures import bec, bsc, read_channel, zchannel
 
-    picks = [
-        ("channel", args.channel),
-        ("bsc", args.bsc),
-        ("bec", args.bec),
-        ("zchannel", args.zchannel),
-    ]
-    given = [(k, v) for k, v in picks if v is not None]
+    makers = {"channel": read_channel, "bsc": bsc, "bec": bec, "zchannel": zchannel}
+    given = [kind for kind in makers if getattr(args, kind) is not None]
     if len(given) != 1:
         raise PreconditionError("give exactly one of --channel/--bsc/--bec/--zchannel")
-    kind, value = given[0]
-    if kind == "channel":
-        return read_channel(value)
-    return {"bsc": bsc, "bec": bec, "zchannel": zchannel}[kind](value)
+    return makers[given[0]](getattr(args, given[0]))
 
 
 def _get_dist(spec: str, size: int) -> FiniteDist:

@@ -70,14 +70,8 @@ def ht_params(rho: float, w_seq, q_seq) -> HtParams:
         raise PreconditionError(f"order must lie in (0, 1), got {rho}")
     if len(w_seq) != len(q_seq) or not len(w_seq):
         raise PreconditionError("need equal-length non-empty sequences")
-    a2s, a3s = [], []
-    for w, q in zip(w_seq, q_seq):
-        _, a2, a3 = tilted_log_moments(rho, w, q)
-        a2s.append(a2)
-        a3s.append(a3)
-    a2 = float(np.mean(a2s))
-    a3 = float(np.mean(a3s))
-    return HtParams.from_moments(a2, a3)
+    a2s, a3s = zip(*(tilted_log_moments(rho, w, q)[1:] for w, q in zip(w_seq, q_seq)))
+    return HtParams.from_moments(float(np.mean(a2s)), float(np.mean(a3s)))
 
 
 @dataclass(frozen=True)

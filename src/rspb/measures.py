@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -139,11 +140,22 @@ class DiscreteChannel:
         return self.rows[0].alphabet_size
 
     def row_matrix(self) -> np.ndarray:
-        return np.vstack([r.masses for r in self.rows])
+        """The rows stacked inputs x outputs, formed once, on first use, and
+        shared read-only (copy before writing); immutable rows keep it valid."""
+        return self._stacked[0]
 
     def log_row_matrix(self) -> np.ndarray:
+        """ln of `row_matrix`, -inf at exact zeros; formed and shared with it."""
+        return self._stacked[1]
+
+    @cached_property
+    def _stacked(self) -> tuple:
+        rows = np.vstack([r.masses for r in self.rows])
         with np.errstate(divide="ignore"):
-            return np.log(self.row_matrix())
+            logs = np.log(rows)
+        rows.setflags(write=False)
+        logs.setflags(write=False)
+        return rows, logs
 
 
 # ---------------------------------------------------------------------------

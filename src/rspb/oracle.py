@@ -43,21 +43,18 @@ def exact_np_tradeoff(w_seq, q_seq, budget: int = 2_000_000) -> NpCurve:
     (merging equal atoms, which reduces i.i.d. binary pairs to the count
     statistic) and atoms are accepted in decreasing ratio order. The curve
     starts at the test accepting only the Q-null set and ends at type II
-    zero.
+    zero. Type II is the W-mass still rejected, summed from the small end,
+    so that it keeps its relative precision far below 1e-16.
     """
     atoms = product_log_ratio(w_seq, q_seq, budget=budget)
     order = np.argsort(-atoms.values, kind="stable")
-    pw = atoms.w_mass[order]
-    pq = atoms.q_mass[order]
+    pw, pq = atoms.w_mass[order], atoms.q_mass[order]
     ti = np.concatenate(([0.0], np.cumsum(pq)))
-    tii = np.concatenate(([1.0 - atoms.w_plus_inf], 1.0 - atoms.w_plus_inf - np.cumsum(pw)))
+    tii = np.concatenate((np.cumsum(pw[::-1])[::-1], [0.0]))
     if atoms.q_minus_inf > 0:
         ti = np.concatenate((ti, [ti[-1] + atoms.q_minus_inf]))
-        tii = np.concatenate((tii, [tii[-1]]))
-    ti = np.clip(ti, 0.0, 1.0)
-    tii = np.clip(tii, 0.0, 1.0)
-    tii = np.minimum.accumulate(tii)
-    return NpCurve(type_i=ti, type_ii=tii)
+        tii = np.concatenate((tii, [0.0]))
+    return NpCurve(type_i=np.clip(ti, 0.0, 1.0), type_ii=np.clip(tii, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

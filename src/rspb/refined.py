@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .errors import CompositionError, SymmetryError
+from .errors import CompositionError, InfiniteDivergenceError, SymmetryError
 from .gaussian import AwgnParams, awgn_parametric, awgn_rho_star
 from .htbe import HtParams
 
@@ -96,14 +96,15 @@ def rspb_constant_composition(
     """Lower bound for length-n codes whose codewords share one composition.
 
     The moment constants weight each input's tilted log-ratio moments by the
-    composition, matching a codeword that uses input x exactly n*P(x) times.
-    The factor-4 term absorbs the Markov halving over messages. A caller
-    that already solved `spe_parametric(composition, channel, rate)` passes
-    it as `point`; it is used when its rate is exactly log_M_over_L / n.
+    composition, matching a codeword that uses input x exactly n*P(x) times;
+    they come from one array pass over the rows, each tilted toward the mean
+    at rho*. The factor-4 term absorbs the Markov halving over messages. A
+    caller that already solved `spe_parametric(composition, channel, rate)`
+    passes it as `point`; it is used when its rate is exactly log_M_over_L / n.
     """
     import numpy as np
 
-    from .measures import tilted_log_moments
+    from .augustin import _support_rows, _tilted_rows
     from .spe import spe_parametric
 
     if n < 1:
@@ -114,14 +115,18 @@ def rspb_constant_composition(
     rate = log_M_over_L / n
     if point is None or point.rate != rate:
         point = spe_parametric(composition, channel, rate)
-    rho = point.rho_star
-    a2 = a3 = 0.0
-    for x in composition.support:
-        _, m2, m3 = tilted_log_moments(rho, channel.rows[x], point.mean)
-        a2 += float(composition.masses[x]) * m2
-        a3 += float(composition.masses[x]) * m3
-    params = HtParams.from_moments(a2, a3)
-    return _assemble(n, rate, rho, n * point.exponent, params)
+    rho, q = point.rho_star, point.mean.masses
+    weights, w_rows, lw = _support_rows(composition, channel)
+    # a singular row: a NaN tilt below order one, mass where q is 0 at one
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = w_rows if rho == 1.0 else _tilted_rows(rho, lw, q)
+        ratios = np.where(t > 0, lw - np.log(q), 0.0)
+    if not (t > 0).any(axis=1).all() or np.any((t > 0) & (q == 0)):
+        raise InfiniteDivergenceError("tilted measure undefined for singular pair")
+    centered = np.abs(ratios - (t * ratios).sum(axis=1, keepdims=True))
+    a2 = float(weights @ (t * centered**2).sum(axis=1))
+    a3 = float(weights @ (t * centered**3).sum(axis=1))
+    return _assemble(n, rate, rho, n * point.exponent, HtParams.from_moments(a2, a3))
 
 
 def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:

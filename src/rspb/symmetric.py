@@ -38,6 +38,8 @@ def _uniform_centers(rhos, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
     is the row mixture and the capacity the mean KL divergence to it.
     """
     rhos = np.asarray(rhos, dtype=float)
+    if rhos.ndim != 1 or rhos.size == 0:
+        raise PreconditionError(f"orders must be a non-empty 1-d sequence, got {rhos.tolist()}")
     if not np.all((rhos > 0) & (rhos <= 1)):
         raise InvalidOrderError(f"orders must lie in (0, 1], got {rhos.tolist()}")
     low = rhos < 1.0

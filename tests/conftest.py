@@ -14,6 +14,16 @@ def random_channel(rng, n_in, n_out, floor=1e-9):
     return DiscreteChannel(tuple(random_dist(rng, n_out, floor) for _ in range(n_in)))
 
 
+def channel_with_zeros(rng) -> DiscreteChannel:
+    """A random 2-8 x 2-16 channel with about 30 % exact zeros."""
+    n_in, n_out = int(rng.integers(2, 9)), int(rng.integers(2, 17))
+    rows = rng.dirichlet(np.ones(n_out), size=n_in)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[np.arange(n_in), rng.integers(0, n_out, size=n_in)] += 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    return DiscreteChannel(tuple(FiniteDist(r) for r in rows))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

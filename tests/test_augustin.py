@@ -38,7 +38,7 @@ from rspb.measures import (
     zchannel,
 )
 from rspb.spe import spe_parametric
-from conftest import random_channel, random_dist
+from conftest import channel_with_zeros, random_channel, random_dist
 from oracle_helpers import fd_derivative_check
 
 U2 = uniform_dist(2)
@@ -378,15 +378,6 @@ def test_capacity_z_channel_cost_certifies():
     res = augustin_capacity(0.5, zchannel(0.3), ConstraintSet.cost(costs, budget))
     assert_capacity_certified(0.5, zchannel(0.3), res, 1e-8, costs, budget)
     assert res.optimizer.masses[1] == pytest.approx(budget, abs=1e-6)
-
-
-def channel_with_zeros(rng) -> DiscreteChannel:
-    """A random 2-8 x 2-16 channel with about 30 % exact zeros."""
-    n_in, n_out = int(rng.integers(2, 9)), int(rng.integers(2, 17))
-    rows = rng.dirichlet(np.ones(n_out), size=n_in)
-    rows[rng.random(rows.shape) < 0.3] = 0.0
-    rows[np.arange(n_in), rng.integers(0, n_out, size=n_in)] += 0.1
-    return channel_of(rows / rows.sum(axis=1, keepdims=True))
 
 
 def test_capacity_random_channels_with_zeros_certify():

@@ -313,6 +313,27 @@ def test_tensor_and_product_channel():
     assert ch.rows[0].allclose(tensor_dist(bern(0.1), bern(0.2)), tol=1e-15)
 
 
+@pytest.mark.parametrize("log_first", [False, True])
+def test_row_matrices_are_formed_once_and_read_only(log_first):
+    rows = (FiniteDist([0.7, 0.3, 0.0]), FiniteDist([0.0, 0.3, 0.7]), FiniteDist([0.2, 0.5, 0.3]))
+    ch = DiscreteChannel(rows)
+    if log_first:
+        ch.log_row_matrix()
+    w, lw = ch.row_matrix(), ch.log_row_matrix()
+    assert ch.row_matrix() is w and ch.log_row_matrix() is lw
+    stacked = np.vstack([r.masses for r in rows])
+    with np.errstate(divide="ignore"):
+        logs = np.log(stacked)
+    assert w.tobytes() == stacked.tobytes()
+    assert lw.tobytes() == logs.tobytes()
+    assert lw[0, 2] == -np.inf and lw[1, 0] == -np.inf
+    for arr in (w, lw):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.5
+    assert np.array_equal(ch.row_matrix(), stacked)
+
+
 def test_file_round_trips(tmp_path):
     dist_file = tmp_path / "d.json"
     dist_file.write_text(json.dumps({"masses": [0.25, 0.75]}))

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from rspb.augustin import augustin_fixed_point
 from rspb.errors import BudgetExceededError, PreconditionError
 from rspb.gaussian import AwgnParams, awgn_parametric, gaussian_closed_forms, theta_of_rho
-from rspb.measures import bern, bsc, uniform_dist
+from rspb.htbe import ht_params, htbe_achievability, htbe_converse
+from rspb.measures import FiniteDist, bern, bsc, renyi_divergence, tilted_measure, uniform_dist
 from rspb.oracle import (
     brute_spe,
     exact_np_tradeoff,
@@ -37,6 +38,45 @@ def test_np_binomial_anchor():
     assert curve.type_i[idx] == pytest.approx(11 / 1024, rel=1e-12)
     assert curve.type_ii[idx] == pytest.approx(1 - 0.9**10 - 0.9**9, rel=1e-12)
     assert curve.type_ii_at(11 / 1024) == pytest.approx(1 - 0.9**10 - 0.9**9, rel=1e-12)
+
+
+def test_np_type_ii_keeps_precision_far_below_one_ulp():
+    # 96 components alternating two binary pairs: the optimal type II at the
+    # converse's Q budget is about 1e-16, which 1 - cumsum(W-mass) reads as 0
+    rho = 0.3699026339416799
+    w1, q1 = FiniteDist([0.86157514, 0.13842486]), FiniteDist([0.37643319, 0.62356681])
+    w2, q2 = FiniteDist([0.21591779, 0.78408221]), FiniteDist([0.91812604, 0.08187396])
+    ws, qs = [w1, w2] * 48, [q1, q2] * 48
+    n = len(ws)
+    params = ht_params(rho, ws, qs)
+    d1_tq = sum(renyi_divergence(1.0, tilted_measure(rho, w, q), q) for w, q in zip(ws, qs))
+    d1_tw = sum(renyi_divergence(1.0, tilted_measure(rho, w, q), w) for w, q in zip(ws, qs))
+    probe = htbe_converse(rho, n, 1.0, params, d1_tq, d1_tw)
+    beta = math.exp(probe.log_beta_min)
+    conv = htbe_converse(rho, n, beta, params, d1_tq, d1_tw)
+    ach = htbe_achievability(rho, n, beta, params, d1_tq, d1_tw)
+    budget = math.exp(conv.q_budget_log)
+    assert budget == pytest.approx(8.7e-9, rel=1e-2)
+
+    # the law of the counts (k1, k2) of second symbols, accepted by
+    # decreasing likelihood ratio while the Q-mass stays within the budget
+    def law(d, k):
+        return math.comb(48, k) * d.masses[1] ** k * d.masses[0] ** (48 - k)
+
+    atoms = sorted(
+        ((law(w1, k1) * law(w2, k2) / (law(q1, k1) * law(q2, k2)),
+          law(w1, k1) * law(w2, k2), law(q1, k1) * law(q2, k2))
+         for k1 in range(49) for k2 in range(49)),
+        reverse=True,
+    )
+    accepted = 0
+    while math.fsum(a[2] for a in atoms[: accepted + 1]) <= budget:
+        accepted += 1
+    tail = math.fsum(a[1] for a in atoms[accepted:])
+    assert 1e-16 < tail < 1.2e-16
+    exact = exact_np_tradeoff(ws, qs).type_ii_at(budget)
+    assert exact == pytest.approx(tail, rel=1e-12)
+    assert math.exp(conv.converse_log) <= exact <= math.exp(ach.achievability_w_log)
 
 
 def test_np_curve_shape_invariants(rng):

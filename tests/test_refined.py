@@ -1,20 +1,38 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import rspb.symmetric
-from rspb.errors import CompositionError, RateOutOfRangeError, SymmetryError
+from rspb.augustin import augustin_fixed_point
+from rspb.errors import (
+    CompositionError,
+    InfiniteDivergenceError,
+    RateOutOfRangeError,
+    SymmetryError,
+)
 from rspb.gaussian import AwgnParams, awgn_parametric
 from rspb.htbe import HtParams
-from rspb.measures import bern, bsc, uniform_dist, zchannel
+from rspb.measures import (
+    DiscreteChannel,
+    FiniteDist,
+    bec,
+    bern,
+    bsc,
+    tilted_log_moments,
+    uniform_dist,
+    zchannel,
+)
 from rspb.refined import (
     rspb_awgn_equality,
     rspb_awgn_inequality,
     rspb_constant_composition,
     rspb_symmetric,
 )
-from rspb.spe import spe_grid_sup
+from rspb.spe import spe_grid_sup, spe_parametric
 from rspb.symmetric import symmetric_center
+from conftest import channel_with_zeros, random_channel
 
 LN9 = math.log(9.0)
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -66,6 +84,71 @@ def test_composition_must_be_integral():
     with pytest.raises(CompositionError):
         rspb_constant_composition(bsc(0.1), bern(0.3), 9, 1.0)
     rspb_constant_composition(bsc(0.1), bern(0.3), 10, 10 * 0.2)
+
+
+def _per_input_moments(channel, composition, point):
+    """a2 and a3 by one tilted_log_moments call per input of the composition."""
+    a2 = a3 = 0.0
+    for x in composition.support:
+        _, m2, m3 = tilted_log_moments(point.rho_star, channel.rows[x], point.mean)
+        a2 += float(composition.masses[x]) * m2
+        a3 += float(composition.masses[x]) * m3
+    return a2, a3
+
+
+def _moment_cases():
+    rng = np.random.default_rng(7)
+    cases = [("bsc", bsc(0.1)), ("bec", bec(0.3)), ("z", zchannel(0.3)),
+             ("random 4x5", random_channel(rng, 4, 5))]
+    cases += [(f"zeros {i}", channel_with_zeros(rng)) for i in range(6)]
+    for label, ch in cases:
+        yield pytest.param(ch, uniform_dist(ch.input_size), id=label)
+        if ch.input_size >= 3:
+            # the second input carries no mass
+            masses = np.zeros(ch.input_size)
+            masses[0], masses[2:] = 0.5, 0.5 / (ch.input_size - 2)
+            yield pytest.param(ch, FiniteDist(masses), id=label + " skip input 1")
+
+
+@pytest.mark.parametrize("channel, composition", list(_moment_cases()))
+def test_constant_composition_moments_match_per_input_loop(channel, composition):
+    n = 840
+    low = augustin_fixed_point(1e-6, composition, channel).information
+    high = augustin_fixed_point(1.0, composition, channel).information
+    for frac in (1e-3, 0.3, 0.7, 0.995):
+        log_m = n * (low + frac * (high - low))
+        point = spe_parametric(composition, channel, log_m / n)
+        rep = rspb_constant_composition(channel, composition, n, log_m, point)
+        assert (rep.rho_star, rep.exponent_total) == (point.rho_star, n * point.exponent)
+        a2, a3 = _per_input_moments(channel, composition, point)
+        assert rep.a2 == pytest.approx(a2, rel=1e-14, abs=0.0)
+        assert rep.a3 == pytest.approx(a3, rel=1e-14, abs=0.0)
+        assert rep == rspb_constant_composition(channel, composition, n, log_m)
+
+
+def test_constant_composition_rejects_a_row_singular_to_the_mean():
+    channel = DiscreteChannel((FiniteDist([0.9, 0.1, 0.0]), FiniteDist([0.0, 0.1, 0.9])))
+    point = spe_parametric(U2, channel, 0.3)
+    # below order one the second row has no mass where the mean has; at
+    # order one the first row has mass where the mean has none
+    for rho, mean in ((point.rho_star, [1.0, 0.0, 0.0]), (1.0, [0.0, 0.5, 0.5])):
+        singular = replace(point, rho_star=rho, mean=FiniteDist(mean))
+        with pytest.raises(InfiniteDivergenceError):
+            _per_input_moments(channel, U2, singular)
+        with pytest.raises(InfiniteDivergenceError):
+            rspb_constant_composition(channel, U2, 10, 3.0, singular)
+
+
+def test_constant_composition_moments_at_order_one_are_the_untilted_ones():
+    # at order one the tilt is W(x) itself; an output no input reaches
+    # leaves a zero in the mean
+    channel = DiscreteChannel((FiniteDist([0.7, 0.3, 0.0, 0.0]), FiniteDist([0.2, 0.3, 0.5, 0.0])))
+    point = spe_parametric(U2, channel, 0.2)
+    at_one = replace(point, rho_star=1.0, mean=FiniteDist([0.45, 0.3, 0.25, 0.0]))
+    rep = rspb_constant_composition(channel, U2, 10, 2.0, at_one)
+    a2, a3 = _per_input_moments(channel, U2, at_one)
+    assert rep.a2 == pytest.approx(a2, rel=1e-14, abs=0.0)
+    assert rep.a3 == pytest.approx(a3, rel=1e-14, abs=0.0)
 
 
 def test_theorem_reports_coincide_on_stationary_symmetric():

@@ -255,6 +255,13 @@ def test_point_takes_at_most_12_solves(monkeypatch, rng):
             assert len(calls) <= 12, (n_in, n_out, frac)
 
 
+def test_anchor_point_takes_8_solves_7_below_order_one(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    spe_parametric(U2, bsc(0.1), 0.1308120)
+    assert len(calls) == 8
+    assert sum(rho < 1.0 for rho, _, _ in calls) == 7
+
+
 def test_constrained_single_solves_endpoints_once(monkeypatch):
     calls = _counting_solves(monkeypatch)
     spe_parametric(bern(0.3), bsc(0.1), 0.1)

@@ -268,3 +268,11 @@ def test_symmetry_preconditions():
             symmetric_center(rho, bsc(0.1))
     with pytest.raises(InvalidOrderError):
         check_renyi_symmetry(bsc(0.1), rho_grid=(0.5, 1.5))
+
+
+@pytest.mark.parametrize("grid", [(), [], np.array([]), 0.5, [[0.5]]])
+def test_order_grid_must_be_a_non_empty_sequence(grid):
+    with pytest.raises(PreconditionError, match="non-empty 1-d"):
+        check_renyi_symmetry(bsc(0.1), rho_grid=grid)
+    with pytest.raises(PreconditionError, match="non-empty 1-d"):
+        parametric_symmetric(bsc(0.1), 0.2, rho_grid=grid)
