@@ -27,7 +27,7 @@ from .errors import (
     NonConvergenceError,
     PreconditionError,
 )
-from .measures import DiscreteChannel, FiniteDist, _logsumexp, _power_mean
+from .measures import DiscreteChannel, FiniteDist, _power_mean
 
 DEFAULT_FP_TOL = 1e-12
 # The order that stands in for the rate endpoint at order zero.
@@ -369,11 +369,17 @@ class ConstraintSet:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if self.kind == "cost":
             costs = np.asarray(self.costs, dtype=float)
+            if costs.ndim != 1 or costs.size == 0 or not np.isfinite(costs).all():
+                raise PreconditionError(f"costs must be finite, 1-d, non-empty: {costs.tolist()}")
+            if self.budget is None or not math.isfinite(self.budget):
+                raise PreconditionError(f"cost budget must be finite: {self.budget}")
             object.__setattr__(self, "costs", costs)
-            if self.budget is None or self.budget < costs.min():
+            if self.budget < costs.min():
                 raise FeasibilityError(
                     "cost budget below the cheapest input; constraint set empty"
                 )
+        if self.kind == "list" and not self.dists:
+            raise FeasibilityError("constraint list is empty")
 
     @staticmethod
     def all_inputs() -> "ConstraintSet":
@@ -423,7 +429,8 @@ def _power_mean_ascent(rho, lw, penalty, lp, tol, max_iter):
     lowers the value (Blahut-Arimoto at order one); a longer step that lowers
     it is dropped. s then moves to the secant root of the value's slope along
     the step, taken to first order in D - value: at most 8 s after a kept
-    step, s/2 after a dropped one, never below rho. Stops once max_x [D - penalty] is within tol/10 of the value.
+    step, s/2 after a dropped one, never below rho. Stops once
+    max_x [D - penalty] is within tol/10 of the value.
     """
     def state(lp):
         p = np.exp(lp)
@@ -439,7 +446,9 @@ def _power_mean_ascent(rho, lw, penalty, lp, tol, max_iter):
         if d.max() - value <= 0.1 * tol:
             break
         g = np.minimum(d - d[np.isfinite(d)].max(), 0.0)
-        trial = state(lp + s * g - _logsumexp(lp + s * g))
+        x = lp + s * g
+        top = x.max()
+        trial = state(x - (top + math.log(np.exp(x - top).sum())))
         s0, s1 = (float(st[3] @ ((st[1] - st[3] @ st[1]) * g)) for st in (cur, trial))
         root = s * s0 / (s0 - s1) if s0 > s1 else 2.0 * s
         # equal values up to rounding count as kept, so that s keeps its scale

@@ -59,12 +59,18 @@ def _power_mean(rho, lw: np.ndarray, log_weights: np.ndarray) -> tuple:
     For input masses p as weights these are the Sibson center and
     information of p; weights p(x) exp((1-rho) lam c(x)) give the
     Renyi-Gallager form of the cost-penalized information. An array of
-    orders broadcasts: one center row and one value per order.
+    orders broadcasts: one center row and one value per order. b is one
+    product of the max-shifted weights with W^rho; ln b / rho errs by about
+    eps/rho, as a log-domain sum would, and an unreached output gets center 0.
     """
-    r = np.asarray(rho, dtype=float)[..., None, None]
-    log_m = _logsumexp(r * lw + log_weights[:, None], axis=-2) / r[..., 0]
-    log_norm = _logsumexp(log_m, axis=-1)
-    return np.exp(log_m - log_norm[..., None]), rho / (rho - 1.0) * log_norm
+    r = np.asarray(rho, dtype=float)[..., None]
+    top = log_weights.max()
+    with np.errstate(divide="ignore"):
+        log_m = (np.log(np.exp(log_weights - top) @ np.exp(r[..., None] * lw)) + top) / r
+    peak = log_m.max(axis=-1, keepdims=True)
+    m = np.exp(log_m - peak)
+    total = m.sum(axis=-1, keepdims=True)
+    return m / total, rho / (rho - 1.0) * (peak + np.log(total))[..., 0]
 
 
 def _as_masses(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:

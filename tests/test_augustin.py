@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import rspb.augustin
 from rspb.augustin import (
     LOW_ORDER_PROBE,
     ConstraintSet,
@@ -280,6 +281,40 @@ def test_constraint_file_parsing(tmp_path):
     f.write_text(json.dumps({"kind": "mystery"}))
     with pytest.raises(ValueError):
         read_constraint(f)
+
+
+@pytest.mark.parametrize("costs", [[0.0, math.nan], [0.0, math.inf], [], [[0.0, 1.0]]],
+                         ids=["nan", "inf", "empty", "2-d"])
+def test_malformed_costs_are_rejected_up_front(costs):
+    with pytest.raises(PreconditionError, match="costs must be finite"):
+        ConstraintSet.cost(costs, 0.5)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, None])
+def test_non_finite_budget_is_rejected_up_front(budget):
+    with pytest.raises(PreconditionError, match="budget must be finite"):
+        ConstraintSet.cost([0.0, 1.0], budget)
+
+
+def test_empty_constraint_list_is_infeasible():
+    with pytest.raises(FeasibilityError):
+        ConstraintSet.explicit([])
+
+
+def test_capacity_ascent_work_is_pinned(monkeypatch):
+    """The ascent on R8x16 at order 0.5 evaluates the power mean at most 800
+    times, so that a step-rule regression shows as a count."""
+    calls = []
+    power_mean = rspb.augustin._power_mean
+
+    def counting(*args):
+        calls.append(args[0])
+        return power_mean(*args)
+
+    monkeypatch.setattr(rspb.augustin, "_power_mean", counting)
+    res = augustin_capacity(0.5, channel_of(R8X16))
+    assert res.certified
+    assert len(calls) <= 800
 
 
 # ---------------------------------------------------------------------------

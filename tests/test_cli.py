@@ -82,7 +82,7 @@ def test_malformed_file_exits_1(capsys, tmp_path):
     assert "cannot read" in err
 
 
-def test_precondition_violation_exits_2(capsys):
+def test_precondition_violation_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "3.0")
     assert code == 2
     assert "precondition" in err
@@ -126,6 +126,18 @@ def test_precondition_violation_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "precondition" in err
+    # malformed cost constraints are preconditions, not failures inside the ascent
+    # (json reads NaN and Infinity)
+    f = tmp_path / "cost.json"
+    for costs, budget in (([0.0, math.nan], 0.3), ([0.0, math.inf], 0.3), ([], 0.3),
+                          ([[0.0, 1.0]], 0.3), ([0.0, 1.0], math.nan),
+                          ([0.0, 1.0], math.inf)):
+        f.write_text(json.dumps({"kind": "cost", "costs": costs, "budget": budget}))
+        code, out, err = run_cli(capsys, "capacity", "--order", "0.5", "--bsc", "0.1",
+                                 "--constraint", str(f))
+        assert code == 2
+        assert out == ""
+        assert "precondition" in err
     # order one has no rate below capacity, so no CSV row
     for extra in ((), ("--n", "100")):
         code, out, err = run_cli(capsys, "awgn", "--sigma2", "1", "--cost", "1",

@@ -17,6 +17,7 @@ from rspb.measures import (
     DiscreteChannel,
     _logsumexp,
     _merge_atoms,
+    _power_mean,
     FiniteDist,
     bec,
     bern,
@@ -35,7 +36,7 @@ from rspb.measures import (
     point_mass,
     zchannel,
 )
-from conftest import random_dist
+from conftest import channel_with_zeros, random_dist
 from oracle_helpers import merge_atoms_1d
 
 LN9 = math.log(9.0)
@@ -223,6 +224,35 @@ def test_logsumexp_matches_scipy_bit_for_bit():
             got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
+
+
+def test_power_mean_matches_log_domain_reference():
+    """The product form of the power mean against a log-domain sum over
+    rho ln W + log-weights, on channels with exact zeros and on weights with a
+    -inf entry or one entry 600 nats below the rest."""
+    from scipy.special import logsumexp
+
+    rhos = np.array([1e-6, 1e-3, 0.02, 0.3, 0.5, 0.9, 0.999])
+    rng = np.random.default_rng(17)
+    for k in range(400):
+        lw = channel_with_zeros(rng).log_row_matrix()
+        log_weights = np.log(rng.dirichlet(np.ones(len(lw))))
+        if k % 4 == 1:
+            log_weights[rng.integers(len(lw))] = -np.inf
+        elif k % 4 == 2:
+            log_weights[rng.integers(len(lw))] -= 600.0
+        grid_centers, grid_values = _power_mean(rhos, lw, log_weights)
+        for rho, grid_center, grid_value in zip(rhos, grid_centers, grid_values):
+            center, value = _power_mean(rho, lw, log_weights)
+            assert np.array_equal(center, grid_center) and value == grid_value
+            log_m = logsumexp(rho * lw + log_weights[:, None], axis=0) / rho
+            log_norm = logsumexp(log_m)
+            want = np.exp(log_m - log_norm)
+            assert np.array_equal(center == 0, want == 0)
+            big = want > 1e-290
+            rel = np.abs(center[big] / want[big] - 1.0).max()
+            assert rel <= max(1e-12, 1e-15 / rho)
+            assert abs(value - rho / (rho - 1.0) * log_norm) <= 1e-12
 
 
 def test_merge_atoms_matches_group_loop():
