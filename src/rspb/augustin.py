@@ -12,10 +12,8 @@ only trusted there.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from .errors import (
     NonConvergenceError,
     PreconditionError,
 )
-from .measures import DiscreteChannel, FiniteDist, _power_mean
+from .measures import DiscreteChannel, FiniteDist, _power_mean, _read_fields, _tilt_moments
 
 DEFAULT_FP_TOL = 1e-12
 # The order that stands in for the rate endpoint at order zero.
@@ -313,16 +311,11 @@ def _info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel, q, d1_
     """The derivative at the mean q, given D_1(tilt || W | p) there."""
     if rho < 1.0:
         return d1_tw / (rho - 1.0) ** 2
-    weights, w_rows, _ = _support_rows(p, channel)
-    with np.errstate(divide="ignore"):
-        lq = np.log(q)
-    total = 0.0
-    for wx, weight in zip(w_rows, weights):
-        m = wx > 0
-        lr = np.log(wx[m]) - lq[m]
-        mean = float(wx[m] @ lr)
-        total += 0.5 * weight * float(wx[m] @ (lr - mean) ** 2)
-    return total
+    # at order one, half the p-averaged variance of ln W - ln q under W
+    weights, w_rows, lw = _support_rows(p, channel)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lr = lw - np.log(q)
+    return float(0.5 * weights @ _tilt_moments(lr, w_rows)[1])
 
 
 def haroutunian_rate(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:
@@ -356,16 +349,15 @@ def tilted_kl_pair(
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Input constraint: all inputs, one distribution, a cost cap, or a list."""
+    """Input constraint: all inputs, a cost cap, or a list of distributions."""
 
     kind: str
-    dist: FiniteDist | None = None
     costs: np.ndarray | None = None
     budget: float | None = None
     dists: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("all", "single", "cost", "list"):
+        if self.kind not in ("all", "cost", "list"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if self.kind == "cost":
             costs = np.asarray(self.costs, dtype=float)
@@ -387,7 +379,7 @@ class ConstraintSet:
 
     @staticmethod
     def single(p: FiniteDist) -> "ConstraintSet":
-        return ConstraintSet(kind="single", dist=p)
+        return ConstraintSet.explicit([p])
 
     @staticmethod
     def cost(costs, budget: float) -> "ConstraintSet":
@@ -400,13 +392,19 @@ class ConstraintSet:
 
 def read_constraint(path) -> ConstraintSet:
     """Load {"kind": "all"} or {"kind": "cost", "costs": [...], "budget": x}."""
-    data = json.loads(Path(path).read_text())
+    (data,) = _read_fields(path)
     kind = data.get("kind")
     if kind == "all":
         return ConstraintSet.all_inputs()
-    if kind == "cost":
-        return ConstraintSet.cost(data["costs"], float(data["budget"]))
-    raise ValueError(f"{path}: unsupported constraint kind {kind!r}")
+    if kind != "cost":
+        raise ValueError(f"{path}: unsupported constraint kind {kind!r}")
+    if data.get("costs") is None or data.get("budget") is None:
+        raise ValueError(f"{path}: a cost constraint needs 'costs' and 'budget'")
+    try:
+        costs, budget = np.asarray(data["costs"], dtype=float), float(data["budget"])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: costs and budget must be numbers") from None
+    return ConstraintSet.cost(costs, budget)
 
 
 @dataclass(frozen=True)
@@ -474,15 +472,12 @@ def augustin_capacity(
     C = sum_x p(x) D_rho(W(x) || center) and the gap
     max_x D_rho(W(x) || center) - C, which certifies C within tol. A cost
     constraint bisects the Lagrange multiplier, warm-starting each ascent,
-    and certifies with the Lagrangian gap. Single distributions reduce to
-    the fixed point; lists are enumerated exactly.
+    and certifies with the Lagrangian gap. Lists are enumerated exactly, one
+    fixed point per candidate.
     """
     _check_limits(tol, max_iter)
     if constraint is None:
         constraint = ConstraintSet.all_inputs()
-    if constraint.kind == "single":
-        sol = augustin_fixed_point(rho, constraint.dist, channel)
-        return CapacityResult(sol.information, sol.mean, constraint.dist, 0.0, True)
     if constraint.kind == "list":
         best = None
         for cand in constraint.dists:

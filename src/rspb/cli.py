@@ -487,15 +487,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--output", choices=("object", "csv"), default="object")
-        sp.add_argument("--seed", type=int, default=0)
-
     sp = sub.add_parser("divergence", help="Renyi divergence and tilt (nats)")
     sp.add_argument("--order", type=float, required=True)
     sp.add_argument("--w", required=True, help="distribution file")
     sp.add_argument("--q", required=True, help="distribution file")
-    common(sp)
     sp.set_defaults(func=_cmd_divergence)
 
     sp = sub.add_parser("augustin", help="Augustin mean and information (nats)")
@@ -504,7 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input-dist", default="uniform", help="'uniform' or a file")
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--max-iter", type=int, default=20000)
-    common(sp)
     sp.set_defaults(func=_cmd_augustin)
 
     sp = sub.add_parser("capacity", help="Augustin capacity with certificate (nats)")
@@ -512,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_channel_args(sp)
     sp.add_argument("--constraint", help="constraint file; default all inputs")
     sp.add_argument("--tol", type=float, default=1e-8)
-    common(sp)
     sp.set_defaults(func=_cmd_capacity)
 
     sp = sub.add_parser("spe", help="sphere-packing exponent (nats); rate sweeps emit CSV")
@@ -521,14 +514,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", required=True, help="rate in nats, or start:stop:count")
     sp.add_argument("--n", type=int, help="blocklength for prefactor columns")
     sp.add_argument("--grid-size", type=int, help="also report the grid supremum")
-    common(sp)
+    sp.add_argument("--output", choices=("object", "csv"), default="object")
     sp.set_defaults(func=_cmd_spe)
 
     sp = sub.add_parser("symmetric", help="Renyi-symmetry certificate and parametric point (nats)")
     _add_channel_args(sp)
     sp.add_argument("--rate", type=float, help="rate in nats for the parametric point")
     sp.add_argument("--tol", type=float, default=1e-9)
-    common(sp)
     sp.set_defaults(func=_cmd_symmetric)
 
     sp = sub.add_parser("awgn", help="Gaussian closed forms (nats); rate sweeps emit CSV")
@@ -537,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=float)
     sp.add_argument("--rate", help="rate in nats, or start:stop:count")
     sp.add_argument("--n", type=int, help="blocklength for prefactor columns")
-    common(sp)
+    sp.add_argument("--output", choices=("object", "csv"), default="object")
     sp.set_defaults(func=_cmd_awgn)
 
     sp = sub.add_parser("rspb", help="refined sphere-packing lower bound (log domain, nats)")
@@ -550,7 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", type=float, help="rate in nats; log-m-over-l = rate * n")
     sp.add_argument("--sigma2", type=float)
     sp.add_argument("--cost", type=float)
-    common(sp)
     sp.set_defaults(func=_cmd_rspb)
 
     sp = sub.add_parser("htbe", help="hypothesis-testing bounds for a product pair (nats)")
@@ -562,7 +553,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--w-bern", type=float, help="Bernoulli shorthand for --w")
     sp.add_argument("--q-bern", type=float, help="Bernoulli shorthand for --q")
     sp.add_argument("--budget", type=int, default=2_000_000)
-    common(sp)
     sp.set_defaults(func=_cmd_htbe)
 
     sp = sub.add_parser("verify", help="run a verification suite and report pass/fail")
@@ -573,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--instances", type=int, default=6)
     sp.add_argument("--count", type=int, default=1000)
     sp.add_argument("--grid-size", type=int)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -318,26 +318,23 @@ def tilted_log_moments(rho: float, w: FiniteDist, q: FiniteDist) -> tuple:
     """Moments of L = ln(w/q) under the order rho tilted measure.
 
     Returns (mean, a2, a3) where a2 is the second central moment and a3 the
-    third central absolute moment, both restricted to the part of w that is
-    absolutely continuous in q.
+    third central absolute moment, taken over the support of the tilt, which
+    lies where both w and q are positive.
     """
-    return _tilt_moments(w.masses, q.masses, tilted_measure(rho, w, q).masses)[:3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lr = np.log(w.masses) - np.log(q.masses)
+    return tuple(map(float, _tilt_moments(lr, tilted_measure(rho, w, q).masses)))
 
 
-def _tilt_moments(w: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple:
-    """(mean, a2, a3, ratios) of L = ln(w/q) under the tilt t of w toward q,
-    all three given as mass arrays.
-
-    `ratios` holds L on the support of t, for callers that inspect its range.
-    """
-    sup = (t > 0) & (q > 0)
-    ratios = np.log(w[sup]) - np.log(q[sup])
-    weights = t[sup] / t[sup].sum()
-    mean = float(np.dot(weights, ratios))
-    centered = ratios - mean
-    a2 = float(np.dot(weights, centered**2))
-    a3 = float(np.dot(weights, np.abs(centered) ** 3))
-    return mean, a2, a3, ratios
+def _tilt_moments(lr: np.ndarray, t: np.ndarray) -> tuple:
+    """(mean, a2, a3) of each row of log ratios lr under the row of tilt t,
+    which sums to one: a2 is the second central moment, a3 the third central
+    absolute one. An entry where t is 0 has no weight, whatever lr holds there.
+    Every Berry-Esseen moment of a tilted log-likelihood ratio is taken here."""
+    lr = np.where(t > 0, lr, 0.0)
+    mean = (t * lr).sum(axis=-1)
+    centered = np.abs(lr - mean[..., None])
+    return mean, (t * centered**2).sum(axis=-1), (t * centered**3).sum(axis=-1)
 
 
 def identity_residuals(rho: float, w: FiniteDist, q: FiniteDist) -> float:
@@ -427,8 +424,7 @@ def _merge_atoms(values, tol, *masses):
     return tuple(out)
 
 
-def product_log_ratio(w_seq, q_seq, budget: int = 2_000_000,
-                      merge_tol: float = ATOM_MERGE_TOL) -> ProductLogRatio:
+def product_log_ratio(w_seq, q_seq, budget: int = 2_000_000) -> ProductLogRatio:
     """Convolve per-component log-likelihood-ratio atoms exactly.
 
     Raises BudgetExceededError when an intermediate atom count would exceed
@@ -456,7 +452,7 @@ def product_log_ratio(w_seq, q_seq, budget: int = 2_000_000,
         values = (values[:, None] + v_i[None, :]).ravel()
         w_mass = (w_mass[:, None] * pw_i[None, :]).ravel()
         q_mass = (q_mass[:, None] * pq_i[None, :]).ravel()
-        values, w_mass, q_mass = _merge_atoms(values, merge_tol, w_mass, q_mass)
+        values, w_mass, q_mass = _merge_atoms(values, ATOM_MERGE_TOL, w_mass, q_mass)
     return ProductLogRatio(
         values=values,
         w_mass=w_mass,
@@ -470,25 +466,37 @@ def product_log_ratio(w_seq, q_seq, budget: int = 2_000_000,
 # file formats
 
 
+def _read_fields(path, *names) -> tuple:
+    """The JSON object in a file and its named fields; a file that holds no
+    object, or lacks a field or sets it to null, raises ValueError naming it."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for name in names:
+        if data.get(name) is None:
+            raise ValueError(f"{path}: missing field '{name}'")
+    return data, *(data[name] for name in names)
+
+
 def read_distribution(path) -> FiniteDist:
     """Load a JSON object {"masses": [...]} with the documented tolerances."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "masses" not in data:
-        raise ValueError(f"{path}: expected an object with a 'masses' field")
+    _, masses = _read_fields(path, "masses")
     try:
-        return FiniteDist(_as_masses(data["masses"], FILE_ROW_TOL))
-    except ValueError as exc:
+        return FiniteDist(_as_masses(masses, FILE_ROW_TOL))
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def read_channel(path) -> DiscreteChannel:
     """Load {"inputs": n, "outputs": m, "rows": [[...], ...]} as a channel."""
-    data = json.loads(Path(path).read_text())
-    for field in ("inputs", "outputs", "rows"):
-        if field not in data:
-            raise ValueError(f"{path}: missing field '{field}'")
-    rows = np.asarray(data["rows"], dtype=float)
-    if rows.ndim != 2 or rows.shape != (int(data["inputs"]), int(data["outputs"])):
+    _, n_in, n_out, rows = _read_fields(path, "inputs", "outputs", "rows")
+    if not all(type(size) in (int, float) and float(size).is_integer() for size in (n_in, n_out)):
+        raise ValueError(f"{path}: inputs and outputs must be integers")
+    try:
+        rows = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: rows must be a matrix of numbers") from None
+    if rows.ndim != 2 or rows.shape != (n_in, n_out):
         raise ValueError(f"{path}: rows shape does not match inputs x outputs")
     if np.any(rows < 0):
         raise ValueError(f"{path}: negative entries are not allowed")

@@ -97,7 +97,7 @@ def rspb_constant_composition(
 
     The moment constants weight each input's tilted log-ratio moments by the
     composition, matching a codeword that uses input x exactly n*P(x) times;
-    they come from one array pass over the rows, each tilted toward the mean
+    they come from `_tilt_moments` over the rows, each tilted toward the mean
     at rho*. The factor-4 term absorbs the Markov halving over messages. A
     caller that already solved `spe_parametric(composition, channel, rate)`
     passes it as `point`; it is used when its rate is exactly log_M_over_L / n.
@@ -105,6 +105,7 @@ def rspb_constant_composition(
     import numpy as np
 
     from .augustin import _support_rows, _tilted_rows
+    from .measures import _tilt_moments
     from .spe import spe_parametric
 
     if n < 1:
@@ -120,13 +121,12 @@ def rspb_constant_composition(
     # a singular row: a NaN tilt below order one, mass where q is 0 at one
     with np.errstate(divide="ignore", invalid="ignore"):
         t = w_rows if rho == 1.0 else _tilted_rows(rho, lw, q)
-        ratios = np.where(t > 0, lw - np.log(q), 0.0)
+        lr = lw - np.log(q)
     if not (t > 0).any(axis=1).all() or np.any((t > 0) & (q == 0)):
         raise InfiniteDivergenceError("tilted measure undefined for singular pair")
-    centered = np.abs(ratios - (t * ratios).sum(axis=1, keepdims=True))
-    a2 = float(weights @ (t * centered**2).sum(axis=1))
-    a3 = float(weights @ (t * centered**3).sum(axis=1))
-    return _assemble(n, rate, rho, n * point.exponent, HtParams.from_moments(a2, a3))
+    _, a2, a3 = _tilt_moments(lr, t)
+    params = HtParams.from_moments(float(weights @ a2), float(weights @ a3))
+    return _assemble(n, rate, rho, n * point.exponent, params)
 
 
 def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:

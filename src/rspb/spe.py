@@ -224,12 +224,12 @@ def spe_constrained(
     capacities give inf and 0), and its optimizer is fed back through the
     single-distribution solve. The result is certified when the order-one
     and interior capacities certify, the root meets the `spe_parametric`
-    stop rule and the low capacity plus its gap is below the rate. Single
-    distributions and lists are enumerated exactly.
+    stop rule and the low capacity plus its gap is below the rate. Lists are
+    enumerated exactly.
     """
-    if constraint.kind in ("single", "list"):
+    if constraint.kind == "list":
         best = None
-        for cand in (constraint.dist,) if constraint.kind == "single" else constraint.dists:
+        for cand in constraint.dists:
             value, pt = _point_or_limit(cand, channel, rate)
             if best is None or value > best[0]:
                 best = (value, cand, pt)

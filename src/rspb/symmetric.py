@@ -170,10 +170,12 @@ def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricCompo
     input-independent, which is asserted, and the values of input 0 are
     returned.
     """
-    w_rows = channel.row_matrix()
-    center, tilts, rates = _tilted_rates(rho, w_rows, channel.log_row_matrix())
-    c = center.masses
-    _, a2, a3, ratios = _tilt_moments(w_rows[0], c, tilts[0])
+    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
+    center, tilts, rates = _tilted_rates(rho, w_rows, lw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lr = lw[0] - np.log(center.masses)
+    _, a2, a3 = map(float, _tilt_moments(lr, tilts[0]))
+    ratios = lr[tilts[0] > 0]
     nonconstant = bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
     return SymmetricComponent(
         rho, center, float(rates[0]), float(_kl_rows(tilts, w_rows)[0]), a2, a3, nonconstant

@@ -419,6 +419,63 @@ def test_capacity_with_cost_constraint_file(capsys, tmp_path):
     assert report["optimizer"][1] == pytest.approx(0.2, abs=1e-5)
 
 
+ROWS = [[0.9, 0.1], [0.1, 0.9]]
+
+
+@pytest.mark.parametrize(
+    "flag, data",
+    [
+        ("--constraint", {"kind": "cost", "costs": [0, 1]}),
+        ("--constraint", {"kind": "cost", "costs": [0, 1], "budget": None}),
+        ("--constraint", {"kind": "cost", "budget": 0.3}),
+        ("--constraint", [{"kind": "all"}]),
+        ("--constraint", {"kind": "cost", "costs": [0, 1], "budget": "high"}),
+        ("--constraint", {"kind": "cost", "costs": {"x": 1}, "budget": 0.3}),
+        ("--channel", {"inputs": None, "outputs": 2, "rows": ROWS}),
+        ("--channel", {"inputs": 1.5, "outputs": 2, "rows": ROWS}),
+        ("--channel", {"inputs": 2, "outputs": "2", "rows": ROWS}),
+        ("--channel", {"inputs": 2, "outputs": 2}),
+        ("--channel", ROWS),
+        ("--channel", {"inputs": 2, "outputs": 2, "rows": [[0.9, 0.1], [1.0]]}),
+        ("--channel", {"inputs": 1, "outputs": 1, "rows": [{}]}),
+    ],
+    ids=["no budget", "null budget", "no costs", "constraint list", "text budget",
+         "object costs", "null inputs", "fractional inputs", "text outputs", "no rows",
+         "channel list", "ragged rows", "object row"],
+)
+def test_malformed_input_file_is_invalid_input(capsys, tmp_path, flag, data):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    argv = ["capacity", "--order", "0.5", flag, str(f)]
+    if flag == "--constraint":
+        argv += ["--bsc", "0.1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"invalid input: {f}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("capacity", "--order", "0.5", "--bsc", "0.1", "--output", "csv"),
+        ("symmetric", "--bsc", "0.1", "--output", "csv"),
+        ("spe", "--bsc", "0.1", "--rate", "0.1", "--seed", "3"),
+        ("awgn", "--sigma2", "1", "--cost", "1", "--rate", "0.1", "--seed", "3"),
+        ("divergence", "--order", "0.5", "--w", "w.json", "--q", "q.json", "--seed", "3"),
+        ("verify", "identities", "--output", "csv"),
+    ],
+    ids=["capacity output", "symmetric output", "spe seed", "awgn seed", "divergence seed",
+         "verify output"],
+)
+def test_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_closed_stdout_exits_0_quietly(monkeypatch, tmp_path):
     class ClosedPipe:
         def __init__(self, fd):
