@@ -15,7 +15,6 @@ _EXPORTS = {
         "augustin_capacity",
         "augustin_fixed_point",
         "augustin_info_derivative",
-        "augustin_information_grid",
         "haroutunian_rate",
         "read_constraint",
     ),
@@ -74,7 +73,7 @@ _EXPORTS = {
         "rspb_constant_composition",
         "rspb_symmetric",
     ),
-    "spe": ("ConstrainedSpe", "SpePoint", "spe_constrained", "spe_grid_sup", "spe_parametric"),
+    "spe": ("ConstrainedSpe", "SpePoint", "spe_constrained", "spe_parametric"),
     "symmetric": (
         "SymmetricSpePoint",
         "SymmetryReport",

@@ -73,85 +73,47 @@ def _support_rows(p: FiniteDist, channel: DiscreteChannel) -> tuple:
     return p.masses[sup], channel.row_matrix()[sup], channel.log_row_matrix()[sup]
 
 
-def _start_rows(rhos: np.ndarray, weights, w_rows, lw) -> np.ndarray:
-    """Power-mean center of p at each order, with START_MIX of the order-one
-    mean p W mixed in."""
-    # order one gives an infinite value beside its center; only centers are used
-    with np.errstate(divide="ignore", invalid="ignore"):
-        center = _power_mean(rhos, lw, np.log(weights))[0]
+def _start(rho: float, weights, w_rows, lw) -> np.ndarray:
+    """Power-mean center of p at the order rho, as one row, with START_MIX of
+    the order-one mean p W mixed in."""
+    center = _power_mean(np.array([rho]), lw, np.log(weights))[0]
     return (1.0 - START_MIX) * center + START_MIX * (weights @ w_rows)
 
 
-def _solve_grid(rhos, weights, lw, Q, tol, max_iter):
-    """Iterate q <- sum_x p(x) tilt_rho(W(x), q) for a whole grid of orders,
-    from the start rows Q, one per order.
+def _solve(rho: float, weights, lw, q, tol, max_iter):
+    """Iterate q <- sum_x p(x) tilt_rho(W(x), q) at an order below one, from
+    the start q, one row of shape (1, outputs).
 
     The map contracts like (1 - rho), which is hopeless to iterate plainly
-    for tiny orders, so once the per-order step ratio stabilizes we take a
+    for tiny orders, so once the step ratio stabilizes we take a
     geometric-series extrapolation jump and let a few plain steps re-certify
-    the tolerance. Returns (Q, steps, iterations) with one row per order.
-    Needs tol >= 0, so that a kept step is positive and the next step ratio
-    is defined.
+    the tolerance. Returns (mean, step, iterations); a solve that takes no step
+    has certified nothing and reports an infinite step. Needs tol >= 0, so
+    that a kept step is positive and the next step ratio is defined.
     """
-    # an order that takes no step has certified nothing; order one is exact
-    steps = np.where(rhos < 1.0, np.inf, 0.0)
-    iters = np.zeros(rhos.size, dtype=int)
-    # The orders still iterating, compacted: their indices, rho * ln W,
-    # 1 - rho, means, last steps and the (step, ratio) pair that the next
-    # ratio test reads, nan after a jump. Q, steps and iters are written back
-    # only when some order finishes, and after the loop.
-    idx = np.flatnonzero(rhos < 1.0)
-    r = rhos[idx, None, None]
-    r_lw, one_r = r * lw, 1.0 - r
-    q = Q[idx]
-    last = steps[idx].tolist()
-    prev = [(math.nan, math.nan)] * idx.size
-    n = 0
+    r_lw, one_r = rho * lw, 1.0 - rho
+    step, prev, n = math.inf, (math.nan, math.nan), 0
     with np.errstate(divide="ignore"):
-        while idx.size and n < max_iter:
+        while n < max_iter:
             n += 1
-            # the tilt stays bound until the next one replaces it: freeing it
-            # at once costs page faults on large grids
-            t = _tilt(r_lw, one_r, q[:, None, :])
-            qn = np.einsum("s,asy->ay", weights, t)
+            qn = np.einsum("s,asy->ay", weights, _tilt(r_lw, one_r, q[:, None, :]))
             delta = qn - q
-            step = 0.5 * np.abs(delta).sum(axis=1)
-            last = step.tolist()
-            boost = [0.0] * len(last)
-            keep, jumped = [], False
-            for j, s in enumerate(last):
-                if s <= tol:
-                    continue
-                keep.append(j)
-                ratio = s / prev[j][0]
-                if ratio < 1.0 and abs(ratio - prev[j][1]) < 0.02 * ratio:
-                    boost[j] = ratio / (1.0 - ratio)
-                    prev[j] = (math.nan, math.nan)
-                    jumped = True
-                else:
-                    prev[j] = (s, ratio)
-            if jumped:
-                boost = np.array(boost)
-                jump = qn + delta * boost[:, None]
+            step = float(0.5 * np.abs(delta).sum(axis=1)[0])
+            q = qn
+            if step <= tol:
+                break
+            ratio = step / prev[0]
+            if ratio < 1.0 and abs(ratio - prev[1]) < 0.02 * ratio:
+                jump = q + delta * (ratio / (1.0 - ratio))
                 # A mass the jump zeroes would stay zero under every later plain
                 # step, a fixed point on a face of the simplex; it halves instead.
-                qn = np.where((jump <= 0.0) & (qn > 0.0), 0.5 * qn, jump)
-                np.clip(qn, 0.0, None, out=qn)
-                # only the rows that jumped are renormalized, so that each order
-                # of a grid runs bit for bit as it would alone
-                qn /= np.where(boost > 0.0, qn.sum(axis=1), 1.0)[:, None]
-            q = qn
-            if not keep:
-                break
-            if len(keep) < len(last):
-                done = np.ones(len(last), dtype=bool)
-                done[keep] = False
-                Q[idx[done]], steps[idx[done]], iters[idx[done]] = q[done], step[done], n
-                idx, r_lw, one_r, q = idx[keep], r_lw[keep], one_r[keep], q[keep]
-                last = [last[j] for j in keep]
-                prev = [prev[j] for j in keep]
-    Q[idx], steps[idx], iters[idx] = q, last, n
-    return Q, steps, iters
+                q = np.where((jump <= 0.0) & (q > 0.0), 0.5 * q, jump)
+                np.clip(q, 0.0, None, out=q)
+                q /= q.sum(axis=1)[:, None]
+                prev = (math.nan, math.nan)
+            else:
+                prev = (step, ratio)
+    return q[0], step, n
 
 
 def _row_divergences(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -248,11 +210,9 @@ def augustin_fixed_point(
     if rho == 1.0:
         q, iterations, step = weights @ w_rows, 0, 0.0
     else:
-        rhos = np.array([rho], dtype=float)
-        Q, steps, iters = _solve_grid(
-            rhos, weights, lw, _start_rows(rhos, weights, w_rows, lw), tol, max_iter
+        q, step, iterations = _solve(
+            rho, weights, lw, _start(rho, weights, w_rows, lw), tol, max_iter
         )
-        q, iterations, step = Q[0], int(iters[0]), float(steps[0])
         if step > tol:
             raise NonConvergenceError(
                 f"fixed point did not converge in {max_iter} iterations", step
@@ -273,32 +233,6 @@ def augustin_fixed_point(
                 f"tilted-channel identity residual {alt:.3e} exceeds {gate:.3e}"
             )
     return AugustinSolution(mean, info, iterations, step, alt, rate, exponent)
-
-
-def augustin_information_grid(
-    rhos,
-    p: FiniteDist,
-    channel: DiscreteChannel,
-    tol: float = DEFAULT_FP_TOL,
-    max_iter: int = 500_000,
-) -> np.ndarray:
-    """Augustin information at every order of a grid, solved jointly."""
-    rhos = np.asarray(rhos, dtype=float)
-    for r in rhos:
-        _check_inputs(float(r), p, channel)
-    _check_limits(tol, max_iter)
-    weights, w_rows, lw = _support_rows(p, channel)
-    Q, steps, _ = _solve_grid(
-        rhos, weights, lw, _start_rows(rhos, weights, w_rows, lw), tol, max_iter
-    )
-    bad = steps > tol
-    if bad.any():
-        raise NonConvergenceError(
-            f"{int(bad.sum())} grid orders did not converge", float(steps[bad].max())
-        )
-    # one (1 x n)(n x 1) product per order runs the dot product of
-    # `weights @ row`, so each value sums as a single order's does
-    return (_row_divergences(rhos, lw, Q)[:, None, :] @ weights[:, None])[:, 0, 0]
 
 
 def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:

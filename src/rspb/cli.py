@@ -101,12 +101,21 @@ def _emit_csv(rows):
         writer.writerow([_csv_cell(row.get(col)) for col in SWEEP_COLUMNS])
 
 
-def _parse_grid(spec: str):
+def _parse_rate(spec: str):
+    """--rate as one rate, or as the array of rates of a start:stop:count grid.
+
+    A malformed spec is a precondition violation, as a malformed number
+    option is, and only a grid loads numpy."""
     parts = spec.split(":")
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise PreconditionError(f"grid spec must be start:stop:count, got {spec!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        values = [float(x) for x in parts[:2]] + [int(x) for x in parts[2:]]
+    except ValueError:
+        raise PreconditionError(f"--rate needs numbers, got {spec!r}") from None
+    if len(values) == 1:
+        return values[0]
+    start, stop, count = values
     if count < 2 or not start < stop:
         raise PreconditionError("grid needs count >= 2 and start < stop")
     import numpy as np
@@ -241,7 +250,7 @@ def _sweep_row(rate, n, bound, at_rate):
 
 def _cmd_spe(args):
     from .refined import rspb_constant_composition
-    from .spe import _check_grid_size, spe_grid_sup, spe_parametric
+    from .spe import spe_parametric
 
     channel = _get_channel(args)
     comp = _get_dist(args.composition, channel.input_size)
@@ -251,29 +260,19 @@ def _cmd_spe(args):
         pt = spe_parametric(comp, channel, rate)
         return pt.rho_star, pt.exponent, pt.slope
 
-    if ":" in args.rate:
-        _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in _parse_grid(args.rate)])
+    rate = _parse_rate(args.rate)
+    if not isinstance(rate, float):
+        _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
         return EXIT_OK
-    rate = float(args.rate)
     # a rate out of range fails the command here, unlike a sweep row
     point = spe_parametric(comp, channel, rate)
     if args.output == "csv":
-        # the row has no grid supremum, but a bad --grid-size still fails
-        if args.grid_size:
-            _check_grid_size(args.grid_size)
         row = _sweep_row(rate, args.n, partial(bound, point=point),
                          lambda _: (point.rho_star, point.exponent, point.slope))
         _emit_csv([row])
         return EXIT_OK
-    report = {
-        "rate": rate,
-        "rho_star": point.rho_star,
-        "exponent": point.exponent,
-        "slope": point.slope,
-    }
-    if args.grid_size:
-        report["grid_sup"] = spe_grid_sup(comp, channel, rate, args.grid_size)
-    _emit(report)
+    _emit({"rate": rate, "rho_star": point.rho_star, "exponent": point.exponent,
+           "slope": point.slope})
     return EXIT_OK
 
 
@@ -323,14 +322,11 @@ def _cmd_awgn(args):
         pt = awgn_parametric(awgn_rho_star(rate, params), params)
         return pt.rho, pt.esp, pt.slope
 
-    if args.rate is not None and ":" in args.rate:
-        _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in _parse_grid(args.rate)])
+    rate = None if args.rate is None else _parse_rate(args.rate)
+    if rate is not None and not isinstance(rate, float):
+        _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
         return EXIT_OK
-    if args.rate is not None:
-        rate = float(args.rate)
-        rho = awgn_rho_star(rate, params)
-    else:
-        rho = args.order
+    rho = args.order if rate is None else awgn_rho_star(rate, params)
     report = {
         "sigma2": args.sigma2,
         "cost": args.cost,
@@ -448,26 +444,32 @@ def _cmd_htbe(args):
     return EXIT_OK
 
 
+# each verify option, the suite keyword it sets and the suites that read it;
+# an option left out is left to the suite's own default
+VERIFY_OPTIONS = {
+    "n": ("ns", ("htbe",)),
+    "betas": ("betas_per_n", ("htbe",)),
+    "pairs": ("pairs", ("identities",)),
+    "instances": ("instances", ("spe",)),
+    "count": ("count", ("thirdmoment",)),
+    "grid_size": ("grid_size", ("spe",)),
+    "seed": ("seed", ("htbe", "identities", "spe", "thirdmoment", "all")),
+}
+
+
 def _cmd_verify(args):
     # only the suites use the oracle, so only this command loads it
     from . import verify as verify_mod
 
     kwargs = {}
-    if args.suite == "htbe":
-        if args.n is not None:
-            kwargs["ns"] = (args.n,)
-        kwargs["betas_per_n"] = args.betas
-        kwargs["seed"] = args.seed
-    elif args.suite == "identities":
-        kwargs["pairs"] = args.pairs
-        kwargs["seed"] = args.seed
-    elif args.suite == "spe":
-        kwargs["instances"] = args.instances
-        kwargs["grid_size"] = args.grid_size or 4096
-        kwargs["seed"] = args.seed
-    elif args.suite == "thirdmoment":
-        kwargs["count"] = args.count
-        kwargs["seed"] = args.seed
+    for option, (keyword, suites) in VERIFY_OPTIONS.items():
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if args.suite not in suites:
+            flag = "--" + option.replace("_", "-")
+            raise PreconditionError(f"verify {args.suite} does not take {flag}")
+        kwargs[keyword] = (value,) if option == "n" else value
     report = verify_mod.run_suite(args.suite, **kwargs)
     _emit(report)
     return EXIT_OK if report["all_pass"] else EXIT_UNCERTIFIED
@@ -513,7 +515,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--composition", default="uniform", help="'uniform' or a file")
     sp.add_argument("--rate", required=True, help="rate in nats, or start:stop:count")
     sp.add_argument("--n", type=int, help="blocklength for prefactor columns")
-    sp.add_argument("--grid-size", type=int, help="also report the grid supremum")
     sp.add_argument("--output", choices=("object", "csv"), default="object")
     sp.set_defaults(func=_cmd_spe)
 
@@ -557,13 +558,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite and report pass/fail")
     sp.add_argument("suite", choices=("htbe", "identities", "spe", "thirdmoment", "all"))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--betas", type=int, default=10)
-    sp.add_argument("--pairs", type=int, default=200)
-    sp.add_argument("--instances", type=int, default=6)
-    sp.add_argument("--count", type=int, default=1000)
-    sp.add_argument("--grid-size", type=int)
-    sp.add_argument("--seed", type=int, default=0)
+    for option in VERIFY_OPTIONS:
+        sp.add_argument("--" + option.replace("_", "-"), type=int)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -6,7 +6,9 @@ information limit and the order-one information there is a unique interior
 order at which the tilted-channel rate matches R; Brent's root-finder on
 that monotone rate profile gives the exponent, its slope, and the order in
 one shot, and over a constraint set the same root-finder runs on the
-capacity curve. A plain grid supremum is kept alongside as a cross-check.
+capacity curve. The direct form (1 - rho*) / rho* (I_rho* - R) at the root
+checks the exponent; an independent check is `oracle.brute_spe`, which never
+runs the fixed point.
 """
 
 from __future__ import annotations
@@ -21,15 +23,9 @@ from .augustin import (
     ConstraintSet,
     augustin_capacity,
     augustin_fixed_point,
-    augustin_information_grid,
     tilted_kl_pair,
 )
-from .errors import (
-    ComputationError,
-    DegenerateChannelError,
-    PreconditionError,
-    RateOutOfRangeError,
-)
+from .errors import ComputationError, DegenerateChannelError, RateOutOfRangeError
 from .measures import DiscreteChannel, FiniteDist
 
 RATE_RESIDUAL_TOL = 1e-10
@@ -166,27 +162,6 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
         )
     return SpePoint(rate=rate, rho_star=rho_star, exponent=exponent, slope=slope,
                     mean=sol.mean)
-
-
-def _check_grid_size(grid_size: int):
-    if grid_size < 64:
-        raise PreconditionError(f"grid_size must be at least 64, got {grid_size}")
-
-
-def spe_grid_sup(
-    p: FiniteDist, channel: DiscreteChannel, rate: float, grid_size: int = 4096
-) -> float:
-    """Grid supremum of (1 - rho)/rho (I_rho - rate), clamped at zero.
-
-    The grid is {i / grid_size} so that doubling the size refines the grid in
-    a nested way; the value never exceeds the parametric exponent and
-    approaches it at the grid resolution.
-    """
-    _check_grid_size(grid_size)
-    rhos = np.arange(1, grid_size) / grid_size
-    info = augustin_information_grid(rhos, p, channel)
-    vals = (1.0 - rhos) / rhos * (info - rate)
-    return float(max(vals.max(), 0.0))
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,10 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> dict:
+    """Run one suite, or with "all" every suite, each given kwargs (for "all",
+    only a seed)."""
     if name == "all":
-        reports = [run_suite(k) for k in SUITES]
+        reports = [run_suite(k, **kwargs) for k in SUITES]
         return {
             "suite": "all",
             "reports": reports,

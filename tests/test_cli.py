@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,9 +114,6 @@ def test_precondition_violation_exits_2(capsys, tmp_path):
     assert code == 2
     assert "precondition" in err
     code, _, err = run_cli(capsys, "capacity", "--order", "0.5", "--bsc", "0.1", "--tol", "-1")
-    assert code == 2
-    assert "precondition" in err
-    code, _, err = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1", "--grid-size", "10")
     assert code == 2
     assert "precondition" in err
     code, out, err = run_cli(capsys, "symmetric", "--bsc", "0.1", "--tol", "-1")
@@ -465,9 +463,10 @@ def test_malformed_input_file_is_invalid_input(capsys, tmp_path, flag, data):
         ("awgn", "--sigma2", "1", "--cost", "1", "--rate", "0.1", "--seed", "3"),
         ("divergence", "--order", "0.5", "--w", "w.json", "--q", "q.json", "--seed", "3"),
         ("verify", "identities", "--output", "csv"),
+        ("spe", "--bsc", "0.1", "--rate", "0.1", "--grid-size", "256"),
     ],
     ids=["capacity output", "symmetric output", "spe seed", "awgn seed", "divergence seed",
-         "verify output"],
+         "verify output", "spe grid-size"],
 )
 def test_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -520,8 +519,7 @@ def test_import_loads_no_scipy():
 # dropped name fails; each resolves on first access
 PACKAGE_EXPORTS = {
     "augustin": "AugustinSolution CapacityResult ConstraintSet augustin_capacity "
-                "augustin_fixed_point augustin_info_derivative augustin_information_grid "
-                "haroutunian_rate read_constraint",
+                "augustin_fixed_point augustin_info_derivative haroutunian_rate read_constraint",
     "errors": "ComputationError NonConvergenceError PreconditionError RateOutOfRangeError "
               "SpbError",
     "gaussian": "AwgnParams AwgnPoint ConeQuantities awgn_capacity awgn_parametric "
@@ -534,7 +532,7 @@ PACKAGE_EXPORTS = {
                 "tilted_measure uniform_dist zchannel",
     "refined": "RspbReport rspb_awgn_equality rspb_awgn_inequality "
                "rspb_constant_composition rspb_symmetric",
-    "spe": "ConstrainedSpe SpePoint spe_constrained spe_grid_sup spe_parametric",
+    "spe": "ConstrainedSpe SpePoint spe_constrained spe_parametric",
     "symmetric": "SymmetricSpePoint SymmetryReport check_renyi_symmetry "
                  "parametric_symmetric symmetric_center",
 }
@@ -598,7 +596,8 @@ def test_package_names_resolve_on_first_access():
     ("spe", "--instances", "1", "--grid-size", "256", "--seed", "11"),
     ("identities", "--pairs", "20"),
     ("thirdmoment", "--count", "50"),
-    ("htbe", "--n", "64", "--betas", "2"),
+    # htbe reads no seed yet, but takes one
+    ("htbe", "--n", "64", "--betas", "2", "--seed", "5"),
 ], ids=["spe", "identities", "thirdmoment", "htbe"])
 def test_verify_runs_without_scipy(argv):
     proc = _run_python(
@@ -612,7 +611,7 @@ def test_verify_runs_without_scipy(argv):
 @pytest.mark.parametrize("extra", [
     ("--rate", "3.0"),
     ("--rate", "3.0", "--n", "600"),
-    ("--rate", "0.1", "--grid-size", "10"),
+    ("--rate", "abc"),
 ])
 def test_single_rate_csv_precondition_exits_2(capsys, extra):
     # unlike a sweep row, a single rate fails the command
@@ -622,7 +621,7 @@ def test_single_rate_csv_precondition_exits_2(capsys, extra):
     assert "precondition" in err
 
 
-@pytest.mark.parametrize("extra", [(), ("--n", "600"), ("--grid-size", "256")])
+@pytest.mark.parametrize("extra", [(), ("--n", "600"), ("--composition", "uniform", "--n", "64")])
 def test_single_rate_csv_solves_once(capsys, monkeypatch, extra):
     calls = []
 
@@ -630,12 +629,85 @@ def test_single_rate_csv_solves_once(capsys, monkeypatch, extra):
         calls.append(args)
         return spe_parametric(*args)
 
-    def no_grid(*args):
-        raise AssertionError("csv mode prints no grid supremum")
-
     monkeypatch.setattr(rspb.spe, "spe_parametric", counting)
-    monkeypatch.setattr(rspb.spe, "spe_grid_sup", no_grid)
     code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.125", *extra,
                            "--output", "csv")
     assert code == 0 and out.strip().endswith(",ok")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("spe", "--bsc", "0.1", "--rate", "abc"),
+    ("spe", "--bsc", "0.1", "--rate", "0.1:0.2:x"),
+    ("spe", "--bsc", "0.1", "--rate", "0.1:0.2:2.5"),
+    ("awgn", "--sigma2", "1", "--cost", "1", "--rate", "zz"),
+], ids=["spe word", "spe grid word", "spe fractional count", "awgn word"])
+def test_malformed_rate_is_a_precondition_error(capsys, argv):
+    # exit 2, as for a malformed number option such as `--bsc abc`
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--rate needs numbers, got {argv[-1]!r}" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("thirdmoment", "--count", "2", "--pairs", "3"), "--pairs"),
+    (("identities", "--pairs", "2", "--grid-size", "64"), "--grid-size"),
+    (("all", "--instances", "0"), "--instances"),
+    (("all", "--n", "64"), "--n"),
+], ids=["thirdmoment pairs", "identities grid-size", "all instances", "all n"])
+def test_verify_option_its_suite_does_not_take_exits_2(capsys, argv, option):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"verify {argv[0]} does not take {option}" in err
+
+
+def _record_suites(monkeypatch):
+    from rspb import verify
+
+    seen = {}
+
+    def suite(name):
+        def run(**kwargs):
+            seen[name] = kwargs
+            return {"suite": name, "checks": [], "all_pass": True}
+        return run
+
+    monkeypatch.setattr(verify, "SUITES", {name: suite(name) for name in verify.SUITES})
+    return seen
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("spe",), {"spe": {}}),
+    (("htbe", "--n", "64", "--seed", "5"), {"htbe": {"ns": (64,), "seed": 5}}),
+    (("spe", "--instances", "2", "--grid-size", "256"),
+     {"spe": {"instances": 2, "grid_size": 256}}),
+    (("all",), dict.fromkeys(("htbe", "identities", "spe", "thirdmoment"), {})),
+    (("all", "--seed", "7"),
+     dict.fromkeys(("htbe", "identities", "spe", "thirdmoment"), {"seed": 7})),
+], ids=["spe defaults", "htbe", "spe", "all defaults", "all seed"])
+def test_verify_passes_on_only_the_options_given(capsys, monkeypatch, argv, expected):
+    seen = _record_suites(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert seen == expected
+
+
+def _readme_commands():
+    """The file-free `rspb ...` lines of README's "Command line" block, with
+    their optional `[...]` parts and trailing comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [re.sub(r"\[[^]]*\]", "", line.split("#", 1)[0]) for line in block.splitlines()]
+    return [line.split()[1:] for line in lines
+            if line.startswith("rspb ") and ".json" not in line]
+
+
+def test_readme_command_examples_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out

@@ -24,13 +24,14 @@ from rspb.measures import (
     uniform_dist,
     zchannel,
 )
+from rspb.oracle import brute_spe
 from rspb.refined import (
     rspb_awgn_equality,
     rspb_awgn_inequality,
     rspb_constant_composition,
     rspb_symmetric,
 )
-from rspb.spe import spe_grid_sup, spe_parametric
+from rspb.spe import spe_parametric
 from rspb.symmetric import symmetric_center
 from conftest import channel_with_zeros, random_channel
 
@@ -311,7 +312,7 @@ def test_bound_log_monotone_in_n():
 def test_exponent_consistency_with_grid_sup():
     n = 100
     rep = rspb_constant_composition(bsc(0.1), U2, n, n * 0.2)
-    grid = spe_grid_sup(U2, bsc(0.1), 0.2, 2048)
+    grid = brute_spe(U2, bsc(0.1), 0.2, 2048)
     assert rep.exponent_total / n == pytest.approx(grid, abs=1e-6)
 
 

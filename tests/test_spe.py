@@ -17,7 +17,8 @@ from rspb.measures import (
     uniform_dist,
     zchannel,
 )
-from rspb.spe import spe_constrained, spe_grid_sup, spe_parametric
+from rspb.oracle import brute_spe
+from rspb.spe import spe_constrained, spe_parametric
 from conftest import random_channel
 from oracle_helpers import fd_derivative_check
 
@@ -88,12 +89,13 @@ def test_slope_matches_rate_finite_difference():
 
 
 def test_grid_sup_anchors():
-    val = spe_grid_sup(U2, bsc(0.1), R_CRIT, 4096)
+    # the brute-force supremum never runs the fixed point
+    val = brute_spe(U2, bsc(0.1), R_CRIT, 4096)
     assert val == pytest.approx(E_CRIT, abs=1e-5)
-    assert spe_grid_sup(U2, bsc(0.1), I_ONE + 0.01, 128) == 0.0
-    assert spe_grid_sup(point_mass(0, 2), bsc(0.1), 0.05, 128) == 0.0
+    assert brute_spe(U2, bsc(0.1), I_ONE + 0.01, 128) == 0.0
+    assert brute_spe(point_mass(0, 2), bsc(0.1), 0.05, 128) == 0.0
     with pytest.raises(PreconditionError):
-        spe_grid_sup(U2, bsc(0.1), 0.1, 32)
+        brute_spe(U2, bsc(0.1), 0.1, 1)
 
 
 def test_parametric_dominates_grid_and_gap_shrinks(rng):
@@ -105,8 +107,8 @@ def test_parametric_dominates_grid_and_gap_shrinks(rng):
             continue
         rate = low + 0.5 * (high - low)
         pt = spe_parametric(U2, channel, rate)
-        coarse = spe_grid_sup(U2, channel, rate, 256)
-        fine = spe_grid_sup(U2, channel, rate, 512)
+        coarse = brute_spe(U2, channel, rate, 256)
+        fine = brute_spe(U2, channel, rate, 512)
         assert coarse <= pt.exponent + 1e-11
         assert fine <= pt.exponent + 1e-11
         assert fine >= coarse - 1e-12
@@ -121,9 +123,7 @@ def test_objective_single_sign_change(rng):
     rate = 0.5 * (low + high)
     pt = spe_parametric(U2, channel, rate)
     rhos = np.linspace(0.02, 0.98, 97)
-    from rspb.augustin import augustin_information_grid
-
-    info = augustin_information_grid(rhos, U2, channel)
+    info = np.array([augustin_fixed_point(float(r), U2, channel).information for r in rhos])
     vals = (1.0 - rhos) / rhos * (info - rate)
     signs = np.sign(np.diff(vals))
     flips = np.flatnonzero(np.diff(signs) != 0)

@@ -104,13 +104,13 @@ def test_certified_centers_are_the_iterated_augustin_means(channel):
 
 def test_symmetric_path_runs_no_fixed_point(monkeypatch):
     calls = []
-    solve = augustin._solve_grid
+    solve = augustin._solve
 
     def counted(*args):
         calls.append(args[0])
         return solve(*args)
 
-    monkeypatch.setattr(augustin, "_solve_grid", counted)
+    monkeypatch.setattr(augustin, "_solve", counted)
     augustin_fixed_point(0.5, uniform_dist(2), zchannel(0.3))
     assert len(calls) == 1
     calls.clear()
