@@ -36,6 +36,8 @@ ALT_IDENTITY_TOL = 1e-9
 # mass at zero, and at small orders a power-mean center can underflow to 0
 # where the mean is positive; the mix keeps every reachable output positive.
 START_MIX = 1e-9
+# 64 ulps of 1, the rounding allowance of the identity gate
+_GATE_ULPS = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,21 @@ def _check_inputs(rho: float, p: FiniteDist, channel: DiscreteChannel):
 
 
 def _support_rows(p: FiniteDist, channel: DiscreteChannel) -> tuple:
-    """Masses, channel rows and log-rows of the inputs in the support of p."""
+    """Masses, channel rows and log-rows of the inputs in the support of p:
+    under full support, p's masses and the channel's shared read-only arrays
+    themselves."""
+    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
+    if p.masses.all():
+        return p.masses, w_rows, lw
     sup = p.support
-    return p.masses[sup], channel.row_matrix()[sup], channel.log_row_matrix()[sup]
+    return p.masses[sup], w_rows[sup], lw[sup]
 
 
 def _start(rho: float, weights, w_rows, lw) -> np.ndarray:
     """Power-mean center of p at the order rho, as one row, with START_MIX of
     the order-one mean p W mixed in."""
-    center = _power_mean(np.array([rho]), lw, np.log(weights))[0]
-    return (1.0 - START_MIX) * center + START_MIX * (weights @ w_rows)
+    center = _power_mean(rho, lw, np.log(weights))[0]
+    return ((1.0 - START_MIX) * center + START_MIX * (weights @ w_rows))[None, :]
 
 
 def _solve(rho: float, weights, lw, q, tol, max_iter):
@@ -98,7 +105,7 @@ def _solve(rho: float, weights, lw, q, tol, max_iter):
             n += 1
             qn = np.einsum("s,asy->ay", weights, _tilt(r_lw, one_r, q[:, None, :]))
             delta = qn - q
-            step = float(0.5 * np.abs(delta).sum(axis=1)[0])
+            step = float(0.5 * np.add.reduce(np.abs(delta), axis=1)[0])
             q = qn
             if step <= tol:
                 break
@@ -108,8 +115,8 @@ def _solve(rho: float, weights, lw, q, tol, max_iter):
                 # A mass the jump zeroes would stay zero under every later plain
                 # step, a fixed point on a face of the simplex; it halves instead.
                 q = np.where((jump <= 0.0) & (q > 0.0), 0.5 * q, jump)
-                np.clip(q, 0.0, None, out=q)
-                q /= q.sum(axis=1)[:, None]
+                np.maximum(q, 0.0, out=q)
+                q /= np.add.reduce(q, axis=1, keepdims=True)
                 prev = (math.nan, math.nan)
             else:
                 prev = (step, ratio)
@@ -137,13 +144,13 @@ def _row_divergences(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
         lq = np.log(q)[..., None, :]
         diff = lw - lq
         if ones:
-            kl = np.where(joint, w * diff, 0.0).sum(axis=-1)
+            kl = np.add.reduce(np.where(joint, w * diff, 0.0), axis=-1)
             if ones == one.size:
                 return kl
         rm1 = rho[..., None] - 1.0
         args = np.where(joint, rm1[..., None] * diff, 0.0)
         out = np.log1p(np.einsum("...xy,...xy->...x", w, np.expm1(args))) / rm1
-    hard = ~((args.max(axis=-1) < 500.0) & (out > -np.inf))
+    hard = ~((np.maximum.reduce(args, axis=-1) < 500.0) & (out > -np.inf))
     if ones:
         out = np.where(one[..., None], kl, out)
         hard &= ~one[..., None]
@@ -170,16 +177,26 @@ def _tilt(r_lw, one_r, q):
     """_tilted_rows from rho * ln W and 1 - rho; callers ignore the
     divide-by-zero warning of ln 0."""
     t = r_lw + one_r * np.log(q)
-    t -= t.max(axis=-1, keepdims=True)
+    t -= np.maximum.reduce(t, axis=-1, keepdims=True)
     np.exp(t, out=t)
-    t /= t.sum(axis=-1, keepdims=True)
+    t /= np.add.reduce(t, axis=-1, keepdims=True)
     return t
 
 
-def _kl_rows(t: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(t > 0, t * (np.log(t) - np.log(ref)), 0.0)
-    return terms.sum(axis=1)
+def _tilts_and_logs(rho, w_rows: np.ndarray, lw: np.ndarray, q: np.ndarray) -> tuple:
+    """The rows tilted toward q and their logs; at order one, the rows and
+    log-rows themselves. Callers ignore the divide warning of ln 0."""
+    if rho == 1.0:
+        return w_rows, lw
+    t = _tilt(rho * lw, 1.0 - rho, q)
+    return t, np.log(t)
+
+
+def _kl_rows(t: np.ndarray, lt: np.ndarray, l_ref: np.ndarray) -> np.ndarray:
+    """D_1(t || ref) of each row of t, from ln t and ln ref. Callers take the
+    logs and run this with divide and invalid warnings off: -inf - -inf
+    gives NaN where t and ref are both 0, and those entries are masked."""
+    return np.add.reduce(np.where(t > 0, t * (lt - l_ref), 0.0), axis=1)
 
 
 def _check_limits(tol: float, max_iter: int):
@@ -227,7 +244,7 @@ def augustin_fixed_point(
         # The rho/(1-rho) factor amplifies rounding in the exponent, so the gate
         # widens by exactly that unavoidable factor; it stays at 1e-9 for
         # rho <= 0.9999.
-        gate = max(ALT_IDENTITY_TOL, 64 * np.finfo(float).eps * rho / (1.0 - rho))
+        gate = max(ALT_IDENTITY_TOL, _GATE_ULPS * rho / (1.0 - rho))
         if alt > gate:
             raise ComputationError(
                 f"tilted-channel identity residual {alt:.3e} exceeds {gate:.3e}"
@@ -263,11 +280,12 @@ def haroutunian_rate(rho: float, p: FiniteDist, channel: DiscreteChannel) -> flo
 
 def _tilted_pair(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
     """(D_1(tilt || q | p), D_1(tilt || W | p)) from the support rows of p."""
-    t = w_rows if rho == 1.0 else _tilted_rows(rho, lw, q)
-    return (
-        float(weights @ _kl_rows(t, q[None, :])),
-        float(weights @ _kl_rows(t, w_rows)),
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, lt = _tilts_and_logs(rho, w_rows, lw, q)
+        return (
+            float(weights @ _kl_rows(t, lt, np.log(q))),
+            float(weights @ _kl_rows(t, lt, lw)),
+        )
 
 
 def tilted_kl_pair(

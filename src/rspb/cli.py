@@ -527,8 +527,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("awgn", help="Gaussian closed forms (nats); rate sweeps emit CSV")
     sp.add_argument("--sigma2", type=float, required=True)
     sp.add_argument("--cost", type=float, required=True)
-    sp.add_argument("--order", type=float)
-    sp.add_argument("--rate", help="rate in nats, or start:stop:count")
+    given = sp.add_mutually_exclusive_group()
+    given.add_argument("--order", type=float)
+    given.add_argument("--rate", help="rate in nats, or start:stop:count")
     sp.add_argument("--n", type=int, help="blocklength for prefactor columns")
     sp.add_argument("--output", choices=("object", "csv"), default="object")
     sp.set_defaults(func=_cmd_awgn)
@@ -539,8 +540,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_channel_args(sp)
     sp.add_argument("--composition", default="uniform", help="'uniform' or a file")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--log-m-over-l", type=float, help="ln M - ln L")
-    sp.add_argument("--rate", type=float, help="rate in nats; log-m-over-l = rate * n")
+    given = sp.add_mutually_exclusive_group()
+    given.add_argument("--log-m-over-l", type=float, help="ln M - ln L")
+    given.add_argument("--rate", type=float, help="rate in nats; log-m-over-l = rate * n")
     sp.add_argument("--sigma2", type=float)
     sp.add_argument("--cost", type=float)
     sp.set_defaults(func=_cmd_rspb)

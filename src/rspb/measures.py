@@ -64,12 +64,12 @@ def _power_mean(rho, lw: np.ndarray, log_weights: np.ndarray) -> tuple:
     eps/rho, as a log-domain sum would, and an unreached output gets center 0.
     """
     r = np.asarray(rho, dtype=float)[..., None]
-    top = log_weights.max()
+    top = np.maximum.reduce(log_weights)
     with np.errstate(divide="ignore"):
         log_m = (np.log(np.exp(log_weights - top) @ np.exp(r[..., None] * lw)) + top) / r
-    peak = log_m.max(axis=-1, keepdims=True)
+    peak = np.maximum.reduce(log_m, axis=-1, keepdims=True)
     m = np.exp(log_m - peak)
-    total = m.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(m, axis=-1, keepdims=True)
     return m / total, rho / (rho - 1.0) * (peak + np.log(total))[..., 0]
 
 
@@ -77,9 +77,11 @@ def _as_masses(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidProbabilityError("masses must be a non-empty 1-d sequence")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    # a NaN makes the least mass NaN; with none below 0, an infinite mass
+    # makes the total infinite, as does a finite sum that overflows
+    total = float(np.add.reduce(arr)) if np.minimum.reduce(arr) >= 0 else np.nan
+    if not total < np.inf:
         raise InvalidProbabilityError("masses must be finite and non-negative")
-    total = float(arr.sum())
     if abs(total - 1.0) > tol:
         raise InvalidProbabilityError(f"masses sum to {total}, off from 1 by more than {tol}")
     return arr / total

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augustin import LOW_ORDER_PROBE, _kl_rows, _row_divergences, _tilted_rows
+from .augustin import LOW_ORDER_PROBE, _kl_rows, _row_divergences, _tilted_rows, _tilts_and_logs
 from .errors import InvalidOrderError, PreconditionError, RateOutOfRangeError, SymmetryError
 from .measures import DiscreteChannel, FiniteDist, _merge_atoms, _power_mean, _tilt_moments
 from .spe import _find_order
@@ -151,16 +151,27 @@ class SymmetricComponent:
     tilt_nonconstant: bool
 
 
+def _uniform_center(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> FiniteDist:
+    """The uniform-input center at one order, bit for bit as
+    `_uniform_centers([rho], ...)` gives it, without its grid checks."""
+    if not 0 < rho <= 1:
+        raise InvalidOrderError(f"order must lie in (0, 1], got {rho}")
+    if rho == 1.0:
+        return FiniteDist(w_rows.mean(axis=0))
+    return FiniteDist(_power_mean(rho, lw, np.full(len(lw), -math.log(len(lw))))[0])
+
+
 def _tilted_rates(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
-    """Uniform-input center at rho, each input's tilt toward it, and the
-    tilts' KL rates to it, which symmetry makes input-independent: a spread
-    above 1e-8 raises SymmetryError."""
-    (center,), _ = _uniform_centers([rho], w_rows, lw)
-    tilts = w_rows if rho == 1.0 else _tilted_rows(rho, lw, center.masses)
-    rates = _kl_rows(tilts, center.masses)
+    """Uniform-input center at rho, each input's tilt toward it and the
+    tilt's log, and the tilts' KL rates to the center, which symmetry makes
+    input-independent: a spread above 1e-8 raises SymmetryError."""
+    center = _uniform_center(rho, w_rows, lw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tilts, lt = _tilts_and_logs(rho, w_rows, lw, center.masses)
+        rates = _kl_rows(tilts, lt, np.log(center.masses))
     if rates.max() - rates.min() > 1e-8:
         raise SymmetryError("tilted rate differs across inputs")
-    return center, tilts, rates
+    return center, tilts, lt, rates
 
 
 def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricComponent:
@@ -171,15 +182,14 @@ def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricCompo
     returned.
     """
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    center, tilts, rates = _tilted_rates(rho, w_rows, lw)
+    center, tilts, lt, rates = _tilted_rates(rho, w_rows, lw)
     with np.errstate(divide="ignore", invalid="ignore"):
         lr = lw[0] - np.log(center.masses)
+        exponent = float(_kl_rows(tilts, lt, lw)[0])
     _, a2, a3 = map(float, _tilt_moments(lr, tilts[0]))
     ratios = lr[tilts[0] > 0]
     nonconstant = bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
-    return SymmetricComponent(
-        rho, center, float(rates[0]), float(_kl_rows(tilts, w_rows)[0]), a2, a3, nonconstant
-    )
+    return SymmetricComponent(rho, center, float(rates[0]), exponent, a2, a3, nonconstant)
 
 
 def center_order_independent(report: SymmetryReport, tol: float = 1e-9) -> bool:
@@ -223,7 +233,7 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
         raise RateOutOfRangeError(target, low, high)
 
     def summed(rho):
-        rate = {k: float(_tilted_rates(rho, *rows[k])[2][0]) for k in distinct}
+        rate = {k: float(_tilted_rates(rho, *rows[k])[3][0]) for k in distinct}
         return sum(rate[k] for k in layout), None
 
     stop = 1e-12 * max(1.0, abs(target))

@@ -2,10 +2,11 @@
 
 Monte Carlo estimation with reproducible Philox streams, log-likelihood
 decision rules for discrete and Gaussian products, central finite
-differences, the Gaussian KL divergence, and one-order-at-a-time references
-for the array passes of `rspb.symmetric`. The verification suites of
-`rspb.verify` need none of them, so they live here rather than in
-`rspb.oracle`.
+differences, the Gaussian KL divergence, one-order-at-a-time references
+for the array passes of `rspb.symmetric`, and the plain forms that the
+fused kernels of `rspb.augustin` and `rspb.measures` match bit for bit.
+The verification suites of `rspb.verify` need none of them, so they live
+here rather than in `rspb.oracle`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rspb.augustin import _row_divergences, _tilted_rows
-from rspb.errors import PreconditionError
+from rspb.errors import InvalidProbabilityError, PreconditionError
 from rspb.gaussian import AwgnParams
 from rspb.symmetric import PROFILE_MERGE_TOL, SymmetryReport, _uniform_centers
 
@@ -206,3 +207,38 @@ def symmetry_report_per_order(channel, rho_grid, tol) -> SymmetryReport:
         max_profile_distance=profile_max,
         max_center_fixed_point_tv=center_tv_max,
     )
+
+
+# ---------------------------------------------------------------------------
+# plain forms of the fused kernels
+
+
+def kl_rows_two_logs(t: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """D_1(t || ref) of each row of t, taking the log of t and of ref anew."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(t > 0, t * (np.log(t) - np.log(ref)), 0.0)
+    return terms.sum(axis=1)
+
+
+def tilted_pair_two_passes(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
+    """The tilted pair (D_1(tilt || q | p), D_1(tilt || W | p)) as two
+    `kl_rows_two_logs` passes, each taking ln of the tilt and of its reference."""
+    t = w_rows if rho == 1.0 else _tilted_rows(rho, lw, q)
+    return (
+        float(weights @ kl_rows_two_logs(t, q[None, :])),
+        float(weights @ kl_rows_two_logs(t, w_rows)),
+    )
+
+
+def masses_checked_elementwise(values, tol: float) -> np.ndarray:
+    """Validate masses with an elementwise sign and finiteness test, then
+    renormalize: the reference for `measures._as_masses`."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidProbabilityError("masses must be a non-empty 1-d sequence")
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise InvalidProbabilityError("masses must be finite and non-negative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > tol:
+        raise InvalidProbabilityError(f"masses sum to {total}, off from 1 by more than {tol}")
+    return arr / total

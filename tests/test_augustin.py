@@ -37,7 +37,7 @@ from rspb.measures import (
 )
 from rspb.spe import spe_parametric
 from conftest import channel_with_zeros, random_channel, random_dist
-from oracle_helpers import fd_derivative_check
+from oracle_helpers import fd_derivative_check, tilted_pair_two_passes
 
 U2 = uniform_dist(2)
 I_HALF = -2.0 * math.log(2.0 / math.sqrt(5.0))
@@ -458,3 +458,58 @@ def test_solution_carries_its_tilted_pair(rho, channel):
     sol = augustin_fixed_point(rho, p, channel)
     pair = tilted_kl_pair(rho, p, channel, sol.mean.masses)
     assert (sol.tilted_rate, sol.tilted_exponent) == pair
+
+
+ZERO_DRAWS = [channel_with_zeros(np.random.default_rng(seed)) for seed in range(12)]
+
+
+@pytest.mark.parametrize("rho", [LOW_ORDER_PROBE, 0.02, 0.5, 1.0])
+def test_fused_tilted_pair_matches_two_passes_bit_for_bit(rho):
+    # one log of the tilt, and ln W read from the channel, give the bits of
+    # two passes that each take both logs anew: at the support rows' mixture,
+    # 0 where none of them reaches, and at the start of a solve
+    rng = np.random.default_rng(7)
+    for channel in ZERO_DRAWS:
+        masses = rng.dirichlet(np.ones(channel.input_size))
+        masses[rng.random(masses.size) < 0.3] = 0.0
+        masses[rng.integers(masses.size)] += 0.5
+        p = FiniteDist(masses / masses.sum())
+        rows = rspb.augustin._support_rows(p, channel)
+        weights, w_rows, _ = rows
+        mixture = weights @ w_rows
+        means = [mixture] if rho == 1.0 else [mixture, rspb.augustin._start(rho, *rows)[0]]
+        for q in means:
+            got = rspb.augustin._tilted_pair(rho, *rows, q)
+            want = tilted_pair_two_passes(rho, *rows, q)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_full_support_shares_the_channel_arrays():
+    channel = channel_of(R8X16)
+    p = FiniteDist(np.random.default_rng(3).dirichlet(np.ones(channel.input_size)))
+    weights, w_rows, lw = rspb.augustin._support_rows(p, channel)
+    assert weights is p.masses
+    assert w_rows is channel.row_matrix() and lw is channel.log_row_matrix()
+
+
+@pytest.mark.parametrize("rho", [LOW_ORDER_PROBE, 0.02, 0.5, 1.0])
+def test_zero_masses_solve_as_their_support_on_its_rows(rho):
+    # dyadic masses sum to one exactly, so restricting p renormalizes nothing
+    for channel in ZERO_DRAWS:
+        if channel.input_size < 3:
+            continue
+        masses = np.zeros(channel.input_size)
+        masses[[0, 2]] = 0.25
+        masses[-1] += 0.5
+        p = FiniteDist(masses)
+        sup = p.support
+        restricted = DiscreteChannel(tuple(channel.rows[x] for x in sup))
+        p_sup = FiniteDist(masses[sup])
+        assert p_sup.masses.tobytes() == masses[sup].tobytes()
+        want = augustin_fixed_point(rho, p_sup, restricted)
+        got = augustin_fixed_point(rho, p, channel)
+        assert got.mean.masses.tobytes() == want.mean.masses.tobytes()
+        for field in ("information", "residual", "alt_identity_residual", "tilted_rate",
+                      "tilted_exponent"):
+            assert getattr(got, field).hex() == getattr(want, field).hex(), field
+        assert got.iterations == want.iterations

@@ -124,6 +124,16 @@ def test_precondition_violation_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "precondition" in err
+    # two options that set the same thing: argparse refuses the pair
+    for argv in (("awgn", "--sigma2", "1", "--cost", "1", "--order", "0.3", "--rate", "0.1"),
+                 ("rspb", "--mode", "awgn", "--sigma2", "1", "--cost", "1", "--n", "100",
+                  "--log-m-over-l", "5", "--rate", "0.1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
     # malformed cost constraints are preconditions, not failures inside the ascent
     # (json reads NaN and Infinity)
     f = tmp_path / "cost.json"

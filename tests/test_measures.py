@@ -11,10 +11,14 @@ from rspb.errors import (
     BudgetExceededError,
     InfiniteDivergenceError,
     InvalidOrderError,
+    InvalidProbabilityError,
     PreconditionError,
 )
 from rspb.measures import (
+    FILE_ROW_TOL,
+    NORMALIZATION_TOL,
     DiscreteChannel,
+    _as_masses,
     _logsumexp,
     _merge_atoms,
     _power_mean,
@@ -37,7 +41,7 @@ from rspb.measures import (
     zchannel,
 )
 from conftest import channel_with_zeros, random_dist
-from oracle_helpers import merge_atoms_1d
+from oracle_helpers import masses_checked_elementwise, merge_atoms_1d
 
 LN9 = math.log(9.0)
 
@@ -51,6 +55,66 @@ def test_finite_dist_rejects_negative_and_unnormalized():
         FiniteDist(np.array([0.6, 0.6]))
     d = FiniteDist(np.array([0.5, 0.5 + 5e-13]))
     assert abs(d.masses.sum() - 1.0) < 1e-16
+
+
+MASS_REJECTS = {
+    "negative": [0.5, -0.5, 1.0],
+    "nan": [math.nan, 1.0],
+    "+inf": [math.inf, 0.0],
+    "-inf": [-math.inf, 1.0],
+    "inf and -inf": [math.inf, -math.inf],
+    "empty": [],
+    "2-d": [[0.5, 0.5]],
+    "unnormalized": [0.6, 0.6],
+}
+
+
+@pytest.mark.parametrize("values", MASS_REJECTS.values(), ids=MASS_REJECTS.keys())
+def test_masses_reject_what_elementwise_checks_reject(values):
+    # one least mass and one total decide what the elementwise tests did
+    with pytest.raises(InvalidProbabilityError) as want:
+        masses_checked_elementwise(values, NORMALIZATION_TOL)
+    with pytest.raises(InvalidProbabilityError) as got:
+        _as_masses(values)
+    assert str(got.value) == str(want.value)
+
+
+def test_masses_whose_finite_sum_overflows_are_rejected():
+    # the one message that differs: the total is infinite, so the masses are
+    # reported as not finite rather than as summing to inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidProbabilityError, match="sum to inf"):
+            masses_checked_elementwise([1e308, 1e308], NORMALIZATION_TOL)
+        with pytest.raises(InvalidProbabilityError, match="finite and non-negative"):
+            _as_masses([1e308, 1e308])
+
+
+def _masses_with_zeros(size, seed):
+    """Dirichlet masses with every third one zeroed, then renormalized."""
+    masses = np.random.default_rng(seed).dirichlet(np.ones(size))
+    masses[::3] = 0.0
+    return masses / masses.sum()
+
+
+MASS_ACCEPTS = {
+    "negative zero": [-0.0, 1.0],
+    "point mass": [0.0, 1.0, 0.0],
+    "single": [1.0],
+    "integers": [0, 1],
+    "within tolerance": [0.5, 0.5 + 5e-13],
+    "subnormal": [5e-324, 1.0],
+    "dirichlet 7": np.random.default_rng(1).dirichlet(np.ones(7)),
+    "dirichlet 40 with zeros": _masses_with_zeros(40, 2),
+}
+
+
+@pytest.mark.parametrize("tol", [NORMALIZATION_TOL, FILE_ROW_TOL])
+@pytest.mark.parametrize("values", MASS_ACCEPTS.values(), ids=MASS_ACCEPTS.keys())
+def test_masses_match_elementwise_checks_bit_for_bit(values, tol):
+    want = masses_checked_elementwise(values, tol)
+    got = _as_masses(values, tol)
+    assert got.tobytes() == want.tobytes()
+    assert str(got.dtype) == "float64" and got.shape == want.shape
 
 
 def test_channel_rows_must_share_alphabet():

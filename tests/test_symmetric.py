@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rspb import augustin
-from rspb.augustin import augustin_capacity, augustin_fixed_point
+from rspb.augustin import LOW_ORDER_PROBE, augustin_capacity, augustin_fixed_point
 from rspb.errors import InvalidOrderError, PreconditionError, RateOutOfRangeError, SymmetryError
 from rspb.measures import (
     DiscreteChannel,
@@ -23,6 +23,8 @@ from rspb.spe import spe_parametric
 from rspb.symmetric import (
     DEFAULT_ORDER_GRID,
     DEFAULT_SYMMETRY_TOL,
+    _uniform_center,
+    _uniform_centers,
     center_order_independent,
     check_renyi_symmetry,
     component_quantities,
@@ -276,3 +278,24 @@ def test_order_grid_must_be_a_non_empty_sequence(grid):
         check_renyi_symmetry(bsc(0.1), rho_grid=grid)
     with pytest.raises(PreconditionError, match="non-empty 1-d"):
         parametric_symmetric(bsc(0.1), 0.2, rho_grid=grid)
+
+
+@pytest.mark.parametrize("rho", (LOW_ORDER_PROBE,) + DEFAULT_ORDER_GRID)
+@pytest.mark.parametrize("channel, symmetric", [
+    (bsc(0.11), True), (bec(0.3), True), (zchannel(0.3), False), (CYCLIC4, True)],
+    ids=["bsc", "bec", "z", "cyclic4"])
+def test_single_order_center_is_the_grid_center_bit_for_bit(channel, symmetric, rho):
+    # every order probe takes its center from one power mean, without the
+    # grid pass; the default grid's orders end at 1.0
+    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
+    (want,), _ = _uniform_centers([rho], w_rows, lw)
+    assert _uniform_center(rho, w_rows, lw).masses.tobytes() == want.masses.tobytes()
+    if symmetric:
+        got = component_quantities(rho, channel).center
+        assert got.masses.tobytes() == want.masses.tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, math.nan])
+def test_component_quantities_rejects_orders_outside_the_unit_interval(rho):
+    with pytest.raises(InvalidOrderError):
+        component_quantities(rho, bsc(0.1))
