@@ -166,16 +166,10 @@ def _row_divergences(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tilted_rows(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """W(y|x)^rho q(y)^(1-rho), normalized over the last axis; rho and q
-    broadcast against lw, so one call tilts a grid of orders and means."""
-    with np.errstate(divide="ignore"):
-        return _tilt(rho * lw, 1.0 - rho, q)
-
-
 def _tilt(r_lw, one_r, q):
-    """_tilted_rows from rho * ln W and 1 - rho; callers ignore the
-    divide-by-zero warning of ln 0."""
+    """W(y|x)^rho q(y)^(1-rho), normalized over the last axis, from rho * ln W
+    and 1 - rho; these and q broadcast, so one call tilts a grid of orders and
+    means. Callers ignore the divide-by-zero warning of ln 0."""
     t = r_lw + one_r * np.log(q)
     t -= np.maximum.reduce(t, axis=-1, keepdims=True)
     np.exp(t, out=t)

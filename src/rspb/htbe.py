@@ -88,6 +88,15 @@ class HtBoundReport:
     applicable: bool
 
 
+def _check_bound_inputs(rho: float, n: int, beta: float):
+    if beta <= 0:
+        raise PreconditionError("beta must be positive")
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
+    if not 0 < rho < 1:
+        raise PreconditionError(f"order must lie in (0, 1), got {rho}")
+
+
 def htbe_converse(
     rho: float,
     n: int,
@@ -102,12 +111,7 @@ def htbe_converse(
     the window and the applicability flag, and the numeric value is returned
     regardless so callers can decide.
     """
-    if beta <= 0:
-        raise PreconditionError("beta must be positive")
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    if not 0 < rho < 1:
-        raise PreconditionError(f"order must lie in (0, 1), got {rho}")
+    _check_bound_inputs(rho, n, beta)
     root = rho * math.sqrt(params.a2 * n)
     log_beta_min = -0.5 * math.log(n) - root
     log_beta_max = -rho * params.log_delta_hat - 0.5 * math.log(n) + root
@@ -139,12 +143,7 @@ def htbe_achievability(
     d1_tw_total: float,
 ) -> HtBoundReport:
     """Upper bound achieved by the explicit threshold test, for any beta > 0."""
-    if beta <= 0:
-        raise PreconditionError("beta must be positive")
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    if not 0 < rho < 1:
-        raise PreconditionError(f"order must lie in (0, 1), got {rho}")
+    _check_bound_inputs(rho, n, beta)
     a2 = params.a2
     bracket = max(1.0, math.sqrt(8.0 * math.pi * a2)) / (4.0 * math.pi * a2)
     ach = (

@@ -2,20 +2,19 @@
 
 Everything in this module exists to check the main code paths by a different
 route: exact Neyman-Pearson trade-offs by enumeration, an exhaustively
-evaluated third-moment inequality, and a brute-force exponent that computes
-the Augustin information by direct minimization rather than the fixed-point
-iteration (deliberately sharing no code with the spe module).
+evaluated third-moment inequality, and a brute-force exponent whose Augustin
+information comes from a certified Newton minimization, never the fixed-point
+iteration (deliberately sharing no code with augustin, spe or symmetric).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
-from .measures import DiscreteChannel, FiniteDist, product_log_ratio
+from .errors import NonConvergenceError, PreconditionError
+from .measures import DiscreteChannel, FiniteDist, _logsumexp, product_log_ratio
 
 # ---------------------------------------------------------------------------
 # exact Neyman-Pearson trade-off
@@ -90,71 +89,66 @@ def independent_triple(v1, p1, v2, p2, v3, p3) -> tuple:
 # brute-force exponent (independent twin of the spe module)
 
 
-def _info_binary_grid(rhos: np.ndarray, weights, w_rows, q_grid: int = 4000):
-    """min_q of the weighted divergence for binary outputs, by dense search.
+# An order stops only once its Frank-Wolfe gap max_y T(q)_y / q_y - 1 is at most
+# CERTIFICATE_GAP. No step moves a rho ln q_y by more than MAX_STEP: a mass far
+# above its optimum would land far below it, then climb by 1/rho in ln q a step.
+CERTIFICATE_GAP = 1e-13
+MAX_STEP = 2.0
+MAX_NEWTON_STEPS = 100
 
-    A parabolic touch-up through the best grid point and its neighbors
-    removes the O(grid step squared) bias of the raw scan.
+
+def _augustin_information(rhos: np.ndarray, weights, w_rows) -> np.ndarray:
+    """min_q sum_x p(x) D_rho(W(x) || q) at each order on the outputs p W reaches,
+    by damped Newton from p W. The sum is convex in q with gradient -T/q, T(q) =
+    sum_x p(x) tilt_rho(W(x), q) (van Erven and Harremoes, IEEE TIT 2014), so
+    the Frank-Wolfe gap bounds its excess (Jaggi, ICML 2013). The step dq = q u
+    solves [[rho diag T + (1-rho) sum_x p(x) t_x t_x^T, q], [q^T, 0]] [u; l] =
+    [T; 0], rows divided by T; ln q moves by s u, s by Armijo backtracking.
     """
-    qs = np.arange(1, q_grid) / q_grid
-    lq1 = np.log(qs)
-    lq0 = np.log1p(-qs)
-    out = np.empty(rhos.size)
-    chunk = 256
-    for start in range(0, rhos.size, chunk):
-        r = rhos[start : start + chunk][:, None]
-        acc = 0.0
-        for wx, weight in zip(w_rows, weights):
-            terms = np.zeros((r.size, qs.size))
-            if wx[0] > 0:
-                terms += np.exp(r * math.log(wx[0]) + (1.0 - r) * lq0[None, :])
-            if wx[1] > 0:
-                terms += np.exp(r * math.log(wx[1]) + (1.0 - r) * lq1[None, :])
-            acc = acc + weight * np.log(terms) / (r - 1.0)
-        idx = acc.argmin(axis=1)
-        rows = np.arange(acc.shape[0])
-        best = acc[rows, idx]
-        interior = (idx > 0) & (idx < qs.size - 1)
-        left = acc[rows[interior], idx[interior] - 1]
-        right = acc[rows[interior], idx[interior] + 1]
-        mid = best[interior]
-        curv = left - 2.0 * mid + right
-        ok = curv > 0
-        refined = mid.copy()
-        refined[ok] = mid[ok] - (left[ok] - right[ok]) ** 2 / (8.0 * curv[ok])
-        best[interior] = refined
-        out[start : start + chunk] = best
-    return out
-
-
-def _info_softmax(rho: float, weights, w_rows, z0: np.ndarray) -> tuple:
-    """min_q by L-BFGS-B over a softmax chart, warm-started at z0."""
-    # the only scipy use in the package: deferred so that the binary-output
-    # path, and with it every verification suite, runs on numpy alone
-    from scipy.optimize import minimize
-
-    def objective(z):
-        z = z - z.max()
-        q = np.exp(z)
-        q /= q.sum()
-        with np.errstate(divide="ignore"):
-            lq = np.log(q)
-        total = 0.0
-        grad_q = np.zeros_like(q)
-        for wx, weight in zip(w_rows, weights):
-            m = wx > 0
-            logits = rho * np.log(wx[m]) + (1.0 - rho) * lq[m]
-            peak = logits.max()
-            s = np.exp(logits - peak).sum()
-            total += weight * (peak + math.log(s)) / (rho - 1.0)
-            contrib = np.exp(logits - peak) / s
-            grad_q[m] += weight * contrib * (1.0 - rho) / (rho - 1.0) / q[m]
-        grad_z = q * (grad_q - float(grad_q @ q))
-        return total, grad_z
-
-    res = minimize(objective, z0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12})
-    return float(res.fun), res.x
+    w_rows = w_rows[:, weights @ w_rows > 0]
+    r, lp = rhos[:, None, None], np.log(weights)[:, None]
+    info, active = np.empty(rhos.size), np.arange(rhos.size)
+    with np.errstate(all="ignore"):
+        lw, lq = np.log(w_rows), np.tile(np.log(weights @ w_rows), (rhos.size, 1))
+        rhs = np.append(np.ones(lq.shape[1]), 0.0)[:, None]
+        for n in range(MAX_NEWTON_STEPS + 1):
+            logits = r * lw + (1.0 - r) * lq[:, None, :]
+            lz = _logsumexp(logits, axis=2)
+            lt = logits - lz[..., None]
+            lT = _logsumexp(lp + lt, axis=1)
+            gap = np.exp(lT - lq).max(axis=1) - 1.0
+            done = gap <= CERTIFICATE_GAP
+            info[active[done]] = lz[done] @ weights / (r[done, 0, 0] - 1.0)
+            if done.all():
+                return info
+            stuck = ~done & (np.isnan(gap) | (n == MAX_NEWTON_STEPS))
+            if stuck.any():
+                rho, g = rhos[active][stuck][0], gap[stuck][0]
+                raise NonConvergenceError(f"order {rho:.17g} not certified in {n} Newton steps", g)
+            active, r, lq, lt, lT = (v[~done] for v in (active, r, lq, lt, lT))
+            a = np.zeros((active.size, rhs.size, rhs.size))
+            a[:, :-1, :-1] = r * np.eye(lq.shape[1]) + (1.0 - r) * (
+                (weights[:, None] * np.exp(lt - lT[:, None, :])).swapaxes(1, 2) @ np.exp(lt))
+            a[:, :-1, -1], a[:, -1, :-1] = np.exp(lq - lT), np.exp(lq)
+            try:
+                u = np.linalg.solve(a, rhs)[:, :-1, 0]
+            except np.linalg.LinAlgError:  # a singular order's nan gap raises next
+                u = np.where(np.linalg.det(a)[:, None] == 0, np.nan, np.zeros_like(lq))
+            dec = np.einsum("ky,ky->k", np.exp(lT), u)
+            s = np.minimum(1.0, MAX_STEP / (r[:, 0, 0] * np.abs(u).max(axis=1)))
+            todo = dec >= 1e-10  # a smaller decrease is below rounding: full step
+            while todo.any():
+                # the exact change of the sum, in log1p-expm1 form to keep it precise
+                su, r_t = s[todo, None] * u[todo], r[todo]
+                lz_step = np.log1p(np.einsum(
+                    "ksy,ksy->ks", np.exp(lt[todo]), np.expm1((1.0 - r_t) * su[:, None, :])))
+                df = np.log1p(np.einsum("ky,ky->k", np.exp(lq[todo]), np.expm1(su))) - (
+                    lz_step / (1.0 - r_t[:, :, 0])) @ weights
+                ok = np.isfinite(df) & (df <= -1e-4 * s[todo] * dec[todo])
+                s[np.flatnonzero(todo)[~ok]] *= 0.5
+                todo[todo] = ~ok
+            lq = lq + s[:, None] * u
+            lq -= _logsumexp(lq, axis=1)[:, None]
 
 
 def brute_spe(
@@ -162,25 +156,16 @@ def brute_spe(
 ) -> float:
     """Dense-grid supremum of (1-rho)/rho (I_rho - rate), computed from scratch.
 
-    The Augustin information at each grid order is obtained by direct
-    minimization over the output simplex (dense line search for binary
-    outputs, warm-started quasi-Newton otherwise), never by the fixed-point
-    iteration, so agreement with the parametric solve is an independent
-    check. The grid {i/grid_size} is nested under doubling.
+    The Augustin information at each order i/grid_size (nested under doubling)
+    is a certified direct minimum, never a fixed point, so agreement with the
+    parametric solve is an independent check.
     """
     if grid_size < 2:
         raise PreconditionError(f"grid_size must be at least 2, got {grid_size}")
-    rhos = np.arange(1, grid_size) / grid_size
-    sup = p.support
-    weights = p.masses[sup]
-    w_rows = channel.row_matrix()[sup]
-    if channel.output_size == 2:
-        info = _info_binary_grid(rhos, weights, w_rows)
-    else:
-        info = np.empty(rhos.size)
-        z = np.log(weights @ w_rows + 1e-300)
-        for i, r in enumerate(rhos):
-            info[i], z = _info_softmax(float(r), weights, w_rows, z)
+    rhos, sup = np.arange(1, grid_size) / grid_size, p.support
+    weights, w_rows = p.masses[sup], channel.row_matrix()[sup]
+    # passes of about 2**18 (order, input, output) entries bound the memory
+    blocks = np.array_split(rhos, min(rhos.size, -(-rhos.size * w_rows.size // 2**18)))
+    info = np.concatenate([_augustin_information(b, weights, w_rows) for b in blocks])
     vals = (1.0 - rhos) / rhos * (info - rate)
     return float(max(vals.max(), 0.0))
-

@@ -104,7 +104,7 @@ def rspb_constant_composition(
     """
     import numpy as np
 
-    from .augustin import _support_rows, _tilted_rows
+    from .augustin import _support_rows, _tilt
     from .measures import _tilt_moments
     from .spe import spe_parametric
 
@@ -120,7 +120,7 @@ def rspb_constant_composition(
     weights, w_rows, lw = _support_rows(composition, channel)
     # a singular row: a NaN tilt below order one, mass where q is 0 at one
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = w_rows if rho == 1.0 else _tilted_rows(rho, lw, q)
+        t = w_rows if rho == 1.0 else _tilt(rho * lw, 1.0 - rho, q)
         lr = lw - np.log(q)
     if not (t > 0).any(axis=1).all() or np.any((t > 0) & (q == 0)):
         raise InfiniteDivergenceError("tilted measure undefined for singular pair")

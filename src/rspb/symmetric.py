@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augustin import LOW_ORDER_PROBE, _kl_rows, _row_divergences, _tilted_rows, _tilts_and_logs
+from .augustin import LOW_ORDER_PROBE, _kl_rows, _row_divergences, _tilt, _tilts_and_logs
 from .errors import InvalidOrderError, PreconditionError, RateOutOfRangeError, SymmetryError
 from .measures import DiscreteChannel, FiniteDist, _merge_atoms, _power_mean, _tilt_moments
 from .spe import _find_order
@@ -106,7 +106,9 @@ def check_renyi_symmetry(
     # form 0 * (-inf) on an output no input reaches
     low = rhos < 1.0
     images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()
-    images[low] = _tilted_rows(rhos[low, None, None], lw, masses[low, None, :]).mean(axis=1)
+    r = rhos[low, None, None]
+    with np.errstate(divide="ignore"):
+        images[low] = _tilt(r * lw, 1.0 - r, masses[low, None, :]).mean(axis=1)
     center_tv_max = float(0.5 * np.abs(images - masses).sum(axis=1).max())
     divs = _row_divergences(rhos, lw, masses)
     spread_max = float((divs.max(axis=1) - divs.min(axis=1)).max())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rspb.augustin import _row_divergences, _tilted_rows
+from rspb.augustin import _row_divergences, _tilt
 from rspb.errors import InvalidProbabilityError, PreconditionError
 from rspb.gaussian import AwgnParams
 from rspb.symmetric import PROFILE_MERGE_TOL, SymmetryReport, _uniform_centers
@@ -180,7 +180,9 @@ def symmetry_report_per_order(channel, rho_grid, tol) -> SymmetryReport:
     masses = np.array([c.masses for c in centers])
     low = rhos < 1.0
     images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()
-    images[low] = _tilted_rows(rhos[low, None, None], lw, masses[low, None, :]).mean(axis=1)
+    r = rhos[low, None, None]
+    with np.errstate(divide="ignore"):
+        images[low] = _tilt(r * lw, 1.0 - r, masses[low, None, :]).mean(axis=1)
     center_tv_max = float(0.5 * np.abs(images - masses).sum(axis=1).max())
     spread_max = profile_max = 0.0
     support = w_rows > 0
@@ -223,7 +225,8 @@ def kl_rows_two_logs(t: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def tilted_pair_two_passes(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
     """The tilted pair (D_1(tilt || q | p), D_1(tilt || W | p)) as two
     `kl_rows_two_logs` passes, each taking ln of the tilt and of its reference."""
-    t = w_rows if rho == 1.0 else _tilted_rows(rho, lw, q)
+    with np.errstate(divide="ignore"):
+        t = w_rows if rho == 1.0 else _tilt(rho * lw, 1.0 - rho, q)
     return (
         float(weights @ kl_rows_two_logs(t, q[None, :])),
         float(weights @ kl_rows_two_logs(t, w_rows)),

@@ -618,6 +618,18 @@ def test_verify_runs_without_scipy(argv):
     assert json.loads(proc.stdout)["all_pass"] is True
 
 
+def test_brute_spe_runs_without_scipy_on_more_than_two_outputs():
+    proc = _run_python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from rspb.measures import DiscreteChannel, FiniteDist, uniform_dist\n"
+        "from rspb.oracle import brute_spe\n"
+        "ch = DiscreteChannel((FiniteDist([0.7, 0.2, 0.1]), FiniteDist([0.1, 0.3, 0.6])))\n"
+        "print(brute_spe(uniform_dist(2), ch, 0.05, 256))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) > 0.0
+
+
 @pytest.mark.parametrize("extra", [
     ("--rate", "3.0"),
     ("--rate", "3.0", "--n", "600"),

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rspb import oracle
 from rspb.augustin import augustin_fixed_point
-from rspb.errors import BudgetExceededError, PreconditionError
+from rspb.errors import BudgetExceededError, NonConvergenceError, PreconditionError
 from rspb.gaussian import AwgnParams, awgn_parametric, gaussian_closed_forms, theta_of_rho
 from rspb.htbe import ht_params, htbe_achievability, htbe_converse
-from rspb.measures import FiniteDist, bern, bsc, renyi_divergence, tilted_measure, uniform_dist
+from rspb.measures import (
+    DiscreteChannel,
+    FiniteDist,
+    bern,
+    bsc,
+    renyi_divergence,
+    tilted_measure,
+    uniform_dist,
+)
 from rspb.oracle import (
     brute_spe,
     exact_np_tradeoff,
@@ -211,8 +220,47 @@ def test_brute_spe_edges():
     assert brute_spe(uniform_dist(2), bsc(0.1), 5.0, 512) == 0.0
     coarse = brute_spe(uniform_dist(2), bsc(0.1), R_CRIT, 512)
     fine = brute_spe(uniform_dist(2), bsc(0.1), R_CRIT, 1024)
-    # nested order grids; the parabolic q touch-up can wiggle at rounding level
+    # nested order grids; each order's information is certified within 1e-13
     assert fine >= coarse - 1e-12
+
+
+def test_brute_spe_channel_with_exact_zeros():
+    # exact zeros: at order 1/256 two masses of the Augustin mean are near 1e-122
+    channel = DiscreteChannel(tuple(FiniteDist(r) for r in (
+        [0.1353, 0.1745, 0.6507, 0.0, 0.0395],
+        [0.3536, 0.1446, 0.0, 0.4848, 0.0170],
+        [0.8530, 0.0007, 0.0, 0.0, 0.1463],
+    )))
+    p = uniform_dist(3)
+    low = augustin_fixed_point(1e-6, p, channel).information
+    high = augustin_fixed_point(1.0, p, channel).information
+    for share in (0.25, 0.5, 0.75):
+        rate = low + share * (high - low)
+        pt = spe_parametric(p, channel, rate)
+        val = brute_spe(p, channel, rate, 256)
+        assert val <= pt.exponent + 1e-9
+        assert pt.exponent - val <= 1e-3
+
+
+TERNARY = DiscreteChannel((FiniteDist([0.7, 0.2, 0.1]), FiniteDist([0.1, 0.3, 0.6])))
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_brute_spe_raises_rather_than_return_uncertified(monkeypatch, cap):
+    monkeypatch.setattr(oracle, "MAX_NEWTON_STEPS", cap)
+    with pytest.raises(NonConvergenceError, match=f"order .* not certified in {cap} Newton"):
+        brute_spe(uniform_dist(2), TERNARY, 0.05, 64)
+
+
+def test_brute_spe_raises_on_a_singular_newton_system(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # the first order's system reads as the singular one
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "det", lambda a: np.arange(len(a), dtype=float))
+    with pytest.raises(NonConvergenceError, match="order 0.015625 not certified in 1 Newton"):
+        brute_spe(uniform_dist(2), TERNARY, 0.05, 64)
 
 
 def awgn_exact_tilted_moments(rho: float, x: float, params: AwgnParams) -> tuple:
