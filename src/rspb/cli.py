@@ -249,25 +249,41 @@ def _sweep_row(rate, n, bound, at_rate):
 
 
 def _cmd_spe(args):
-    from .refined import rspb_constant_composition
-    from .spe import spe_parametric
+    from .refined import _check_counts, rspb_constant_composition
+    from .spe import _rate_endpoints, _spe_point, spe_parametric
 
     channel = _get_channel(args)
     comp = _get_dist(args.composition, channel.input_size)
-    bound = partial(rspb_constant_composition, channel, comp)
-
-    def at_rate(rate):
-        pt = spe_parametric(comp, channel, rate)
-        return pt.rho_star, pt.exponent, pt.slope
-
     rate = _parse_rate(args.rate)
     if not isinstance(rate, float):
+        # one pair of endpoint solves serves every row, and their failure is
+        # every row's status
+        try:
+            ends = _rate_endpoints(comp, channel)
+        except SpbError as exc:
+            ends = exc
+
+        def point_at(r):
+            if isinstance(ends, SpbError):
+                raise ends
+            return _spe_point(comp, channel, r, ends)
+
+        def bound(n, log_m):
+            # at the rate the bound reads, after the checks it makes first
+            _check_counts(comp, n)
+            return rspb_constant_composition(channel, comp, n, log_m, point=point_at(log_m / n))
+
+        def at_rate(r):
+            pt = point_at(r)
+            return pt.rho_star, pt.exponent, pt.slope
+
         _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
         return EXIT_OK
     # a rate out of range fails the command here, unlike a sweep row
     point = spe_parametric(comp, channel, rate)
     if args.output == "csv":
-        row = _sweep_row(rate, args.n, partial(bound, point=point),
+        bound = partial(rspb_constant_composition, channel, comp, point=point)
+        row = _sweep_row(rate, args.n, bound,
                          lambda _: (point.rho_star, point.exponent, point.slope))
         _emit_csv([row])
         return EXIT_OK

@@ -87,7 +87,7 @@ def _as_masses(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
     return arr / total
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FiniteDist:
     """Probability vector over an indexed finite alphabet.
 

@@ -3,12 +3,15 @@
 The exponent at rate R is the supremum over orders in (0, 1) of
 (1 - rho) / rho * (I_rho - R). For rates strictly between the small-order
 information limit and the order-one information there is a unique interior
-order at which the tilted-channel rate matches R; Brent's root-finder on
-that monotone rate profile gives the exponent, its slope, and the order in
-one shot, and over a constraint set the same root-finder runs on the
-capacity curve. The direct form (1 - rho*) / rho* (I_rho* - R) at the root
-checks the exponent; an independent check is `oracle.brute_spe`, which never
-runs the fixed point.
+order at which the tilted-channel rate matches R, and the exponent, its
+slope and the order come from the Augustin mean there. A point finds that
+order by Newton's method on the joint system of the fixed-point equation
+and the rate equation, in (ln q, rho), and accepts it only once a cold
+fixed point at that order meets the rate; otherwise, and over a constraint
+set on the capacity curve, Brent's root-finder on the monotone rate profile
+finds it. The direct form (1 - rho*) / rho* (I_rho* - R) at the root checks
+the exponent; an independent check is `oracle.brute_spe`, which never runs
+the fixed point.
 """
 
 from __future__ import annotations
@@ -21,18 +24,24 @@ import numpy as np
 from .augustin import (
     LOW_ORDER_PROBE,
     ConstraintSet,
+    _kl_rows,
+    _start,
+    _support_rows,
+    _tilt,
     augustin_capacity,
     augustin_fixed_point,
     tilted_kl_pair,
 )
 from .errors import ComputationError, DegenerateChannelError, RateOutOfRangeError
-from .measures import DiscreteChannel, FiniteDist
+from .measures import DiscreteChannel, FiniteDist, _tilt_moments
 
 RATE_RESIDUAL_TOL = 1e-10
 EXPONENT_CONSISTENCY_TOL = 1e-8
 # Absolute order tolerance of the root-finder: a bracket narrower than this,
 # plus rounding, holds no order worth another solve.
 ORDER_XTOL = 1e-15
+# Newton steps on (ln q, rho) before the order search falls back to Brent
+NEWTON_MAX_STEPS = 12
 
 
 def _find_order(rate_at, target, lo, hi, done):
@@ -96,6 +105,61 @@ def _find_order(rate_at, target, lo, hi, done):
             return point
 
 
+def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
+    """A proposed order for the rate, or None: Newton's method on the joint
+    system ln T_rho(q) = ln q, D_1(tilt || q | p) = rate in (ln q, rho).
+
+    q lives on the outputs p W reaches and starts at the power-mean center of
+    the sqrt-secant order between the solved (order, rate) pairs lo and hi,
+    Brent's first probe. With V the rows tilted toward q, L = ln W - ln q,
+    m and a2 the tilted mean and variance of L, C = L - m, T = p V and P =
+    diag(p), the Jacobian is [[(rho-1) diag(1/T) V^T P V - rho I, p(V C)/T],
+    [rho(1-rho) p(V C) - T, rho sum_x p(x) a2(x)]]. The search stops once
+    the order step is below 1e-9 rho, and gives up (None) on a step that
+    leaves the open bracket (LOW_ORDER_PROBE, 1), a step that is not finite
+    or singular, or after NEWTON_MAX_STEPS steps. Its answer is only a probe:
+    the caller certifies it with a cold fixed point.
+    """
+    weights, w_rows, lw = _support_rows(p, channel)
+    root = math.sqrt(rate)
+    s_lo, s_hi = math.sqrt(max(lo[1], 0.0)), math.sqrt(max(hi[1], 0.0))
+    rho = lo[0] + (hi[0] - lo[0]) * (root - s_lo) / (s_hi - s_lo)
+    q = _start(rho, weights, w_rows, lw)[0]
+    reached = weights @ w_rows > 0
+    if not reached.all():
+        q, lw = q[reached], lw[:, reached]
+    size = q.size
+    jac = np.empty((size + 1, size + 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lq = np.log(q)
+        for _ in range(NEWTON_MAX_STEPS):
+            v = _tilt(rho * lw, 1.0 - rho, q)
+            lr = lw - lq
+            m, a2, _ = _tilt_moments(lr, v)
+            vc = np.where(v > 0, v * (lr - m[:, None]), 0.0)
+            t, pvc = weights @ v, weights @ vc
+            block = (rho - 1.0) * ((v.T * weights) @ v) / t[:, None]
+            block.flat[:: size + 1] -= rho
+            jac[:size, :size] = block
+            jac[:size, size] = pvc / t
+            jac[size, :size] = rho * (1.0 - rho) * pvc - t
+            jac[size, size] = rho * (weights @ a2)
+            residual = np.append(lq - np.log(t), rate - weights @ _kl_rows(v, np.log(v), lq))
+            try:
+                step = np.linalg.solve(jac, residual)
+            except np.linalg.LinAlgError:
+                return None
+            d_rho = float(step[size])
+            if not (np.isfinite(step).all() and LOW_ORDER_PROBE < rho + d_rho < 1.0):
+                return None
+            rho += d_rho
+            if abs(d_rho) <= 1e-9 * rho:
+                return rho
+            lq = lq + step[:size]
+            q = np.exp(lq)
+    return None
+
+
 @dataclass(frozen=True)
 class SpePoint:
     """One point of the exponent-rate curve, with the matching order and mean."""
@@ -133,7 +197,13 @@ def _rate_met(rho: float, residual: float) -> bool:
 
 
 def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> SpePoint:
-    """spe_parametric with the endpoint fixed points already solved."""
+    """spe_parametric with the endpoint fixed points already solved.
+
+    `_newton_order` proposes the order, and one cold fixed point there must
+    meet `_rate_met`; otherwise Brent's `_find_order` runs on the bracket
+    narrowed by that solve. Either way the point is read from the one cold
+    solve at rho*.
+    """
     low_sol, high_sol = ends
     low, high = low_sol.information, high_sol.information
     if high - low <= 1e-12:
@@ -147,12 +217,24 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
         sol = augustin_fixed_point(rho, p, channel)
         return sol.tilted_rate, sol
 
+    def done(rho, r, _):
+        return _rate_met(rho, abs(r - rate))
+
     # the tilted rate is at most the information, so the probe order is below
     # the crossing; at order one the tilt is the channel and the rate is high
-    rho_star, _, sol = _find_order(
-        rate_at, rate, (LOW_ORDER_PROBE, low_sol.tilted_rate), (1.0, high_sol.tilted_rate),
-        lambda rho, r, _: _rate_met(rho, abs(r - rate)),
-    )
+    lo, hi = (LOW_ORDER_PROBE, low_sol.tilted_rate), (1.0, high_sol.tilted_rate)
+    point = None
+    rho = _newton_order(p, channel, rate, lo, hi)
+    if rho is not None:
+        point = (rho, *rate_at(rho))
+        if point[1] < rate:
+            lo = point[:2]
+        else:
+            hi = point[:2]
+    if point is None or not done(*point):
+        found = _find_order(rate_at, rate, lo, hi, done)
+        point = min(filter(None, (point, found)), key=lambda pt: abs(pt[1] - rate))
+    rho_star, _, sol = point
     exponent = sol.tilted_exponent
     slope = (rho_star - 1.0) / rho_star
     direct = (1.0 - rho_star) / rho_star * (sol.information - rate)

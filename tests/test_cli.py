@@ -15,6 +15,7 @@ import rspb.spe
 import rspb.symmetric
 from rspb.augustin import augustin_info_derivative, haroutunian_rate
 from rspb.cli import main
+from rspb.errors import NonConvergenceError
 from rspb.measures import uniform_dist, zchannel
 from rspb.spe import spe_parametric
 
@@ -205,6 +206,44 @@ def test_sweep_crossing_capacity_flags_rows(capsys):
     assert bad and good
     assert all(r[1] == "nan" for r in bad)
     assert {r[-1] for r in bad} == {"RateOutOfRangeError"}
+
+
+def test_sweep_solves_endpoints_once_and_matches_per_rate_rows(capsys, monkeypatch):
+    calls = []
+    solve = rspb.spe.augustin_fixed_point
+
+    def counting(rho, *args, **kwargs):
+        calls.append(rho)
+        return solve(rho, *args, **kwargs)
+
+    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", counting)
+    code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.02:0.35:34", "--n", "600")
+    assert code == 0
+    # two endpoint solves, then one certifying solve per row
+    assert len(calls) == 2 + 34
+    assert calls[:2] == [rspb.spe.LOW_ORDER_PROBE, 1.0]
+    lines = out.strip().split("\n")
+    for rate, line in zip(np.linspace(0.02, 0.35, 34), lines[1:]):
+        _, single, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", repr(float(rate)),
+                               "--n", "600", "--output", "csv")
+        assert single.strip().split("\n") == [lines[0], line]
+
+
+def test_sweep_rows_carry_an_endpoint_failure(capsys, monkeypatch):
+    calls = []
+
+    def failing(p, channel):
+        calls.append(channel)
+        raise NonConvergenceError("fixed point did not converge", 1e-9)
+
+    monkeypatch.setattr(rspb.spe, "_rate_endpoints", failing)
+    for extra in ((), ("--n", "600")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1:0.2:3", *extra)
+        assert code == 0
+        assert len(calls) == 1
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [r[-1] for r in rows] == ["NonConvergenceError"] * 3
 
 
 def test_sweep_two_points(capsys):

@@ -18,8 +18,16 @@ from rspb.measures import (
     zchannel,
 )
 from rspb.oracle import brute_spe
-from rspb.spe import spe_constrained, spe_parametric
-from conftest import random_channel
+from rspb.spe import (
+    LOW_ORDER_PROBE,
+    _find_order,
+    _rate_endpoints,
+    _rate_met,
+    _spe_point,
+    spe_constrained,
+    spe_parametric,
+)
+from conftest import channel_with_zeros, random_channel
 from oracle_helpers import fd_derivative_check
 
 U2 = uniform_dist(2)
@@ -240,10 +248,11 @@ def test_point_reads_the_tilted_pair_from_its_solves(monkeypatch):
     assert calls == []
 
 
-def test_point_takes_at_most_12_solves(monkeypatch, rng):
+def test_point_takes_at_most_3_solves(monkeypatch, rng):
+    # the two endpoints and the one cold solve that certifies Newton's order
     calls = _counting_solves(monkeypatch)
     spe_parametric(U2, bsc(0.1), 0.1308120)
-    assert len(calls) <= 12
+    assert len(calls) <= 3
     for n_in, n_out in ((2, 3), (3, 4), (4, 8), (2, 2), (8, 16)):
         channel = random_channel(rng, n_in, n_out)
         p = uniform_dist(n_in)
@@ -252,14 +261,14 @@ def test_point_takes_at_most_12_solves(monkeypatch, rng):
         for frac in (1e-3, 0.5, 0.995):
             calls.clear()
             spe_parametric(p, channel, low + frac * (high - low))
-            assert len(calls) <= 12, (n_in, n_out, frac)
+            assert len(calls) <= 3, (n_in, n_out, frac)
 
 
-def test_anchor_point_takes_8_solves_7_below_order_one(monkeypatch):
+def test_anchor_point_takes_3_solves_2_below_order_one(monkeypatch):
     calls = _counting_solves(monkeypatch)
     spe_parametric(U2, bsc(0.1), 0.1308120)
-    assert len(calls) == 8
-    assert sum(rho < 1.0 for rho, _, _ in calls) == 7
+    assert len(calls) == 3
+    assert sum(rho < 1.0 for rho, _, _ in calls) == 2
 
 
 def test_constrained_single_solves_endpoints_once(monkeypatch):
@@ -298,3 +307,95 @@ def test_no_solve_passes_a_start(monkeypatch, rng):
     assert len(calls) > 6
     # every solve is (rho, p, channel) alone, so it starts where the solver does
     assert all(not args and not kwargs for _, args, kwargs in calls)
+
+
+# The Newton order search against Brent alone: bsc, bec, z, seeded Dirichlet
+# channels, NEAR_FACE and 12 channels with exact zeros (none of these draws
+# hits a low-order fixed point that fails to converge), at four rate fractions
+_DIRICHLET = np.random.default_rng(7)
+_ZEROS = np.random.default_rng(11)
+NEWTON_CHANNELS = (
+    [("bsc", bsc(0.1)), ("bec", bec(0.3)), ("z", zchannel(0.3))]
+    + [(f"d{a}x{b}", random_channel(_DIRICHLET, a, b)) for a, b in ((2, 3), (4, 8), (8, 16))]
+    + [("near-face", NEAR_FACE)]
+    + [(f"zeros{k}", channel_with_zeros(_ZEROS)) for k in range(12)]
+)
+RATE_FRACTIONS = (1e-3, 0.05, 0.5, 0.995)
+
+
+def _brent_point(p, channel, rate, ends):
+    """The order, rate and solve that Brent's method alone finds."""
+    def rate_at(rho):
+        sol = augustin_fixed_point(rho, p, channel)
+        return sol.tilted_rate, sol
+
+    return _find_order(
+        rate_at, rate, (LOW_ORDER_PROBE, ends[0].tilted_rate), (1.0, ends[1].tilted_rate),
+        lambda rho, r, _: _rate_met(rho, abs(r - rate)),
+    )
+
+
+def _counting_newton(monkeypatch):
+    """Record the order `_newton_order` proposes at every point, None for a bail."""
+    proposals = []
+    newton = rspb.spe._newton_order
+
+    def counting(*args):
+        proposals.append(newton(*args))
+        return proposals[-1]
+
+    monkeypatch.setattr(rspb.spe, "_newton_order", counting)
+    return proposals
+
+
+@pytest.mark.parametrize("label, channel", NEWTON_CHANNELS, ids=[c[0] for c in NEWTON_CHANNELS])
+def test_newton_order_matches_brent(label, channel):
+    p = uniform_dist(channel.input_size)
+    ends = _rate_endpoints(p, channel)
+    low, high = ends[0].information, ends[1].information
+    for frac in RATE_FRACTIONS:
+        rate = low + frac * (high - low)
+        pt = _spe_point(p, channel, rate, ends)
+        assert type(pt.rho_star) is float
+        cold = augustin_fixed_point(pt.rho_star, p, channel)
+        assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
+        assert pt.exponent == cold.tilted_exponent
+        rho, _, sol = _brent_point(p, channel, rate, ends)
+        assert abs(pt.rho_star - rho) <= 1e-9 * rho, frac
+        assert abs(pt.exponent - sol.tilted_exponent) <= 1e-8, frac
+        if frac <= 0.05:
+            brute = brute_spe(p, channel, rate, 256)
+            assert brute <= pt.exponent + 1e-10, frac
+            assert pt.exponent - brute <= 1e-4, frac
+
+
+def test_newton_proposals_mostly_certify_and_some_bail(monkeypatch):
+    proposals = _counting_newton(monkeypatch)
+    calls = _counting_solves(monkeypatch)
+    for _, channel in NEWTON_CHANNELS[:6]:
+        p = uniform_dist(channel.input_size)
+        ends = _rate_endpoints(p, channel)
+        low, high = ends[0].information, ends[1].information
+        for frac in RATE_FRACTIONS:
+            calls.clear()
+            pt = _spe_point(p, channel, low + frac * (high - low), ends)
+            if proposals[-1] is not None:
+                # a certified proposal is the point, from its one cold solve
+                assert [rho for rho, _, _ in calls] == [pt.rho_star]
+                assert pt.rho_star == proposals[-1]
+    bails = [i for i, rho in enumerate(proposals) if rho is None]
+    # bec and z at rate fraction 1e-3 and bec at 0.5 step out of the bracket
+    assert bails == [4, 6, 8]
+
+
+def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
+    # bec(0.3) at half its rate range: Newton's first step leaves (0, 1)
+    channel = bec(0.3)
+    ends = _rate_endpoints(U2, channel)
+    rate = 0.5 * (ends[0].information + ends[1].information)
+    proposals = _counting_newton(monkeypatch)
+    pt = _spe_point(U2, channel, rate, ends)
+    assert proposals == [None]
+    rho, _, sol = _brent_point(U2, channel, rate, ends)
+    assert pt.rho_star == rho
+    assert pt.exponent == sol.tilted_exponent
