@@ -245,9 +245,7 @@ def renyi_divergence(rho: float, w: FiniteDist, q: FiniteDist) -> float:
     _check_pair(w, q)
     wm, qm = w.masses, q.masses
     joint = (wm > 0) & (qm > 0)
-    if rho >= 1.0 and np.any((wm > 0) & (qm == 0)):
-        return np.inf
-    if not joint.any():
+    if not joint.any() or (rho >= 1.0 and np.any((wm > 0) & (qm == 0))):
         return np.inf
     lw = np.log(wm[joint])
     lq = np.log(qm[joint])
@@ -282,12 +280,13 @@ def tilted_measure(rho: float, w: FiniteDist, q: FiniteDist) -> FiniteDist:
     """
     _check_order(rho)
     _check_pair(w, q)
-    if not np.isfinite(renyi_divergence(rho, w, q)):
+    wm, qm = w.masses, q.masses
+    joint = (wm > 0) & (qm > 0)
+    # D_rho(w || q) is infinite: no shared point, or w-mass off q's support at rho >= 1
+    if not joint.any() or (rho >= 1.0 and np.any((wm > 0) & (qm == 0))):
         raise InfiniteDivergenceError("tilted measure undefined for singular pair")
     if rho == 1.0:
         return w
-    wm, qm = w.masses, q.masses
-    joint = (wm > 0) & (qm > 0)
     logits = rho * np.log(wm[joint]) + (1.0 - rho) * np.log(qm[joint])
     out = np.zeros_like(wm)
     out[joint] = np.exp(logits - _logsumexp(logits))

@@ -5,13 +5,12 @@ The exponent at rate R is the supremum over orders in (0, 1) of
 information limit and the order-one information there is a unique interior
 order at which the tilted-channel rate matches R, and the exponent, its
 slope and the order come from the Augustin mean there. A point finds that
-order by Newton's method on the joint system of the fixed-point equation
-and the rate equation, in (ln q, rho), and accepts it only once a cold
-fixed point at that order meets the rate; otherwise, and over a constraint
-set on the capacity curve, Brent's root-finder on the monotone rate profile
-finds it. The direct form (1 - rho*) / rho* (I_rho* - R) at the root checks
-the exponent; an independent check is `oracle.brute_spe`, which never runs
-the fixed point.
+order with one search, Brent's root-finder on the monotone rate profile,
+whose first probe is a cold fixed point at the order Newton's method on
+the fixed-point and rate equations in (ln q, rho) proposes; over a
+constraint set it runs on the capacity curve. The direct form
+(1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
+independent check is `oracle.brute_spe`, which never runs the fixed point.
 """
 
 from __future__ import annotations
@@ -44,12 +43,14 @@ ORDER_XTOL = 1e-15
 NEWTON_MAX_STEPS = 12
 
 
-def _find_order(rate_at, target, lo, hi, done):
+def _find_order(rate_at, target, lo, hi, done, first=None):
     """Brent's method for the order where a non-decreasing rate crosses target.
 
     lo and hi are solved (order, rate) pairs, lo's rate below the target and
     hi's above. rate_at(rho) returns (rate, state) at a new order; the state
-    comes back with the chosen probe. Each probe interpolates inversely
+    comes back with the chosen probe. A proposed `first` order in the bracket
+    is probed before all others; unless done accepts it, it replaces the end
+    on its side of the target. Each later probe interpolates inversely
     through the last three points (a secant through two), falling back to
     halving when the interpolant leaves the bracket or shrinks it more slowly
     than halving would (Brent, Algorithms for Minimization Without
@@ -60,13 +61,18 @@ def _find_order(rate_at, target, lo, hi, done):
     (rho, rate, state) probe that done(rho, rate, state) accepts or, once the
     bracket is spent, the probe with the smallest residual.
     """
+    best = None
+    if first is not None:
+        best = (first, *rate_at(first))
+        if done(*best):
+            return best
+        lo, hi = (best[:2], hi) if best[1] < target else (lo, best[:2])
     eps = np.finfo(float).eps
     root = math.sqrt(target)
     a, fa = lo[0], math.sqrt(max(lo[1], 0.0)) - root
     b, fb = hi[0], math.sqrt(max(hi[1], 0.0)) - root
     c, fc = a, fa
     d = e = b - a
-    best = None
     while True:
         # b is the best end of the bracket [b, c]; a is the previous b
         if (fb > 0.0) == (fc > 0.0):
@@ -199,10 +205,8 @@ def _rate_met(rho: float, residual: float) -> bool:
 def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> SpePoint:
     """spe_parametric with the endpoint fixed points already solved.
 
-    `_newton_order` proposes the order, and one cold fixed point there must
-    meet `_rate_met`; otherwise Brent's `_find_order` runs on the bracket
-    narrowed by that solve. Either way the point is read from the one cold
-    solve at rho*.
+    `_newton_order`'s proposal is the first probe of `_find_order`, and the
+    point is read from the cold fixed point of the probe it accepts.
     """
     low_sol, high_sol = ends
     low, high = low_sol.information, high_sol.information
@@ -223,18 +227,8 @@ def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> Sp
     # the tilted rate is at most the information, so the probe order is below
     # the crossing; at order one the tilt is the channel and the rate is high
     lo, hi = (LOW_ORDER_PROBE, low_sol.tilted_rate), (1.0, high_sol.tilted_rate)
-    point = None
-    rho = _newton_order(p, channel, rate, lo, hi)
-    if rho is not None:
-        point = (rho, *rate_at(rho))
-        if point[1] < rate:
-            lo = point[:2]
-        else:
-            hi = point[:2]
-    if point is None or not done(*point):
-        found = _find_order(rate_at, rate, lo, hi, done)
-        point = min(filter(None, (point, found)), key=lambda pt: abs(pt[1] - rate))
-    rho_star, _, sol = point
+    rho_star, _, sol = _find_order(rate_at, rate, lo, hi, done,
+                                   _newton_order(p, channel, rate, lo, hi))
     exponent = sol.tilted_exponent
     slope = (rho_star - 1.0) / rho_star
     direct = (1.0 - rho_star) / rho_star * (sol.information - rate)

@@ -10,8 +10,8 @@ inputs, with no loop over the orders. On a product of such channels the
 sphere-packing order solves one scalar equation, summed tilted rates equal
 to ln M - ln L; `_solve_symmetric` solves it, a single channel at rate R
 being the one-component case, on the array kernels of `augustin`. Its order
-probes build only the tilted rates, and the exponent and moments are taken
-once per distinct component, at the root.
+probes tilt each distinct component once, and the exponent and moments at
+the root are read from the accepted probe's tilts.
 """
 
 from __future__ import annotations
@@ -165,15 +165,26 @@ def _uniform_center(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> FiniteDis
 
 def _tilted_rates(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
     """Uniform-input center at rho, each input's tilt toward it and the
-    tilt's log, and the tilts' KL rates to the center, which symmetry makes
-    input-independent: a spread above 1e-8 raises SymmetryError."""
+    tilt's log, and input 0's tilted KL rate to the center, which symmetry
+    makes input-independent: a spread above 1e-8 raises SymmetryError."""
     center = _uniform_center(rho, w_rows, lw)
     with np.errstate(divide="ignore", invalid="ignore"):
         tilts, lt = _tilts_and_logs(rho, w_rows, lw, center.masses)
         rates = _kl_rows(tilts, lt, np.log(center.masses))
     if rates.max() - rates.min() > 1e-8:
         raise SymmetryError("tilted rate differs across inputs")
-    return center, tilts, lt, rates
+    return center, tilts, lt, float(rates[0])
+
+
+def _component(rho: float, lw: np.ndarray, center, tilts, lt, rate) -> SymmetricComponent:
+    """The quantities of input 0 at rho, from the `_tilted_rates` tuple there."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lr = lw[0] - np.log(center.masses)
+        exponent = float(_kl_rows(tilts, lt, lw)[0])
+    _, a2, a3 = map(float, _tilt_moments(lr, tilts[0]))
+    ratios = lr[tilts[0] > 0]
+    nonconstant = bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
+    return SymmetricComponent(rho, center, rate, exponent, a2, a3, nonconstant)
 
 
 def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricComponent:
@@ -184,14 +195,7 @@ def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricCompo
     returned.
     """
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    center, tilts, lt, rates = _tilted_rates(rho, w_rows, lw)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr = lw[0] - np.log(center.masses)
-        exponent = float(_kl_rows(tilts, lt, lw)[0])
-    _, a2, a3 = map(float, _tilt_moments(lr, tilts[0]))
-    ratios = lr[tilts[0] > 0]
-    nonconstant = bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
-    return SymmetricComponent(rho, center, float(rates[0]), exponent, a2, a3, nonconstant)
+    return _component(rho, lw, *_tilted_rates(rho, w_rows, lw))
 
 
 def center_order_independent(report: SymmetryReport, tol: float = 1e-9) -> bool:
@@ -205,13 +209,14 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
                      tol: float = DEFAULT_SYMMETRY_TOL) -> tuple:
     """Order where the summed tilted rates of the components meet target.
 
-    Equal components, however built, are certified once, each probe takes
-    one tilted rate per distinct component, and their quantities are solved
-    once at rho*. The bracket runs from LOW_ORDER_PROBE to order one, where
-    the rates are the capacities. The slope (rho*-1)/rho* is certified when some component's
-    tilted log ratio is non-constant or every certified center is
-    order-independent. Returns (rho*, the per-component quantities at rho*,
-    their symmetry reports, both in the order of `channels`, certified).
+    Equal components, however built, are certified once, each probe tilts
+    each distinct component once, and their quantities at rho* are read from
+    the accepted probe. The bracket runs from LOW_ORDER_PROBE to order one,
+    where the rates are the capacities. The slope (rho*-1)/rho* is certified
+    when some component's tilted log ratio is non-constant or every
+    certified center is order-independent. Returns (rho*, the per-component
+    quantities at rho*, their symmetry reports, both in the order of
+    `channels`, certified).
     """
     distinct, layout = {}, []
     for ch in channels:
@@ -235,15 +240,15 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
         raise RateOutOfRangeError(target, low, high)
 
     def summed(rho):
-        rate = {k: float(_tilted_rates(rho, *rows[k])[3][0]) for k in distinct}
-        return sum(rate[k] for k in layout), None
+        tilted = {k: _tilted_rates(rho, *rows[k]) for k in distinct}
+        return sum(tilted[k][3] for k in layout), tilted
 
     stop = 1e-12 * max(1.0, abs(target))
-    rho, _, _ = _find_order(
+    rho, _, tilted = _find_order(
         summed, target, (LOW_ORDER_PROBE, summed(LOW_ORDER_PROBE)[0]), (1.0, high),
         lambda rho, total, _: abs(total - target) <= stop,
     )
-    comp = {k: component_quantities(rho, ch) for k, ch in distinct.items()}
+    comp = {k: _component(rho, rows[k][1], *tilted[k]) for k in distinct}
     certified = any(comp[k].tilt_nonconstant for k in layout) or all(
         center_order_independent(r, tol) for r in reports.values()
     )

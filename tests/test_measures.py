@@ -189,6 +189,36 @@ def test_tilted_measure_examples():
         tilted_measure(1.0, FiniteDist(np.array([0.5, 0.5])), FiniteDist(np.array([1.0, 0.0])))
 
 
+TILT_PAIRS = [
+    ([0.5, 0.5, 0.0], [0.2, 0.3, 0.5]),  # w << q
+    ([0.5, 0.5, 0.0], [0.0, 0.4, 0.6]),  # w has mass where q has none
+    ([0.2, 0.3, 0.5], [0.6, 0.4, 0.0]),
+    ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5]),  # disjoint supports
+    ([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]),
+    ([0.1, 0.6, 0.3], [0.3, 0.3, 0.4]),
+]
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("wm, qm", TILT_PAIRS)
+def test_tilted_measure_raises_exactly_when_the_divergence_is_infinite(rho, wm, qm):
+    w, q = FiniteDist(np.array(wm)), FiniteDist(np.array(qm))
+    if math.isinf(renyi_divergence(rho, w, q)):
+        with pytest.raises(InfiniteDivergenceError):
+            tilted_measure(rho, w, q)
+        return
+    t = tilted_measure(rho, w, q)
+    if rho == 1.0:
+        assert t is w
+        return
+    # the normalized geometric interpolation on the joint support, bit for bit
+    joint = (w.masses > 0) & (q.masses > 0)
+    logits = rho * np.log(w.masses[joint]) + (1.0 - rho) * np.log(q.masses[joint])
+    expect = np.zeros(3)
+    expect[joint] = np.exp(logits - _logsumexp(logits))
+    assert t.masses.tobytes() == FiniteDist(expect).masses.tobytes()
+
+
 def test_conditional_divergence_examples():
     ch = bsc(0.1)
     u = uniform_dist(2)

@@ -199,35 +199,38 @@ def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
 
 
 def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
-    # the order probes build only the summed tilted rate; the moments and
-    # exponent come from one component_quantities call per distinct component
-    calls = []
-    solve = rspb.symmetric.component_quantities
-
-    def counting(rho, channel):
-        calls.append((rho, channel.row_matrix().tobytes()))
-        return solve(rho, channel)
-
-    probes = []
-    rates = rspb.symmetric._tilted_rates
+    # each order probe tilts each distinct component once, and the root's
+    # exponent and moments are read from the probe the search accepted
+    probes, returned = [], []
+    rates, find = rspb.symmetric._tilted_rates, rspb.symmetric._find_order
 
     def probing(rho, *rows):
-        probes.append(rho)
+        probes.append((rho, rows[0].tobytes()))
         return rates(rho, *rows)
 
-    monkeypatch.setattr(rspb.symmetric, "component_quantities", counting)
+    def finding(*args):
+        out = find(*args)
+        returned.append(len(probes))
+        return out
+
     monkeypatch.setattr(rspb.symmetric, "_tilted_rates", probing)
+    monkeypatch.setattr(rspb.symmetric, "_find_order", finding)
+    channels = [bsc(0.1), bsc(0.2)] * 4
     high = 4 * sum(symmetric_center(1.0, ch)[1] for ch in (bsc(0.1), bsc(0.2)))
     for frac in (1e-3, 0.5, 0.99):
-        calls.clear()
         probes.clear()
-        rep = rspb_symmetric([bsc(0.1), bsc(0.2)] * 4, frac * high)
-        # at most 8 order probes of the 2 components, and the root's 2
-        assert len(probes) <= 16 + 2, frac
-        assert len(calls) == 2, frac
-        assert {rho for rho, _ in calls} == {rep.rho_star}
-        assert len({rows for _, rows in calls}) == 2
+        returned.clear()
+        rep = rspb_symmetric(channels, frac * high)
+        # at most 8 order probes of the 2 components, the low end's included,
+        # and none once the search has returned
+        assert len(probes) <= 16, frac
+        assert returned == [len(probes)], frac
+        assert len({rows for rho, rows in probes if rho == rep.rho_star}) == 2, frac
         assert rep.slope_certified
+        comps = [rspb.symmetric.component_quantities(rep.rho_star, ch) for ch in channels]
+        params = HtParams.from_moments(sum(c.a2 for c in comps) / 8, sum(c.a3 for c in comps) / 8)
+        assert rep.exponent_total == sum(c.exponent_term for c in comps), frac
+        assert (rep.a2, rep.a3) == (params.a2, params.a3), frac
 
 
 def test_symmetric_rate_range():

@@ -323,16 +323,15 @@ NEWTON_CHANNELS = (
 RATE_FRACTIONS = (1e-3, 0.05, 0.5, 0.995)
 
 
-def _brent_point(p, channel, rate, ends):
-    """The order, rate and solve that Brent's method alone finds."""
+def _brent_point(p, channel, rate, ends, bracket=None):
+    """The order, rate and solve that Brent's method alone finds, between the
+    endpoint solves or on a given (lo, hi) pair of solved (order, rate)."""
     def rate_at(rho):
         sol = augustin_fixed_point(rho, p, channel)
         return sol.tilted_rate, sol
 
-    return _find_order(
-        rate_at, rate, (LOW_ORDER_PROBE, ends[0].tilted_rate), (1.0, ends[1].tilted_rate),
-        lambda rho, r, _: _rate_met(rho, abs(r - rate)),
-    )
+    lo, hi = bracket or ((LOW_ORDER_PROBE, ends[0].tilted_rate), (1.0, ends[1].tilted_rate))
+    return _find_order(rate_at, rate, lo, hi, lambda rho, r, _: _rate_met(rho, abs(r - rate)))
 
 
 def _counting_newton(monkeypatch):
@@ -399,3 +398,43 @@ def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
     rho, _, sol = _brent_point(U2, channel, rate, ends)
     assert pt.rho_star == rho
     assert pt.exponent == sol.tilted_exponent
+
+
+@pytest.mark.parametrize("channel", [bsc(0.1), bec(0.3)], ids=["bsc", "bec"])
+def test_rejected_proposal_narrows_the_bracket_for_brent(monkeypatch, channel):
+    # a proposal off the root fails the stop rule; the search goes on from the
+    # bracket its solve leaves, exactly as Brent alone does on that bracket
+    ends = _rate_endpoints(U2, channel)
+    low, high = ends[0].information, ends[1].information
+    proposal = []
+    monkeypatch.setattr(rspb.spe, "_newton_order", lambda *args: proposal[-1])
+    calls = _counting_solves(monkeypatch)
+    for frac in (1e-3, 0.05, 0.5, 0.9):
+        rate = low + frac * (high - low)
+        proposal.append(1.01 * _brent_point(U2, channel, rate, ends)[0])
+        assert LOW_ORDER_PROBE < proposal[-1] < 1.0
+        calls.clear()
+        pt = _spe_point(U2, channel, rate, ends)
+        assert calls[0][0] == proposal[-1] and len(calls) > 1, frac
+        cold = augustin_fixed_point(pt.rho_star, U2, channel)
+        assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
+        off = augustin_fixed_point(proposal[-1], U2, channel).tilted_rate
+        lo, hi = (LOW_ORDER_PROBE, ends[0].tilted_rate), (1.0, ends[1].tilted_rate)
+        bracket = ((proposal[-1], off), hi) if off < rate else (lo, (proposal[-1], off))
+        rho, _, sol = _brent_point(U2, channel, rate, ends, bracket)
+        assert pt.rho_star == rho, frac
+        assert pt.exponent == sol.tilted_exponent, frac
+        assert pt.mean.masses.tobytes() == sol.mean.masses.tobytes(), frac
+
+
+def test_accepted_first_probe_is_the_only_probe():
+    calls = []
+
+    def rate_at(rho):
+        calls.append(rho)
+        return rho * rho, "state"
+
+    found = _find_order(rate_at, 0.25, (0.0, 0.0), (1.0, 1.0),
+                        lambda rho, r, _: abs(r - 0.25) <= 1e-12, first=0.5)
+    assert found == (0.5, 0.25, "state")
+    assert calls == [0.5]
