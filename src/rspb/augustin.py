@@ -40,7 +40,7 @@ START_MIX = 1e-9
 _GATE_ULPS = 64 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AugustinSolution:
     """Converged fixed point: mean, information, and iteration diagnostics.
 

@@ -256,8 +256,9 @@ def _cmd_spe(args):
     comp = _get_dist(args.composition, channel.input_size)
     rate = _parse_rate(args.rate)
     if not isinstance(rate, float):
-        # one pair of endpoint solves serves every row, and their failure is
-        # every row's status
+        # spe keeps the endpoint solves per (channel, input), so every row
+        # reuses them; a failed solve is not kept, so it is taken here once
+        # and is every row's status
         try:
             ends = _rate_endpoints(comp, channel)
         except SpbError as exc:

@@ -8,14 +8,18 @@ slope and the order come from the Augustin mean there. A point finds that
 order with one search, Brent's root-finder on the monotone rate profile,
 whose first probe is a cold fixed point at the order Newton's method on
 the fixed-point and rate equations in (ln q, rho) proposes; over a
-constraint set it runs on the capacity curve. The direct form
-(1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
+constraint set it runs on the capacity curve. The search is bracketed by two
+rate-independent fixed points, at LOW_ORDER_PROBE and at order one; they are
+solved once per (channel, input) and shared by every rate asked of that
+channel object, so a curve of k rates makes two endpoint solves. The direct
+form (1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
 independent check is `oracle.brute_spe`, which never runs the fixed point.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +170,7 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpePoint:
     """One point of the exponent-rate curve, with the matching order and mean."""
 
@@ -177,10 +181,31 @@ class SpePoint:
     mean: FiniteDist
 
 
+# The endpoint solves of each channel at the last input they were solved for,
+# as (input masses as bytes, (low, order one)). Channels hash by identity and
+# never change. An entry goes with its channel, and the oldest entry goes when
+# a new channel would make more than _ENDPOINTS_KEPT: an entry is about 1 kB,
+# and a caller that keeps every channel it builds alive need not keep every
+# pair too.
+_ENDPOINTS = weakref.WeakKeyDictionary()
+_ENDPOINTS_KEPT = 64
+
+
 def _rate_endpoints(p: FiniteDist, channel: DiscreteChannel) -> tuple:
-    """Fixed points at the low probe order and at order one."""
-    return (augustin_fixed_point(LOW_ORDER_PROBE, p, channel),
+    """Fixed points at the low probe order and at order one, solved once per
+    (channel, input): every later call with the same channel object and
+    input masses returns the same two solutions. A solve that raises is not
+    kept."""
+    key = p.masses.tobytes()
+    kept = _ENDPOINTS.get(channel)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    ends = (augustin_fixed_point(LOW_ORDER_PROBE, p, channel),
             augustin_fixed_point(1.0, p, channel))
+    if kept is None and len(_ENDPOINTS) >= _ENDPOINTS_KEPT:
+        del _ENDPOINTS[next(iter(_ENDPOINTS))]
+    _ENDPOINTS[channel] = (key, ends)
+    return ends
 
 
 def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpePoint:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,12 @@ import pytest
 import rspb.augustin
 import rspb.spe
 from rspb.augustin import ConstraintSet, augustin_capacity, augustin_fixed_point, tilted_kl_pair
-from rspb.errors import DegenerateChannelError, PreconditionError, RateOutOfRangeError
+from rspb.errors import (
+    DegenerateChannelError,
+    NonConvergenceError,
+    PreconditionError,
+    RateOutOfRangeError,
+)
 from rspb.measures import (
     DiscreteChannel,
     FiniteDist,
@@ -249,7 +256,8 @@ def test_point_reads_the_tilted_pair_from_its_solves(monkeypatch):
 
 
 def test_point_takes_at_most_3_solves(monkeypatch, rng):
-    # the two endpoints and the one cold solve that certifies Newton's order
+    # the first rate on a channel: the two endpoints and the one cold solve
+    # that certifies Newton's order; a later rate reuses the endpoints
     calls = _counting_solves(monkeypatch)
     spe_parametric(U2, bsc(0.1), 0.1308120)
     assert len(calls) <= 3
@@ -258,10 +266,12 @@ def test_point_takes_at_most_3_solves(monkeypatch, rng):
         p = uniform_dist(n_in)
         low = augustin_fixed_point(1e-6, p, channel).information
         high = augustin_fixed_point(1.0, p, channel).information
+        counts = []
         for frac in (1e-3, 0.5, 0.995):
             calls.clear()
             spe_parametric(p, channel, low + frac * (high - low))
-            assert len(calls) <= 3, (n_in, n_out, frac)
+            counts.append(len(calls))
+        assert counts[0] <= 3 and counts[1:] == [1, 1], (n_in, n_out, counts)
 
 
 def test_anchor_point_takes_3_solves_2_below_order_one(monkeypatch):
@@ -438,3 +448,106 @@ def test_accepted_first_probe_is_the_only_probe():
                         lambda rho, r, _: abs(r - 0.25) <= 1e-12, first=0.5)
     assert found == (0.5, 0.25, "state")
     assert calls == [0.5]
+
+
+# The endpoint solves are kept per (channel object, input masses): a later
+# rate on the same channel reuses them, and every answer must be the one a
+# freshly built channel gives.
+MEMO_CHANNELS = [c for c in NEWTON_CHANNELS
+                 if c[0] in ("bsc", "bec", "z", "d8x16", "near-face", "zeros0", "zeros1")]
+MEMO_FRACTIONS = (1e-3, 0.05, 0.2, 0.5, 0.8, 0.95, 0.995)
+
+
+def _outcome(p, channel, rate):
+    """Every bit of the point at the rate, or the name of the error it raises."""
+    try:
+        pt = spe_parametric(p, channel, rate)
+    except PreconditionError as exc:
+        return type(exc).__name__
+    return (pt.rate.hex(), pt.rho_star.hex(), pt.exponent.hex(), pt.slope.hex(),
+            pt.mean.masses.tobytes())
+
+
+def _fresh(channel):
+    return DiscreteChannel(channel.rows)
+
+
+@pytest.mark.parametrize("label, channel", MEMO_CHANNELS, ids=[c[0] for c in MEMO_CHANNELS])
+def test_rates_on_one_channel_match_fresh_channels_bit_for_bit(label, channel):
+    p = uniform_dist(channel.input_size)
+    low, high = (sol.information for sol in _rate_endpoints(p, _fresh(channel)))
+    order = np.random.default_rng(24).permutation(len(MEMO_FRACTIONS))
+    for frac in np.asarray(MEMO_FRACTIONS)[order]:
+        rate = low + frac * (high - low)
+        assert _outcome(p, channel, rate) == _outcome(p, _fresh(channel), rate), frac
+
+
+def test_k_rates_on_one_channel_make_two_endpoint_solves(monkeypatch):
+    channel = zchannel(0.3)
+    calls = _counting_solves(monkeypatch)
+    ends = [_rate_endpoints(U2, channel) for _ in range(3)]
+    assert ends[1] is ends[0] and ends[2] is ends[0]
+    low, high = ends[0][0].information, ends[0][1].information
+    for frac in MEMO_FRACTIONS:
+        spe_parametric(U2, channel, low + frac * (high - low))
+        spe_parametric(uniform_dist(2), channel, low + frac * (high - low))
+    assert [rho for rho, _, _ in calls[:2]] == [LOW_ORDER_PROBE, 1.0]
+    assert sum(rho in (LOW_ORDER_PROBE, 1.0) for rho, _, _ in calls) == 2
+
+
+def test_alternating_inputs_on_one_channel_get_their_own_endpoints():
+    channel = random_channel(np.random.default_rng(5), 3, 4)
+    inputs = (uniform_dist(3), FiniteDist(np.array([0.5, 0.3, 0.2])))
+    fresh = [_rate_endpoints(p, _fresh(channel)) for p in inputs]
+    for _ in range(2):
+        for p, want in zip(inputs, fresh):
+            got = _rate_endpoints(p, channel)
+            assert [s.information for s in got] == [s.information for s in want]
+            assert [s.mean.masses.tobytes() for s in got] == [
+                s.mean.masses.tobytes() for s in want]
+            rate = 0.5 * (want[0].information + want[1].information)
+            assert _outcome(p, channel, rate) == _outcome(p, _fresh(channel), rate)
+
+
+def test_failed_endpoint_solve_is_not_kept(monkeypatch):
+    channel = bsc(0.1)
+    calls = _counting_solves(monkeypatch)
+    counting = rspb.spe.augustin_fixed_point
+
+    def failing_once(rho, p, ch):
+        if not calls:
+            calls.append((rho, (), {}))
+            raise NonConvergenceError("fixed point did not converge", 1e-9)
+        return counting(rho, p, ch)
+
+    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", failing_once)
+    with pytest.raises(NonConvergenceError):
+        _rate_endpoints(U2, channel)
+    ends = _rate_endpoints(U2, channel)
+    assert [rho for rho, _, _ in calls] == [LOW_ORDER_PROBE, LOW_ORDER_PROBE, 1.0]
+    assert _rate_endpoints(U2, channel) is ends
+    assert len(calls) == 3
+
+
+def test_endpoints_go_with_their_channel():
+    channel = bsc(0.2)
+    spe_parametric(U2, channel, 0.1)
+    kept = len(rspb.spe._ENDPOINTS)
+    gone = weakref.ref(channel)
+    del channel
+    gc.collect()
+    assert gone() is None
+    assert len(rspb.spe._ENDPOINTS) == kept - 1
+
+
+def test_oldest_endpoints_go_past_the_kept_count(monkeypatch):
+    channels = [bsc(0.01 + 1e-3 * k) for k in range(rspb.spe._ENDPOINTS_KEPT + 1)]
+    for channel in channels:
+        _rate_endpoints(U2, channel)
+    assert len(rspb.spe._ENDPOINTS) == rspb.spe._ENDPOINTS_KEPT
+    calls = _counting_solves(monkeypatch)
+    _rate_endpoints(U2, channels[-1])
+    _rate_endpoints(U2, channels[1])
+    assert calls == []
+    _rate_endpoints(U2, channels[0])
+    assert [rho for rho, _, _ in calls] == [LOW_ORDER_PROBE, 1.0]
