@@ -144,7 +144,7 @@ def _row_divergences(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
         lq = np.log(q)[..., None, :]
         diff = lw - lq
         if ones:
-            kl = np.add.reduce(np.where(joint, w * diff, 0.0), axis=-1)
+            kl = _kl_rows(w, lw, lq)
             if ones == one.size:
                 return kl
         rm1 = rho[..., None] - 1.0
@@ -190,7 +190,7 @@ def _kl_rows(t: np.ndarray, lt: np.ndarray, l_ref: np.ndarray) -> np.ndarray:
     """D_1(t || ref) of each row of t, from ln t and ln ref. Callers take the
     logs and run this with divide and invalid warnings off: -inf - -inf
     gives NaN where t and ref are both 0, and those entries are masked."""
-    return np.add.reduce(np.where(t > 0, t * (lt - l_ref), 0.0), axis=1)
+    return np.add.reduce(np.where(t > 0, t * (lt - l_ref), 0.0), axis=-1)
 
 
 def _check_limits(tol: float, max_iter: int):

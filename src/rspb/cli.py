@@ -249,33 +249,22 @@ def _sweep_row(rate, n, bound, at_rate):
 
 
 def _cmd_spe(args):
-    from .refined import _check_counts, rspb_constant_composition
-    from .spe import _rate_endpoints, _spe_point, spe_parametric
+    from .refined import rspb_constant_composition
+    from .spe import spe_parametric
 
     channel = _get_channel(args)
     comp = _get_dist(args.composition, channel.input_size)
     rate = _parse_rate(args.rate)
-    if not isinstance(rate, float):
-        # spe keeps the endpoint solves per (channel, input), so every row
-        # reuses them; a failed solve is not kept, so it is taken here once
-        # and is every row's status
-        try:
-            ends = _rate_endpoints(comp, channel)
-        except SpbError as exc:
-            ends = exc
-
-        def point_at(r):
-            if isinstance(ends, SpbError):
-                raise ends
-            return _spe_point(comp, channel, r, ends)
-
-        def bound(n, log_m):
-            # at the rate the bound reads, after the checks it makes first
-            _check_counts(comp, n)
-            return rspb_constant_composition(channel, comp, n, log_m, point=point_at(log_m / n))
-
+    grid = not isinstance(rate, float)
+    if args.n is not None and not grid and args.output != "csv":
+        raise PreconditionError("spe reads --n only with a rate grid or --output csv")
+    bound = partial(rspb_constant_composition, channel, comp)
+    if grid:
+        # each row is one spe_parametric call; spe solves the endpoint pair
+        # once per (channel, input) and keeps a failed solve too, so every
+        # row reuses the pair, or reports its error as its status
         def at_rate(r):
-            pt = point_at(r)
+            pt = spe_parametric(comp, channel, r)
             return pt.rho_star, pt.exponent, pt.slope
 
         _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
@@ -283,8 +272,7 @@ def _cmd_spe(args):
     # a rate out of range fails the command here, unlike a sweep row
     point = spe_parametric(comp, channel, rate)
     if args.output == "csv":
-        bound = partial(rspb_constant_composition, channel, comp, point=point)
-        row = _sweep_row(rate, args.n, bound,
+        row = _sweep_row(rate, args.n, partial(bound, point=point),
                          lambda _: (point.rho_star, point.exponent, point.slope))
         _emit_csv([row])
         return EXIT_OK
@@ -340,7 +328,10 @@ def _cmd_awgn(args):
         return pt.rho, pt.esp, pt.slope
 
     rate = None if args.rate is None else _parse_rate(args.rate)
-    if rate is not None and not isinstance(rate, float):
+    grid = rate is not None and not isinstance(rate, float)
+    if args.n is not None and not grid and args.output != "csv":
+        raise PreconditionError("awgn reads --n only with a rate grid or --output csv")
+    if grid:
         _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
         return EXIT_OK
     rho = args.order if rate is None else awgn_rho_star(rate, params)

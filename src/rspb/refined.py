@@ -86,17 +86,6 @@ def _assemble(n, rate, rho_star, exponent_total, params: HtParams,
     )
 
 
-def _check_counts(composition: FiniteDist, n: int):
-    """Raise CompositionError unless n is positive and n * composition integral."""
-    import numpy as np
-
-    if n < 1:
-        raise CompositionError("n must be a positive integer")
-    counts = n * composition.masses
-    if np.any(np.abs(counts - np.round(counts)) > 1e-9):
-        raise CompositionError(f"n * composition is not integral for n={n}")
-
-
 def rspb_constant_composition(
     channel: DiscreteChannel,
     composition: FiniteDist,
@@ -119,7 +108,11 @@ def rspb_constant_composition(
     from .measures import _tilt_moments
     from .spe import spe_parametric
 
-    _check_counts(composition, n)
+    if n < 1:
+        raise CompositionError("n must be a positive integer")
+    counts = n * composition.masses
+    if np.any(np.abs(counts - np.round(counts)) > 1e-9):
+        raise CompositionError(f"n * composition is not integral for n={n}")
     rate = log_M_over_L / n
     if point is None or point.rate != rate:
         point = spe_parametric(composition, channel, rate)

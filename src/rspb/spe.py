@@ -11,7 +11,8 @@ the fixed-point and rate equations in (ln q, rho) proposes; over a
 constraint set it runs on the capacity curve. The search is bracketed by two
 rate-independent fixed points, at LOW_ORDER_PROBE and at order one; they are
 solved once per (channel, input) and shared by every rate asked of that
-channel object, so a curve of k rates makes two endpoint solves. The direct
+channel object, so a curve of k rates makes two endpoint solves; an endpoint
+solve that fails is kept too, and every rate re-raises its error. The direct
 form (1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
 independent check is `oracle.brute_spe`, which never runs the fixed point.
 """
@@ -35,7 +36,7 @@ from .augustin import (
     augustin_fixed_point,
     tilted_kl_pair,
 )
-from .errors import ComputationError, DegenerateChannelError, RateOutOfRangeError
+from .errors import ComputationError, DegenerateChannelError, RateOutOfRangeError, SpbError
 from .measures import DiscreteChannel, FiniteDist, _tilt_moments
 
 RATE_RESIDUAL_TOL = 1e-10
@@ -182,42 +183,42 @@ class SpePoint:
 
 
 # The endpoint solves of each channel at the last input they were solved for,
-# as (input masses as bytes, (low, order one)). Channels hash by identity and
-# never change. An entry goes with its channel, and the oldest entry goes when
-# a new channel would make more than _ENDPOINTS_KEPT: an entry is about 1 kB,
-# and a caller that keeps every channel it builds alive need not keep every
-# pair too.
+# as (input masses as bytes, (low, order one) or the error a solve raised).
+# Channels hash by identity and never change. An entry goes with its channel,
+# and the oldest entry goes when a new channel would make more than
+# _ENDPOINTS_KEPT: an entry is about 1 kB, and a caller that keeps every
+# channel it builds alive need not keep every pair too.
 _ENDPOINTS = weakref.WeakKeyDictionary()
 _ENDPOINTS_KEPT = 64
+
+
+def _fresh_error(exc: SpbError) -> SpbError:
+    """exc's type, args and fields without its traceback, whose frames would
+    keep the channel alive."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(exc.__dict__)
+    return copy
 
 
 def _rate_endpoints(p: FiniteDist, channel: DiscreteChannel) -> tuple:
     """Fixed points at the low probe order and at order one, solved once per
     (channel, input): every later call with the same channel object and
-    input masses returns the same two solutions. A solve that raises is not
-    kept."""
+    input masses returns the same two solutions. A solve that raises is kept
+    and re-raised the same way, since the solves are deterministic."""
     key = p.masses.tobytes()
     kept = _ENDPOINTS.get(channel)
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    ends = (augustin_fixed_point(LOW_ORDER_PROBE, p, channel),
-            augustin_fixed_point(1.0, p, channel))
-    if kept is None and len(_ENDPOINTS) >= _ENDPOINTS_KEPT:
-        del _ENDPOINTS[next(iter(_ENDPOINTS))]
-    _ENDPOINTS[channel] = (key, ends)
-    return ends
-
-
-def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpePoint:
-    """Solve the parametric characterization of the exponent at one rate.
-
-    Finds the order where the tilted-channel rate profile over (0, 1) meets
-    the rate, then reads off the exponent as the KL divergence of the tilted
-    channel from the true channel and the slope as (rho* - 1) / rho*. The
-    result is cross-checked against the direct form
-    (1 - rho*) / rho* * (I_rho* - rate).
-    """
-    return _spe_point(p, channel, rate, _rate_endpoints(p, channel))
+    if kept is None or kept[0] != key:
+        try:
+            ends = (augustin_fixed_point(LOW_ORDER_PROBE, p, channel),
+                    augustin_fixed_point(1.0, p, channel))
+        except SpbError as exc:
+            ends = _fresh_error(exc)
+        if kept is None and len(_ENDPOINTS) >= _ENDPOINTS_KEPT:
+            del _ENDPOINTS[next(iter(_ENDPOINTS))]
+        kept = _ENDPOINTS[channel] = (key, ends)
+    if isinstance(kept[1], SpbError):
+        raise _fresh_error(kept[1])
+    return kept[1]
 
 
 def _rate_met(rho: float, residual: float) -> bool:
@@ -227,20 +228,30 @@ def _rate_met(rho: float, residual: float) -> bool:
     return residual <= 1e-2 * RATE_RESIDUAL_TOL and (1.0 - rho) / rho * residual <= 1e-10
 
 
-def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> SpePoint:
-    """spe_parametric with the endpoint fixed points already solved.
-
-    `_newton_order`'s proposal is the first probe of `_find_order`, and the
-    point is read from the cold fixed point of the probe it accepts.
-    """
-    low_sol, high_sol = ends
-    low, high = low_sol.information, high_sol.information
+def _check_rate(rate: float, low: float, high: float):
+    """Raise unless the rate range (low, high) is not flat and holds rate."""
     if high - low <= 1e-12:
         raise DegenerateChannelError(
             f"rate profile is flat ({low!r} to {high!r}); no interior order exists"
         )
     if not low < rate < high:
         raise RateOutOfRangeError(rate, low, high)
+
+
+def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpePoint:
+    """Solve the parametric characterization of the exponent at one rate.
+
+    Finds the order where the tilted-channel rate profile over (0, 1) meets
+    the rate, then reads off the exponent as the KL divergence of the tilted
+    channel from the true channel and the slope as (rho* - 1) / rho*. The
+    bracket is the channel's endpoint pair from `_rate_endpoints`,
+    `_newton_order`'s proposal is the first probe of `_find_order`, and the
+    point is read from the cold fixed point of the probe it accepts. The
+    result is cross-checked against the direct form
+    (1 - rho*) / rho* * (I_rho* - rate).
+    """
+    low_sol, high_sol = _rate_endpoints(p, channel)
+    _check_rate(rate, low_sol.information, high_sol.information)
 
     def rate_at(rho):
         sol = augustin_fixed_point(rho, p, channel)
@@ -275,12 +286,12 @@ class ConstrainedSpe:
 
 def _point_or_limit(p: FiniteDist, channel: DiscreteChannel, rate: float):
     """Exponent value for one input distribution, honoring the edge cases."""
-    ends = _rate_endpoints(p, channel)
-    if rate >= ends[1].information:
+    low, high = (sol.information for sol in _rate_endpoints(p, channel))
+    if rate >= high:
         return 0.0, None
-    if rate <= ends[0].information:
+    if rate <= low:
         return np.inf, None
-    pt = _spe_point(p, channel, rate, ends)
+    pt = spe_parametric(p, channel, rate)
     return pt.exponent, pt
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augustin import LOW_ORDER_PROBE, _kl_rows, _row_divergences, _tilt, _tilts_and_logs
-from .errors import InvalidOrderError, PreconditionError, RateOutOfRangeError, SymmetryError
+from .errors import InvalidOrderError, PreconditionError, SymmetryError
 from .measures import DiscreteChannel, FiniteDist, _merge_atoms, _power_mean, _tilt_moments
-from .spe import _find_order
+from .spe import _check_rate, _find_order
 
 DEFAULT_ORDER_GRID = tuple(np.round(np.arange(1, 21) * 0.05, 2))
 DEFAULT_SYMMETRY_TOL = 1e-9
@@ -236,8 +236,7 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
         ends[key] = _uniform_centers((LOW_ORDER_PROBE, 1.0), *rows[key])[1]
     low = sum(ends[k][0] for k in layout)
     high = sum(ends[k][1] for k in layout)
-    if not low < target < high:
-        raise RateOutOfRangeError(target, low, high)
+    _check_rate(target, low, high)
 
     def summed(rho):
         tilted = {k: _tilted_rates(rho, *rows[k]) for k in distinct}

@@ -232,18 +232,52 @@ def test_sweep_solves_endpoints_once_and_matches_per_rate_rows(capsys, monkeypat
 def test_sweep_rows_carry_an_endpoint_failure(capsys, monkeypatch):
     calls = []
 
-    def failing(p, channel):
-        calls.append(channel)
+    def failing(rho, p, channel):
+        calls.append(rho)
         raise NonConvergenceError("fixed point did not converge", 1e-9)
 
-    monkeypatch.setattr(rspb.spe, "_rate_endpoints", failing)
+    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", failing)
     for extra in ((), ("--n", "600")):
         calls.clear()
         code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1:0.2:3", *extra)
         assert code == 0
-        assert len(calls) == 1
+        # spe keeps the failed endpoint solve, so the command makes one solve
+        assert calls == [rspb.spe.LOW_ORDER_PROBE]
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [r[-1] for r in rows] == ["NonConvergenceError"] * 3
+
+
+@pytest.mark.parametrize("extra", [(), ("--n", "600")])
+def test_each_sweep_row_is_one_spe_parametric_call(capsys, monkeypatch, extra):
+    calls = []
+
+    def counting(p, channel, rate):
+        calls.append(rate)
+        return spe_parametric(p, channel, rate)
+
+    monkeypatch.setattr(rspb.spe, "spe_parametric", counting)
+    code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.0:0.7:8", *extra)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    # rates out of range are rows too, each from its one call
+    assert {r[-1] for r in rows} == {"ok", "RateOutOfRangeError"}
+    assert len(calls) == 8
+    assert calls == pytest.approx(np.linspace(0.0, 0.7, 8), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spe", "--bsc", "0.1", "--rate", "0.1"),
+    ("awgn", "--sigma2", "1", "--cost", "1", "--order", "0.5"),
+    ("awgn", "--sigma2", "1", "--cost", "1", "--rate", "0.1"),
+], ids=["spe rate", "awgn order", "awgn rate"])
+def test_n_with_a_single_json_report_exits_2(capsys, argv):
+    # only a rate grid or a CSV row reads --n; a JSON report would drop it
+    code, out, err = run_cli(capsys, *argv, "--n", "600")
+    assert code == 2
+    assert out == ""
+    assert "--n" in err
+    code, out, _ = run_cli(capsys, *argv, "--n", "600", "--output", "csv")
+    assert code == 0 and out.strip().endswith(",ok")
 
 
 def test_sweep_two_points(capsys):

@@ -30,7 +30,6 @@ from rspb.spe import (
     _find_order,
     _rate_endpoints,
     _rate_met,
-    _spe_point,
     spe_constrained,
     spe_parametric,
 )
@@ -364,7 +363,7 @@ def test_newton_order_matches_brent(label, channel):
     low, high = ends[0].information, ends[1].information
     for frac in RATE_FRACTIONS:
         rate = low + frac * (high - low)
-        pt = _spe_point(p, channel, rate, ends)
+        pt = spe_parametric(p, channel, rate)
         assert type(pt.rho_star) is float
         cold = augustin_fixed_point(pt.rho_star, p, channel)
         assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
@@ -387,7 +386,7 @@ def test_newton_proposals_mostly_certify_and_some_bail(monkeypatch):
         low, high = ends[0].information, ends[1].information
         for frac in RATE_FRACTIONS:
             calls.clear()
-            pt = _spe_point(p, channel, low + frac * (high - low), ends)
+            pt = spe_parametric(p, channel, low + frac * (high - low))
             if proposals[-1] is not None:
                 # a certified proposal is the point, from its one cold solve
                 assert [rho for rho, _, _ in calls] == [pt.rho_star]
@@ -403,7 +402,7 @@ def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
     ends = _rate_endpoints(U2, channel)
     rate = 0.5 * (ends[0].information + ends[1].information)
     proposals = _counting_newton(monkeypatch)
-    pt = _spe_point(U2, channel, rate, ends)
+    pt = spe_parametric(U2, channel, rate)
     assert proposals == [None]
     rho, _, sol = _brent_point(U2, channel, rate, ends)
     assert pt.rho_star == rho
@@ -424,7 +423,7 @@ def test_rejected_proposal_narrows_the_bracket_for_brent(monkeypatch, channel):
         proposal.append(1.01 * _brent_point(U2, channel, rate, ends)[0])
         assert LOW_ORDER_PROBE < proposal[-1] < 1.0
         calls.clear()
-        pt = _spe_point(U2, channel, rate, ends)
+        pt = spe_parametric(U2, channel, rate)
         assert calls[0][0] == proposal[-1] and len(calls) > 1, frac
         cold = augustin_fixed_point(pt.rho_star, U2, channel)
         assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
@@ -509,24 +508,50 @@ def test_alternating_inputs_on_one_channel_get_their_own_endpoints():
             assert _outcome(p, channel, rate) == _outcome(p, _fresh(channel), rate)
 
 
-def test_failed_endpoint_solve_is_not_kept(monkeypatch):
+def test_failed_endpoint_solve_is_kept(monkeypatch):
     channel = bsc(0.1)
     calls = _counting_solves(monkeypatch)
     counting = rspb.spe.augustin_fixed_point
 
-    def failing_once(rho, p, ch):
-        if not calls:
+    def failing_at_uniform(rho, p, ch):
+        if p is U2:
             calls.append((rho, (), {}))
             raise NonConvergenceError("fixed point did not converge", 1e-9)
         return counting(rho, p, ch)
 
-    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", failing_once)
-    with pytest.raises(NonConvergenceError):
-        _rate_endpoints(U2, channel)
-    ends = _rate_endpoints(U2, channel)
+    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", failing_at_uniform)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError) as info:
+            spe_parametric(U2, channel, 0.1)
+        raised.append(info.value)
+    # the second call re-raises the kept error without a fixed-point solve
+    assert [rho for rho, _, _ in calls] == [LOW_ORDER_PROBE]
+    assert raised[1] is not raised[0]
+    assert [(type(e), e.args, e.residual) for e in raised] == [
+        (NonConvergenceError, ("fixed point did not converge (residual 1.000e-09)",), 1e-9)] * 2
+    # another input on the same channel solves afresh
+    ends = _rate_endpoints(bern(0.3), channel)
     assert [rho for rho, _, _ in calls] == [LOW_ORDER_PROBE, LOW_ORDER_PROBE, 1.0]
-    assert _rate_endpoints(U2, channel) is ends
-    assert len(calls) == 3
+    assert _rate_endpoints(bern(0.3), channel) is ends
+
+
+def test_failed_endpoints_go_with_their_channel(monkeypatch):
+    # a kept error holds no traceback, whose frames would keep the channel alive
+    def failing(rho, p, ch):
+        raise NonConvergenceError("fixed point did not converge", 1e-9)
+
+    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", failing)
+    channel = bsc(0.2)
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError):
+            spe_parametric(U2, channel, 0.1)
+    kept = len(rspb.spe._ENDPOINTS)
+    gone = weakref.ref(channel)
+    del channel
+    gc.collect()
+    assert gone() is None
+    assert len(rspb.spe._ENDPOINTS) == kept - 1
 
 
 def test_endpoints_go_with_their_channel():

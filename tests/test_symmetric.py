@@ -6,7 +6,13 @@ import pytest
 
 from rspb import augustin
 from rspb.augustin import LOW_ORDER_PROBE, augustin_capacity, augustin_fixed_point
-from rspb.errors import InvalidOrderError, PreconditionError, RateOutOfRangeError, SymmetryError
+from rspb.errors import (
+    DegenerateChannelError,
+    InvalidOrderError,
+    PreconditionError,
+    RateOutOfRangeError,
+    SymmetryError,
+)
 from rspb.measures import (
     DiscreteChannel,
     FiniteDist,
@@ -222,6 +228,15 @@ def test_parametric_symmetric_rejects_asymmetric_and_bad_rate():
         parametric_symmetric(zchannel(0.5), 0.05)
     with pytest.raises(RateOutOfRangeError):
         parametric_symmetric(bsc(0.1), 5.0)
+
+
+def test_flat_rate_range_is_a_degenerate_channel():
+    # bsc(0.5) is symmetric, but every order's rate is 0: no interior order,
+    # as spe_parametric reports it, not a rate outside an inverted interval
+    with pytest.raises(DegenerateChannelError):
+        parametric_symmetric(bsc(0.5), 0.1)
+    with pytest.raises(DegenerateChannelError):
+        rspb_symmetric([bsc(0.5)] * 10, 1.0)
 
 
 def test_product_additivity_of_capacity_and_center():

@@ -26,6 +26,21 @@ def test_spe_suite_small():
     assert report["all_pass"]
 
 
+def test_each_spe_instance_is_one_spe_parametric_call(monkeypatch):
+    calls = []
+    solve = verify.spe_parametric
+
+    def counting(p, channel, rate):
+        calls.append(rate)
+        return solve(p, channel, rate)
+
+    monkeypatch.setattr(verify, "spe_parametric", counting)
+    report = run_suite("spe", instances=3, grid_size=256, seed=5)
+    assert len(report["checks"]) == 3
+    assert [f"rate={rate:.6g}" for rate in calls] == [
+        check["instance"].split(", ")[1] for check in report["checks"]]
+
+
 def test_thirdmoment_suite_small():
     report = run_suite("thirdmoment", count=100, seed=1)
     assert report["all_pass"]
