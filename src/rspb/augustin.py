@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,15 @@ from .errors import (
     NonConvergenceError,
     PreconditionError,
 )
-from .measures import DiscreteChannel, FiniteDist, _power_mean, _read_fields, _tilt_moments
+from .measures import (
+    DiscreteChannel,
+    FiniteDist,
+    _power_mean,
+    _power_mean_on,
+    _read_fields,
+    _row_powers,
+    _tilt_moments,
+)
 
 DEFAULT_FP_TOL = 1e-12
 # The order that stands in for the rate endpoint at order zero.
@@ -131,30 +140,51 @@ def _row_divergences(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
     Assumes q dominates every row (true for mixtures over the rows). The
     power sum is evaluated through expm1/log1p so that precision does not
     degrade like eps/(1-rho) near order one; rows with huge exponents fall
-    back to the max-shifted log-sum-exp.
+    back to the max-shifted log-sum-exp. A caller that measures many q
+    against the same rows at one order forms `_divergence_terms` once and
+    evaluates with `_divergences_on`.
     """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _divergences_on(_divergence_terms(rho, lw), q)
+
+
+class _DivergenceTerms(NamedTuple):
+    """What `_row_divergences` takes from the orders and log-rows alone."""
+
+    rho: np.ndarray
+    lw: np.ndarray
+    w: np.ndarray  # exp(lw)
+    joint: np.ndarray  # w > 0
+    one: np.ndarray  # rho == 1
+    ones: int
+    rm1: np.ndarray  # rho - 1, with a trailing axis
+
+
+def _divergence_terms(rho, lw: np.ndarray) -> _DivergenceTerms:
     rho = np.asarray(rho, dtype=float)
     w = np.exp(lw)
-    joint = w > 0
     one = rho == 1.0
-    ones = np.count_nonzero(one)
-    # ln 0 where q vanishes; rows past the cutoff overflow, and they and the
-    # order-one rows are replaced below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lq = np.log(q)[..., None, :]
-        diff = lw - lq
-        if ones:
-            kl = _kl_rows(w, lw, lq)
-            if ones == one.size:
-                return kl
-        rm1 = rho[..., None] - 1.0
-        args = np.where(joint, rm1[..., None] * diff, 0.0)
-        out = np.log1p(np.einsum("...xy,...xy->...x", w, np.expm1(args))) / rm1
+    return _DivergenceTerms(rho, lw, w, w > 0, one, np.count_nonzero(one), rho[..., None] - 1.0)
+
+
+def _divergences_on(terms: _DivergenceTerms, q: np.ndarray) -> np.ndarray:
+    """`_row_divergences` at q from its `_divergence_terms`. Callers ignore
+    divide, invalid and overflow warnings: ln 0 where q vanishes, and rows
+    past the cutoff overflow; those and the order-one rows are replaced."""
+    rho, lw, w, joint, one, ones, rm1 = terms
+    lq = np.log(q)[..., None, :]
+    diff = lw - lq
+    if ones:
+        kl = _kl_rows(w, lw, lq)
+        if ones == one.size:
+            return kl
+    args = np.where(joint, rm1[..., None] * diff, 0.0)
+    out = np.log1p(np.einsum("...xy,...xy->...x", w, np.expm1(args))) / rm1
     hard = ~((np.maximum.reduce(args, axis=-1) < 500.0) & (out > -np.inf))
     if ones:
         out = np.where(one[..., None], kl, out)
         hard &= ~one[..., None]
-    if hard.any():
+    if np.logical_or.reduce(hard, axis=None):
         rh = np.broadcast_to(rho[..., None], out.shape)[hard][:, None]
         logits = rh * np.broadcast_to(lw, diff.shape)[hard] + (1.0 - rh) * (
             np.broadcast_to(lq, diff.shape)[hard]
@@ -363,10 +393,12 @@ class CapacityResult:
 
 
 # an output that only vanishing inputs reach can leave q = 0 there and D = inf
-@np.errstate(invalid="ignore")
-def _power_mean_ascent(rho, lw, penalty, lp, tol, max_iter):
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _power_mean_ascent(rho, w_rho, terms, penalty, lp, tol, max_iter):
     """Raise the Sibson information of p = exp(lp), or its Renyi-Gallager form
-    under the penalty; returns lp.
+    under the penalty; returns lp. w_rho = `_row_powers(rho, lw)` and
+    terms = `_divergence_terms(rho, lw)` are formed once per search, so each
+    evaluation is one power mean and one divergence pass on them.
 
     Step: p(x) <- p(x) exp(s (D_rho(W(x)||q) - penalty(x))), q the power-mean
     center of the weights. s = rho is a Jensen majorization step that never
@@ -379,21 +411,23 @@ def _power_mean_ascent(rho, lw, penalty, lp, tol, max_iter):
     def state(lp):
         p = np.exp(lp)
         if rho < 1.0:
-            q, value = _power_mean(rho, lw, lp + (1.0 - rho) * penalty)
-            return lp, _row_divergences(rho, lw, q) - penalty, value, p
-        d = _row_divergences(1.0, lw, p @ np.exp(lw)) - penalty
-        return lp, d, float(p[p > 0] @ d[p > 0]), p
+            q, value = _power_mean_on(rho, w_rho, lp + (1.0 - rho) * penalty)
+            d = _divergences_on(terms, q) - penalty
+        else:
+            d = _divergences_on(terms, p @ terms.w) - penalty
+            value = float(p[p > 0] @ d[p > 0])
+        return lp, d, value, p, p @ d
 
     cur, s = state(lp), rho
     for _ in range(max_iter):
         lp, d, value = cur[:3]
-        if d.max() - value <= 0.1 * tol:
+        if np.maximum.reduce(d) - value <= 0.1 * tol:
             break
-        g = np.minimum(d - d[np.isfinite(d)].max(), 0.0)
+        g = np.minimum(d - np.maximum.reduce(d[np.isfinite(d)]), 0.0)
         x = lp + s * g
-        top = x.max()
-        trial = state(x - (top + math.log(np.exp(x - top).sum())))
-        s0, s1 = (float(st[3] @ ((st[1] - st[3] @ st[1]) * g)) for st in (cur, trial))
+        top = np.maximum.reduce(x)
+        trial = state(x - (top + math.log(np.add.reduce(np.exp(x - top)))))
+        s0, s1 = (float(st[3] @ ((st[1] - st[4]) * g)) for st in (cur, trial))
         root = s * s0 / (s0 - s1) if s0 > s1 else 2.0 * s
         # equal values up to rounding count as kept, so that s keeps its scale
         if trial[2] >= value - 8.0 * np.spacing(abs(value)) or s == rho:
@@ -439,9 +473,11 @@ def augustin_capacity(
     if costs.size != n_in:
         raise AlphabetMismatchError("cost vector length does not match channel inputs")
     lw = channel.log_row_matrix()
+    w_rho = _row_powers(rho, lw)
+    terms = _divergence_terms(rho, lw)
 
     def ascend(lam, lp):
-        lp = _power_mean_ascent(rho, lw, lam * costs, lp, tol, max_iter)
+        lp = _power_mean_ascent(rho, w_rho, terms, lam * costs, lp, tol, max_iter)
         return lp, budget - float(np.exp(lp) @ costs)
 
     # raise the multiplier until the budget holds, then bisect toward where
@@ -465,7 +501,8 @@ def augustin_capacity(
             lam_lo = lam
     p = FiniteDist(np.exp(best))
     sol = augustin_fixed_point(rho, p, channel)
-    d = _row_divergences(rho, lw, sol.mean.masses)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = _divergences_on(terms, sol.mean.masses)
     gap = float(np.max(d - lam_hi * costs) + lam_hi * budget - sol.information)
     certified = gap <= tol and float(p.masses @ costs) <= budget + 1e-9
     return CapacityResult(sol.information, sol.mean, p, gap, certified)

@@ -62,11 +62,24 @@ def _power_mean(rho, lw: np.ndarray, log_weights: np.ndarray) -> tuple:
     orders broadcasts: one center row and one value per order. b is one
     product of the max-shifted weights with W^rho; ln b / rho errs by about
     eps/rho, as a log-domain sum would, and an unreached output gets center 0.
+    A caller that weighs the same rows many times at one order forms W^rho
+    once with `_row_powers` and evaluates with `_power_mean_on`.
     """
+    with np.errstate(divide="ignore"):
+        return _power_mean_on(rho, _row_powers(rho, lw), log_weights)
+
+
+def _row_powers(rho, lw: np.ndarray) -> np.ndarray:
+    """W^rho from the log-rows lw, one stack of rows per order of an array."""
+    return np.exp(np.asarray(rho, dtype=float)[..., None, None] * lw)
+
+
+def _power_mean_on(rho, w_rho: np.ndarray, log_weights: np.ndarray) -> tuple:
+    """`_power_mean` from the powers W^rho that `_row_powers` forms. Callers
+    ignore the divide warning of ln 0 at an output no weighted row reaches."""
     r = np.asarray(rho, dtype=float)[..., None]
     top = np.maximum.reduce(log_weights)
-    with np.errstate(divide="ignore"):
-        log_m = (np.log(np.exp(log_weights - top) @ np.exp(r[..., None] * lw)) + top) / r
+    log_m = (np.log(np.exp(log_weights - top) @ w_rho) + top) / r
     peak = np.maximum.reduce(log_m, axis=-1, keepdims=True)
     m = np.exp(log_m - peak)
     total = np.add.reduce(m, axis=-1, keepdims=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rspb.augustin
+import rspb.measures
 from rspb.augustin import (
     LOW_ORDER_PROBE,
     ConstraintSet,
@@ -288,18 +289,21 @@ def test_empty_constraint_list_is_infeasible():
 
 def test_capacity_ascent_work_is_pinned(monkeypatch):
     """The ascent on R8x16 at order 0.5 evaluates the power mean at most 800
-    times, so that a step-rule regression shows as a count."""
+    times, so that a step-rule regression shows as a count. The ascent
+    evaluates on W^rho formed once per search (`_power_mean_on`); the
+    fixed point's start goes through `_power_mean` in `measures` and is not
+    counted."""
     calls = []
-    power_mean = rspb.augustin._power_mean
+    power_mean_on = rspb.augustin._power_mean_on
 
     def counting(*args):
         calls.append(args[0])
-        return power_mean(*args)
+        return power_mean_on(*args)
 
-    monkeypatch.setattr(rspb.augustin, "_power_mean", counting)
+    monkeypatch.setattr(rspb.augustin, "_power_mean_on", counting)
     res = augustin_capacity(0.5, channel_of(R8X16))
     assert res.certified
-    assert len(calls) <= 800
+    assert 0 < len(calls) <= 800
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +486,42 @@ def test_fused_tilted_pair_matches_two_passes_bit_for_bit(rho):
             got = rspb.augustin._tilted_pair(rho, *rows, q)
             want = tilted_pair_two_passes(rho, *rows, q)
             assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+TINY_ROWS = [[1 - 2e-300, 1e-300, 1e-300], [1e-300, 0.5, 0.5 - 1e-300]]
+
+
+@pytest.mark.parametrize("rho", [1e-6, 0.02, 0.5, 0.95, 1 - 1e-9, 1.0])
+def test_prepared_power_mean_and_divergences_match_the_kernels_bit_for_bit(rho):
+    # the capacity ascent forms W^rho and the divergence terms once per search
+    # and evaluates every weighting on them, under one errstate; each
+    # evaluation must give the bits of a fresh `_power_mean` and
+    # `_row_divergences`, so no evaluation may change the prepared arrays
+    rng = np.random.default_rng(11)
+    fallback = 0
+    for channel in ZERO_DRAWS + [channel_of(TINY_ROWS)]:
+        lw = channel.log_row_matrix()
+        n_in = channel.input_size
+        powers = rspb.measures._row_powers(rho, lw) if rho < 1.0 else None
+        terms = rspb.augustin._divergence_terms(rho, lw)
+        for penalty in (np.zeros(n_in), rng.uniform(0.0, 3.0, n_in)):
+            for _ in range(3):
+                lp = np.log(rng.dirichlet(np.ones(n_in)))
+                log_weights = lp + (1.0 - rho) * penalty
+                if rho < 1.0:
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        q, value = rspb.measures._power_mean_on(rho, powers, log_weights)
+                    want_q, want_value = rspb.measures._power_mean(rho, lw, log_weights)
+                    assert q.tobytes() == want_q.tobytes() and value.hex() == want_value.hex()
+                else:
+                    q = np.exp(lp) @ np.exp(lw)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    d = rspb.augustin._divergences_on(terms, q)
+                    args = np.where(lw > -np.inf, (rho - 1.0) * (lw - np.log(q)), 0.0)
+                assert d.tobytes() == rspb.augustin._row_divergences(rho, lw, q).tobytes()
+                fallback += bool((args >= 500.0).any())
+    # the 1e-300 entries take the max-shifted fallback at small orders
+    assert fallback > 0 or rho > 0.02
 
 
 def test_full_support_shares_the_channel_arrays():
