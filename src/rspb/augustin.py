@@ -37,7 +37,7 @@ from .measures import (
 )
 
 DEFAULT_FP_TOL = 1e-12
-# The order that stands in for the rate endpoint at order zero.
+# The low order of the capacity bracket of `spe_constrained`.
 LOW_ORDER_PROBE = 1e-6
 DEFAULT_FP_MAX_ITER = 20000
 ALT_IDENTITY_TOL = 1e-9
@@ -96,9 +96,9 @@ def _start(rho: float, weights, w_rows, lw) -> np.ndarray:
     return ((1.0 - START_MIX) * center + START_MIX * (weights @ w_rows))[None, :]
 
 
-def _solve(rho: float, weights, lw, q, tol, max_iter):
+def _solve(r_lw, one_r, weights, q, tol, max_iter):
     """Iterate q <- sum_x p(x) tilt_rho(W(x), q) at an order below one, from
-    the start q, one row of shape (1, outputs).
+    rho * ln W, 1 - rho and the start q, one row of shape (1, outputs).
 
     The map contracts like (1 - rho), which is hopeless to iterate plainly
     for tiny orders, so once the step ratio stabilizes we take a
@@ -107,7 +107,6 @@ def _solve(rho: float, weights, lw, q, tol, max_iter):
     has certified nothing and reports an infinite step. Needs tol >= 0, so
     that a kept step is positive and the next step ratio is defined.
     """
-    r_lw, one_r = rho * lw, 1.0 - rho
     step, prev, n = math.inf, (math.nan, math.nan), 0
     with np.errstate(divide="ignore"):
         while n < max_iter:
@@ -252,7 +251,7 @@ def augustin_fixed_point(
         q, iterations, step = weights @ w_rows, 0, 0.0
     else:
         q, step, iterations = _solve(
-            rho, weights, lw, _start(rho, weights, w_rows, lw), tol, max_iter
+            rho * lw, 1.0 - rho, weights, _start(rho, weights, w_rows, lw), tol, max_iter
         )
         if step > tol:
             raise NonConvergenceError(
@@ -274,6 +273,29 @@ def augustin_fixed_point(
                 f"tilted-channel identity residual {alt:.3e} exceeds {gate:.3e}"
             )
     return AugustinSolution(mean, info, iterations, step, alt, rate, exponent)
+
+
+def _order_zero_information(weights, w_rows) -> float:
+    """I_0(p) = min_q f(q) = -sum_x p(x) ln q(S_x), S_x the support of W(x),
+    the order-0 limit of the Augustin information: 0.0 when the rows share an
+    output, else at the order-0 mean from p W, where the tilt is q restricted
+    to S_x. Jensen certifies it: f(q) - I_0 <= ln max_y sum_x p(x)
+    1{y in S_x} / q(S_x), and a bound above 1e-12 raises NonConvergenceError.
+    """
+    reach = w_rows > 0
+    if reach.all(axis=0).any():
+        return 0.0
+    # the step certifies nothing here, so iterate to rounding: at a step of
+    # 1e-13, 55 of 1676 random zero-laden pairs stopped above the 1e-12 bound
+    # and 9 at 1e-16
+    with np.errstate(divide="ignore"):
+        q = _solve(np.log(reach), 1.0, weights, (weights @ w_rows)[None, :], 1e-16,
+                   DEFAULT_FP_MAX_ITER)[0]
+    mass = reach @ q
+    gap = math.log(float(np.max((weights / mass) @ reach)))
+    if not gap <= 1e-12:
+        raise NonConvergenceError("order-0 mean is not certified", gap)
+    return float(-(weights @ np.log(mass)))
 
 
 def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:

@@ -1,26 +1,22 @@
 """Sphere-packing exponent via the parametric order characterization.
 
 The exponent at rate R is the supremum over orders in (0, 1) of
-(1 - rho) / rho * (I_rho - R). For rates strictly between the small-order
-information limit and the order-one information there is a unique interior
-order at which the tilted-channel rate matches R, and the exponent, its
-slope and the order come from the Augustin mean there. A point finds that
-order with one search, Brent's root-finder on the monotone rate profile,
+(1 - rho) / rho * (I_rho - R). For rates strictly between I_0, the limit
+of the information at order 0, and the order-one information I_1 there is
+a unique interior order at which the tilted-channel rate matches R, and the
+exponent, its slope and the order come from the Augustin mean there. A
+point finds that order with one search, Brent's root-finder on the monotone
+rate profile, bracketed by (0, I_0) and (1, I_1) at no fixed-point cost,
 whose first probe is a cold fixed point at the order Newton's method on
 the fixed-point and rate equations in (ln q, rho) proposes; over a
-constraint set it runs on the capacity curve. The search is bracketed by two
-rate-independent fixed points, at LOW_ORDER_PROBE and at order one; they are
-solved once per (channel, input) and shared by every rate asked of that
-channel object, so a curve of k rates makes two endpoint solves; an endpoint
-solve that fails is kept too, and every rate re-raises its error. The direct
-form (1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
+constraint set it runs on the capacity curve. The direct form
+(1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
 independent check is `oracle.brute_spe`, which never runs the fixed point.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +24,10 @@ import numpy as np
 from .augustin import (
     LOW_ORDER_PROBE,
     ConstraintSet,
+    _check_inputs,
     _kl_rows,
+    _order_zero_information,
+    _row_divergences,
     _start,
     _support_rows,
     _tilt,
@@ -36,7 +35,7 @@ from .augustin import (
     augustin_fixed_point,
     tilted_kl_pair,
 )
-from .errors import ComputationError, DegenerateChannelError, RateOutOfRangeError, SpbError
+from .errors import ComputationError, DegenerateChannelError, RateOutOfRangeError
 from .measures import DiscreteChannel, FiniteDist, _tilt_moments
 
 RATE_RESIDUAL_TOL = 1e-10
@@ -51,7 +50,7 @@ NEWTON_MAX_STEPS = 12
 def _find_order(rate_at, target, lo, hi, done, first=None):
     """Brent's method for the order where a non-decreasing rate crosses target.
 
-    lo and hi are solved (order, rate) pairs, lo's rate below the target and
+    lo and hi are known (order, rate) pairs, lo's rate below the target and
     hi's above. rate_at(rho) returns (rate, state) at a new order; the state
     comes back with the chosen probe. A proposed `first` order in the bracket
     is probed before all others; unless done accepts it, it replaces the end
@@ -121,15 +120,15 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
     system ln T_rho(q) = ln q, D_1(tilt || q | p) = rate in (ln q, rho).
 
     q lives on the outputs p W reaches and starts at the power-mean center of
-    the sqrt-secant order between the solved (order, rate) pairs lo and hi,
-    Brent's first probe. With V the rows tilted toward q, L = ln W - ln q,
+    the sqrt-secant order between the (order, rate) pairs lo and hi, the
+    ends of the rate range. With V the rows tilted toward q, L = ln W - ln q,
     m and a2 the tilted mean and variance of L, C = L - m, T = p V and P =
     diag(p), the Jacobian is [[(rho-1) diag(1/T) V^T P V - rho I, p(V C)/T],
     [rho(1-rho) p(V C) - T, rho sum_x p(x) a2(x)]]. The search stops once
     the order step is below 1e-9 rho, and gives up (None) on a step that
-    leaves the open bracket (LOW_ORDER_PROBE, 1), a step that is not finite
-    or singular, or after NEWTON_MAX_STEPS steps. Its answer is only a probe:
-    the caller certifies it with a cold fixed point.
+    leaves the open bracket (0, 1), a step that is not finite or singular,
+    or after NEWTON_MAX_STEPS steps. Its answer is only a probe: the caller
+    certifies it with a cold fixed point.
     """
     weights, w_rows, lw = _support_rows(p, channel)
     root = math.sqrt(rate)
@@ -161,7 +160,7 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
             except np.linalg.LinAlgError:
                 return None
             d_rho = float(step[size])
-            if not (np.isfinite(step).all() and LOW_ORDER_PROBE < rho + d_rho < 1.0):
+            if not (np.isfinite(step).all() and 0.0 < rho + d_rho < 1.0):
                 return None
             rho += d_rho
             if abs(d_rho) <= 1e-9 * rho:
@@ -182,43 +181,14 @@ class SpePoint:
     mean: FiniteDist
 
 
-# The endpoint solves of each channel at the last input they were solved for,
-# as (input masses as bytes, (low, order one) or the error a solve raised).
-# Channels hash by identity and never change. An entry goes with its channel,
-# and the oldest entry goes when a new channel would make more than
-# _ENDPOINTS_KEPT: an entry is about 1 kB, and a caller that keeps every
-# channel it builds alive need not keep every pair too.
-_ENDPOINTS = weakref.WeakKeyDictionary()
-_ENDPOINTS_KEPT = 64
-
-
-def _fresh_error(exc: SpbError) -> SpbError:
-    """exc's type, args and fields without its traceback, whose frames would
-    keep the channel alive."""
-    copy = type(exc).__new__(type(exc), *exc.args)
-    copy.__dict__.update(exc.__dict__)
-    return copy
-
-
 def _rate_endpoints(p: FiniteDist, channel: DiscreteChannel) -> tuple:
-    """Fixed points at the low probe order and at order one, solved once per
-    (channel, input): every later call with the same channel object and
-    input masses returns the same two solutions. A solve that raises is kept
-    and re-raised the same way, since the solves are deterministic."""
-    key = p.masses.tobytes()
-    kept = _ENDPOINTS.get(channel)
-    if kept is None or kept[0] != key:
-        try:
-            ends = (augustin_fixed_point(LOW_ORDER_PROBE, p, channel),
-                    augustin_fixed_point(1.0, p, channel))
-        except SpbError as exc:
-            ends = _fresh_error(exc)
-        if kept is None and len(_ENDPOINTS) >= _ENDPOINTS_KEPT:
-            del _ENDPOINTS[next(iter(_ENDPOINTS))]
-        kept = _ENDPOINTS[channel] = (key, ends)
-    if isinstance(kept[1], SpbError):
-        raise _fresh_error(kept[1])
-    return kept[1]
+    """(I_0, I_1), the ends of the rate range of p: the information in the
+    limit of order 0 and at order one, bit for bit the information
+    `augustin_fixed_point(1.0, p, channel)` reports."""
+    _check_inputs(1.0, p, channel)
+    weights, w_rows, lw = _support_rows(p, channel)
+    high = float(weights @ _row_divergences(1.0, lw, weights @ w_rows))
+    return _order_zero_information(weights, w_rows), high
 
 
 def _rate_met(rho: float, residual: float) -> bool:
@@ -244,14 +214,14 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
     Finds the order where the tilted-channel rate profile over (0, 1) meets
     the rate, then reads off the exponent as the KL divergence of the tilted
     channel from the true channel and the slope as (rho* - 1) / rho*. The
-    bracket is the channel's endpoint pair from `_rate_endpoints`,
+    bracket is (0, I_0) and (1, I_1) from `_rate_endpoints`,
     `_newton_order`'s proposal is the first probe of `_find_order`, and the
     point is read from the cold fixed point of the probe it accepts. The
     result is cross-checked against the direct form
     (1 - rho*) / rho* * (I_rho* - rate).
     """
-    low_sol, high_sol = _rate_endpoints(p, channel)
-    _check_rate(rate, low_sol.information, high_sol.information)
+    low, high = _rate_endpoints(p, channel)
+    _check_rate(rate, low, high)
 
     def rate_at(rho):
         sol = augustin_fixed_point(rho, p, channel)
@@ -260,9 +230,8 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
     def done(rho, r, _):
         return _rate_met(rho, abs(r - rate))
 
-    # the tilted rate is at most the information, so the probe order is below
-    # the crossing; at order one the tilt is the channel and the rate is high
-    lo, hi = (LOW_ORDER_PROBE, low_sol.tilted_rate), (1.0, high_sol.tilted_rate)
+    # at both ends of the order range the tilted rate is the information
+    lo, hi = (0.0, low), (1.0, high)
     rho_star, _, sol = _find_order(rate_at, rate, lo, hi, done,
                                    _newton_order(p, channel, rate, lo, hi))
     exponent = sol.tilted_exponent
@@ -286,7 +255,7 @@ class ConstrainedSpe:
 
 def _point_or_limit(p: FiniteDist, channel: DiscreteChannel, rate: float):
     """Exponent value for one input distribution, honoring the edge cases."""
-    low, high = (sol.information for sol in _rate_endpoints(p, channel))
+    low, high = _rate_endpoints(p, channel)
     if rate >= high:
         return 0.0, None
     if rate <= low:

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augustin import LOW_ORDER_PROBE, _kl_rows, _row_divergences, _tilt, _tilts_and_logs
+from .augustin import _kl_rows, _row_divergences, _tilt, _tilts_and_logs
 from .errors import InvalidOrderError, PreconditionError, SymmetryError
-from .measures import DiscreteChannel, FiniteDist, _merge_atoms, _power_mean, _tilt_moments
-from .spe import _check_rate, _find_order
+from .measures import (DiscreteChannel, FiniteDist, _merge_atoms, _power_mean,
+                       _tilt_moments, uniform_dist)
+from .spe import _check_rate, _find_order, _rate_endpoints
 
 DEFAULT_ORDER_GRID = tuple(np.round(np.arange(1, 21) * 0.05, 2))
 DEFAULT_SYMMETRY_TOL = 1e-9
@@ -211,12 +212,12 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
 
     Equal components, however built, are certified once, each probe tilts
     each distinct component once, and their quantities at rho* are read from
-    the accepted probe. The bracket runs from LOW_ORDER_PROBE to order one,
-    where the rates are the capacities. The slope (rho*-1)/rho* is certified
-    when some component's tilted log ratio is non-constant or every
-    certified center is order-independent. Returns (rho*, the per-component
-    quantities at rho*, their symmetry reports, both in the order of
-    `channels`, certified).
+    the accepted probe. The bracket sums the components' rate ranges at a
+    uniform input, from `_rate_endpoints`. The slope (rho*-1)/rho* is
+    certified when some component's tilted log ratio is non-constant or
+    every certified center is order-independent. Returns (rho*, the
+    per-component quantities at rho*, their symmetry reports, both in the
+    order of `channels`, certified).
     """
     distinct, layout = {}, []
     for ch in channels:
@@ -233,7 +234,7 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
                 f"profile {report.max_profile_distance:.3e})"
             )
         rows[key] = ch.row_matrix(), ch.log_row_matrix()
-        ends[key] = _uniform_centers((LOW_ORDER_PROBE, 1.0), *rows[key])[1]
+        ends[key] = _rate_endpoints(uniform_dist(ch.input_size), ch)
     low = sum(ends[k][0] for k in layout)
     high = sum(ends[k][1] for k in layout)
     _check_rate(target, low, high)
@@ -244,7 +245,7 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
 
     stop = 1e-12 * max(1.0, abs(target))
     rho, _, tilted = _find_order(
-        summed, target, (LOW_ORDER_PROBE, summed(LOW_ORDER_PROBE)[0]), (1.0, high),
+        summed, target, (0.0, low), (1.0, high),
         lambda rho, total, _: abs(total - target) <= stop,
     )
     comp = {k: _component(rho, rows[k][1], *tilted[k]) for k in distinct}

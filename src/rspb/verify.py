@@ -202,7 +202,7 @@ def verify_spe(instances: int = 6, grid_size: int = 4096, seed: int = 0) -> dict
         n_in = int(rng.integers(2, 4))
         channel = _random_channel(rng, n_in, 2)
         p = _random_dist(rng, n_in)
-        low, high = (sol.information for sol in _rate_endpoints(p, channel))
+        low, high = _rate_endpoints(p, channel)
         if high - low < 1e-3:
             continue
         rate = low + (0.25 + 0.5 * rng.random()) * (high - low)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import rspb.spe
 from rspb.measures import DiscreteChannel, FiniteDist
 
 
@@ -28,10 +27,3 @@ def channel_with_zeros(rng) -> DiscreteChannel:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-@pytest.fixture(autouse=True)
-def no_kept_endpoints():
-    """Each test starts with no endpoint solves kept, so that a solve count on
-    a channel that several tests share does not depend on test order."""
-    rspb.spe._ENDPOINTS.clear()

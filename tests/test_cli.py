@@ -208,7 +208,7 @@ def test_sweep_crossing_capacity_flags_rows(capsys):
     assert {r[-1] for r in bad} == {"RateOutOfRangeError"}
 
 
-def test_sweep_solves_endpoints_once_and_matches_per_rate_rows(capsys, monkeypatch):
+def test_sweep_makes_one_solve_per_row_and_matches_per_rate_rows(capsys, monkeypatch):
     calls = []
     solve = rspb.spe.augustin_fixed_point
 
@@ -219,9 +219,9 @@ def test_sweep_solves_endpoints_once_and_matches_per_rate_rows(capsys, monkeypat
     monkeypatch.setattr(rspb.spe, "augustin_fixed_point", counting)
     code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.02:0.35:34", "--n", "600")
     assert code == 0
-    # two endpoint solves, then one certifying solve per row
-    assert len(calls) == 2 + 34
-    assert calls[:2] == [rspb.spe.LOW_ORDER_PROBE, 1.0]
+    # the rate range takes no fixed point: one certifying solve per row
+    assert len(calls) == 34
+    assert all(0.0 < rho < 1.0 for rho in calls)
     lines = out.strip().split("\n")
     for rate, line in zip(np.linspace(0.02, 0.35, 34), lines[1:]):
         _, single, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", repr(float(rate)),
@@ -232,19 +232,22 @@ def test_sweep_solves_endpoints_once_and_matches_per_rate_rows(capsys, monkeypat
 def test_sweep_rows_carry_an_endpoint_failure(capsys, monkeypatch):
     calls = []
 
-    def failing(rho, p, channel):
-        calls.append(rho)
+    def failing(*args):
+        calls.append(args)
         raise NonConvergenceError("fixed point did not converge", 1e-9)
 
-    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", failing)
-    for extra in ((), ("--n", "600")):
-        calls.clear()
-        code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1:0.2:3", *extra)
-        assert code == 0
-        # spe keeps the failed endpoint solve, so the command makes one solve
-        assert calls == [rspb.spe.LOW_ORDER_PROBE]
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert [r[-1] for r in rows] == ["NonConvergenceError"] * 3
+    # a failed order-0 end, and a fixed point that always fails: either way
+    # every row makes its own call and carries its own error
+    for name in ("_order_zero_information", "augustin_fixed_point"):
+        monkeypatch.setattr(rspb.spe, name, failing)
+        for extra in ((), ("--n", "600")):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1:0.2:3", *extra)
+            assert code == 0
+            assert len(calls) == 3, name
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            assert [r[-1] for r in rows] == ["NonConvergenceError"] * 3
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("extra", [(), ("--n", "600")])

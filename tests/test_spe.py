@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from rspb.measures import (
 )
 from rspb.oracle import brute_spe
 from rspb.spe import (
-    LOW_ORDER_PROBE,
     _find_order,
     _rate_endpoints,
     _rate_met,
@@ -67,9 +64,10 @@ def test_rate_out_of_range_reports_endpoints():
     with pytest.raises(RateOutOfRangeError) as err:
         spe_parametric(U2, bsc(0.1), 2.0)
     assert err.value.high == pytest.approx(I_ONE, abs=1e-9)
+    # the rows share an output, so the range starts at exactly 0
     with pytest.raises(RateOutOfRangeError) as err:
-        spe_parametric(U2, bsc(0.1), 1e-8)
-    assert 0 < err.value.low < 1e-5
+        spe_parametric(U2, bsc(0.1), 0.0)
+    assert err.value.low == 0.0
 
 
 def test_tiny_rate_still_solves():
@@ -77,6 +75,12 @@ def test_tiny_rate_still_solves():
     assert 0 < pt.rho_star < 0.01
     # exponent approaches the zero-rate limit of the exponent curve
     assert pt.exponent == pytest.approx(-math.log(0.6), abs=5e-3)
+    # rates below the old order-1e-6 end of the range solve too, and their
+    # exponents close in on -ln 0.6 from below
+    gaps = [-math.log(0.6) - spe_parametric(U2, bsc(0.1), rate).exponent
+            for rate in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12)]
+    assert all(0 < b < a for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 2e-6
 
 
 def test_degenerate_channel_detected():
@@ -255,29 +259,26 @@ def test_point_reads_the_tilted_pair_from_its_solves(monkeypatch):
 
 
 def test_point_takes_at_most_3_solves(monkeypatch, rng):
-    # the first rate on a channel: the two endpoints and the one cold solve
-    # that certifies Newton's order; a later rate reuses the endpoints
+    # the rate range takes no fixed point, so a point whose Newton order
+    # certifies takes one cold solve
     calls = _counting_solves(monkeypatch)
-    spe_parametric(U2, bsc(0.1), 0.1308120)
-    assert len(calls) <= 3
     for n_in, n_out in ((2, 3), (3, 4), (4, 8), (2, 2), (8, 16)):
         channel = random_channel(rng, n_in, n_out)
         p = uniform_dist(n_in)
-        low = augustin_fixed_point(1e-6, p, channel).information
-        high = augustin_fixed_point(1.0, p, channel).information
+        low, high = _rate_endpoints(p, channel)
         counts = []
         for frac in (1e-3, 0.5, 0.995):
             calls.clear()
             spe_parametric(p, channel, low + frac * (high - low))
             counts.append(len(calls))
-        assert counts[0] <= 3 and counts[1:] == [1, 1], (n_in, n_out, counts)
+        assert counts == [1, 1, 1], (n_in, n_out, counts)
 
 
-def test_anchor_point_takes_3_solves_2_below_order_one(monkeypatch):
+def test_anchor_point_takes_one_solve_below_order_one(monkeypatch):
     calls = _counting_solves(monkeypatch)
     spe_parametric(U2, bsc(0.1), 0.1308120)
-    assert len(calls) == 3
-    assert sum(rho < 1.0 for rho, _, _ in calls) == 2
+    assert len(calls) == 1
+    assert calls[0][0] < 1.0
 
 
 def test_constrained_single_solves_endpoints_once(monkeypatch):
@@ -339,7 +340,7 @@ def _brent_point(p, channel, rate, ends, bracket=None):
         sol = augustin_fixed_point(rho, p, channel)
         return sol.tilted_rate, sol
 
-    lo, hi = bracket or ((LOW_ORDER_PROBE, ends[0].tilted_rate), (1.0, ends[1].tilted_rate))
+    lo, hi = bracket or ((0.0, ends[0]), (1.0, ends[1]))
     return _find_order(rate_at, rate, lo, hi, lambda rho, r, _: _rate_met(rho, abs(r - rate)))
 
 
@@ -359,8 +360,7 @@ def _counting_newton(monkeypatch):
 @pytest.mark.parametrize("label, channel", NEWTON_CHANNELS, ids=[c[0] for c in NEWTON_CHANNELS])
 def test_newton_order_matches_brent(label, channel):
     p = uniform_dist(channel.input_size)
-    ends = _rate_endpoints(p, channel)
-    low, high = ends[0].information, ends[1].information
+    ends = low, high = _rate_endpoints(p, channel)
     for frac in RATE_FRACTIONS:
         rate = low + frac * (high - low)
         pt = spe_parametric(p, channel, rate)
@@ -382,8 +382,7 @@ def test_newton_proposals_mostly_certify_and_some_bail(monkeypatch):
     calls = _counting_solves(monkeypatch)
     for _, channel in NEWTON_CHANNELS[:6]:
         p = uniform_dist(channel.input_size)
-        ends = _rate_endpoints(p, channel)
-        low, high = ends[0].information, ends[1].information
+        low, high = _rate_endpoints(p, channel)
         for frac in RATE_FRACTIONS:
             calls.clear()
             pt = spe_parametric(p, channel, low + frac * (high - low))
@@ -400,7 +399,7 @@ def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
     # bec(0.3) at half its rate range: Newton's first step leaves (0, 1)
     channel = bec(0.3)
     ends = _rate_endpoints(U2, channel)
-    rate = 0.5 * (ends[0].information + ends[1].information)
+    rate = 0.5 * (ends[0] + ends[1])
     proposals = _counting_newton(monkeypatch)
     pt = spe_parametric(U2, channel, rate)
     assert proposals == [None]
@@ -413,22 +412,21 @@ def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
 def test_rejected_proposal_narrows_the_bracket_for_brent(monkeypatch, channel):
     # a proposal off the root fails the stop rule; the search goes on from the
     # bracket its solve leaves, exactly as Brent alone does on that bracket
-    ends = _rate_endpoints(U2, channel)
-    low, high = ends[0].information, ends[1].information
+    ends = low, high = _rate_endpoints(U2, channel)
     proposal = []
     monkeypatch.setattr(rspb.spe, "_newton_order", lambda *args: proposal[-1])
     calls = _counting_solves(monkeypatch)
     for frac in (1e-3, 0.05, 0.5, 0.9):
         rate = low + frac * (high - low)
         proposal.append(1.01 * _brent_point(U2, channel, rate, ends)[0])
-        assert LOW_ORDER_PROBE < proposal[-1] < 1.0
+        assert 0.0 < proposal[-1] < 1.0
         calls.clear()
         pt = spe_parametric(U2, channel, rate)
         assert calls[0][0] == proposal[-1] and len(calls) > 1, frac
         cold = augustin_fixed_point(pt.rho_star, U2, channel)
         assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
         off = augustin_fixed_point(proposal[-1], U2, channel).tilted_rate
-        lo, hi = (LOW_ORDER_PROBE, ends[0].tilted_rate), (1.0, ends[1].tilted_rate)
+        lo, hi = (0.0, low), (1.0, high)
         bracket = ((proposal[-1], off), hi) if off < rate else (lo, (proposal[-1], off))
         rho, _, sol = _brent_point(U2, channel, rate, ends, bracket)
         assert pt.rho_star == rho, frac
@@ -449,9 +447,9 @@ def test_accepted_first_probe_is_the_only_probe():
     assert calls == [0.5]
 
 
-# The endpoint solves are kept per (channel object, input masses): a later
-# rate on the same channel reuses them, and every answer must be the one a
-# freshly built channel gives.
+# The rate range is computed afresh for every point, with no state kept
+# between calls: rates asked of one channel object in any order, and inputs
+# alternating on it, must give every bit a freshly built channel gives.
 MEMO_CHANNELS = [c for c in NEWTON_CHANNELS
                  if c[0] in ("bsc", "bec", "z", "d8x16", "near-face", "zeros0", "zeros1")]
 MEMO_FRACTIONS = (1e-3, 0.05, 0.2, 0.5, 0.8, 0.95, 0.995)
@@ -474,24 +472,11 @@ def _fresh(channel):
 @pytest.mark.parametrize("label, channel", MEMO_CHANNELS, ids=[c[0] for c in MEMO_CHANNELS])
 def test_rates_on_one_channel_match_fresh_channels_bit_for_bit(label, channel):
     p = uniform_dist(channel.input_size)
-    low, high = (sol.information for sol in _rate_endpoints(p, _fresh(channel)))
+    low, high = _rate_endpoints(p, _fresh(channel))
     order = np.random.default_rng(24).permutation(len(MEMO_FRACTIONS))
     for frac in np.asarray(MEMO_FRACTIONS)[order]:
         rate = low + frac * (high - low)
         assert _outcome(p, channel, rate) == _outcome(p, _fresh(channel), rate), frac
-
-
-def test_k_rates_on_one_channel_make_two_endpoint_solves(monkeypatch):
-    channel = zchannel(0.3)
-    calls = _counting_solves(monkeypatch)
-    ends = [_rate_endpoints(U2, channel) for _ in range(3)]
-    assert ends[1] is ends[0] and ends[2] is ends[0]
-    low, high = ends[0][0].information, ends[0][1].information
-    for frac in MEMO_FRACTIONS:
-        spe_parametric(U2, channel, low + frac * (high - low))
-        spe_parametric(uniform_dist(2), channel, low + frac * (high - low))
-    assert [rho for rho, _, _ in calls[:2]] == [LOW_ORDER_PROBE, 1.0]
-    assert sum(rho in (LOW_ORDER_PROBE, 1.0) for rho, _, _ in calls) == 2
 
 
 def test_alternating_inputs_on_one_channel_get_their_own_endpoints():
@@ -500,79 +485,78 @@ def test_alternating_inputs_on_one_channel_get_their_own_endpoints():
     fresh = [_rate_endpoints(p, _fresh(channel)) for p in inputs]
     for _ in range(2):
         for p, want in zip(inputs, fresh):
-            got = _rate_endpoints(p, channel)
-            assert [s.information for s in got] == [s.information for s in want]
-            assert [s.mean.masses.tobytes() for s in got] == [
-                s.mean.masses.tobytes() for s in want]
-            rate = 0.5 * (want[0].information + want[1].information)
+            assert _rate_endpoints(p, channel) == want
+            rate = 0.5 * (want[0] + want[1])
             assert _outcome(p, channel, rate) == _outcome(p, _fresh(channel), rate)
 
 
-def test_failed_endpoint_solve_is_kept(monkeypatch):
-    channel = bsc(0.1)
-    calls = _counting_solves(monkeypatch)
-    counting = rspb.spe.augustin_fixed_point
 
-    def failing_at_uniform(rho, p, ch):
-        if p is U2:
-            calls.append((rho, (), {}))
-            raise NonConvergenceError("fixed point did not converge", 1e-9)
-        return counting(rho, p, ch)
-
-    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", failing_at_uniform)
-    raised = []
-    for _ in range(2):
-        with pytest.raises(NonConvergenceError) as info:
-            spe_parametric(U2, channel, 0.1)
-        raised.append(info.value)
-    # the second call re-raises the kept error without a fixed-point solve
-    assert [rho for rho, _, _ in calls] == [LOW_ORDER_PROBE]
-    assert raised[1] is not raised[0]
-    assert [(type(e), e.args, e.residual) for e in raised] == [
-        (NonConvergenceError, ("fixed point did not converge (residual 1.000e-09)",), 1e-9)] * 2
-    # another input on the same channel solves afresh
-    ends = _rate_endpoints(bern(0.3), channel)
-    assert [rho for rho, _, _ in calls] == [LOW_ORDER_PROBE, LOW_ORDER_PROBE, 1.0]
-    assert _rate_endpoints(bern(0.3), channel) is ends
+def _disjoint_draws():
+    """The `channel_with_zeros` draws (default_rng(s), s = 0-9, 20 each) whose
+    rows share no output, so that their rate ranges start above 0, labelled
+    "s-k" for draw k of seed s."""
+    draws = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for k in range(20):
+            channel = channel_with_zeros(rng)
+            if not (channel.row_matrix() > 0).all(axis=0).any():
+                draws.append((f"{seed}-{k}", channel))
+    return draws
 
 
-def test_failed_endpoints_go_with_their_channel(monkeypatch):
-    # a kept error holds no traceback, whose frames would keep the channel alive
-    def failing(rho, p, ch):
-        raise NonConvergenceError("fixed point did not converge", 1e-9)
-
-    monkeypatch.setattr(rspb.spe, "augustin_fixed_point", failing)
-    channel = bsc(0.2)
-    for _ in range(2):
-        with pytest.raises(NonConvergenceError):
-            spe_parametric(U2, channel, 0.1)
-    kept = len(rspb.spe._ENDPOINTS)
-    gone = weakref.ref(channel)
-    del channel
-    gc.collect()
-    assert gone() is None
-    assert len(rspb.spe._ENDPOINTS) == kept - 1
+DISJOINT_DRAWS = _disjoint_draws()
+# the draws whose fixed point at uniform input and order 1e-6 does not converge
+LOW_PROBE_FAILS = {"0-5", "0-8", "0-14", "0-19", "2-0", "3-9", "3-18", "4-18", "5-17",
+                   "6-4", "6-14", "6-19", "7-13", "8-10", "8-13"}
 
 
-def test_endpoints_go_with_their_channel():
-    channel = bsc(0.2)
-    spe_parametric(U2, channel, 0.1)
-    kept = len(rspb.spe._ENDPOINTS)
-    gone = weakref.ref(channel)
-    del channel
-    gc.collect()
-    assert gone() is None
-    assert len(rspb.spe._ENDPOINTS) == kept - 1
+def _order_zero(p, channel):
+    return rspb.augustin._order_zero_information(p.masses, channel.row_matrix())
 
 
-def test_oldest_endpoints_go_past_the_kept_count(monkeypatch):
-    channels = [bsc(0.01 + 1e-3 * k) for k in range(rspb.spe._ENDPOINTS_KEPT + 1)]
-    for channel in channels:
-        _rate_endpoints(U2, channel)
-    assert len(rspb.spe._ENDPOINTS) == rspb.spe._ENDPOINTS_KEPT
-    calls = _counting_solves(monkeypatch)
-    _rate_endpoints(U2, channels[-1])
-    _rate_endpoints(U2, channels[1])
-    assert calls == []
-    _rate_endpoints(U2, channels[0])
-    assert [rho for rho, _, _ in calls] == [LOW_ORDER_PROBE, 1.0]
+def test_order_zero_end_certifies_on_every_disjoint_draw():
+    assert len(DISJOINT_DRAWS) == 31
+    for label, channel in DISJOINT_DRAWS:
+        p = uniform_dist(channel.input_size)
+        low = _order_zero(p, channel)
+        assert low > 0.0, label
+        assert _rate_endpoints(p, channel) == (
+            low, augustin_fixed_point(1.0, p, channel).information), label
+        if label in LOW_PROBE_FAILS:
+            continue
+        # the information grows with the order from its order-0 limit
+        assert 0.0 <= augustin_fixed_point(1e-6, p, channel).information - low <= 4e-6, label
+
+
+def test_draws_without_a_low_probe_solve_agree_with_the_oracle():
+    failing = [(label, ch) for label, ch in DISJOINT_DRAWS if label in LOW_PROBE_FAILS]
+    assert len(failing) == len(LOW_PROBE_FAILS)
+    for label, channel in failing:
+        p = uniform_dist(channel.input_size)
+        low, high = _rate_endpoints(p, channel)
+        rate = 0.5 * (low + high)
+        exponent = spe_parametric(p, channel, rate).exponent
+        assert abs(exponent - brute_spe(p, channel, rate, 256)) <= 1e-10 * exponent, label
+
+
+@pytest.mark.parametrize("rows, value", [
+    ([[0.3, 0.7, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4]], math.log(2.0)),
+    ([[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.9, 0.0, 0.1]], math.log(1.5)),
+], ids=["disjoint", "cycle"])
+def test_order_zero_closed_forms(rows, value):
+    channel = DiscreteChannel(tuple(FiniteDist(np.array(r)) for r in rows))
+    assert _order_zero(uniform_dist(channel.input_size), channel) == pytest.approx(
+        value, abs=1e-12)
+
+
+def test_uncertified_order_zero_end_raises(monkeypatch):
+    # the start p W, handed back unsolved, is not the order-0 mean of the cycle
+    def unsolved(r_lw, one_r, weights, q, tol, max_iter):
+        return q[0], math.inf, 0
+
+    monkeypatch.setattr(rspb.augustin, "_solve", unsolved)
+    channel = DiscreteChannel(tuple(FiniteDist(np.array(r)) for r in
+                                    ([0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.9, 0.0, 0.1])))
+    with pytest.raises(NonConvergenceError):
+        _order_zero(uniform_dist(3), channel)

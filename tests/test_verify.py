@@ -75,11 +75,11 @@ def test_sizes_below_one_are_rejected(name, kwargs):
 
 
 def test_suite_that_checks_nothing_does_not_pass(monkeypatch):
-    # equal endpoint solves make every instance's rate profile flat, so the
-    # suite skips them all
+    # equal ends make every instance's rate range flat, so the suite skips
+    # them all
     def flat(p, channel):
-        sol = augustin_fixed_point(1.0, p, channel)
-        return sol, sol
+        high = augustin_fixed_point(1.0, p, channel).information
+        return high, high
 
     monkeypatch.setattr(verify, "_rate_endpoints", flat)
     report = run_suite("spe", instances=3, grid_size=256)
@@ -110,8 +110,8 @@ def test_suite_short_of_its_instances_does_not_pass(monkeypatch):
         calls.append(channel)
         if len(calls) == 1:
             return real(p, channel)
-        sol = augustin_fixed_point(1.0, p, channel)
-        return sol, sol
+        high = augustin_fixed_point(1.0, p, channel).information
+        return high, high
 
     monkeypatch.setattr(verify, "_rate_endpoints", flat_after_first)
     report = run_suite("spe", instances=2, grid_size=256)
