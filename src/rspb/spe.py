@@ -8,10 +8,13 @@ exponent, its slope and the order come from the Augustin mean there. A
 point finds that order with one search, Brent's root-finder on the monotone
 rate profile, bracketed by (0, I_0) and (1, I_1) at no fixed-point cost,
 whose first probe is a cold fixed point at the order Newton's method on
-the fixed-point and rate equations in (ln q, rho) proposes; over a
-constraint set it runs on the capacity curve. The direct form
-(1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
-independent check is `oracle.brute_spe`, which never runs the fixed point.
+the fixed-point and rate equations in (ln q, rho) proposes. Newton starts
+where the rate's law near order 0 puts the root: exponential in -1/rho when
+I_0 = 0 and rows of p's support miss an output that others reach, quadratic
+in rho otherwise. Over a constraint set the search runs on the capacity
+curve. The direct form (1 - rho*) / rho* (I_rho* - R) at the root checks
+the exponent; an independent check is `oracle.brute_spe`, which never runs
+the fixed point.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .augustin import (
     tilted_kl_pair,
 )
 from .errors import ComputationError, DegenerateChannelError, RateOutOfRangeError
-from .measures import DiscreteChannel, FiniteDist, _tilt_moments
+from .measures import DiscreteChannel, FiniteDist
 
 RATE_RESIDUAL_TOL = 1e-10
 EXPONENT_CONSISTENCY_TOL = 1e-8
@@ -120,50 +123,71 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
     system ln T_rho(q) = ln q, D_1(tilt || q | p) = rate in (ln q, rho).
 
     q lives on the outputs p W reaches and starts at the power-mean center of
-    the sqrt-secant order between the (order, rate) pairs lo and hi, the
-    ends of the rate range. With V the rows tilted toward q, L = ln W - ln q,
-    m and a2 the tilted mean and variance of L, C = L - m, T = p V and P =
-    diag(p), the Jacobian is [[(rho-1) diag(1/T) V^T P V - rho I, p(V C)/T],
-    [rho(1-rho) p(V C) - T, rho sum_x p(x) a2(x)]]. The search stops once
-    the order step is below 1e-9 rho, and gives up (None) on a step that
-    leaves the open bracket (0, 1), a step that is not finite or singular,
-    or after NEWTON_MAX_STEPS steps. Its answer is only a probe: the caller
+    a start order rho_0 read from the ends lo and hi, the (order, rate)
+    pairs (0, I_0) and (1, I_1). When I_0 = 0 but some output that p W
+    reaches is missed by rows of p's support, the rate near order 0 behaves
+    like I_1 exp(c (1 - 1/rho)), with c = -ln max s_y over those outputs and
+    s_y = sum_x p(x) 1{W(y|x) > 0} (Shannon, Gallager and Berlekamp, Inform.
+    Control 1967), so rho_0 = c / (c + ln(I_1 / R)); otherwise the rate
+    grows like rho^2 and rho_0 is the sqrt-secant order between the ends.
+    With V the rows tilted toward q, L = ln W - ln q, m and a2 the tilted
+    mean and variance of L, C = L - m, T = p V and P = diag(p), the
+    Jacobian is [[(rho-1) diag(1/T) V^T P V - rho I, p(V C)/T],
+    [rho(1-rho) p(V C) - T, rho sum_x p(x) a2(x)]]. A step that would leave
+    (0, 1) is halved, in rho and ln q together, until it stays inside. The
+    search stops once an undamped order step is below 1e-9 rho, and gives up
+    (None) on a step that is not finite or singular, or after
+    NEWTON_MAX_STEPS steps. Its answer is only a probe: the caller
     certifies it with a cold fixed point.
     """
     weights, w_rows, lw = _support_rows(p, channel)
     root = math.sqrt(rate)
     s_lo, s_hi = math.sqrt(max(lo[1], 0.0)), math.sqrt(max(hi[1], 0.0))
     rho = lo[0] + (hi[0] - lo[0]) * (root - s_lo) / (s_hi - s_lo)
+    if lo[1] == 0.0:
+        reach = w_rows > 0
+        share = (weights @ reach)[reach.any(axis=0) & ~reach.all(axis=0)]
+        # a share that rounds to 1 (the rows missing it carry no mass to
+        # speak of) gives c = 0 and no start
+        if share.size and share.max() < 1.0:
+            c = -math.log(share.max())
+            rho = c / (c + math.log(hi[1] / rate))
     q = _start(rho, weights, w_rows, lw)[0]
     reached = weights @ w_rows > 0
     if not reached.all():
         q, lw = q[reached], lw[:, reached]
     size = q.size
     jac = np.empty((size + 1, size + 1))
+    residual = np.empty(size + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lq = np.log(q)
         for _ in range(NEWTON_MAX_STEPS):
             v = _tilt(rho * lw, 1.0 - rho, q)
-            lr = lw - lq
-            m, a2, _ = _tilt_moments(lr, v)
-            vc = np.where(v > 0, v * (lr - m[:, None]), 0.0)
-            t, pvc = weights @ v, weights @ vc
+            # the tilted mean and variance of L, as `_tilt_moments` takes them
+            lr = np.where(v > 0, lw - lq, 0.0)
+            centered = lr - (v * lr).sum(axis=-1)[:, None]
+            t, pvc = weights @ v, weights @ (v * centered)
             block = (rho - 1.0) * ((v.T * weights) @ v) / t[:, None]
             block.flat[:: size + 1] -= rho
             jac[:size, :size] = block
             jac[:size, size] = pvc / t
             jac[size, :size] = rho * (1.0 - rho) * pvc - t
-            jac[size, size] = rho * (weights @ a2)
-            residual = np.append(lq - np.log(t), rate - weights @ _kl_rows(v, np.log(v), lq))
+            jac[size, size] = rho * (weights @ (v * centered**2).sum(axis=-1))
+            np.subtract(lq, np.log(t), out=residual[:size])
+            residual[size] = rate - weights @ _kl_rows(v, np.log(v), lq)
             try:
                 step = np.linalg.solve(jac, residual)
             except np.linalg.LinAlgError:
                 return None
-            d_rho = float(step[size])
-            if not (np.isfinite(step).all() and 0.0 < rho + d_rho < 1.0):
+            if not np.isfinite(step).all():
                 return None
+            damped = False
+            while not 0.0 < rho + float(step[size]) < 1.0:
+                step *= 0.5
+                damped = True
+            d_rho = float(step[size])
             rho += d_rho
-            if abs(d_rho) <= 1e-9 * rho:
+            if not damped and abs(d_rho) <= 1e-9 * rho:
                 return rho
             lq = lq + step[:size]
             q = np.exp(lq)

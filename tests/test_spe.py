@@ -311,10 +311,15 @@ def test_near_face_rate_residual_from_cold_solve(rate):
 
 def test_no_solve_passes_a_start(monkeypatch, rng):
     calls = _counting_solves(monkeypatch)
-    spe_parametric(U2, bsc(0.1), 0.1308120)
-    spe_parametric(U2, NEAR_FACE, 1e-6)
-    spe_parametric(uniform_dist(3), random_channel(rng, 3, 4), 0.05)
-    assert len(calls) > 6
+    points = ((U2, bsc(0.1), 0.1308120), (U2, NEAR_FACE, 1e-6),
+              (uniform_dist(3), random_channel(rng, 3, 4), 0.05))
+    for point in points:
+        spe_parametric(*point)
+    # with no proposal, Brent's probes are solves too
+    monkeypatch.setattr(rspb.spe, "_newton_order", lambda *args: None)
+    for point in points:
+        spe_parametric(*point)
+    assert len(calls) > 9
     # every solve is (rho, p, channel) alone, so it starts where the solver does
     assert all(not args and not kwargs for _, args, kwargs in calls)
 
@@ -377,7 +382,7 @@ def test_newton_order_matches_brent(label, channel):
             assert pt.exponent - brute <= 1e-4, frac
 
 
-def test_newton_proposals_mostly_certify_and_some_bail(monkeypatch):
+def test_newton_proposals_certify_and_none_bail(monkeypatch):
     proposals = _counting_newton(monkeypatch)
     calls = _counting_solves(monkeypatch)
     for _, channel in NEWTON_CHANNELS[:6]:
@@ -390,19 +395,42 @@ def test_newton_proposals_mostly_certify_and_some_bail(monkeypatch):
                 # a certified proposal is the point, from its one cold solve
                 assert [rho for rho, _, _ in calls] == [pt.rho_star]
                 assert pt.rho_star == proposals[-1]
-    bails = [i for i, rho in enumerate(proposals) if rho is None]
-    # bec and z at rate fraction 1e-3 and bec at 0.5 step out of the bracket
-    assert bails == [4, 6, 8]
+    # bec and z start from their order-0 rate law, and a step that would
+    # leave (0, 1) is damped instead of ending the search
+    assert [i for i, rho in enumerate(proposals) if rho is None] == []
+
+
+@pytest.mark.parametrize("label, channel", NEWTON_CHANNELS[:3],
+                         ids=[c[0] for c in NEWTON_CHANNELS[:3]])
+def test_each_rate_of_bsc_bec_z_takes_one_solve(monkeypatch, label, channel):
+    calls = _counting_solves(monkeypatch)
+    low, high = _rate_endpoints(U2, channel)
+    counts = []
+    for frac in RATE_FRACTIONS:
+        calls.clear()
+        spe_parametric(U2, channel, low + frac * (high - low))
+        counts.append(len(calls))
+    assert counts == [1, 1, 1, 1]
+
+
+def test_newton_start_keeps_full_support_orders_bit_for_bit():
+    # the sqrt-secant start still serves channels whose rows all reach every
+    # output, so these orders are the bits they had before the order-0 start
+    assert spe_parametric(U2, bsc(0.1), 0.1308120).rho_star.hex() == "0x1.fffffaabc1f9dp-2"
+    pt = spe_parametric(uniform_dist(3), random_channel(np.random.default_rng(4), 3, 4), 0.05)
+    assert pt.rho_star.hex() == "0x1.e56de0ed5b3e3p-2"
+    assert pt.exponent.hex() == "0x1.811dc79ef4044p-5"
 
 
 def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
-    # bec(0.3) at half its rate range: Newton's first step leaves (0, 1)
+    # with no proposal, the search is Brent's alone on (0, I_0) and (1, I_1)
     channel = bec(0.3)
     ends = _rate_endpoints(U2, channel)
     rate = 0.5 * (ends[0] + ends[1])
-    proposals = _counting_newton(monkeypatch)
+    monkeypatch.setattr(rspb.spe, "_newton_order", lambda *args: None)
+    calls = _counting_solves(monkeypatch)
     pt = spe_parametric(U2, channel, rate)
-    assert proposals == [None]
+    assert len(calls) > 1
     rho, _, sol = _brent_point(U2, channel, rate, ends)
     assert pt.rho_star == rho
     assert pt.exponent == sol.tilted_exponent
