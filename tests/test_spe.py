@@ -391,13 +391,12 @@ def test_newton_proposals_certify_and_none_bail(monkeypatch):
         for frac in RATE_FRACTIONS:
             calls.clear()
             pt = spe_parametric(p, channel, low + frac * (high - low))
-            if proposals[-1] is not None:
-                # a certified proposal is the point, from its one cold solve
-                assert [rho for rho, _, _ in calls] == [pt.rho_star]
-                assert pt.rho_star == proposals[-1]
+            # a certified proposal is the point, from its one cold solve
+            assert [rho for rho, _, _ in calls] == [pt.rho_star]
+            assert pt.rho_star == proposals[-1]
     # bec and z start from their order-0 rate law, and a step that would
     # leave (0, 1) is damped instead of ending the search
-    assert [i for i, rho in enumerate(proposals) if rho is None] == []
+    assert None not in proposals
 
 
 @pytest.mark.parametrize("label, channel", NEWTON_CHANNELS[:3],
