@@ -90,15 +90,15 @@ def _support_rows(p: FiniteDist, channel: DiscreteChannel) -> tuple:
 
 
 def _start(rho: float, weights, w_rows, lw) -> np.ndarray:
-    """Power-mean center of p at the order rho, as one row, with START_MIX of
-    the order-one mean p W mixed in."""
+    """Power-mean center of p at the order rho, with START_MIX of the
+    order-one mean p W mixed in."""
     center = _power_mean(rho, lw, np.log(weights))[0]
-    return ((1.0 - START_MIX) * center + START_MIX * (weights @ w_rows))[None, :]
+    return (1.0 - START_MIX) * center + START_MIX * (weights @ w_rows)
 
 
 def _solve(r_lw, one_r, weights, q, tol, max_iter):
     """Iterate q <- sum_x p(x) tilt_rho(W(x), q) at an order below one, from
-    rho * ln W, 1 - rho and the start q, one row of shape (1, outputs).
+    rho * ln W, 1 - rho and the start q, a vector over the outputs.
 
     The map contracts like (1 - rho), which is hopeless to iterate plainly
     for tiny orders, so once the step ratio stabilizes we take a
@@ -111,9 +111,9 @@ def _solve(r_lw, one_r, weights, q, tol, max_iter):
     with np.errstate(divide="ignore"):
         while n < max_iter:
             n += 1
-            qn = np.einsum("s,asy->ay", weights, _tilt(r_lw, one_r, q[:, None, :]))
+            qn = np.einsum("s,sy->y", weights, _tilt(r_lw, one_r, q))
             delta = qn - q
-            step = float(0.5 * np.add.reduce(np.abs(delta), axis=1)[0])
+            step = float(0.5 * np.add.reduce(np.abs(delta)))
             q = qn
             if step <= tol:
                 break
@@ -124,24 +124,24 @@ def _solve(r_lw, one_r, weights, q, tol, max_iter):
                 # step, a fixed point on a face of the simplex; it halves instead.
                 q = np.where((jump <= 0.0) & (q > 0.0), 0.5 * q, jump)
                 np.maximum(q, 0.0, out=q)
-                q /= np.add.reduce(q, axis=1, keepdims=True)
+                q /= np.add.reduce(q)
                 prev = (math.nan, math.nan)
             else:
                 prev = (step, ratio)
-    return q[0], step, n
+    return q, step, n
 
 
 def _row_divergences(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D_rho(W(x) || q) for every prepared log-row, vectorized.
 
-    An array of orders, with one row of q per order, broadcasts to one row
-    of divergences per order, each bit for bit what its order gives alone.
-    Assumes q dominates every row (true for mixtures over the rows). The
-    power sum is evaluated through expm1/log1p so that precision does not
-    degrade like eps/(1-rho) near order one; rows with huge exponents fall
-    back to the max-shifted log-sum-exp. A caller that measures many q
-    against the same rows at one order forms `_divergence_terms` once and
-    evaluates with `_divergences_on`.
+    An array of orders below one, with one row of q per order, broadcasts to
+    one row of divergences per order, each bit for bit what its order gives
+    alone; order one is a scalar case. Assumes q dominates every row (true
+    for mixtures over the rows). The power sum is evaluated through
+    expm1/log1p so that precision does not degrade like eps/(1-rho) near
+    order one; rows with huge exponents fall back to the max-shifted
+    log-sum-exp. A caller that measures many q against the same rows at one
+    order forms `_divergence_terms` once and evaluates with `_divergences_on`.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _divergences_on(_divergence_terms(rho, lw), q)
@@ -154,35 +154,29 @@ class _DivergenceTerms(NamedTuple):
     lw: np.ndarray
     w: np.ndarray  # exp(lw)
     joint: np.ndarray  # w > 0
-    one: np.ndarray  # rho == 1
-    ones: int
+    one: bool  # a scalar order of one
     rm1: np.ndarray  # rho - 1, with a trailing axis
 
 
 def _divergence_terms(rho, lw: np.ndarray) -> _DivergenceTerms:
     rho = np.asarray(rho, dtype=float)
     w = np.exp(lw)
-    one = rho == 1.0
-    return _DivergenceTerms(rho, lw, w, w > 0, one, np.count_nonzero(one), rho[..., None] - 1.0)
+    one = bool(rho.ndim == 0 and rho == 1.0)
+    return _DivergenceTerms(rho, lw, w, w > 0, one, rho[..., None] - 1.0)
 
 
 def _divergences_on(terms: _DivergenceTerms, q: np.ndarray) -> np.ndarray:
     """`_row_divergences` at q from its `_divergence_terms`. Callers ignore
     divide, invalid and overflow warnings: ln 0 where q vanishes, and rows
-    past the cutoff overflow; those and the order-one rows are replaced."""
-    rho, lw, w, joint, one, ones, rm1 = terms
+    past the cutoff overflow; those are replaced."""
+    rho, lw, w, joint, one, rm1 = terms
     lq = np.log(q)[..., None, :]
+    if one:
+        return _kl_rows(w, lw, lq)
     diff = lw - lq
-    if ones:
-        kl = _kl_rows(w, lw, lq)
-        if ones == one.size:
-            return kl
     args = np.where(joint, rm1[..., None] * diff, 0.0)
     out = np.log1p(np.einsum("...xy,...xy->...x", w, np.expm1(args))) / rm1
     hard = ~((np.maximum.reduce(args, axis=-1) < 500.0) & (out > -np.inf))
-    if ones:
-        out = np.where(one[..., None], kl, out)
-        hard &= ~one[..., None]
     if np.logical_or.reduce(hard, axis=None):
         rh = np.broadcast_to(rho[..., None], out.shape)[hard][:, None]
         logits = rh * np.broadcast_to(lw, diff.shape)[hard] + (1.0 - rh) * (
@@ -289,8 +283,7 @@ def _order_zero_information(weights, w_rows) -> float:
     # 1e-13, 55 of 1676 random zero-laden pairs stopped above the 1e-12 bound
     # and 9 at 1e-16
     with np.errstate(divide="ignore"):
-        q = _solve(np.log(reach), 1.0, weights, (weights @ w_rows)[None, :], 1e-16,
-                   DEFAULT_FP_MAX_ITER)[0]
+        q = _solve(np.log(reach), 1.0, weights, weights @ w_rows, 1e-16, DEFAULT_FP_MAX_ITER)[0]
     mass = reach @ q
     gap = math.log(float(np.max((weights / mass) @ reach)))
     if not gap <= 1e-12:

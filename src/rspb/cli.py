@@ -248,6 +248,16 @@ def _sweep_row(rate, n, bound, at_rate):
     return row
 
 
+def _check_n(args, grid: bool):
+    """--n only with a rate grid or a CSV row, and then at least 1."""
+    if args.n is None:
+        return
+    if not grid and args.output != "csv":
+        raise PreconditionError(f"{args.command} reads --n only with a rate grid or --output csv")
+    if args.n < 1:
+        raise PreconditionError(f"--n must be a positive integer, got {args.n}")
+
+
 def _cmd_spe(args):
     from .refined import rspb_constant_composition
     from .spe import spe_parametric
@@ -256,21 +266,21 @@ def _cmd_spe(args):
     comp = _get_dist(args.composition, channel.input_size)
     rate = _parse_rate(args.rate)
     grid = not isinstance(rate, float)
-    if args.n is not None and not grid and args.output != "csv":
-        raise PreconditionError("spe reads --n only with a rate grid or --output csv")
+    _check_n(args, grid)
     bound = partial(rspb_constant_composition, channel, comp)
     if grid:
-        # each row is one spe_parametric call; spe solves the endpoint pair
-        # once per (channel, input) and keeps a failed solve too, so every
-        # row reuses the pair, or reports its error as its status
+        # each row is one spe_parametric call; a row that fails carries its
+        # error as its status
         def at_rate(r):
             pt = spe_parametric(comp, channel, r)
             return pt.rho_star, pt.exponent, pt.slope
 
         _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
         return EXIT_OK
-    # a rate out of range fails the command here, unlike a sweep row
-    point = spe_parametric(comp, channel, rate)
+    # a rate out of range fails the command here, unlike a sweep row; with
+    # --n the point is solved at the rate the bound reads, rate * n / n, so
+    # that the bound reuses it
+    point = spe_parametric(comp, channel, rate if args.n is None else rate * args.n / args.n)
     if args.output == "csv":
         row = _sweep_row(rate, args.n, partial(bound, point=point),
                          lambda _: (point.rho_star, point.exponent, point.slope))
@@ -329,8 +339,7 @@ def _cmd_awgn(args):
 
     rate = None if args.rate is None else _parse_rate(args.rate)
     grid = rate is not None and not isinstance(rate, float)
-    if args.n is not None and not grid and args.output != "csv":
-        raise PreconditionError("awgn reads --n only with a rate grid or --output csv")
+    _check_n(args, grid)
     if grid:
         _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
         return EXIT_OK

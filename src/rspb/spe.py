@@ -152,7 +152,7 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
         if share.size and share.max() < 1.0:
             c = -math.log(share.max())
             rho = c / (c + math.log(hi[1] / rate))
-    q = _start(rho, weights, w_rows, lw)[0]
+    q = _start(rho, weights, w_rows, lw)
     reached = weights @ w_rows > 0
     if not reached.all():
         q, lw = q[reached], lw[:, reached]

@@ -32,25 +32,17 @@ DEFAULT_SYMMETRY_TOL = 1e-9
 PROFILE_MERGE_TOL = 1e-9
 
 
-def _uniform_centers(rhos, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
-    """Uniform-input centers (FiniteDists) and capacities at each order.
-
-    Orders below one share one broadcast power mean. At order one the center
-    is the row mixture and the capacity the mean KL divergence to it.
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    if rhos.ndim != 1 or rhos.size == 0:
-        raise PreconditionError(f"orders must be a non-empty 1-d sequence, got {rhos.tolist()}")
-    if not np.all((rhos > 0) & (rhos <= 1)):
-        raise InvalidOrderError(f"orders must lie in (0, 1], got {rhos.tolist()}")
-    low = rhos < 1.0
-    masses = np.broadcast_to(w_rows.mean(axis=0), (rhos.size, w_rows.shape[1])).copy()
-    caps = np.empty(rhos.size)
-    masses[low], caps[low] = _power_mean(rhos[low], lw, np.full(len(lw), -math.log(len(lw))))
-    centers = [FiniteDist(m) for m in masses]
-    for k in np.flatnonzero(~low):
-        caps[k] = _row_divergences(1.0, lw, centers[k].masses).mean()
-    return centers, caps.tolist()
+def _uniform_center(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
+    """Uniform-input center (a FiniteDist) and capacity at one order: below
+    one the power mean and its value, at order one the row mixture and the
+    mean KL divergence to it."""
+    if not 0 < rho <= 1:
+        raise InvalidOrderError(f"order must lie in (0, 1], got {rho}")
+    if rho == 1.0:
+        center = FiniteDist(w_rows.mean(axis=0))
+        return center, float(_row_divergences(1.0, lw, center.masses).mean())
+    masses, capacity = _power_mean(rho, lw, np.full(len(lw), -math.log(len(lw))))
+    return FiniteDist(masses), float(capacity)
 
 
 def symmetric_center(rho: float, channel: DiscreteChannel) -> tuple:
@@ -61,8 +53,7 @@ def symmetric_center(rho: float, channel: DiscreteChannel) -> tuple:
     degenerates to the uniform-input mixture and mutual information. Orders
     outside (0, 1] raise InvalidOrderError.
     """
-    centers, caps = _uniform_centers([rho], channel.row_matrix(), channel.log_row_matrix())
-    return centers[0], caps[0]
+    return _uniform_center(rho, channel.row_matrix(), channel.log_row_matrix())
 
 
 @dataclass(frozen=True)
@@ -100,18 +91,28 @@ def check_renyi_symmetry(
     if not tol >= 0:
         raise PreconditionError(f"tol must be non-negative, got {tol}")
     rhos = np.asarray(rho_grid, dtype=float)
+    if rhos.ndim != 1 or rhos.size == 0:
+        raise PreconditionError(f"orders must be a non-empty 1-d sequence, got {rhos.tolist()}")
+    if not np.all((rhos > 0) & (rhos <= 1)):
+        raise InvalidOrderError(f"orders must lie in (0, 1], got {rhos.tolist()}")
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    centers, _ = _uniform_centers(rhos, w_rows, lw)
-    masses = np.array([c.masses for c in centers])
-    # at order one the map is the row mixture, whatever q; tilting would
+    # one broadcast power mean below order one; at order one the center is
+    # the row mixture, and so is the map's image whatever q: tilting would
     # form 0 * (-inf) on an output no input reaches
     low = rhos < 1.0
-    images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()
+    mixture = np.broadcast_to(w_rows.mean(axis=0), (rhos.size, lw.shape[1]))
+    masses = mixture.copy()
+    masses[low] = _power_mean(rhos[low], lw, np.full(len(lw), -math.log(len(lw))))[0]
+    centers = [FiniteDist(m) for m in masses]
+    masses = np.array([c.masses for c in centers])
+    images = mixture.copy()
     r = rhos[low, None, None]
     with np.errstate(divide="ignore"):
         images[low] = _tilt(r * lw, 1.0 - r, masses[low, None, :]).mean(axis=1)
     center_tv_max = float(0.5 * np.abs(images - masses).sum(axis=1).max())
-    divs = _row_divergences(rhos, lw, masses)
+    divs = np.empty((rhos.size, len(lw)))
+    divs[low] = _row_divergences(rhos[low], lw, masses[low])
+    divs[~low] = _row_divergences(1.0, lw, masses[~low])
     spread_max = float((divs.max(axis=1) - divs.min(axis=1)).max())
     # one profile row per (order, input): ln W(y|x) - ln c(y) with mass
     # W(y|x) where W(y|x) > 0, nan where the input does not reach y
@@ -154,21 +155,11 @@ class SymmetricComponent:
     tilt_nonconstant: bool
 
 
-def _uniform_center(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> FiniteDist:
-    """The uniform-input center at one order, bit for bit as
-    `_uniform_centers([rho], ...)` gives it, without its grid checks."""
-    if not 0 < rho <= 1:
-        raise InvalidOrderError(f"order must lie in (0, 1], got {rho}")
-    if rho == 1.0:
-        return FiniteDist(w_rows.mean(axis=0))
-    return FiniteDist(_power_mean(rho, lw, np.full(len(lw), -math.log(len(lw))))[0])
-
-
 def _tilted_rates(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
     """Uniform-input center at rho, each input's tilt toward it and the
     tilt's log, and input 0's tilted KL rate to the center, which symmetry
     makes input-independent: a spread above 1e-8 raises SymmetryError."""
-    center = _uniform_center(rho, w_rows, lw)
+    center, _ = _uniform_center(rho, w_rows, lw)
     with np.errstate(divide="ignore", invalid="ignore"):
         tilts, lt = _tilts_and_logs(rho, w_rows, lw, center.masses)
         rates = _kl_rows(tilts, lt, np.log(center.masses))

@@ -19,7 +19,7 @@ import numpy as np
 from rspb.augustin import _row_divergences, _tilt
 from rspb.errors import InvalidProbabilityError, PreconditionError
 from rspb.gaussian import AwgnParams
-from rspb.symmetric import PROFILE_MERGE_TOL, SymmetryReport, _uniform_centers
+from rspb.symmetric import PROFILE_MERGE_TOL, SymmetryReport, _uniform_center
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
@@ -171,12 +171,12 @@ def merge_atoms_1d(values, tol, *masses):
 
 
 def symmetry_report_per_order(channel, rho_grid, tol) -> SymmetryReport:
-    """`check_renyi_symmetry` with its spread and profiles taken one order,
-    and the profiles one input, at a time: per-order `_row_divergences`
-    calls and one `merge_atoms_1d` per input."""
+    """`check_renyi_symmetry` with its centers, spread and profiles taken one
+    order, and the profiles one input, at a time: per-order `_uniform_center`
+    and `_row_divergences` calls and one `merge_atoms_1d` per input."""
     rhos = np.asarray(rho_grid, dtype=float)
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    centers, _ = _uniform_centers(rhos, w_rows, lw)
+    centers = [_uniform_center(float(rho), w_rows, lw)[0] for rho in rhos]
     masses = np.array([c.masses for c in centers])
     low = rhos < 1.0
     images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()

@@ -481,7 +481,7 @@ def test_fused_tilted_pair_matches_two_passes_bit_for_bit(rho):
         rows = rspb.augustin._support_rows(p, channel)
         weights, w_rows, _ = rows
         mixture = weights @ w_rows
-        means = [mixture] if rho == 1.0 else [mixture, rspb.augustin._start(rho, *rows)[0]]
+        means = [mixture] if rho == 1.0 else [mixture, rspb.augustin._start(rho, *rows)]
         for q in means:
             got = rspb.augustin._tilted_pair(rho, *rows, q)
             want = tilted_pair_two_passes(rho, *rows, q)

@@ -719,8 +719,11 @@ def test_single_rate_csv_precondition_exits_2(capsys, extra):
     assert "precondition" in err
 
 
-@pytest.mark.parametrize("extra", [(), ("--n", "600"), ("--composition", "uniform", "--n", "64")])
+@pytest.mark.parametrize("extra", [
+    (), ("--n", "600"), ("--composition", "uniform", "--n", "64"), ("--n", "6"),
+])
 def test_single_rate_csv_solves_once(capsys, monkeypatch, extra):
+    # 0.1 * 6 / 6 != 0.1: the point is solved at the rate the bound reads
     calls = []
 
     def counting(*args):
@@ -728,10 +731,27 @@ def test_single_rate_csv_solves_once(capsys, monkeypatch, extra):
         return spe_parametric(*args)
 
     monkeypatch.setattr(rspb.spe, "spe_parametric", counting)
-    code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.125", *extra,
+    code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1", *extra,
                            "--output", "csv")
     assert code == 0 and out.strip().endswith(",ok")
     assert len(calls) == 1
+    code, grid, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1:0.2:2", *extra)
+    assert code == 0
+    assert out.splitlines() == grid.splitlines()[:2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("spe", "--bsc", "0.1", "--rate", "0.1", "--output", "csv"),
+    ("spe", "--bsc", "0.1", "--rate", "0.02:0.35:4"),
+    ("awgn", "--sigma2", "1", "--cost", "1", "--rate", "0.1", "--output", "csv"),
+    ("awgn", "--sigma2", "1", "--cost", "1", "--rate", "0.05:0.2:5"),
+], ids=["spe single", "spe grid", "awgn single", "awgn grid"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_blocklength_below_one_is_a_precondition_error(capsys, argv, n):
+    code, out, err = run_cli(capsys, *argv, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert f"--n must be a positive integer, got {n}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -802,10 +822,35 @@ def _readme_commands():
             if line.startswith("rspb ") and ".json" not in line]
 
 
+# fields of README outputs whose values are rounding residuals: each is
+# checked against its bound instead of compared with the golden
+README_RESIDUAL_BOUNDS = {
+    "augustin": {"residual": 1e-12, "identity_residual": 1e-9},
+    "capacity": {"certificate_gap": 1e-8},
+    "symmetric": dict.fromkeys(
+        ("max_divergence_spread", "max_profile_distance", "max_center_fixed_point_tv"), 1e-9
+    ),
+}
+
+
 def test_readme_command_examples_run(capsys):
     commands = _readme_commands()
     assert len(commands) >= 9
+    goldens = json.loads((GOLDEN / "readme_commands.json").read_text())
+    assert sorted(goldens) == sorted(" ".join(argv) for argv in commands)
     for argv in commands:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
-        assert out
+        golden = goldens[" ".join(argv)]
+        if isinstance(golden, str):
+            assert out == golden, argv
+            continue
+        report = json.loads(out)
+        for field, bound in README_RESIDUAL_BOUNDS.get(argv[0], {}).items():
+            del golden[field]
+            assert abs(report.pop(field)) <= bound, (argv, field)
+        for check in report.get("checks", ()):
+            assert check.pop("observed") <= check["bound"], (argv, check)
+        for check in golden.get("checks", ()):
+            del check["observed"]
+        assert report == golden, argv

@@ -580,7 +580,7 @@ def test_order_zero_closed_forms(rows, value):
 def test_uncertified_order_zero_end_raises(monkeypatch):
     # the start p W, handed back unsolved, is not the order-0 mean of the cycle
     def unsolved(r_lw, one_r, weights, q, tol, max_iter):
-        return q[0], math.inf, 0
+        return q, math.inf, 0
 
     monkeypatch.setattr(rspb.augustin, "_solve", unsolved)
     channel = DiscreteChannel(tuple(FiniteDist(np.array(r)) for r in

@@ -30,7 +30,6 @@ from rspb.symmetric import (
     DEFAULT_ORDER_GRID,
     DEFAULT_SYMMETRY_TOL,
     _uniform_center,
-    _uniform_centers,
     center_order_independent,
     check_renyi_symmetry,
     component_quantities,
@@ -295,19 +294,42 @@ def test_order_grid_must_be_a_non_empty_sequence(grid):
         parametric_symmetric(bsc(0.1), 0.2, rho_grid=grid)
 
 
+# symmetric_center's (center masses, capacity) as float.hex(), pinned bit for bit
+SYMMETRIC_CENTER_PINS = {
+    ("bsc", 0.05): (("0x1.0000000000000p-1", "0x1.0000000000000p-1"), "0x1.7cab4268db131p-6"),
+    ("bsc", 0.5): (("0x1.0000000000000p-1", "0x1.0000000000000p-1"), "0x1.a84362dce99c4p-3"),
+    ("bsc", 1.0): (("0x1.0000000000000p-1", "0x1.0000000000000p-1"), "0x1.62f37540c4134p-2"),
+    ("bec", 0.05): (("0x1.2aaa538e524cap-19", "0x1.ffff6aaad638dp-1", "0x1.2aaa538e524cap-19"),
+                    "0x1.038cdbe616754p-4"),
+    ("bec", 0.5): (("0x1.13b13b13b13b2p-2", "0x1.d89d89d89d89cp-2", "0x1.13b13b13b13b2p-2"),
+                   "0x1.b91f28212ba02p-2"),
+    ("bec", 1.0): (("0x1.6666666666667p-2", "0x1.3333333333334p-2", "0x1.6666666666667p-2"),
+                   "0x1.f0d90fe91844cp-2"),
+    ("z", 0.05): (("0x1.fffff488f116dp-1", "0x1.6ee1dd26fe356p-22"), "0x1.3231d1418138dp-7"),
+    ("z", 0.5): (("0x1.d62f59fbd597cp-1", "0x1.4e85302153420p-4"), "0x1.5cf90fd53985dp-4"),
+    ("z", 1.0): (("0x1.b333333333333p-1", "0x1.3333333333333p-3"), "0x1.e05dc8009f5c8p-4"),
+}
+
+
 @pytest.mark.parametrize("rho", (LOW_ORDER_PROBE,) + DEFAULT_ORDER_GRID)
-@pytest.mark.parametrize("channel, symmetric", [
-    (bsc(0.11), True), (bec(0.3), True), (zchannel(0.3), False), (CYCLIC4, True)],
-    ids=["bsc", "bec", "z", "cyclic4"])
-def test_single_order_center_is_the_grid_center_bit_for_bit(channel, symmetric, rho):
+@pytest.mark.parametrize("label, channel, symmetric", [
+    ("bsc", bsc(0.11), True), ("bec", bec(0.3), True), ("z", zchannel(0.3), False),
+    ("cyclic4", CYCLIC4, True)], ids=["bsc", "bec", "z", "cyclic4"])
+def test_single_order_center_is_the_grid_center_bit_for_bit(label, channel, symmetric, rho):
     # every order probe takes its center from one power mean, without the
     # grid pass; the default grid's orders end at 1.0
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    (want,), _ = _uniform_centers([rho], w_rows, lw)
-    assert _uniform_center(rho, w_rows, lw).masses.tobytes() == want.masses.tobytes()
+    want = check_renyi_symmetry(channel, [rho]).center_per_order[rho]
+    center, _ = _uniform_center(rho, w_rows, lw)
+    assert center.masses.tobytes() == want.masses.tobytes()
     if symmetric:
         got = component_quantities(rho, channel).center
         assert got.masses.tobytes() == want.masses.tobytes()
+    center, capacity = symmetric_center(rho, channel)
+    assert center.masses.tobytes() == want.masses.tobytes()
+    if (label, rho) in SYMMETRIC_CENTER_PINS:
+        pin = (tuple(m.hex() for m in center.masses), capacity.hex())
+        assert pin == SYMMETRIC_CENTER_PINS[label, rho]
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, math.nan])
