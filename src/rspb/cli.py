@@ -225,34 +225,46 @@ def _cmd_capacity(args):
 
 
 def _sweep_row(rate, n, bound, at_rate):
-    """One CSV row: bound(n, n * rate), a refined-bound report, when n is
-    given, else the (rho_star, exponent, slope) triple of at_rate(rate)."""
-    row = dict.fromkeys(SWEEP_COLUMNS)
-    row["rate"] = rate
-    row["status"] = "ok"
-    try:
-        if n is not None:
-            rep = bound(n, rate * n)
-            row.update(
-                rho_star=rep.rho_star,
-                exponent=rep.exponent_total / n,
-                slope=rep.slope,
-                log_prefactor=rep.log_prefactor,
-                bound_log=rep.bound_log,
-                applicable=rep.applicable,
-            )
-        else:
-            row.update(zip(("rho_star", "exponent", "slope"), at_rate(rate)))
-    except SpbError as exc:
-        row["status"] = type(exc).__name__
+    """One CSV row at a rate: bound(n, rate * n), a refined-bound report that
+    solves its own point, when n is given, else the (rho_star, exponent,
+    slope) triple of at_rate(rate). An error propagates."""
+    row = {"rate": rate, "status": "ok"}
+    if n is None:
+        row.update(zip(("rho_star", "exponent", "slope"), at_rate(rate)))
+        return row
+    rep = bound(n, rate * n)
+    row.update(
+        rho_star=rep.rho_star,
+        exponent=rep.exponent_total / n,
+        slope=rep.slope,
+        log_prefactor=rep.log_prefactor,
+        bound_log=rep.bound_log,
+        applicable=rep.applicable,
+    )
     return row
 
 
-def _check_n(args, grid: bool):
-    """--n only with a rate grid or a CSV row, and then at least 1."""
+def _emit_sweep(rate, n, bound, at_rate):
+    """CSV for a single rate, a one-row sweep whose error fails the command,
+    or for a grid, whose rows each carry their own error as their status."""
+    if isinstance(rate, float):
+        _emit_csv([_sweep_row(rate, n, bound, at_rate)])
+        return EXIT_OK
+    rows = []
+    for r in map(float, rate):
+        try:
+            rows.append(_sweep_row(r, n, bound, at_rate))
+        except SpbError as exc:
+            rows.append({"rate": r, "status": type(exc).__name__})
+    _emit_csv(rows)
+    return EXIT_OK
+
+
+def _check_n(args, reads_n=True):
+    """--n, when given, is read by the command's output and at least 1."""
     if args.n is None:
         return
-    if not grid and args.output != "csv":
+    if not reads_n:
         raise PreconditionError(f"{args.command} reads --n only with a rate grid or --output csv")
     if args.n < 1:
         raise PreconditionError(f"--n must be a positive integer, got {args.n}")
@@ -265,29 +277,18 @@ def _cmd_spe(args):
     channel = _get_channel(args)
     comp = _get_dist(args.composition, channel.input_size)
     rate = _parse_rate(args.rate)
-    grid = not isinstance(rate, float)
-    _check_n(args, grid)
-    bound = partial(rspb_constant_composition, channel, comp)
-    if grid:
-        # each row is one spe_parametric call; a row that fails carries its
-        # error as its status
-        def at_rate(r):
-            pt = spe_parametric(comp, channel, r)
-            return pt.rho_star, pt.exponent, pt.slope
+    sweep = not isinstance(rate, float) or args.output == "csv"
+    _check_n(args, sweep)
 
-        _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
-        return EXIT_OK
-    # a rate out of range fails the command here, unlike a sweep row; with
-    # --n the point is solved at the rate the bound reads, rate * n / n, so
-    # that the bound reuses it
-    point = spe_parametric(comp, channel, rate if args.n is None else rate * args.n / args.n)
-    if args.output == "csv":
-        row = _sweep_row(rate, args.n, partial(bound, point=point),
-                         lambda _: (point.rho_star, point.exponent, point.slope))
-        _emit_csv([row])
-        return EXIT_OK
-    _emit({"rate": rate, "rho_star": point.rho_star, "exponent": point.exponent,
-           "slope": point.slope})
+    def at_rate(r):
+        pt = spe_parametric(comp, channel, r)
+        return pt.rho_star, pt.exponent, pt.slope
+
+    if sweep:
+        return _emit_sweep(rate, args.n, partial(rspb_constant_composition, channel, comp),
+                           at_rate)
+    rho_star, exponent, slope = at_rate(rate)
+    _emit({"rate": rate, "rho_star": rho_star, "exponent": exponent, "slope": slope})
     return EXIT_OK
 
 
@@ -331,18 +332,20 @@ def _cmd_awgn(args):
     params = AwgnParams(sigma2=args.sigma2, cost=args.cost)
     if args.order is None and args.rate is None:
         raise PreconditionError("give --order or --rate")
-    bound = partial(rspb_awgn_equality, params=params)
-
-    def at_rate(rate):
-        pt = awgn_parametric(awgn_rho_star(rate, params), params)
-        return pt.rho, pt.esp, pt.slope
-
     rate = None if args.rate is None else _parse_rate(args.rate)
-    grid = rate is not None and not isinstance(rate, float)
-    _check_n(args, grid)
-    if grid:
-        _emit_csv([_sweep_row(float(r), args.n, bound, at_rate) for r in rate])
-        return EXIT_OK
+    sweep = (rate is not None and not isinstance(rate, float)) or args.output == "csv"
+    _check_n(args, sweep)
+    if sweep:
+        if rate is None:
+            if not 0 < args.order < 1:
+                raise InvalidOrderError(f"a CSV row needs an order in (0, 1), got {args.order}")
+            rate = awgn_parametric(args.order, params).rate
+
+        def at_rate(r):
+            pt = awgn_parametric(awgn_rho_star(r, params), params)
+            return pt.rho, pt.esp, pt.slope
+
+        return _emit_sweep(rate, args.n, partial(rspb_awgn_equality, params=params), at_rate)
     rho = args.order if rate is None else awgn_rho_star(rate, params)
     report = {
         "sigma2": args.sigma2,
@@ -371,12 +374,7 @@ def _cmd_awgn(args):
         )
         if args.rate is not None:
             report["rho_star"] = rho
-    if args.output == "csv":
-        if "rate" not in report:
-            raise InvalidOrderError(f"a CSV row needs an order in (0, 1), got {rho}")
-        _emit_csv([_sweep_row(report["rate"], args.n, bound, at_rate)])
-    else:
-        _emit(report)
+    _emit(report)
     return EXIT_OK
 
 
@@ -395,6 +393,7 @@ def _cmd_rspb(args):
         rspb_symmetric,
     )
 
+    _check_n(args)
     if args.log_m_over_l is None and args.rate is None:
         raise PreconditionError("give --log-m-over-l or --rate")
     log_ml = args.log_m_over_l if args.log_m_over_l is not None else args.rate * args.n

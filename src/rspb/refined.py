@@ -21,7 +21,6 @@ from .htbe import HtParams
 
 if TYPE_CHECKING:
     from .measures import DiscreteChannel, FiniteDist
-    from .spe import SpePoint
 
 # The discrete bounds import numpy and their solvers when called, so the
 # Gaussian bounds run on the standard library alone.
@@ -91,16 +90,14 @@ def rspb_constant_composition(
     composition: FiniteDist,
     n: int,
     log_M_over_L: float,
-    point: SpePoint | None = None,
 ) -> RspbReport:
     """Lower bound for length-n codes whose codewords share one composition.
 
     The moment constants weight each input's tilted log-ratio moments by the
     composition, matching a codeword that uses input x exactly n*P(x) times;
     they come from `_tilt_moments` over the rows, each tilted toward the mean
-    at rho*. The factor-4 term absorbs the Markov halving over messages. A
-    caller that already solved `spe_parametric(composition, channel, rate)`
-    passes it as `point`; it is used when its rate is exactly log_M_over_L / n.
+    at rho*, the order `spe_parametric` solves at rate log_M_over_L / n. The
+    factor-4 term absorbs the Markov halving over messages.
     """
     import numpy as np
 
@@ -114,8 +111,7 @@ def rspb_constant_composition(
     if np.any(np.abs(counts - np.round(counts)) > 1e-9):
         raise CompositionError(f"n * composition is not integral for n={n}")
     rate = log_M_over_L / n
-    if point is None or point.rate != rate:
-        point = spe_parametric(composition, channel, rate)
+    point = spe_parametric(composition, channel, rate)
     rho, q = point.rho_star, point.mean.masses
     weights, w_rows, lw = _support_rows(composition, channel)
     # a singular row: a NaN tilt below order one, mass where q is 0 at one

@@ -740,12 +740,53 @@ def test_single_rate_csv_solves_once(capsys, monkeypatch, extra):
     assert out.splitlines() == grid.splitlines()[:2]
 
 
+@pytest.mark.parametrize("extra", [(), ("--n", "500")], ids=["no n", "n 500"])
+def test_single_rate_awgn_csv_solves_once(capsys, monkeypatch, extra):
+    # 0.1346382 * 500 / 500 != 0.1346382: the bound solves at the rate it
+    # reads, and the row's rate column is the rate given
+    import rspb.gaussian
+    import rspb.refined
+
+    calls = []
+    solve = rspb.gaussian.awgn_rho_star
+
+    def counting(*args):
+        calls.append(args[0])
+        return solve(*args)
+
+    for module in (rspb.gaussian, rspb.refined):
+        monkeypatch.setattr(module, "awgn_rho_star", counting)
+    options = ("awgn", "--sigma2", "1", "--cost", "1", *extra)
+    code, out, _ = run_cli(capsys, *options, "--rate", "0.1346382", "--output", "csv")
+    assert code == 0 and out.strip().endswith(",ok")
+    assert len(calls) == 1
+    code, grid, _ = run_cli(capsys, *options, "--rate", "0.1346382:0.2:2")
+    assert code == 0
+    assert out.splitlines() == grid.splitlines()[:2]
+
+
+def test_single_rate_csv_error_fails_the_command(capsys):
+    # n * (1/2, 1/2) is not integral for odd n: the one row of a single rate
+    # fails the command, while each grid row carries the error as its status
+    code, out, err = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.2", "--n", "7",
+                             "--output", "csv")
+    assert code == 2
+    assert out == ""
+    assert "n * composition is not integral for n=7" in err
+    code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1:0.2:2", "--n", "7")
+    assert code == 0
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["CompositionError"] * 2
+
+
 @pytest.mark.parametrize("argv", [
     ("spe", "--bsc", "0.1", "--rate", "0.1", "--output", "csv"),
     ("spe", "--bsc", "0.1", "--rate", "0.02:0.35:4"),
     ("awgn", "--sigma2", "1", "--cost", "1", "--rate", "0.1", "--output", "csv"),
     ("awgn", "--sigma2", "1", "--cost", "1", "--rate", "0.05:0.2:5"),
-], ids=["spe single", "spe grid", "awgn single", "awgn grid"])
+    *(("rspb", "--mode", mode, "--bsc", "0.1", "--sigma2", "1", "--cost", "1", "--rate", "0.2")
+      for mode in ("cc", "symmetric", "awgn", "awgn-shannon", "awgn-vv")),
+], ids=["spe single", "spe grid", "awgn single", "awgn grid", "rspb cc", "rspb symmetric",
+        "rspb awgn", "rspb awgn-shannon", "rspb awgn-vv"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_blocklength_below_one_is_a_precondition_error(capsys, argv, n):
     code, out, err = run_cli(capsys, *argv, "--n", n)

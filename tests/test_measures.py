@@ -157,6 +157,21 @@ def test_divergence_conventions():
         renyi_divergence(0.5, bern(0.1), uniform_dist(3))
 
 
+
+@pytest.mark.parametrize("wm, qm", [
+    ([1e-300, 1.0 - 1e-300], [0.5, 0.5]),
+    ([1e-300, 0.3, 0.7], [0.5, 0.25, 0.25]),
+], ids=["two-point", "three-point"])
+def test_divergence_log_sum_exp_fallback(wm, qm):
+    # (rho - 1) ln(w / q) exceeds 500 on the 1e-300 atom, so the expm1 form
+    # would overflow and the log-sum-exp form takes over
+    rho = 0.1
+    logs = [rho * math.log(w) + (1.0 - rho) * math.log(q) for w, q in zip(wm, qm)]
+    top = max(logs)
+    ref = (top + math.log(math.fsum(math.exp(x - top) for x in logs))) / (rho - 1.0)
+    got = renyi_divergence(rho, FiniteDist(wm), FiniteDist(qm))
+    assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
 def test_divergence_monotone_in_order(rng):
     grid = np.arange(1, 21) * 0.1
     for _ in range(25):

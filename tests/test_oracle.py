@@ -106,6 +106,21 @@ def test_np_single_two_point_has_few_points():
     assert curve.type_i.size <= 3
 
 
+
+def test_np_q_mass_where_w_vanishes_ends_the_curve():
+    # W^2 puts all its mass on (0, 0); the Q-mass 3/4 elsewhere has ratio
+    # -inf and is accepted last, by a test whose type II is already 0
+    curve = exact_np_tradeoff([bern(0.0)] * 2, [bern(0.5)] * 2)
+    assert curve.type_i.tolist() == [0.0, 0.25, 1.0]
+    assert curve.type_ii.tolist() == [1.0, 0.0, 0.0]
+    assert curve.type_ii_at(0.0) == 1.0 and curve.type_ii_at(0.3) == 0.0
+
+
+def test_np_budget_below_the_curve_meets_no_test():
+    curve = exact_np_tradeoff([W] * 4, [Q] * 4)
+    with pytest.raises(PreconditionError, match="no test meets type-I budget -0.1"):
+        curve.type_ii_at(-0.1)
+
 def test_np_budget_error():
     rng = np.random.default_rng(3)
     w = [random_dist(rng, 5, 1e-3) for _ in range(9)]

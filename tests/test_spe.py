@@ -168,6 +168,22 @@ def test_constrained_single_and_list():
     assert listed.argmax_p.allclose(uniform_dist(2))
 
 
+def test_constrained_list_below_the_order_zero_information_is_infinite():
+    # rows that share no output: every order has the information H(p), and a
+    # rate below it has no interior order and an infinite exponent
+    channel = DiscreteChannel((FiniteDist([0.9, 0.1, 0.0, 0.0, 0.0]),
+                               FiniteDist([0.0, 0.0, 1.0, 0.0, 0.0]),
+                               FiniteDist([0.0, 0.0, 0.0, 0.2, 0.8])))
+    p = FiniteDist([0.5, 0.25, 0.25])
+    low, _ = _rate_endpoints(p, channel)
+    assert low == pytest.approx(1.5 * math.log(2.0), rel=1e-15)
+    listed = ConstraintSet.explicit([point_mass(0, 3), p])
+    for rate in (0.0, 0.3, math.nextafter(low, 0.0)):
+        res = spe_constrained(channel, listed, rate)
+        assert (res.value, res.point, res.certified) == (math.inf, None, True), rate
+        assert res.argmax_p is p
+
+
 R8X16 = DiscreteChannel(tuple(
     FiniteDist(m) for m in np.random.default_rng(0).dirichlet(np.ones(16), size=8)
 ))
@@ -472,6 +488,23 @@ def test_accepted_first_probe_is_the_only_probe():
                         lambda rho, r, _: abs(r - 0.25) <= 1e-12, first=0.5)
     assert found == (0.5, 0.25, "state")
     assert calls == [0.5]
+
+
+def test_spent_bracket_returns_the_probe_nearest_the_target():
+    # the rate jumps over the target at order 0.5, so no probe meets it: the
+    # bracket closes on the jump, partly by plain halving, and once it is
+    # spent the probe with the smallest residual comes back
+    probes = []
+
+    def rate_at(rho):
+        rate = 0.2 * rho if rho < 0.5 else 1.0
+        probes.append((rho, rate))
+        return rate, "state"
+
+    rho, rate, state = _find_order(rate_at, 0.25, (0.0, 0.0), (1.0, 1.0), lambda *_: False)
+    assert (rho, rate) == min(probes, key=lambda probe: abs(probe[1] - 0.25))
+    assert state == "state"
+    assert 0.0 < 0.5 - rho < 1e-14
 
 
 # The rate range is computed afresh for every point, with no state kept

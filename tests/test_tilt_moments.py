@@ -118,8 +118,10 @@ def test_constant_composition_moments_match_reference(channel, p):
     low = augustin_fixed_point(1e-6, p, channel).information
     high = augustin_fixed_point(1.0, p, channel).information
     for frac in (0.2, 0.8):
-        point = spe_parametric(p, channel, low + frac * (high - low))
-        rep = rspb_constant_composition(channel, p, n, n * point.rate, point)
+        log_m = n * (low + frac * (high - low))
+        point = spe_parametric(p, channel, log_m / n)
+        rep = rspb_constant_composition(channel, p, n, log_m)
+        assert rep.rho_star == point.rho_star
         rho, q = point.rho_star, point.mean.masses
         moments = [(px, reference_moments(w, q, tilt(rho, w, q)))
                    for px, w in zip(p.masses, channel.row_matrix()) if px > 0]
