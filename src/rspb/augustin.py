@@ -53,7 +53,8 @@ _GATE_ULPS = 64 * np.finfo(float).eps
 class AugustinSolution:
     """Converged fixed point: mean, information, and iteration diagnostics.
 
-    residual is the total-variation size of the last step of the map and
+    residual is the total-variation size of the last step of the map (for a
+    mean `_certified_mean` accepts, of the one step that certifies it) and
     alt_identity_residual the gap between information and its tilted-channel
     decomposition rho/(1-rho) tilted_exponent + tilted_rate (0 at order one).
     tilted_rate = D_1(tilt || mean | p) and tilted_exponent =
@@ -251,6 +252,12 @@ def augustin_fixed_point(
             raise NonConvergenceError(
                 f"fixed point did not converge in {max_iter} iterations", step
             )
+    return _solution(rho, weights, w_rows, lw, q, iterations, step)
+
+
+def _solution(rho, weights, w_rows, lw, q, iterations, step) -> AugustinSolution:
+    """The solution at the mean q from the support rows of p: its information,
+    the tilted pair and the identity gate, which raises ComputationError."""
     info = float(weights @ _row_divergences(rho, lw, q))
     mean = FiniteDist(q)
     # at the renormalized mean, so that the pair equals tilted_kl_pair(mean)
@@ -267,6 +274,30 @@ def augustin_fixed_point(
                 f"tilted-channel identity residual {alt:.3e} exceeds {gate:.3e}"
             )
     return AugustinSolution(mean, info, iterations, step, alt, rate, exponent)
+
+
+def _certified_mean(rho: float, p: FiniteDist, channel: DiscreteChannel, q: np.ndarray):
+    """The solution at a proposed mean q at an order in (0, 1) when one step of
+    the map certifies it, else None.
+
+    f(q) = sum_x p(x) D_rho(W(x) || q) is convex in q (van Erven and
+    Harremoes, IEEE TIT 2014), with gradient -T(q)/q, where T(q) =
+    sum_x p(x) tilt_rho(W(x), q) is one step of the map. Its Frank-Wolfe gap
+    g = max_y T(q)(y)/q(y) - 1, over the outputs p W reaches, bounds the
+    information: I_rho(p) lies in [f - max(g, 0), f] (Jaggi, ICML 2013). q is
+    accepted when g <= DEFAULT_FP_TOL. Since TV(T(q), q) <= max(g, 0), that
+    certifies at least what the step rule of `augustin_fixed_point` does, and
+    a q that vanishes where p W does not has no finite gap. The solution
+    reports one iteration, and that step's TV as its residual.
+    """
+    weights, w_rows, lw = _support_rows(p, channel)
+    reached = weights @ w_rows > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = weights @ _tilt(rho * lw, 1.0 - rho, q)
+        gap = float(np.max(t[reached] / q[reached])) - 1.0
+    if not gap <= DEFAULT_FP_TOL:
+        return None
+    return _solution(rho, weights, w_rows, lw, q, 1, float(0.5 * np.add.reduce(np.abs(t - q))))
 
 
 def _order_zero_information(weights, w_rows) -> float:

@@ -4,17 +4,19 @@ The exponent at rate R is the supremum over orders in (0, 1) of
 (1 - rho) / rho * (I_rho - R). For rates strictly between I_0, the limit
 of the information at order 0, and the order-one information I_1 there is
 a unique interior order at which the tilted-channel rate matches R, and the
-exponent, its slope and the order come from the Augustin mean there. A
-point finds that order with one search, Brent's root-finder on the monotone
-rate profile, bracketed by (0, I_0) and (1, I_1) at no fixed-point cost,
-whose first probe is a cold fixed point at the order Newton's method on
-the fixed-point and rate equations in (ln q, rho) proposes. Newton starts
-where the rate's law near order 0 puts the root: exponential in -1/rho when
-I_0 = 0 and rows of p's support miss an output that others reach, quadratic
-in rho otherwise. Over a constraint set the search runs on the capacity
-curve. The direct form (1 - rho*) / rho* (I_rho* - R) at the root checks
-the exponent; an independent check is `oracle.brute_spe`, which never runs
-the fixed point.
+exponent, its slope and the order come from the Augustin mean there.
+Newton's method on the fixed-point and rate equations in (ln q, rho) finds
+the point, and it is accepted with no fixed-point solve when the
+Frank-Wolfe gap of one map step at q certifies the mean and the tilted
+rate there meets the stop rule. Otherwise one search finds the order:
+Brent's root-finder on the monotone rate profile, bracketed by (0, I_0)
+and (1, I_1) at no fixed-point cost, whose first probe is a cold fixed
+point at Newton's order. Newton starts where the rate's law near order 0
+puts the root: exponential in -1/rho when I_0 = 0 and rows of p's support
+miss an output that others reach, quadratic in rho otherwise. Over a
+constraint set the search runs on the capacity curve. The direct form
+(1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
+independent check is `oracle.brute_spe`, which never runs the fixed point.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .augustin import (
     LOW_ORDER_PROBE,
     ConstraintSet,
+    _certified_mean,
     _check_inputs,
     _kl_rows,
     _order_zero_information,
@@ -119,8 +122,8 @@ def _find_order(rate_at, target, lo, hi, done, first=None):
 
 
 def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
-    """A proposed order for the rate, or None: Newton's method on the joint
-    system ln T_rho(q) = ln q, D_1(tilt || q | p) = rate in (ln q, rho).
+    """A proposed (order, mean) for the rate, or None: Newton's method on the
+    joint system ln T_rho(q) = ln q, D_1(tilt || q | p) = rate in (ln q, rho).
 
     q lives on the outputs p W reaches and starts at the power-mean center of
     a start order rho_0 read from the ends lo and hi, the (order, rate)
@@ -135,10 +138,12 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
     Jacobian is [[(rho-1) diag(1/T) V^T P V - rho I, p(V C)/T],
     [rho(1-rho) p(V C) - T, rho sum_x p(x) a2(x)]]. A step that would leave
     (0, 1) is halved, in rho and ln q together, until it stays inside. The
-    search stops once an undamped order step is below 1e-9 rho, and gives up
-    (None) on a step that is not finite or singular, or after
-    NEWTON_MAX_STEPS steps. Its answer is only a probe: the caller
-    certifies it with a cold fixed point.
+    search stops once an undamped order step is below 1e-9 rho and returns
+    its final (rho, q), that step taken, q renormalized over the outputs p W
+    reaches and 0 elsewhere. It gives up (None) on a step that is not finite
+    or singular, or after NEWTON_MAX_STEPS steps. The answer is only a
+    proposal: the caller certifies q with `_certified_mean`, or solves cold
+    at rho.
     """
     weights, w_rows, lw = _support_rows(p, channel)
     root = math.sqrt(rate)
@@ -187,10 +192,12 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
                 damped = True
             d_rho = float(step[size])
             rho += d_rho
-            if not damped and abs(d_rho) <= 1e-9 * rho:
-                return rho
             lq = lq + step[:size]
             q = np.exp(lq)
+            if not damped and abs(d_rho) <= 1e-9 * rho:
+                mean = np.zeros(reached.size)
+                mean[reached] = q / np.add.reduce(q)
+                return rho, mean
     return None
 
 
@@ -238,11 +245,12 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
     Finds the order where the tilted-channel rate profile over (0, 1) meets
     the rate, then reads off the exponent as the KL divergence of the tilted
     channel from the true channel and the slope as (rho* - 1) / rho*. The
-    bracket is (0, I_0) and (1, I_1) from `_rate_endpoints`,
-    `_newton_order`'s proposal is the first probe of `_find_order`, and the
-    point is read from the cold fixed point of the probe it accepts. The
-    result is cross-checked against the direct form
-    (1 - rho*) / rho* * (I_rho* - rate).
+    point is `_newton_order`'s (rho, q) when `_certified_mean` certifies q
+    and the tilted rate at q meets the stop rule; no fixed point is solved.
+    Otherwise Newton's order, if any, is the first probe of `_find_order`
+    on the bracket (0, I_0), (1, I_1) from `_rate_endpoints`, and the point
+    is read from the cold fixed point of the probe it accepts. The result is
+    cross-checked against the direct form (1 - rho*) / rho* * (I_rho* - rate).
     """
     low, high = _rate_endpoints(p, channel)
     _check_rate(rate, low, high)
@@ -256,8 +264,12 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
 
     # at both ends of the order range the tilted rate is the information
     lo, hi = (0.0, low), (1.0, high)
-    rho_star, _, sol = _find_order(rate_at, rate, lo, hi, done,
-                                   _newton_order(p, channel, rate, lo, hi))
+    first, q = _newton_order(p, channel, rate, lo, hi) or (None, None)
+    sol = None if first is None else _certified_mean(first, p, channel, q)
+    if sol is not None and done(first, sol.tilted_rate, sol):
+        rho_star = first
+    else:
+        rho_star, _, sol = _find_order(rate_at, rate, lo, hi, done, first)
     exponent = sol.tilted_exponent
     slope = (rho_star - 1.0) / rho_star
     direct = (1.0 - rho_star) / rho_star * (sol.information - rate)

@@ -219,7 +219,13 @@ def test_sweep_makes_one_solve_per_row_and_matches_per_rate_rows(capsys, monkeyp
     monkeypatch.setattr(rspb.spe, "augustin_fixed_point", counting)
     code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.02:0.35:34", "--n", "600")
     assert code == 0
-    # the rate range takes no fixed point: one certifying solve per row
+    # the rate range takes no fixed point, and every row's Newton point
+    # certifies without one
+    assert calls == []
+    # refused, each row takes one cold solve, at Newton's order
+    with monkeypatch.context() as refused:
+        refused.setattr(rspb.spe, "_certified_mean", lambda *args: None)
+        run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.02:0.35:34", "--n", "600")
     assert len(calls) == 34
     assert all(0.0 < rho < 1.0 for rho in calls)
     lines = out.strip().split("\n")
@@ -236,10 +242,12 @@ def test_sweep_rows_carry_an_endpoint_failure(capsys, monkeypatch):
         calls.append(args)
         raise NonConvergenceError("fixed point did not converge", 1e-9)
 
-    # a failed order-0 end, and a fixed point that always fails: either way
-    # every row makes its own call and carries its own error
+    # a failed order-0 end, and a Newton search that bails before a fixed
+    # point that always fails: either way every row makes its own call and
+    # carries its own error
     for name in ("_order_zero_information", "augustin_fixed_point"):
         monkeypatch.setattr(rspb.spe, name, failing)
+        monkeypatch.setattr(rspb.spe, "_newton_order", lambda *args: None)
         for extra in ((), ("--n", "600")):
             calls.clear()
             code, out, _ = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", "0.1:0.2:3", *extra)

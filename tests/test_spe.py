@@ -5,7 +5,14 @@ import pytest
 
 import rspb.augustin
 import rspb.spe
-from rspb.augustin import ConstraintSet, augustin_capacity, augustin_fixed_point, tilted_kl_pair
+from rspb.augustin import (
+    DEFAULT_FP_TOL,
+    ConstraintSet,
+    _certified_mean,
+    augustin_capacity,
+    augustin_fixed_point,
+    tilted_kl_pair,
+)
 from rspb.errors import (
     DegenerateChannelError,
     NonConvergenceError,
@@ -19,11 +26,15 @@ from rspb.measures import (
     bern,
     bsc,
     point_mass,
+    renyi_divergence,
+    tilted_measure,
     uniform_dist,
     zchannel,
 )
-from rspb.oracle import brute_spe
+from rspb.oracle import _augustin_information, brute_spe
 from rspb.spe import (
+    EXPONENT_CONSISTENCY_TOL,
+    RATE_RESIDUAL_TOL,
     _find_order,
     _rate_endpoints,
     _rate_met,
@@ -274,24 +285,38 @@ def test_point_reads_the_tilted_pair_from_its_solves(monkeypatch):
     assert calls == []
 
 
+def _refusing_certificate(monkeypatch):
+    """Refuse every point Newton lands on, so that each point falls back to a
+    cold solve at Newton's order, Brent's first probe."""
+    monkeypatch.setattr(rspb.spe, "_certified_mean", lambda *args: None)
+
+
 def test_point_takes_at_most_3_solves(monkeypatch, rng):
-    # the rate range takes no fixed point, so a point whose Newton order
-    # certifies takes one cold solve
+    # the rate range takes no fixed point, and a point whose Newton proposal
+    # certifies takes none either; refused, it takes one cold solve, the
+    # first probe of Brent's method
     calls = _counting_solves(monkeypatch)
-    for n_in, n_out in ((2, 3), (3, 4), (4, 8), (2, 2), (8, 16)):
-        channel = random_channel(rng, n_in, n_out)
-        p = uniform_dist(n_in)
-        low, high = _rate_endpoints(p, channel)
-        counts = []
-        for frac in (1e-3, 0.5, 0.995):
-            calls.clear()
-            spe_parametric(p, channel, low + frac * (high - low))
-            counts.append(len(calls))
-        assert counts == [1, 1, 1], (n_in, n_out, counts)
+    draws = [random_channel(rng, n_in, n_out)
+             for n_in, n_out in ((2, 3), (3, 4), (4, 8), (2, 2), (8, 16))]
+    for want in ([0, 0, 0], [1, 1, 1]):
+        for channel in draws:
+            p = uniform_dist(channel.input_size)
+            low, high = _rate_endpoints(p, channel)
+            counts = []
+            for frac in (1e-3, 0.5, 0.995):
+                calls.clear()
+                spe_parametric(p, channel, low + frac * (high - low))
+                counts.append(len(calls))
+            assert counts == want, (channel.input_size, channel.output_size, counts)
+        _refusing_certificate(monkeypatch)
 
 
 def test_anchor_point_takes_one_solve_below_order_one(monkeypatch):
     calls = _counting_solves(monkeypatch)
+    spe_parametric(U2, bsc(0.1), 0.1308120)
+    assert calls == []
+    # refused, the point takes one cold solve, at Newton's order
+    _refusing_certificate(monkeypatch)
     spe_parametric(U2, bsc(0.1), 0.1308120)
     assert len(calls) == 1
     assert calls[0][0] < 1.0
@@ -366,7 +391,8 @@ def _brent_point(p, channel, rate, ends, bracket=None):
 
 
 def _counting_newton(monkeypatch):
-    """Record the order `_newton_order` proposes at every point, None for a bail."""
+    """Record the (order, mean) `_newton_order` proposes at every point, None
+    for a bail."""
     proposals = []
     newton = rspb.spe._newton_order
 
@@ -379,16 +405,26 @@ def _counting_newton(monkeypatch):
 
 
 @pytest.mark.parametrize("label, channel", NEWTON_CHANNELS, ids=[c[0] for c in NEWTON_CHANNELS])
-def test_newton_order_matches_brent(label, channel):
+def test_newton_order_matches_brent(monkeypatch, label, channel):
+    calls = _counting_solves(monkeypatch)
     p = uniform_dist(channel.input_size)
     ends = low, high = _rate_endpoints(p, channel)
     for frac in RATE_FRACTIONS:
         rate = low + frac * (high - low)
+        calls.clear()
         pt = spe_parametric(p, channel, rate)
         assert type(pt.rho_star) is float
         cold = augustin_fixed_point(pt.rho_star, p, channel)
-        assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
-        assert pt.exponent == cold.tilted_exponent
+        if calls:
+            # a point Brent finds is read from its cold solve
+            assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
+            assert pt.exponent == cold.tilted_exponent, frac
+        else:
+            # an accepted point carries its own certificate (checked in
+            # test_accepted_points_are_enclosed_from_outside); a cold solve at
+            # its order, stopped by its TV step, agrees within the targets
+            assert abs(cold.tilted_rate - rate) <= RATE_RESIDUAL_TOL, frac
+            assert abs(pt.exponent - cold.tilted_exponent) <= EXPONENT_CONSISTENCY_TOL, frac
         rho, _, sol = _brent_point(p, channel, rate, ends)
         assert abs(pt.rho_star - rho) <= 1e-9 * rho, frac
         assert abs(pt.exponent - sol.tilted_exponent) <= 1e-8, frac
@@ -407,34 +443,114 @@ def test_newton_proposals_certify_and_none_bail(monkeypatch):
         for frac in RATE_FRACTIONS:
             calls.clear()
             pt = spe_parametric(p, channel, low + frac * (high - low))
-            # a certified proposal is the point, from its one cold solve
-            assert [rho for rho, _, _ in calls] == [pt.rho_star]
-            assert pt.rho_star == proposals[-1]
+            # a certified proposal is the point, with no cold solve
+            assert calls == []
+            rho, q = proposals[-1]
+            assert pt.rho_star == rho
+            assert pt.mean.masses.tobytes() == FiniteDist(q).masses.tobytes()
     # bec and z start from their order-0 rate law, and a step that would
     # leave (0, 1) is damped instead of ending the search
     assert None not in proposals
 
 
+def _outside(rho, p, channel, q):
+    """(g, TV, f, rate, exponent) at a mean q, from the public divergence and
+    tilt of `measures` alone: the Frank-Wolfe gap g = max_y T(q)(y)/q(y) - 1
+    over the outputs p W reaches, T(q) = sum_x p(x) tilt_rho(W(x), q), the TV
+    of that map step, f(q) = sum_x p(x) D_rho(W(x) || q) and the tilted pair
+    D_1(tilt || q | p), D_1(tilt || W | p)."""
+    mean = FiniteDist(q)
+    used = [(m, row, tilted_measure(rho, row, mean))
+            for m, row in zip(p.masses, channel.rows) if m > 0]
+    t = sum(m * tilt.masses for m, _, tilt in used)
+    reached = p.masses @ channel.row_matrix() > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = float(np.max(t[reached] / q[reached])) - 1.0
+    return (gap, 0.5 * float(np.abs(t - q).sum()),
+            math.fsum(m * renyi_divergence(rho, row, mean) for m, row, _ in used),
+            math.fsum(m * renyi_divergence(1.0, tilt, mean) for m, _, tilt in used),
+            math.fsum(m * renyi_divergence(1.0, tilt, row) for m, row, tilt in used))
+
+
+def test_near_face_mean_is_refused_and_the_cold_mean_accepted():
+    # the mean on which a warm-started solve once stopped after one step: its
+    # TV step is below the 1e-12 stop rule, but its Frank-Wolfe gap is not
+    rho, q = 0.12753814912356204, np.array([1.0 - 1e-14, 1e-14])
+    gap, tv = _outside(rho, U2, NEAR_FACE, q)[:2]
+    assert tv < DEFAULT_FP_TOL and gap > 1.0
+    assert _certified_mean(rho, U2, NEAR_FACE, q) is None
+    # a mean that vanishes where p W does not has no finite gap
+    assert _certified_mean(rho, U2, NEAR_FACE, np.array([1.0, 0.0])) is None
+    cold = augustin_fixed_point(rho, U2, NEAR_FACE).mean.masses
+    assert _outside(rho, U2, NEAR_FACE, cold)[0] <= DEFAULT_FP_TOL
+    sol = _certified_mean(rho, U2, NEAR_FACE, cold)
+    assert sol.mean.masses.tobytes() == cold.tobytes()
+    assert sol.iterations == 1 and sol.residual <= DEFAULT_FP_TOL
+
+
+def test_accepted_points_are_enclosed_from_outside(monkeypatch):
+    # every point that takes no fixed point is checked with `measures` and the
+    # oracle alone: its gap certifies, its TV step is within the gap, I_rho
+    # lies in [f - max(g, 0), f], and the rate and exponent hold at its mean
+    eps = np.finfo(float).eps
+    proposals = _counting_newton(monkeypatch)
+    calls = _counting_solves(monkeypatch)
+    accepted = 0
+    for label, channel in NEWTON_CHANNELS:
+        p = uniform_dist(channel.input_size)
+        low, high = _rate_endpoints(p, channel)
+        for frac in RATE_FRACTIONS:
+            rate = low + frac * (high - low)
+            calls.clear()
+            pt = spe_parametric(p, channel, rate)
+            if calls:
+                # a point that is not accepted is a Newton bail
+                assert proposals[-1] is None, (label, frac)
+                continue
+            accepted += 1
+            rho = pt.rho_star
+            gap, tv, f, tilted_rate, exponent = _outside(rho, p, channel, pt.mean.masses)
+            assert gap <= DEFAULT_FP_TOL, (label, frac)
+            # rounding leaves some gaps just below 0
+            gap = max(gap, 0.0)
+            assert tv <= gap + 4 * eps, (label, frac)
+            # D_rho divides by rho - 1, which scales its rounding
+            ulps = 8 * eps / (1.0 - rho)
+            info = _augustin_information(np.array([rho]), p.masses, channel.row_matrix())[0]
+            assert f - gap - ulps <= info <= f + ulps, (label, frac)
+            assert _rate_met(rho, abs(tilted_rate - rate)), (label, frac)
+            assert abs(exponent - pt.exponent) <= 8 * eps * max(1.0, exponent), (label, frac)
+            cold = augustin_fixed_point(rho, p, channel)
+            assert abs(pt.exponent - cold.tilted_exponent) <= EXPONENT_CONSISTENCY_TOL
+    assert accepted == 73
+
+
 @pytest.mark.parametrize("label, channel", NEWTON_CHANNELS[:3],
                          ids=[c[0] for c in NEWTON_CHANNELS[:3]])
 def test_each_rate_of_bsc_bec_z_takes_one_solve(monkeypatch, label, channel):
+    # no solve where the proposal certifies; refused, one solve at Newton's order
     calls = _counting_solves(monkeypatch)
     low, high = _rate_endpoints(U2, channel)
-    counts = []
-    for frac in RATE_FRACTIONS:
-        calls.clear()
-        spe_parametric(U2, channel, low + frac * (high - low))
-        counts.append(len(calls))
-    assert counts == [1, 1, 1, 1]
+    for want in ([0, 0, 0, 0], [1, 1, 1, 1]):
+        counts = []
+        for frac in RATE_FRACTIONS:
+            calls.clear()
+            spe_parametric(U2, channel, low + frac * (high - low))
+            counts.append(len(calls))
+        assert counts == want
+        _refusing_certificate(monkeypatch)
 
 
 def test_newton_start_keeps_full_support_orders_bit_for_bit():
     # the sqrt-secant start still serves channels whose rows all reach every
-    # output, so these orders are the bits they had before the order-0 start
+    # output, so these orders are the bits they had before the order-0 start.
+    # The 3x4 exponent is read at Newton's mean instead of a cold solve's: it
+    # moved by -9.6e-16 (139 ulps) from 0x1.811dc79ef4044p-5, toward the value
+    # at a mean iterated to a 1e-14 error bound
     assert spe_parametric(U2, bsc(0.1), 0.1308120).rho_star.hex() == "0x1.fffffaabc1f9dp-2"
     pt = spe_parametric(uniform_dist(3), random_channel(np.random.default_rng(4), 3, 4), 0.05)
     assert pt.rho_star.hex() == "0x1.e56de0ed5b3e3p-2"
-    assert pt.exponent.hex() == "0x1.811dc79ef4044p-5"
+    assert pt.exponent.hex() == "0x1.811dc79ef3fb9p-5"
 
 
 def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
@@ -461,16 +577,20 @@ def test_rejected_proposal_narrows_the_bracket_for_brent(monkeypatch, channel):
     calls = _counting_solves(monkeypatch)
     for frac in (1e-3, 0.05, 0.5, 0.9):
         rate = low + frac * (high - low)
-        proposal.append(1.01 * _brent_point(U2, channel, rate, ends)[0])
-        assert 0.0 < proposal[-1] < 1.0
+        first = 1.01 * _brent_point(U2, channel, rate, ends)[0]
+        assert 0.0 < first < 1.0
+        # the mean at the proposed order certifies, but its rate misses
+        off = augustin_fixed_point(first, U2, channel)
+        assert _certified_mean(first, U2, channel, off.mean.masses) is not None
+        proposal.append((first, off.mean.masses))
         calls.clear()
         pt = spe_parametric(U2, channel, rate)
-        assert calls[0][0] == proposal[-1] and len(calls) > 1, frac
+        assert calls[0][0] == first and len(calls) > 1, frac
         cold = augustin_fixed_point(pt.rho_star, U2, channel)
         assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
-        off = augustin_fixed_point(proposal[-1], U2, channel).tilted_rate
         lo, hi = (0.0, low), (1.0, high)
-        bracket = ((proposal[-1], off), hi) if off < rate else (lo, (proposal[-1], off))
+        off = off.tilted_rate
+        bracket = ((first, off), hi) if off < rate else (lo, (first, off))
         rho, _, sol = _brent_point(U2, channel, rate, ends, bracket)
         assert pt.rho_star == rho, frac
         assert pt.exponent == sol.tilted_exponent, frac
