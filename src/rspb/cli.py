@@ -297,7 +297,7 @@ def _cmd_symmetric(args):
 
     channel = _get_channel(args)
     point = None if args.rate is None else parametric_symmetric(channel, args.rate, tol=args.tol)
-    report = check_renyi_symmetry(channel, tol=args.tol) if point is None else point.report
+    report = check_renyi_symmetry(channel, tol=args.tol)
     out = {
         "is_symmetric": report.is_symmetric,
         "checked_orders": list(report.checked_orders),

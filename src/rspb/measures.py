@@ -201,8 +201,9 @@ def point_mass(index: int, k: int) -> FiniteDist:
 
 
 def bsc(p: float) -> DiscreteChannel:
-    """Binary symmetric channel with crossover probability p."""
-    return DiscreteChannel((bern(p), bern(1.0 - p)))
+    """Binary symmetric channel with crossover probability p; row 1 is row 0
+    mirrored bit for bit, holding p itself where bern(1 - p) holds 1 - (1 - p)."""
+    return DiscreteChannel((bern(p), FiniteDist(np.array([p, 1.0 - p]))))
 
 
 def bec(eps: float) -> DiscreteChannel:

@@ -1,17 +1,18 @@
-"""Renyi symmetry: detection, power-mean centers, and the one order solve.
+"""Renyi symmetry: the exact decision, power-mean centers, and the one order solve.
 
 A channel is Renyi symmetric when the law of the log-likelihood ratio
 against the order rho center does not depend on the input, at every order
-with finite capacity. For such channels the center comes from a closed-form
-power mean over a uniform input, which also covers Gallager-symmetric
-partitions. Certification is numeric on a finite order grid since the
-definition quantifies over all orders; it is one array pass over orders x
-inputs, with no loop over the orders. On a product of such channels the
-sphere-packing order solves one scalar equation, summed tilted rates equal
-to ln M - ln L; `_solve_symmetric` solves it, a single channel at rate R
-being the one-component case, on the array kernels of `augustin`. Its order
-probes tilt each distinct component once, and the exponent and moments at
-the root are read from the accepted probe's tilts.
+with finite capacity. The center at an output depends only on the nonzero
+entries of its column, so `_column_classes` decides symmetry at every order
+at once from classes of columns (the proof is in the README), and
+`check_renyi_symmetry` adds three diagnostics on an order grid. For such
+channels the center comes from a closed-form power mean over a uniform
+input, which also covers Gallager-symmetric partitions. On a product of
+such channels the sphere-packing order solves one scalar equation, summed
+tilted rates equal to ln M - ln L; `_solve_symmetric` solves it, a single
+channel at rate R being the one-component case, on the array kernels of
+`augustin`. Its order probes tilt each distinct component once, and the
+exponent and moments at the root are read from the accepted probe's tilts.
 """
 
 from __future__ import annotations
@@ -56,9 +57,44 @@ def symmetric_center(rho: float, channel: DiscreteChannel) -> tuple:
     return _uniform_center(rho, channel.row_matrix(), channel.log_row_matrix())
 
 
+def _column_classes(w_rows: np.ndarray, lw: np.ndarray, tol: float):
+    """Number of column classes of a Renyi symmetric channel, None for any
+    other channel; a negative or NaN tol raises PreconditionError.
+
+    A live output's key is its column's ln W(y|x) - ln max_x' W(y|x') over
+    the inputs that reach it, sorted within the column. A class is the
+    outputs whose keys lie within tol of its first output's; no sort across
+    columns orders the keys. The channel is symmetric exactly when in every
+    class each input's (log ratio, W(y|x)) atoms, merged at tol, match input
+    0's within tol, and its center is order-free exactly with one class.
+    """
+    if not tol >= 0:
+        raise PreconditionError(f"tol must be non-negative, got {tol}")
+    live = w_rows.max(axis=0) > 0
+    w, lw = w_rows[:, live], lw[:, live]
+    ratios = np.where(w > 0, lw - lw.max(axis=0), np.nan)
+    keys = np.sort(ratios, axis=0)
+    absent = np.isnan(keys)
+    left = np.ones(keys.shape[1], dtype=bool)
+    classes = 0
+    while left.any():
+        first = int(np.argmax(left))
+        members = left & (absent == absent[:, first, None]).all(axis=0)
+        members &= ~(np.abs(keys - keys[:, first, None]) > tol).any(axis=0)
+        left &= ~members
+        classes += 1
+        values, masses = _merge_atoms(ratios[:, members], tol, w[:, members])
+        gone = np.isnan(values)
+        if ((gone != gone[0]).any() or (np.abs(values - values[0]) > tol).any()
+                or (np.abs(masses - masses[0]) > tol).any()):
+            return None
+    return classes
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Worst value of each symmetry condition over the checked orders.
+    """The exact symmetry decision, with the worst value of each grid
+    condition over the checked orders as diagnostics.
 
     `max_center_fixed_point_tv` is TV(T(c), c) for the power-mean center c
     and the uniform-input Augustin map T(q) = mean_x tilt_rho(W(x), q), whose
@@ -79,23 +115,24 @@ def check_renyi_symmetry(
     rho_grid=DEFAULT_ORDER_GRID,
     tol: float = DEFAULT_SYMMETRY_TOL,
 ) -> SymmetryReport:
-    """Certify Renyi symmetry numerically on an order grid.
+    """Decide Renyi symmetry exactly and report three diagnostics on an order grid.
 
-    At each order the power-mean center c is computed and three conditions
-    are checked: the per-input divergences to c agree, the per-input
-    log-likelihood-ratio profiles agree as merged multisets, and one
-    application of the uniform-input Augustin map leaves c in place (see
-    SymmetryReport). No fixed point is iterated. A failing channel is
+    `is_symmetric` is the column-class decision at log-ratio tolerance tol,
+    which holds at every order. At each order of the grid the power-mean
+    center c is computed and the worst value of three conditions is
+    reported: the spread of the per-input divergences to c, the distance
+    between the per-input log-likelihood-ratio profiles as merged multisets,
+    and the step of one application of the uniform-input Augustin map at c
+    (see SymmetryReport). No fixed point is iterated. A failing channel is
     reported, not raised; a negative or NaN tol raises PreconditionError.
     """
-    if not tol >= 0:
-        raise PreconditionError(f"tol must be non-negative, got {tol}")
+    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
+    symmetric = _column_classes(w_rows, lw, tol) is not None
     rhos = np.asarray(rho_grid, dtype=float)
     if rhos.ndim != 1 or rhos.size == 0:
         raise PreconditionError(f"orders must be a non-empty 1-d sequence, got {rhos.tolist()}")
     if not np.all((rhos > 0) & (rhos <= 1)):
         raise InvalidOrderError(f"orders must lie in (0, 1], got {rhos.tolist()}")
-    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
     # one broadcast power mean below order one; at order one the center is
     # the row mixture, and so is the map's image whatever q: tilting would
     # form 0 * (-inf) on an output no input reaches
@@ -131,9 +168,8 @@ def check_renyi_symmetry(
         gaps = np.abs(np.subtract(values, v0, out=np.zeros(values.shape),
                                   where=(values != v0) & ~absent))
         profile_max = float(max(gaps.max(), np.abs(m - m[:, :1]).max()))
-    ok = spread_max <= tol and profile_max <= tol and center_tv_max <= tol
     return SymmetryReport(
-        is_symmetric=ok,
+        is_symmetric=symmetric,
         checked_orders=tuple(rhos.tolist()),
         center_per_order=dict(zip(rhos.tolist(), centers)),
         max_divergence_spread=spread_max,
@@ -190,41 +226,31 @@ def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricCompo
     return _component(rho, lw, *_tilted_rates(rho, w_rows, lw))
 
 
-def center_order_independent(report: SymmetryReport, tol: float = 1e-9) -> bool:
-    """True when the certified power-mean centers do not move across the
-    report's orders."""
-    masses = np.array([c.masses for c in report.center_per_order.values()])
-    return bool(np.all(0.5 * np.abs(masses - masses[0]).sum(axis=1) <= tol))
-
-
-def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
-                     tol: float = DEFAULT_SYMMETRY_TOL) -> tuple:
+def _solve_symmetric(channels, target: float, tol: float = DEFAULT_SYMMETRY_TOL) -> tuple:
     """Order where the summed tilted rates of the components meet target.
 
-    Equal components, however built, are certified once, each probe tilts
-    each distinct component once, and their quantities at rho* are read from
-    the accepted probe. The bracket sums the components' rate ranges at a
-    uniform input, from `_rate_endpoints`. The slope (rho*-1)/rho* is
-    certified when some component's tilted log ratio is non-constant or
-    every certified center is order-independent. Returns (rho*, the
-    per-component quantities at rho*, their symmetry reports, both in the
-    order of `channels`, certified).
+    Equal components, however built, are decided once by their column
+    classes, each probe tilts each distinct component once, and their
+    quantities at rho* are read from the accepted probe. The bracket sums
+    the components' rate ranges at a uniform input, from `_rate_endpoints`.
+    The slope (rho*-1)/rho* is certified when some component's tilted log
+    ratio is non-constant or every component's center is the same at every
+    order (one column class). Returns (rho*, the per-component quantities
+    at rho* in the order of `channels`, certified).
     """
     distinct, layout = {}, []
     for ch in channels:
         key = (ch.input_size, ch.row_matrix().tobytes())
         distinct.setdefault(key, ch)
         layout.append(key)
-    reports, ends, rows = {}, {}, {}
+    ends, rows, one_class = {}, {}, []
     for key, ch in distinct.items():
-        report = reports[key] = check_renyi_symmetry(ch, rho_grid, tol)
-        if not report.is_symmetric:
-            raise SymmetryError(
-                f"component {layout.index(key)} failed symmetry certification "
-                f"(spread {report.max_divergence_spread:.3e}, "
-                f"profile {report.max_profile_distance:.3e})"
-            )
         rows[key] = ch.row_matrix(), ch.log_row_matrix()
+        classes = _column_classes(*rows[key], tol)
+        if classes is None:
+            raise SymmetryError(f"component {layout.index(key)} failed symmetry certification "
+                                "(its inputs differ on a column class)")
+        one_class.append(classes == 1)
         ends[key] = _rate_endpoints(uniform_dist(ch.input_size), ch)
     low = sum(ends[k][0] for k in layout)
     high = sum(ends[k][1] for k in layout)
@@ -240,10 +266,8 @@ def _solve_symmetric(channels, target: float, rho_grid=DEFAULT_ORDER_GRID,
         lambda rho, total, _: abs(total - target) <= stop,
     )
     comp = {k: _component(rho, rows[k][1], *tilted[k]) for k in distinct}
-    certified = any(comp[k].tilt_nonconstant for k in layout) or all(
-        center_order_independent(r, tol) for r in reports.values()
-    )
-    return rho, [comp[k] for k in layout], [reports[k] for k in layout], certified
+    certified = any(c.tilt_nonconstant for c in comp.values()) or all(one_class)
+    return rho, [comp[k] for k in layout], certified
 
 
 @dataclass(frozen=True)
@@ -254,23 +278,22 @@ class SymmetricSpePoint:
     slope: float
     slope_certified: bool
     center: FiniteDist
-    report: SymmetryReport
 
 
 def parametric_symmetric(
     channel: DiscreteChannel,
     rate: float,
     tol: float = DEFAULT_SYMMETRY_TOL,
-    rho_grid=DEFAULT_ORDER_GRID,
 ) -> SymmetricSpePoint:
     """Sphere-packing point of a Renyi symmetric channel at one rate.
 
     The one-component case of `_solve_symmetric`: the order where the
     single-input tilted rate against the power-mean center meets the rate
     (at order one it is the capacity), with the slope (rho*-1)/rho* and its
-    certification flag, and the symmetry report that certified the channel.
+    certification flag. A channel that is not symmetric at log-ratio
+    tolerance tol raises SymmetryError.
     """
-    rho, (comp,), (report,), certified = _solve_symmetric([channel], rate, rho_grid, tol)
+    rho, (comp,), certified = _solve_symmetric([channel], rate, tol)
     return SymmetricSpePoint(
         rate=rate,
         rho_star=rho,
@@ -278,5 +301,4 @@ def parametric_symmetric(
         slope=(rho - 1.0) / rho,
         slope_certified=certified,
         center=comp.center,
-        report=report,
     )

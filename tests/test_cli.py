@@ -422,6 +422,14 @@ def test_symmetric_rate_certifies_once(capsys, monkeypatch):
         assert "precondition" in err
 
 
+def test_symmetric_bound_at_a_tiny_crossover(capsys):
+    # bsc(1e-8) has mirrored rows, so it is Renyi symmetric like any bsc
+    code, out, err = run_cli(capsys, "rspb", "--mode", "symmetric", "--bsc", "1e-8",
+                             "--n", "100", "--rate", "0.3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["slope_certified"] is True
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -503,3 +503,11 @@ def test_canonical_channels():
         with pytest.raises(PreconditionError) as info:
             make(bad)
         assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-12, 1e-8, 0.1, 0.3, 0.49, 0.5, 1.0])
+def test_bsc_rows_are_exact_mirrors(p):
+    # row 1 holds p itself, not 1 - (1 - p), which differs from p below ~4e-8
+    rows = bsc(p).row_matrix()
+    assert rows[1].tobytes() == rows[0][::-1].tobytes()
+    assert rows[0].tobytes() == bern(p).masses.tobytes()

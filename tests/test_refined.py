@@ -187,14 +187,15 @@ def test_symmetric_rejects_asymmetric_component():
 
 
 def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
+    # eight equal components built apart are decided symmetric once
     calls = []
-    certify = rspb.symmetric.check_renyi_symmetry
+    decide = rspb.symmetric._column_classes
 
-    def counting(channel, *args, **kwargs):
-        calls.append(channel)
-        return certify(channel, *args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return decide(*args)
 
-    monkeypatch.setattr(rspb.symmetric, "check_renyi_symmetry", counting)
+    monkeypatch.setattr(rspb.symmetric, "_column_classes", counting)
     separate = rspb_symmetric([bsc(0.1) for _ in range(8)], 8 * R_CRIT)
     assert len(calls) == 1
     assert separate == rspb_symmetric([bsc(0.1)] * 8, 8 * R_CRIT)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import rspb.symmetric
 from rspb import augustin
 from rspb.augustin import LOW_ORDER_PROBE, augustin_capacity, augustin_fixed_point
 from rspb.errors import (
@@ -25,18 +26,19 @@ from rspb.measures import (
     zchannel,
 )
 from rspb.refined import rspb_symmetric
-from rspb.spe import spe_parametric
+from rspb.spe import _rate_endpoints, spe_parametric
 from rspb.symmetric import (
     DEFAULT_ORDER_GRID,
     DEFAULT_SYMMETRY_TOL,
+    _column_classes,
     _uniform_center,
-    center_order_independent,
     check_renyi_symmetry,
     component_quantities,
     parametric_symmetric,
     symmetric_center,
 )
 
+from conftest import channel_with_zeros
 from oracle_helpers import symmetry_report_per_order
 
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -81,6 +83,10 @@ def _channel(rows):
 
 
 CYCLIC4 = _channel([np.roll([0.7, 0.2, 0.06, 0.04], k) for k in range(4)])
+
+
+def _classes(channel, tol=DEFAULT_SYMMETRY_TOL):
+    return _column_classes(channel.row_matrix(), channel.log_row_matrix(), tol)
 
 
 def test_symmetry_certification():
@@ -216,10 +222,11 @@ def test_parametric_symmetric_bec_certified():
     point = parametric_symmetric(bec(0.3), 0.25)
     assert point.slope_certified
     # the certification here comes from the non-constant tilted log ratio;
-    # the erasure channel's center does move with the order
+    # the erasure channel's center does move with the order: its erasure
+    # output and its two others are two column classes
     comp = component_quantities(point.rho_star, bec(0.3))
     assert comp.tilt_nonconstant
-    assert not center_order_independent(check_renyi_symmetry(bec(0.3)))
+    assert _classes(bec(0.3)) == 2
 
 
 def test_parametric_symmetric_rejects_asymmetric_and_bad_rate():
@@ -290,8 +297,6 @@ def test_symmetry_preconditions():
 def test_order_grid_must_be_a_non_empty_sequence(grid):
     with pytest.raises(PreconditionError, match="non-empty 1-d"):
         check_renyi_symmetry(bsc(0.1), rho_grid=grid)
-    with pytest.raises(PreconditionError, match="non-empty 1-d"):
-        parametric_symmetric(bsc(0.1), 0.2, rho_grid=grid)
 
 
 # symmetric_center's (center masses, capacity) as float.hex(), pinned bit for bit
@@ -336,3 +341,159 @@ def test_single_order_center_is_the_grid_center_bit_for_bit(label, channel, symm
 def test_component_quantities_rejects_orders_outside_the_unit_interval(rho):
     with pytest.raises(InvalidOrderError):
         component_quantities(rho, bsc(0.1))
+
+
+# ---------------------------------------------------------------------------
+# the exact decision from the column classes
+
+
+def _cyclic(base):
+    return np.array([np.roll(base, k) for k in range(len(base))])
+
+
+GALLAGER = _channel(np.hstack([0.6 * _cyclic([0.5, 0.3, 0.2]), 0.4 * _cyclic([0.7, 0.2, 0.1])]))
+# bsc(0.1) with each output split in two: four proportional columns, one class
+PROPORTIONAL = _channel([[0.27, 0.63, 0.04, 0.06], [0.03, 0.07, 0.36, 0.54]])
+
+
+def _perturbed(rows):
+    rows = np.array(rows, dtype=float)
+    rows[0, :2] += (1e-7, -1e-7)
+    return _channel(rows)
+
+
+@pytest.mark.parametrize("channel, classes", [
+    (GALLAGER, 2), (PROPORTIONAL, 1), (DEAD_OUTPUT, 1), (bsc(0.1), 1), (CYCLIC4, 1),
+    (bec(0.3), 2), (product_channel(bsc(0.1), bec(0.3)), 2),
+], ids=["gallager", "proportional", "dead_output", "bsc", "cyclic4", "bec", "bsc_x_bec"])
+def test_symmetric_channels_have_their_column_classes(channel, classes):
+    assert _classes(channel) == classes
+    assert check_renyi_symmetry(channel).is_symmetric
+
+
+def test_noise_within_the_tolerance_never_splits_a_class():
+    # two cyclic blocks whose columns share their least log ratio, the first
+    # block's entries moved by about 1e-13: in a lexicographic sort of the
+    # column keys a key of the second class falls between two of the first on
+    # 43 of these 50 draws, so neighbours there would split the first class.
+    # Grouping against each class's first output keeps the two classes.
+    first = 0.6 * _cyclic([0.5, 0.3, 0.2])
+    second = 0.4 * _cyclic(np.array([0.5, 0.35, 0.2]) / 1.05)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        rows = np.hstack([first * (1 + 1e-13 * rng.standard_normal(first.shape)), second])
+        assert _classes(_channel(rows / rows.sum(axis=1, keepdims=True))) == 2
+
+
+@pytest.mark.parametrize("channel", [_perturbed(CYCLIC4.row_matrix()), zchannel(0.3)],
+                         ids=["cyclic4_perturbed", "z"])
+def test_asymmetric_channels_are_rejected(channel):
+    assert _classes(channel) is None
+    assert not check_renyi_symmetry(channel).is_symmetric
+    with pytest.raises(SymmetryError, match="component 0 failed symmetry certification"):
+        parametric_symmetric(channel, 0.05)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_symmetric_solve_rejects_a_bad_tolerance(tol):
+    with pytest.raises(PreconditionError, match="tol must be non-negative"):
+        parametric_symmetric(bsc(0.1), 0.2, tol=tol)
+
+
+def test_symmetric_solves_run_no_order_grid(monkeypatch):
+    calls = []
+    certify = rspb.symmetric.check_renyi_symmetry
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(rspb.symmetric, "check_renyi_symmetry", counting)
+    parametric_symmetric(bec(0.3), 0.25)
+    rspb_symmetric([bsc(0.1), bec(0.3), bsc(0.1)], 0.5)
+    assert calls == []
+
+
+def test_every_small_bsc_crossover_is_symmetric():
+    for p in np.geomspace(1e-12, 0.49, 200):
+        assert check_renyi_symmetry(bsc(p)).is_symmetric, p
+
+
+def _scan_channel(rng, kind):
+    """One seeded channel of a kind: cyclic rows, a cyclic channel moved by
+    1e-7, Dirichlet rows, two glued cyclic blocks (a Gallager partition),
+    bsc x bec, cyclic rows with each output split in two, or exact zeros."""
+    n = int(rng.integers(2, 6))
+    cyclic = _cyclic(0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n)
+    if kind == "cyclic":
+        return _channel(cyclic)
+    if kind == "perturbed":
+        return _perturbed(cyclic)
+    if kind == "dirichlet":
+        return _channel(rng.dirichlet(np.ones(int(rng.integers(2, 9))), size=n))
+    if kind == "gallager":
+        a = rng.uniform(0.2, 0.8)
+        other = _cyclic(0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n)
+        return _channel(np.hstack([a * cyclic, (1 - a) * other]))
+    if kind == "product":
+        return product_channel(bsc(rng.uniform(0.01, 0.4)), bec(rng.uniform(0.05, 0.8)))
+    if kind == "proportional":
+        t = rng.uniform(0.1, 0.9, size=n)
+        return _channel(np.hstack([cyclic * t, cyclic * (1 - t)]))
+    return channel_with_zeros(rng)
+
+
+SCAN_KINDS = ("cyclic", "perturbed", "dirichlet", "gallager", "product", "proportional", "zeros")
+SCAN_CHANNELS = list(REFERENCE_CHANNELS.values()) + [
+    _scan_channel(rng, kind)
+    for rng in [np.random.default_rng(11)] for _ in range(43) for kind in SCAN_KINDS]
+
+
+def _centers_stay(report, tol=1e-9):
+    masses = np.array([c.masses for c in report.center_per_order.values()])
+    return bool(np.all(0.5 * np.abs(masses - masses[0]).sum(axis=1) <= tol))
+
+
+def test_exact_decision_matches_the_order_grid():
+    # on 308 channels, 178 of them symmetric, the decision is the grid's, and
+    # the slope flag is the grid's rule: some tilt is non-constant, or the
+    # grid centers stay within 1e-9 in total variation. One symmetric draw
+    # with zeros is noiseless, with a flat rate range and no point to solve.
+    rng = np.random.default_rng(12)
+    symmetric = solved = 0
+    for channel in SCAN_CHANNELS:
+        want = symmetry_report_per_order(channel, DEFAULT_ORDER_GRID, DEFAULT_SYMMETRY_TOL)
+        assert check_renyi_symmetry(channel).is_symmetric == want.is_symmetric
+        if not want.is_symmetric:
+            continue
+        symmetric += 1
+        low, high = _rate_endpoints(uniform_dist(channel.input_size), channel)
+        if high - low <= 1e-9:
+            continue
+        solved += 1
+        point = parametric_symmetric(channel, low + rng.uniform(0.1, 0.9) * (high - low))
+        tilt = component_quantities(point.rho_star, channel).tilt_nonconstant
+        assert point.slope_certified == (tilt or _centers_stay(want))
+    assert (len(SCAN_CHANNELS), symmetric, solved) == (308, 178, 177)
+
+
+def test_split_and_permuted_outputs_keep_the_decision_and_the_exponent():
+    # splitting each output y into fractions t_y and 1 - t_y makes proportional
+    # columns, one class, and relabelling changes nothing either
+    rng = np.random.default_rng(13)
+    for channel in SCAN_CHANNELS:
+        rows = channel.row_matrix()
+        t = rng.uniform(0.1, 0.9, size=rows.shape[1])
+        split = np.hstack([rows * t, rows * (1 - t)])
+        split = split[rng.permutation(len(rows))][:, rng.permutation(split.shape[1])]
+        twin = _channel(split / split.sum(axis=1, keepdims=True))
+        symmetric = _classes(channel) is not None
+        assert (_classes(twin) is not None) == symmetric
+        if not symmetric:
+            continue
+        low, high = _rate_endpoints(uniform_dist(channel.input_size), channel)
+        if high - low <= 1e-9:
+            continue
+        rate = low + rng.uniform(0.1, 0.9) * (high - low)
+        want = parametric_symmetric(channel, rate).exponent
+        assert parametric_symmetric(twin, rate).exponent == pytest.approx(want, rel=1e-11)
