@@ -132,68 +132,56 @@ def _solve(r_lw, one_r, weights, q, tol, max_iter):
     return q, step, n
 
 
-def _row_divergences(rho, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D_rho(W(x) || q) for every prepared log-row, vectorized.
+def _row_divergences(rho: float, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D_rho(W(x) || q) for every prepared log-row at an order in (0, 1],
+    vectorized over the rows.
 
-    An array of orders below one, with one row of q per order, broadcasts to
-    one row of divergences per order, each bit for bit what its order gives
-    alone; order one is a scalar case. Assumes q dominates every row (true
-    for mixtures over the rows). The power sum is evaluated through
-    expm1/log1p so that precision does not degrade like eps/(1-rho) near
-    order one; rows with huge exponents fall back to the max-shifted
-    log-sum-exp. A caller that measures many q against the same rows at one
-    order forms `_divergence_terms` once and evaluates with `_divergences_on`.
+    Assumes q dominates every row (true for mixtures over the rows). The
+    power sum is evaluated through expm1/log1p so that precision does not
+    degrade like eps/(1-rho) near order one; rows with huge exponents fall
+    back to the max-shifted log-sum-exp. A caller that measures many q
+    against the same rows at one order forms `_divergence_terms` once and
+    evaluates with `_divergences_on`.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _divergences_on(_divergence_terms(rho, lw), q)
 
 
 class _DivergenceTerms(NamedTuple):
-    """What `_row_divergences` takes from the orders and log-rows alone."""
+    """What `_row_divergences` takes from the order and log-rows alone."""
 
-    rho: np.ndarray
+    rho: float
     lw: np.ndarray
     w: np.ndarray  # exp(lw)
     joint: np.ndarray  # w > 0
-    one: bool  # a scalar order of one
-    rm1: np.ndarray  # rho - 1, with a trailing axis
 
 
-def _divergence_terms(rho, lw: np.ndarray) -> _DivergenceTerms:
-    rho = np.asarray(rho, dtype=float)
+def _divergence_terms(rho: float, lw: np.ndarray) -> _DivergenceTerms:
     w = np.exp(lw)
-    one = bool(rho.ndim == 0 and rho == 1.0)
-    return _DivergenceTerms(rho, lw, w, w > 0, one, rho[..., None] - 1.0)
+    return _DivergenceTerms(rho, lw, w, w > 0)
 
 
 def _divergences_on(terms: _DivergenceTerms, q: np.ndarray) -> np.ndarray:
     """`_row_divergences` at q from its `_divergence_terms`. Callers ignore
     divide, invalid and overflow warnings: ln 0 where q vanishes, and rows
     past the cutoff overflow; those are replaced."""
-    rho, lw, w, joint, one, rm1 = terms
-    lq = np.log(q)[..., None, :]
-    if one:
+    rho, lw, w, joint = terms
+    lq = np.log(q)
+    if rho == 1.0:
         return _kl_rows(w, lw, lq)
-    diff = lw - lq
-    args = np.where(joint, rm1[..., None] * diff, 0.0)
-    out = np.log1p(np.einsum("...xy,...xy->...x", w, np.expm1(args))) / rm1
+    args = np.where(joint, (rho - 1.0) * (lw - lq), 0.0)
+    out = np.log1p(np.einsum("xy,xy->x", w, np.expm1(args))) / (rho - 1.0)
     hard = ~((np.maximum.reduce(args, axis=-1) < 500.0) & (out > -np.inf))
-    if np.logical_or.reduce(hard, axis=None):
-        rh = np.broadcast_to(rho[..., None], out.shape)[hard][:, None]
-        logits = rh * np.broadcast_to(lw, diff.shape)[hard] + (1.0 - rh) * (
-            np.broadcast_to(lq, diff.shape)[hard]
-        )
+    if np.logical_or.reduce(hard):
+        logits = rho * lw[hard] + (1.0 - rho) * lq
         peak = logits.max(axis=1, keepdims=True)
-        out[hard] = (
-            peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
-        ) / (rh[:, 0] - 1.0)
+        out[hard] = (peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))) / (rho - 1.0)
     return out
 
 
 def _tilt(r_lw, one_r, q):
     """W(y|x)^rho q(y)^(1-rho), normalized over the last axis, from rho * ln W
-    and 1 - rho; these and q broadcast, so one call tilts a grid of orders and
-    means. Callers ignore the divide-by-zero warning of ln 0."""
+    and 1 - rho. Callers ignore the divide-by-zero warning of ln 0."""
     t = r_lw + one_r * np.log(q)
     t -= np.maximum.reduce(t, axis=-1, keepdims=True)
     np.exp(t, out=t)

@@ -51,39 +51,37 @@ def _logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def _power_mean(rho, lw: np.ndarray, log_weights: np.ndarray) -> tuple:
+def _power_mean(rho: float, lw: np.ndarray, log_weights: np.ndarray) -> tuple:
     """Power-mean center and value of log-rows lw at an order rho in (0, 1).
 
     With b(y) = sum_x exp(log_weights[x]) W(y|x)^rho, the center is
     proportional to b^(1/rho) and the value is rho/(rho-1) ln sum_y b^(1/rho).
     For input masses p as weights these are the Sibson center and
     information of p; weights p(x) exp((1-rho) lam c(x)) give the
-    Renyi-Gallager form of the cost-penalized information. An array of
-    orders broadcasts: one center row and one value per order. b is one
-    product of the max-shifted weights with W^rho; ln b / rho errs by about
-    eps/rho, as a log-domain sum would, and an unreached output gets center 0.
-    A caller that weighs the same rows many times at one order forms W^rho
+    Renyi-Gallager form of the cost-penalized information. b is one product
+    of the max-shifted weights with W^rho; ln b / rho errs by about eps/rho,
+    as a log-domain sum would, and an unreached output gets center 0. A
+    caller that weighs the same rows many times at one order forms W^rho
     once with `_row_powers` and evaluates with `_power_mean_on`.
     """
     with np.errstate(divide="ignore"):
         return _power_mean_on(rho, _row_powers(rho, lw), log_weights)
 
 
-def _row_powers(rho, lw: np.ndarray) -> np.ndarray:
-    """W^rho from the log-rows lw, one stack of rows per order of an array."""
-    return np.exp(np.asarray(rho, dtype=float)[..., None, None] * lw)
+def _row_powers(rho: float, lw: np.ndarray) -> np.ndarray:
+    """W^rho from the log-rows lw."""
+    return np.exp(rho * lw)
 
 
-def _power_mean_on(rho, w_rho: np.ndarray, log_weights: np.ndarray) -> tuple:
+def _power_mean_on(rho: float, w_rho: np.ndarray, log_weights: np.ndarray) -> tuple:
     """`_power_mean` from the powers W^rho that `_row_powers` forms. Callers
     ignore the divide warning of ln 0 at an output no weighted row reaches."""
-    r = np.asarray(rho, dtype=float)[..., None]
     top = np.maximum.reduce(log_weights)
-    log_m = (np.log(np.exp(log_weights - top) @ w_rho) + top) / r
-    peak = np.maximum.reduce(log_m, axis=-1, keepdims=True)
+    log_m = (np.log(np.exp(log_weights - top) @ w_rho) + top) / rho
+    peak = np.maximum.reduce(log_m)
     m = np.exp(log_m - peak)
-    total = np.add.reduce(m, axis=-1, keepdims=True)
-    return m / total, rho / (rho - 1.0) * (peak + np.log(total))[..., 0]
+    total = np.add.reduce(m)
+    return m / total, rho / (rho - 1.0) * (peak + np.log(total))
 
 
 def _as_masses(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:

@@ -22,7 +22,8 @@ from .measures import DiscreteChannel, FiniteDist, _logsumexp, product_log_ratio
 
 @dataclass(frozen=True)
 class NpCurve:
-    """Deterministic-test trade-off curve, sorted by increasing type I."""
+    """Deterministic-test trade-off curve, sorted by increasing type I; the
+    randomized tests fill in its linear interpolation."""
 
     type_i: np.ndarray
     type_ii: np.ndarray
@@ -33,6 +34,20 @@ class NpCurve:
         if idx < 0:
             raise PreconditionError(f"no test meets type-I budget {budget}")
         return float(self.type_ii[idx])
+
+    def randomized_type_ii_at(self, budget: float) -> float:
+        """Optimal type II among randomized tests with type I <= budget: the
+        curve interpolated linearly between consecutive deterministic tests,
+        from the last one within the budget, which has the lowest type II
+        where type I ties. Both weights of the mix are non-negative, so a
+        type II far below 1e-16 keeps its relative precision."""
+        above = int(np.searchsorted(self.type_i, budget, side="right"))
+        if above in (0, self.type_i.size):
+            # no test meets the budget, or every test does
+            return self.type_ii_at(budget)
+        pair = slice(above - 1, above + 1)
+        (t0, t1), (e0, e1) = self.type_i[pair], self.type_ii[pair]
+        return float(((t1 - budget) * e0 + (budget - t0) * e1) / (t1 - t0))
 
 
 def exact_np_tradeoff(w_seq, q_seq, budget: int = 2_000_000) -> NpCurve:

@@ -5,18 +5,18 @@ The exponent at rate R is the supremum over orders in (0, 1) of
 of the information at order 0, and the order-one information I_1 there is
 a unique interior order at which the tilted-channel rate matches R, and the
 exponent, its slope and the order come from the Augustin mean there.
-Newton's method on the fixed-point and rate equations in (ln q, rho) finds
-the point, and it is accepted with no fixed-point solve when the
-Frank-Wolfe gap of one map step at q certifies the mean and the tilted
-rate there meets the stop rule. Otherwise one search finds the order:
-Brent's root-finder on the monotone rate profile, bracketed by (0, I_0)
-and (1, I_1) at no fixed-point cost, whose first probe is a cold fixed
-point at Newton's order. Newton starts where the rate's law near order 0
-puts the root: exponential in -1/rho when I_0 = 0 and rows of p's support
-miss an output that others reach, quadratic in rho otherwise. Over a
-constraint set the search runs on the capacity curve. The direct form
-(1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
-independent check is `oracle.brute_spe`, which never runs the fixed point.
+One search finds the order: Brent's root-finder on the monotone rate
+profile, bracketed by (0, I_0) and (1, I_1) at no fixed-point cost. Its
+first probe is the order that Newton's method on the fixed-point and rate
+equations in (ln q, rho) proposes, read with no fixed-point solve when the
+Frank-Wolfe gap of one map step at Newton's q certifies the mean, and from
+a cold fixed point otherwise; every later probe is a cold fixed point.
+Newton starts where the rate's law near order 0 puts the root: exponential
+in -1/rho when I_0 = 0 and rows of p's support miss an output that others
+reach, quadratic in rho otherwise. Over a constraint set the search runs
+on the capacity curve. The direct form (1 - rho*) / rho* (I_rho* - R) at
+the root checks the exponent; an independent check is `oracle.brute_spe`,
+which never runs the fixed point.
 """
 
 from __future__ import annotations
@@ -244,32 +244,30 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
 
     Finds the order where the tilted-channel rate profile over (0, 1) meets
     the rate, then reads off the exponent as the KL divergence of the tilted
-    channel from the true channel and the slope as (rho* - 1) / rho*. The
-    point is `_newton_order`'s (rho, q) when `_certified_mean` certifies q
-    and the tilted rate at q meets the stop rule; no fixed point is solved.
-    Otherwise Newton's order, if any, is the first probe of `_find_order`
-    on the bracket (0, I_0), (1, I_1) from `_rate_endpoints`, and the point
-    is read from the cold fixed point of the probe it accepts. The result is
-    cross-checked against the direct form (1 - rho*) / rho* * (I_rho* - rate).
+    channel from the true channel and the slope as (rho* - 1) / rho*.
+    `_find_order` searches the bracket (0, I_0), (1, I_1) from
+    `_rate_endpoints`, and the point is read from the probe it accepts.
+    `_newton_order`'s order, if any, is its first probe: its solution is
+    Newton's q when `_certified_mean` certifies q, with no fixed point
+    solved, and a cold fixed point otherwise, as at every later probe. The
+    result is cross-checked against the direct form
+    (1 - rho*) / rho* * (I_rho* - rate).
     """
     low, high = _rate_endpoints(p, channel)
     _check_rate(rate, low, high)
-
-    def rate_at(rho):
-        sol = augustin_fixed_point(rho, p, channel)
-        return sol.tilted_rate, sol
-
-    def done(rho, r, _):
-        return _rate_met(rho, abs(r - rate))
-
     # at both ends of the order range the tilted rate is the information
     lo, hi = (0.0, low), (1.0, high)
     first, q = _newton_order(p, channel, rate, lo, hi) or (None, None)
-    sol = None if first is None else _certified_mean(first, p, channel, q)
-    if sol is not None and done(first, sol.tilted_rate, sol):
-        rho_star = first
-    else:
-        rho_star, _, sol = _find_order(rate_at, rate, lo, hi, done, first)
+
+    def rate_at(rho):
+        sol = _certified_mean(rho, p, channel, q) if rho == first else None
+        if sol is None:
+            sol = augustin_fixed_point(rho, p, channel)
+        return sol.tilted_rate, sol
+
+    rho_star, _, sol = _find_order(
+        rate_at, rate, lo, hi, lambda rho, r, _: _rate_met(rho, abs(r - rate)), first
+    )
     exponent = sol.tilted_exponent
     slope = (rho_star - 1.0) / rho_star
     direct = (1.0 - rho_star) / rho_star * (sol.information - rate)

@@ -5,14 +5,16 @@ against the order rho center does not depend on the input, at every order
 with finite capacity. The center at an output depends only on the nonzero
 entries of its column, so `_column_classes` decides symmetry at every order
 at once from classes of columns (the proof is in the README), and
-`check_renyi_symmetry` adds three diagnostics on an order grid. For such
-channels the center comes from a closed-form power mean over a uniform
-input, which also covers Gallager-symmetric partitions. On a product of
-such channels the sphere-packing order solves one scalar equation, summed
-tilted rates equal to ln M - ln L; `_solve_symmetric` solves it, a single
-channel at rate R being the one-component case, on the array kernels of
-`augustin`. Its order probes tilt each distinct component once, and the
-exponent and moments at the root are read from the accepted probe's tilts.
+`check_renyi_symmetry` adds three diagnostics, one order of a grid at a
+time. For such channels the center comes from a closed-form power mean
+over a uniform input, which also covers Gallager-symmetric partitions. On
+a product of such channels the sphere-packing order solves one scalar
+equation, summed tilted rates equal to ln M - ln L; `_solve_symmetric`
+solves it, a single channel at rate R being the one-component case, on the
+kernels of `augustin`. Every center, here and in the diagnostics, comes
+from `_uniform_center` at one order. The solve's order probes tilt each
+distinct component once, and the exponent and moments at the root are read
+from the accepted probe's tilts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augustin import _kl_rows, _row_divergences, _tilt, _tilts_and_logs
+from .augustin import _kl_rows, _row_divergences, _tilts_and_logs
 from .errors import InvalidOrderError, PreconditionError, SymmetryError
 from .measures import (DiscreteChannel, FiniteDist, _merge_atoms, _power_mean,
                        _tilt_moments, uniform_dist)
@@ -118,13 +120,14 @@ def check_renyi_symmetry(
     """Decide Renyi symmetry exactly and report three diagnostics on an order grid.
 
     `is_symmetric` is the column-class decision at log-ratio tolerance tol,
-    which holds at every order. At each order of the grid the power-mean
-    center c is computed and the worst value of three conditions is
-    reported: the spread of the per-input divergences to c, the distance
-    between the per-input log-likelihood-ratio profiles as merged multisets,
-    and the step of one application of the uniform-input Augustin map at c
-    (see SymmetryReport). No fixed point is iterated. A failing channel is
-    reported, not raised; a negative or NaN tol raises PreconditionError.
+    which holds at every order. The grid is walked one order at a time: the
+    center c is `_uniform_center`'s, and the worst value over the orders of
+    three conditions is reported: the spread of the per-input divergences
+    to c, the distance between the per-input log-likelihood-ratio profiles
+    as merged multisets, and the step of one application of the
+    uniform-input Augustin map at c (see SymmetryReport). No fixed point is
+    iterated. A failing channel is reported, not raised; a negative or NaN
+    tol raises PreconditionError.
     """
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
     symmetric = _column_classes(w_rows, lw, tol) is not None
@@ -133,45 +136,34 @@ def check_renyi_symmetry(
         raise PreconditionError(f"orders must be a non-empty 1-d sequence, got {rhos.tolist()}")
     if not np.all((rhos > 0) & (rhos <= 1)):
         raise InvalidOrderError(f"orders must lie in (0, 1], got {rhos.tolist()}")
-    # one broadcast power mean below order one; at order one the center is
-    # the row mixture, and so is the map's image whatever q: tilting would
-    # form 0 * (-inf) on an output no input reaches
-    low = rhos < 1.0
-    mixture = np.broadcast_to(w_rows.mean(axis=0), (rhos.size, lw.shape[1]))
-    masses = mixture.copy()
-    masses[low] = _power_mean(rhos[low], lw, np.full(len(lw), -math.log(len(lw))))[0]
-    centers = [FiniteDist(m) for m in masses]
-    masses = np.array([c.masses for c in centers])
-    images = mixture.copy()
-    r = rhos[low, None, None]
-    with np.errstate(divide="ignore"):
-        images[low] = _tilt(r * lw, 1.0 - r, masses[low, None, :]).mean(axis=1)
-    center_tv_max = float(0.5 * np.abs(images - masses).sum(axis=1).max())
-    divs = np.empty((rhos.size, len(lw)))
-    divs[low] = _row_divergences(rhos[low], lw, masses[low])
-    divs[~low] = _row_divergences(1.0, lw, masses[~low])
-    spread_max = float((divs.max(axis=1) - divs.min(axis=1)).max())
-    # one profile row per (order, input): ln W(y|x) - ln c(y) with mass
-    # W(y|x) where W(y|x) > 0, nan where the input does not reach y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(w_rows > 0, lw - np.log(masses)[:, None, :], np.nan)
-    values, m = (
-        a.reshape(ratios.shape[:2] + (-1,))
-        for a in _merge_atoms(ratios.reshape(-1, lw.shape[1]), PROFILE_MERGE_TOL,
-                              np.tile(w_rows, (rhos.size, 1)))
-    )
-    # each input's merged profile against input 0's at the same order; equal
-    # atoms are 0 apart, also the +inf ones where c underflows
-    absent, v0 = np.isnan(values), values[:, :1]
-    profile_max = math.inf
-    if (absent == absent[:, :1]).all():
-        gaps = np.abs(np.subtract(values, v0, out=np.zeros(values.shape),
-                                  where=(values != v0) & ~absent))
-        profile_max = float(max(gaps.max(), np.abs(m - m[:, :1]).max()))
+    centers, worst = {}, []
+    for rho in rhos.tolist():
+        centers[rho], _ = _uniform_center(rho, w_rows, lw)
+        c = centers[rho].masses
+        # at order one the map's image is the row mixture whatever q: tilting
+        # would form 0 * (-inf) on an output no input reaches
+        with np.errstate(divide="ignore"):
+            image = _tilts_and_logs(rho, w_rows, lw, c)[0].mean(axis=0)
+        divs = _row_divergences(rho, lw, c)
+        # one profile row per input: ln W(y|x) - ln c(y) with mass W(y|x)
+        # where W(y|x) > 0, nan where the input does not reach y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(w_rows > 0, lw - np.log(c), np.nan)
+        values, m = _merge_atoms(ratios, PROFILE_MERGE_TOL, w_rows)
+        # each input's merged profile against input 0's; equal atoms are 0
+        # apart, also the +inf ones where c underflows
+        absent, v0 = np.isnan(values), values[0]
+        profile = math.inf
+        if (absent == absent[0]).all():
+            gaps = np.abs(np.subtract(values, v0, out=np.zeros(values.shape),
+                                      where=(values != v0) & ~absent))
+            profile = max(gaps.max(), np.abs(m - m[0]).max())
+        worst.append((divs.max() - divs.min(), profile, 0.5 * np.abs(image - c).sum()))
+    spread_max, profile_max, center_tv_max = map(float, np.max(worst, axis=0))
     return SymmetryReport(
         is_symmetric=symmetric,
         checked_orders=tuple(rhos.tolist()),
-        center_per_order=dict(zip(rhos.tolist(), centers)),
+        center_per_order=centers,
         max_divergence_spread=spread_max,
         max_profile_distance=profile_max,
         max_center_fixed_point_tv=center_tv_max,

@@ -73,9 +73,10 @@ def verify_htbe(ns=(64, 128, 256), betas_per_n: int = 10, seed: int = 0) -> dict
     """Sandwich the exact binary trade-off between the two analytic bounds.
 
     Uses the canonical Bernoulli pair at order one half. For every requested
-    blocklength, betas are log-spaced across the applicability window and the
-    enumerated optimal type II must fall between exp(converse_log) and
-    exp(achievability_w_log) at the corresponding type-I budget; the
+    blocklength, betas are log-spaced across the applicability window. At
+    the corresponding type-I budget the converse, which holds for every
+    test, must lie below the randomized Neyman-Pearson optimum, and the
+    optimal deterministic test's type II below the achievability bound; the
     explicit threshold test must also respect its Q-side budget.
     """
     _require_counts(blocklengths=len(ns), betas_per_n=betas_per_n)
@@ -120,16 +121,18 @@ def verify_htbe(ns=(64, 128, 256), betas_per_n: int = 10, seed: int = 0) -> dict
             ach = htbe_achievability(rho, n, beta, params, n * d1_tq, n * d1_tw)
             budget = math.exp(conv.q_budget_log)
             np_tii = curve.type_ii_at(budget)
+            randomized = curve.randomized_type_ii_at(budget)
             lo = math.exp(conv.converse_log)
             hi = math.exp(ach.achievability_w_log)
             checks.append(
                 _check(
-                    "converse <= exact NP type II <= achievability",
+                    "converse <= randomized NP type II, exact NP type II <= achievability",
                     f"n={n}, beta={beta:.6g}",
-                    {"converse": lo, "exact": np_tii, "achievability": hi,
-                     "applicable": conv.applicable},
+                    {"converse": lo, "randomized": randomized, "exact": np_tii,
+                     "achievability": hi, "applicable": conv.applicable},
                     None,
-                    conv.applicable and lo <= np_tii * (1 + 1e-12) and np_tii <= hi * (1 + 1e-12),
+                    conv.applicable and lo <= randomized * (1 + 1e-12)
+                    and np_tii <= hi * (1 + 1e-12),
                 )
             )
             gamma = threshold_gamma(rho, n, beta, params)

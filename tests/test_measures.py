@@ -350,10 +350,8 @@ def test_power_mean_matches_log_domain_reference():
             log_weights[rng.integers(len(lw))] = -np.inf
         elif k % 4 == 2:
             log_weights[rng.integers(len(lw))] -= 600.0
-        grid_centers, grid_values = _power_mean(rhos, lw, log_weights)
-        for rho, grid_center, grid_value in zip(rhos, grid_centers, grid_values):
+        for rho in rhos:
             center, value = _power_mean(rho, lw, log_weights)
-            assert np.array_equal(center, grid_center) and value == grid_value
             log_m = logsumexp(rho * lw + log_weights[:, None], axis=0) / rho
             log_norm = logsumexp(log_m)
             want = np.exp(log_m - log_norm)

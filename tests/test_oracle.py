@@ -49,6 +49,27 @@ def test_np_binomial_anchor():
     assert curve.type_ii_at(11 / 1024) == pytest.approx(1 - 0.9**10 - 0.9**9, rel=1e-12)
 
 
+def test_np_randomized_type_ii_interpolates_the_curve():
+    # one Bern(0.1) sample against Bern(0.5): accepting nothing gives (0, 1),
+    # accepting symbol 0 (ratio 1.8) gives (1/2, 1/10) and accepting both
+    # (1, 0); a randomized test at budget b mixes the two tests around b
+    curve = exact_np_tradeoff([W], [Q])
+    assert curve.type_i.tolist() == [0.0, 0.5, 1.0]
+    assert curve.type_ii.tolist() == pytest.approx([1.0, 0.1, 0.0], abs=1e-16)
+    # b = 1/4: half of each test, (1 + 1/10) / 2; b = 3/4: (1/10 + 0) / 2
+    assert curve.randomized_type_ii_at(0.25) == pytest.approx(0.55, rel=1e-15)
+    assert curve.randomized_type_ii_at(0.75) == pytest.approx(0.05, rel=1e-15)
+    assert curve.randomized_type_ii_at(0.5) == curve.type_ii_at(0.5)
+    assert curve.type_ii_at(0.25) == 1.0 and curve.randomized_type_ii_at(1.5) == 0.0
+    # where type I ties, the lower type II of the tied tests is the start
+    tied = oracle.NpCurve(type_i=np.array([0.0, 0.0, 0.5, 1.0]),
+                          type_ii=np.array([1.0, 0.5, 0.0, 0.0]))
+    assert tied.randomized_type_ii_at(0.0) == 0.5
+    assert tied.randomized_type_ii_at(0.25) == 0.25
+    with pytest.raises(PreconditionError, match="no test meets type-I budget -0.1"):
+        tied.randomized_type_ii_at(-0.1)
+
+
 def test_np_type_ii_keeps_precision_far_below_one_ulp():
     # 96 components alternating two binary pairs: the optimal type II at the
     # converse's Q budget is about 1e-16, which 1 - cumsum(W-mass) reads as 0

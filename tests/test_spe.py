@@ -569,8 +569,9 @@ def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
 
 @pytest.mark.parametrize("channel", [bsc(0.1), bec(0.3)], ids=["bsc", "bec"])
 def test_rejected_proposal_narrows_the_bracket_for_brent(monkeypatch, channel):
-    # a proposal off the root fails the stop rule; the search goes on from the
-    # bracket its solve leaves, exactly as Brent alone does on that bracket
+    # a proposal off the root whose mean certifies is read from that mean, with
+    # no solve at its order; it fails the stop rule, and the search goes on
+    # from the bracket it leaves, exactly as Brent alone does on that bracket
     ends = low, high = _rate_endpoints(U2, channel)
     proposal = []
     monkeypatch.setattr(rspb.spe, "_newton_order", lambda *args: proposal[-1])
@@ -585,7 +586,7 @@ def test_rejected_proposal_narrows_the_bracket_for_brent(monkeypatch, channel):
         proposal.append((first, off.mean.masses))
         calls.clear()
         pt = spe_parametric(U2, channel, rate)
-        assert calls[0][0] == first and len(calls) > 1, frac
+        assert calls and all(call[0] != first for call in calls), frac
         cold = augustin_fixed_point(pt.rho_star, U2, channel)
         assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
         lo, hi = (0.0, low), (1.0, high)
@@ -740,3 +741,48 @@ def test_uncertified_order_zero_end_raises(monkeypatch):
                                     ([0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.9, 0.0, 0.1])))
     with pytest.raises(NonConvergenceError):
         _order_zero(uniform_dist(3), channel)
+
+
+def _split_and_permuted(rng, rows, p):
+    """The channel with each output y split into fractions t_y and 1 - t_y,
+    t_y ~ U(0.1, 0.9), and its inputs and outputs permuted, with p permuted
+    alike."""
+    t = rng.uniform(0.1, 0.9, size=rows.shape[1])
+    split = np.hstack([rows * t, rows * (1.0 - t)])
+    inputs, outputs = rng.permutation(len(rows)), rng.permutation(split.shape[1])
+    split = split[inputs][:, outputs]
+    twin = DiscreteChannel(tuple(FiniteDist(r / r.sum()) for r in split))
+    return twin, FiniteDist(p.masses[inputs])
+
+
+# Known defect (ROADMAP item 12): on draw 37, a 4 x 3 channel, the capacity
+# ascent at order 0.3 stops at its 4000-step cap with gap 4.0e-8 (its split
+# twin 7.3e-8) while an input's mass decays toward 0; max_iter=40000 ends at
+# gap 1.2e-9, certified.
+UNCERTIFIED_SPLIT_CAPACITIES = {(37, 0.3)}
+
+
+def test_split_and_permuted_channels_keep_the_exponent_and_the_capacity():
+    # a split output makes two proportional columns, and no Augustin quantity
+    # sees the labels, so the general solvers must not move beyond rounding
+    # or their certificates
+    rng = np.random.default_rng(2033)
+    uncertified = set()
+    for k in range(40):
+        n_in, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.ones(n_out), size=n_in)
+        channel = DiscreteChannel(tuple(FiniteDist(r) for r in rows))
+        p = FiniteDist(rng.dirichlet(np.ones(n_in)))
+        twin, twin_p = _split_and_permuted(rng, rows, p)
+        low, high = _rate_endpoints(p, channel)
+        for frac in (0.1, 0.5, 0.9):
+            rate = low + frac * (high - low)
+            want = spe_parametric(p, channel, rate).exponent
+            assert abs(spe_parametric(twin_p, twin, rate).exponent - want) <= 1e-12, (k, frac)
+        for rho in (0.3, 0.7):
+            cap, twin_cap = augustin_capacity(rho, channel), augustin_capacity(rho, twin)
+            if not (cap.certified and twin_cap.certified):
+                uncertified.add((k, rho))
+            bound = cap.certificate_gap + twin_cap.certificate_gap
+            assert abs(cap.capacity - twin_cap.capacity) <= bound, (k, rho)
+    assert uncertified == UNCERTIFIED_SPLIT_CAPACITIES
