@@ -57,10 +57,12 @@ class AugustinSolution:
     mean `_certified_mean` accepts, of the one step that certifies it) and
     alt_identity_residual the gap between information and its tilted-channel
     decomposition rho/(1-rho) tilted_exponent + tilted_rate (0 at order one).
-    tilted_rate = D_1(tilt || mean | p) and tilted_exponent =
-    D_1(tilt || W | p) are the tilted-channel pair at the returned mean,
-    equal bit for bit to tilted_kl_pair(rho, p, channel, mean.masses); at
-    order one the tilt is the channel itself.
+    One tilt of p's rows toward the mean (the rows at order one) gives the
+    rest: tilted_rate = D_1(tilt || mean | p) and tilted_exponent =
+    D_1(tilt || W | p), bit for bit tilted_kl_pair(rho, p, channel,
+    mean.masses); the Frank-Wolfe gap of `_certified_mean`, which puts I_rho
+    in [information - max(gap, 0), information]; and a2 and a3, the
+    p-weighted `_tilt_moments` of ln W - ln mean.
     """
 
     mean: FiniteDist
@@ -70,6 +72,9 @@ class AugustinSolution:
     alt_identity_residual: float
     tilted_rate: float
     tilted_exponent: float
+    gap: float
+    a2: float
+    a3: float
 
 
 def _check_inputs(rho: float, p: FiniteDist, channel: DiscreteChannel):
@@ -243,16 +248,25 @@ def augustin_fixed_point(
     return _solution(rho, weights, w_rows, lw, q, iterations, step)
 
 
-def _solution(rho, weights, w_rows, lw, q, iterations, step) -> AugustinSolution:
-    """The solution at the mean q from the support rows of p: its information,
-    the tilted pair and the identity gate, which raises ComputationError."""
+def _solution(rho, weights, w_rows, lw, q, iterations, step=None) -> AugustinSolution:
+    """The solution at the mean q from p's support rows and a solver's last TV
+    step (None: one map step's at q), read off one tilt toward the
+    renormalized mean. The identity gate raises ComputationError, but not below
+    order one where q leaves a row no mass: the residual and gap read NaN."""
     info = float(weights @ _row_divergences(rho, lw, q))
     mean = FiniteDist(q)
-    # at the renormalized mean, so that the pair equals tilted_kl_pair(mean)
-    rate, exponent = _tilted_pair(rho, weights, w_rows, lw, mean.masses)
+    q = mean.masses
+    t, lq, (rate, exponent) = _tilted_at(rho, weights, w_rows, lw, q)
+    image = weights @ t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = float(np.max((image / q)[weights @ w_rows > 0])) - 1.0
+        _, a2, a3 = _tilt_moments(lw - lq, t)
+    step = float(0.5 * np.add.reduce(np.abs(image - q))) if step is None else step
     alt = 0.0
     if rho < 1.0:
-        alt = abs(info - (rho / (1.0 - rho) * exponent + rate))
+        # an infinite information, where q leaves a row (next to) no mass, has
+        # no identity to check; the gap refuses such a q
+        alt = abs(info - (rho / (1.0 - rho) * exponent + rate)) if info < math.inf else math.nan
         # The rho/(1-rho) factor amplifies rounding in the exponent, so the gate
         # widens by exactly that unavoidable factor; it stays at 1e-9 for
         # rho <= 0.9999.
@@ -261,7 +275,8 @@ def _solution(rho, weights, w_rows, lw, q, iterations, step) -> AugustinSolution
             raise ComputationError(
                 f"tilted-channel identity residual {alt:.3e} exceeds {gate:.3e}"
             )
-    return AugustinSolution(mean, info, iterations, step, alt, rate, exponent)
+    return AugustinSolution(mean, info, iterations, step, alt, rate, exponent, gap,
+                            float(weights @ a2), float(weights @ a3))
 
 
 def _certified_mean(rho: float, p: FiniteDist, channel: DiscreteChannel, q: np.ndarray):
@@ -278,14 +293,8 @@ def _certified_mean(rho: float, p: FiniteDist, channel: DiscreteChannel, q: np.n
     a q that vanishes where p W does not has no finite gap. The solution
     reports one iteration, and that step's TV as its residual.
     """
-    weights, w_rows, lw = _support_rows(p, channel)
-    reached = weights @ w_rows > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = weights @ _tilt(rho * lw, 1.0 - rho, q)
-        gap = float(np.max(t[reached] / q[reached])) - 1.0
-    if not gap <= DEFAULT_FP_TOL:
-        return None
-    return _solution(rho, weights, w_rows, lw, q, 1, float(0.5 * np.add.reduce(np.abs(t - q))))
+    sol = _solution(rho, *_support_rows(p, channel), q, 1)
+    return sol if sol.gap <= DEFAULT_FP_TOL else None
 
 
 def _order_zero_information(weights, w_rows) -> float:
@@ -312,19 +321,13 @@ def _order_zero_information(weights, w_rows) -> float:
 
 def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:
     """Order-derivative of the Augustin information at rho."""
-    sol = augustin_fixed_point(rho, p, channel)
-    return _info_derivative(rho, p, channel, sol.mean.masses, sol.tilted_exponent)
+    return _info_derivative(rho, augustin_fixed_point(rho, p, channel))
 
 
-def _info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel, q, d1_tw) -> float:
-    """The derivative at the mean q, given D_1(tilt || W | p) there."""
-    if rho < 1.0:
-        return d1_tw / (rho - 1.0) ** 2
-    # at order one, half the p-averaged variance of ln W - ln q under W
-    weights, w_rows, lw = _support_rows(p, channel)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr = lw - np.log(q)
-    return float(0.5 * weights @ _tilt_moments(lr, w_rows)[1])
+def _info_derivative(rho: float, sol: AugustinSolution) -> float:
+    """The derivative at the order-rho solution: D_1(tilt || W | p) / (rho - 1)^2
+    below order one, half the variance a2 of ln W - ln mean under W at one."""
+    return sol.tilted_exponent / (rho - 1.0) ** 2 if rho < 1.0 else 0.5 * sol.a2
 
 
 def haroutunian_rate(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:
@@ -338,12 +341,15 @@ def haroutunian_rate(rho: float, p: FiniteDist, channel: DiscreteChannel) -> flo
 
 def _tilted_pair(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
     """(D_1(tilt || q | p), D_1(tilt || W | p)) from the support rows of p."""
+    return _tilted_at(rho, weights, w_rows, lw, q)[2]
+
+
+def _tilted_at(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
+    """The rows tilted toward q, ln q and the `_tilted_pair` they give."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t, lt = _tilts_and_logs(rho, w_rows, lw, q)
-        return (
-            float(weights @ _kl_rows(t, lt, np.log(q))),
-            float(weights @ _kl_rows(t, lt, lw)),
-        )
+        lq = np.log(q)
+        return t, lq, (float(weights @ _kl_rows(t, lt, lq)), float(weights @ _kl_rows(t, lt, lw)))
 
 
 def tilted_kl_pair(

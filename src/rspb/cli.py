@@ -195,9 +195,7 @@ def _cmd_augustin(args):
         "residual": sol.residual,
         "identity_residual": sol.alt_identity_residual,
         "haroutunian_rate": sol.tilted_rate,
-        "info_derivative": _info_derivative(
-            args.order, p, channel, sol.mean.masses, sol.tilted_exponent
-        ),
+        "info_derivative": _info_derivative(args.order, sol),
         "tolerance": args.tol,
         "max_iter": args.max_iter,
     }

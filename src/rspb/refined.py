@@ -53,18 +53,12 @@ class RspbReport:
 
 
 def _assemble(n, rate, rho_star, exponent_total, params: HtParams,
-              slope_certified=True, printed_reading=False) -> RspbReport:
+              slope_certified=True) -> RspbReport:
     log_pref = (rho_star - 1.0) * params.log_delta_hat - math.log(4.0 * n) / (
         2.0 * rho_star
     )
     cond_lhs = math.sqrt(params.a2 * n) - math.log(4.0 * n) / (2.0 * rho_star)
     cond_rhs = params.log_delta_hat
-    lhs_printed = rhs_printed = None
-    app_printed = None
-    if printed_reading:
-        lhs_printed = math.sqrt(params.a2 * n) - math.log(n) / (2.0 * rho_star)
-        rhs_printed = params.delta_hat if params.log_delta_hat < 700 else math.inf
-        app_printed = lhs_printed >= rhs_printed
     return RspbReport(
         n=n,
         rate=rate,
@@ -79,9 +73,6 @@ def _assemble(n, rate, rho_star, exponent_total, params: HtParams,
         a3=params.a3,
         log_delta_hat=params.log_delta_hat,
         slope_certified=slope_certified,
-        condition_lhs_printed=lhs_printed,
-        condition_rhs_printed=rhs_printed,
-        applicable_printed=app_printed,
     )
 
 
@@ -94,15 +85,14 @@ def rspb_constant_composition(
     """Lower bound for length-n codes whose codewords share one composition.
 
     The moment constants weight each input's tilted log-ratio moments by the
-    composition, matching a codeword that uses input x exactly n*P(x) times;
-    they come from `_tilt_moments` over the rows, each tilted toward the mean
-    at rho*, the order `spe_parametric` solves at rate log_M_over_L / n. The
-    factor-4 term absorbs the Markov halving over messages.
+    composition, matching a codeword that uses input x exactly n*P(x) times:
+    they are the a2 and a3 of the `spe_parametric` point at rate
+    log_M_over_L / n, and a row singular to its mean, which leaves them not
+    finite, raises InfiniteDivergenceError. The factor-4 term absorbs the
+    Markov halving over messages.
     """
     import numpy as np
 
-    from .augustin import _support_rows, _tilt
-    from .measures import _tilt_moments
     from .spe import spe_parametric
 
     if n < 1:
@@ -112,17 +102,10 @@ def rspb_constant_composition(
         raise CompositionError(f"n * composition is not integral for n={n}")
     rate = log_M_over_L / n
     point = spe_parametric(composition, channel, rate)
-    rho, q = point.rho_star, point.mean.masses
-    weights, w_rows, lw = _support_rows(composition, channel)
-    # a singular row: a NaN tilt below order one, mass where q is 0 at one
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = w_rows if rho == 1.0 else _tilt(rho * lw, 1.0 - rho, q)
-        lr = lw - np.log(q)
-    if not (t > 0).any(axis=1).all() or np.any((t > 0) & (q == 0)):
+    if not (math.isfinite(point.a2) and math.isfinite(point.a3)):
         raise InfiniteDivergenceError("tilted measure undefined for singular pair")
-    _, a2, a3 = _tilt_moments(lr, t)
-    params = HtParams.from_moments(float(weights @ a2), float(weights @ a3))
-    return _assemble(n, rate, rho, n * point.exponent, params)
+    return _assemble(n, rate, point.rho_star, n * point.exponent,
+                     HtParams.from_moments(point.a2, point.a3))
 
 
 def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
@@ -159,9 +142,12 @@ def rspb_awgn_equality(n: int, log_M_over_L: float, params: AwgnParams) -> RspbR
     rate = log_M_over_L / n
     rho = awgn_rho_star(rate, params)
     point = awgn_parametric(rho, params)
-    return _assemble(
-        n, rate, rho, n * point.esp, point.ht_params(), printed_reading=True
-    )
+    ht = point.ht_params()
+    lhs_printed = math.sqrt(ht.a2 * n) - math.log(n) / (2.0 * rho)
+    rhs_printed = ht.delta_hat if ht.log_delta_hat < 700 else math.inf
+    return replace(_assemble(n, rate, rho, n * point.esp, ht),
+                   condition_lhs_printed=lhs_printed, condition_rhs_printed=rhs_printed,
+                   applicable_printed=lhs_printed >= rhs_printed)
 
 
 def rspb_awgn_inequality(

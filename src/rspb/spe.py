@@ -9,8 +9,9 @@ One search finds the order: Brent's root-finder on the monotone rate
 profile, bracketed by (0, I_0) and (1, I_1) at no fixed-point cost. Its
 first probe is the order that Newton's method on the fixed-point and rate
 equations in (ln q, rho) proposes, read with no fixed-point solve when the
-Frank-Wolfe gap of one map step at Newton's q certifies the mean, and from
-a cold fixed point otherwise; every later probe is a cold fixed point.
+Frank-Wolfe gap of the solution at Newton's q certifies it, and from a cold
+fixed point otherwise; every later probe is a cold fixed point. The point
+takes its exponent and moments from the accepted probe's solution.
 Newton starts where the rate's law near order 0 puts the root: exponential
 in -1/rho when I_0 = 0 and rows of p's support miss an output that others
 reach, quadratic in rho otherwise. Over a constraint set the search runs
@@ -203,13 +204,15 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
 
 @dataclass(frozen=True, slots=True)
 class SpePoint:
-    """One point of the exponent-rate curve, with the matching order and mean."""
+    """One point of the exponent-rate curve: its order, mean and solution's a2, a3."""
 
     rate: float
     rho_star: float
     exponent: float
     slope: float
     mean: FiniteDist
+    a2: float
+    a3: float
 
 
 def _rate_endpoints(p: FiniteDist, channel: DiscreteChannel) -> tuple:
@@ -250,8 +253,8 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
     `_newton_order`'s order, if any, is its first probe: its solution is
     Newton's q when `_certified_mean` certifies q, with no fixed point
     solved, and a cold fixed point otherwise, as at every later probe. The
-    result is cross-checked against the direct form
-    (1 - rho*) / rho* * (I_rho* - rate).
+    point's exponent, a2 and a3 are the accepted solution's; the exponent is
+    cross-checked against the direct form (1 - rho*) / rho* * (I_rho* - rate).
     """
     low, high = _rate_endpoints(p, channel)
     _check_rate(rate, low, high)
@@ -276,7 +279,7 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
             f"exponent forms disagree by {abs(direct - exponent):.3e}"
         )
     return SpePoint(rate=rate, rho_star=rho_star, exponent=exponent, slope=slope,
-                    mean=sol.mean)
+                    mean=sol.mean, a2=sol.a2, a3=sol.a3)
 
 
 @dataclass(frozen=True)

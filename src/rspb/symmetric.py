@@ -102,6 +102,8 @@ class SymmetryReport:
     and the uniform-input Augustin map T(q) = mean_x tilt_rho(W(x), q), whose
     unique fixed point is the Augustin mean. T(c) = c when the divergences
     D_rho(W(x)||c) agree, and TV(T(c), c) <= (exp((1-rho) spread) - 1)/2.
+    Where c underflows to 0 on every output an input reaches, that input has
+    no tilt and the step reads inf, as the spread and profile distance do.
     """
 
     is_symmetric: bool
@@ -141,8 +143,8 @@ def check_renyi_symmetry(
         centers[rho], _ = _uniform_center(rho, w_rows, lw)
         c = centers[rho].masses
         # at order one the map's image is the row mixture whatever q: tilting
-        # would form 0 * (-inf) on an output no input reaches
-        with np.errstate(divide="ignore"):
+        # would form 0 * (-inf) on an output no input reaches, NaN on a row c misses
+        with np.errstate(divide="ignore", invalid="ignore"):
             image = _tilts_and_logs(rho, w_rows, lw, c)[0].mean(axis=0)
         divs = _row_divergences(rho, lw, c)
         # one profile row per input: ln W(y|x) - ln c(y) with mass W(y|x)
@@ -158,7 +160,8 @@ def check_renyi_symmetry(
             gaps = np.abs(np.subtract(values, v0, out=np.zeros(values.shape),
                                       where=(values != v0) & ~absent))
             profile = max(gaps.max(), np.abs(m - m[0]).max())
-        worst.append((divs.max() - divs.min(), profile, 0.5 * np.abs(image - c).sum()))
+        step = 0.5 * np.abs(image - c).sum()
+        worst.append((divs.max() - divs.min(), profile, math.inf if np.isnan(step) else step))
     spread_max, profile_max, center_tv_max = map(float, np.max(worst, axis=0))
     return SymmetryReport(
         is_symmetric=symmetric,

@@ -181,9 +181,11 @@ def symmetry_report_per_order(channel, rho_grid, tol) -> SymmetryReport:
     low = rhos < 1.0
     images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()
     r = rhos[low, None, None]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         images[low] = _tilt(r * lw, 1.0 - r, masses[low, None, :]).mean(axis=1)
-    center_tv_max = float(0.5 * np.abs(images - masses).sum(axis=1).max())
+    # a row the center leaves no mass has no tilt: its step reads inf
+    steps = 0.5 * np.abs(images - masses).sum(axis=1)
+    center_tv_max = float(np.where(np.isnan(steps), np.inf, steps).max())
     spread_max = profile_max = 0.0
     support = w_rows > 0
     for rho, c in zip(rhos, masses):

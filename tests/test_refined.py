@@ -1,12 +1,19 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rspb.spe
 import rspb.symmetric
-from rspb.augustin import augustin_fixed_point
+from rspb.augustin import (
+    _certified_mean,
+    _info_derivative,
+    _solution,
+    _support_rows,
+    augustin_fixed_point,
+)
 from rspb.errors import (
     CompositionError,
     InfiniteDivergenceError,
@@ -130,28 +137,33 @@ def test_constant_composition_moments_match_per_input_loop(channel, composition)
 def test_constant_composition_rejects_a_row_singular_to_the_mean(monkeypatch):
     channel = DiscreteChannel((FiniteDist([0.9, 0.1, 0.0]), FiniteDist([0.0, 0.1, 0.9])))
     point = spe_parametric(U2, channel, 0.3)
+    rows = _support_rows(U2, channel)
     # below order one the second row has no mass where the mean has; at
     # order one the first row has mass where the mean has none
     for rho, mean in ((point.rho_star, [1.0, 0.0, 0.0]), (1.0, [0.0, 0.5, 0.5])):
         singular = replace(point, rho_star=rho, mean=FiniteDist(mean))
         with pytest.raises(InfiniteDivergenceError):
             _per_input_moments(channel, U2, singular)
+        # the solution at the pair returns, with moments that are not finite
+        sol = _solution(rho, *rows, np.array(mean), 1)
+        singular = replace(singular, a2=sol.a2, a3=sol.a3)
         monkeypatch.setattr(rspb.spe, "spe_parametric", lambda *_: singular)
         with pytest.raises(InfiniteDivergenceError):
             rspb_constant_composition(channel, U2, 10, 3.0)
+        # and its gap refuses it, so that no accepted point lands there
+        assert _certified_mean(rho, U2, channel, np.array(mean)) is None
 
 
-def test_constant_composition_moments_at_order_one_are_the_untilted_ones(monkeypatch):
+def test_constant_composition_moments_at_order_one_are_the_untilted_ones():
     # at order one the tilt is W(x) itself; an output no input reaches
-    # leaves a zero in the mean
+    # leaves a zero in the mean. `spe_parametric` never returns rho* = 1, so
+    # the order-one moments are the solution's
     channel = DiscreteChannel((FiniteDist([0.7, 0.3, 0.0, 0.0]), FiniteDist([0.2, 0.3, 0.5, 0.0])))
-    point = spe_parametric(U2, channel, 0.2)
-    at_one = replace(point, rho_star=1.0, mean=FiniteDist([0.45, 0.3, 0.25, 0.0]))
-    monkeypatch.setattr(rspb.spe, "spe_parametric", lambda *_: at_one)
-    rep = rspb_constant_composition(channel, U2, 10, 2.0)
-    a2, a3 = _per_input_moments(channel, U2, at_one)
-    assert rep.a2 == pytest.approx(a2, rel=1e-14, abs=0.0)
-    assert rep.a3 == pytest.approx(a3, rel=1e-14, abs=0.0)
+    sol = augustin_fixed_point(1.0, U2, channel)
+    a2, a3 = _per_input_moments(channel, U2, SimpleNamespace(rho_star=1.0, mean=sol.mean))
+    assert sol.a2 == pytest.approx(a2, rel=1e-14, abs=0.0)
+    assert sol.a3 == pytest.approx(a3, rel=1e-14, abs=0.0)
+    assert _info_derivative(1.0, sol) == 0.5 * sol.a2
 
 
 def test_theorem_reports_coincide_on_stationary_symmetric():

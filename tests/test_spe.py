@@ -27,11 +27,13 @@ from rspb.measures import (
     bsc,
     point_mass,
     renyi_divergence,
+    tilted_log_moments,
     tilted_measure,
     uniform_dist,
     zchannel,
 )
 from rspb.oracle import _augustin_information, brute_spe
+from rspb.refined import rspb_constant_composition
 from rspb.spe import (
     EXPONENT_CONSISTENCY_TOL,
     RATE_RESIDUAL_TOL,
@@ -285,6 +287,42 @@ def test_point_reads_the_tilted_pair_from_its_solves(monkeypatch):
     assert calls == []
 
 
+def test_accepted_point_tilts_once_and_the_bound_forms_no_tilt(monkeypatch):
+    # an accepted point's gap, tilted pair and moments come from one tilt at
+    # its mean, and the refined bound reads its moments off the point
+    calls = _counting_solves(monkeypatch)
+    tilts, phase = [], ["search"]
+    tilt, certify, point = rspb.augustin._tilt, rspb.spe._certified_mean, rspb.spe.spe_parametric
+
+    def counting(*args):
+        tilts.append(phase[0])
+        return tilt(*args)
+
+    def certifying(*args):
+        phase[0] = "certify"
+        sol = certify(*args)
+        phase[0] = "search"
+        return sol
+
+    def solving(*args):
+        out = point(*args)
+        phase[0] = "bound"
+        return out
+
+    for module in (rspb.augustin, rspb.spe):
+        monkeypatch.setattr(module, "_tilt", counting)
+    monkeypatch.setattr(rspb.spe, "_certified_mean", certifying)
+    monkeypatch.setattr(rspb.spe, "spe_parametric", solving)
+    draws = ((bsc(0.1), 0.1308120), (random_channel(np.random.default_rng(4), 3, 4), 0.05))
+    for channel, rate in draws:
+        tilts.clear()
+        phase[0] = "search"
+        rspb_constant_composition(channel, uniform_dist(channel.input_size), 600, 600 * rate)
+        assert calls == []
+        assert tilts.count("certify") == 1
+        assert "bound" not in tilts
+
+
 def _refusing_certificate(monkeypatch):
     """Refuse every point Newton lands on, so that each point falls back to a
     cold solve at Newton's order, Brent's first probe."""
@@ -491,10 +529,19 @@ def test_near_face_mean_is_refused_and_the_cold_mean_accepted():
 def test_accepted_points_are_enclosed_from_outside(monkeypatch):
     # every point that takes no fixed point is checked with `measures` and the
     # oracle alone: its gap certifies, its TV step is within the gap, I_rho
-    # lies in [f - max(g, 0), f], and the rate and exponent hold at its mean
+    # lies in [f - max(g, 0), f], the rate and exponent hold at its mean, and
+    # its solution's gap and moments are those of the tilts `measures` forms
     eps = np.finfo(float).eps
     proposals = _counting_newton(monkeypatch)
     calls = _counting_solves(monkeypatch)
+    certified = []
+    certify = rspb.spe._certified_mean
+
+    def recording(*args):
+        certified.append(certify(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(rspb.spe, "_certified_mean", recording)
     accepted = 0
     for label, channel in NEWTON_CHANNELS:
         p = uniform_dist(channel.input_size)
@@ -509,10 +556,10 @@ def test_accepted_points_are_enclosed_from_outside(monkeypatch):
                 continue
             accepted += 1
             rho = pt.rho_star
-            gap, tv, f, tilted_rate, exponent = _outside(rho, p, channel, pt.mean.masses)
-            assert gap <= DEFAULT_FP_TOL, (label, frac)
+            outside_gap, tv, f, tilted_rate, exponent = _outside(rho, p, channel, pt.mean.masses)
+            assert outside_gap <= DEFAULT_FP_TOL, (label, frac)
             # rounding leaves some gaps just below 0
-            gap = max(gap, 0.0)
+            gap = max(outside_gap, 0.0)
             assert tv <= gap + 4 * eps, (label, frac)
             # D_rho divides by rho - 1, which scales its rounding
             ulps = 8 * eps / (1.0 - rho)
@@ -520,6 +567,17 @@ def test_accepted_points_are_enclosed_from_outside(monkeypatch):
             assert f - gap - ulps <= info <= f + ulps, (label, frac)
             assert _rate_met(rho, abs(tilted_rate - rate)), (label, frac)
             assert abs(exponent - pt.exponent) <= 8 * eps * max(1.0, exponent), (label, frac)
+            sol = certified[-1]
+            assert sol.mean.masses.tobytes() == pt.mean.masses.tobytes(), (label, frac)
+            # each tilt's exponent rounds like eps |ln q|, and exp makes that a
+            # relative error of T(q)/q: 12 ulps of 1 at a mass of 2e-18
+            log_scale = np.abs(np.log(pt.mean.masses[pt.mean.masses > 0])).max()
+            assert abs(sol.gap - outside_gap) <= 8 * eps * max(1.0, log_scale), (label, frac)
+            moments = [tilted_log_moments(rho, row, pt.mean) for row in channel.rows]
+            a2 = sum(m * moment[1] for m, moment in zip(p.masses, moments))
+            a3 = sum(m * moment[2] for m, moment in zip(p.masses, moments))
+            assert pt.a2 == pytest.approx(a2, rel=1e-14, abs=0.0), (label, frac)
+            assert pt.a3 == pytest.approx(a3, rel=1e-14, abs=0.0), (label, frac)
             cold = augustin_fixed_point(rho, p, channel)
             assert abs(pt.exponent - cold.tilted_exponent) <= EXPONENT_CONSISTENCY_TOL
     assert accepted == 73

@@ -186,6 +186,21 @@ def test_symmetry_report_matches_per_order_reference(channel, grid):
         assert getattr(got, field).hex() == getattr(want, field).hex(), field
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_center_that_leaves_a_row_no_mass_reads_an_infinite_step():
+    # at order 1e-6 these draws' centers underflow to 0 on every output that
+    # some input reaches; that input has no tilt, and the map's step reads
+    # inf, as the spread and profile distance do, with no warning
+    rng = np.random.default_rng(5)
+    draws = [channel_with_zeros(rng) for _ in range(120)]
+    grid = (1e-6, 0.999999)
+    for index in (20, 40, 62, 82, 104):
+        got = check_renyi_symmetry(draws[index], grid)
+        want = symmetry_report_per_order(draws[index], grid, DEFAULT_SYMMETRY_TOL)
+        for field in ("max_divergence_spread", "max_profile_distance", "max_center_fixed_point_tv"):
+            assert getattr(got, field) == getattr(want, field) == math.inf, (index, field)
+
+
 def test_symmetry_report_contents():
     report = check_renyi_symmetry(bsc(0.1))
     assert len(report.checked_orders) == 20
