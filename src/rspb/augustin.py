@@ -22,6 +22,7 @@ from .errors import (
     AlphabetMismatchError,
     ComputationError,
     FeasibilityError,
+    InfiniteDivergenceError,
     InvalidOrderError,
     NonConvergenceError,
     PreconditionError,
@@ -206,8 +207,9 @@ def _tilts_and_logs(rho, w_rows: np.ndarray, lw: np.ndarray, q: np.ndarray) -> t
 def _kl_rows(t: np.ndarray, lt: np.ndarray, l_ref: np.ndarray) -> np.ndarray:
     """D_1(t || ref) of each row of t, from ln t and ln ref. Callers take the
     logs and run this with divide and invalid warnings off: -inf - -inf
-    gives NaN where t and ref are both 0, and those entries are masked."""
-    return np.add.reduce(np.where(t > 0, t * (lt - l_ref), 0.0), axis=-1)
+    gives NaN where t and ref are both 0, and those entries are masked. A NaN
+    row of t, a tilt toward a q that misses the row, gives NaN."""
+    return np.add.reduce(np.where(t != 0, t * (lt - l_ref), 0.0), axis=-1)
 
 
 def _check_limits(tol: float, max_iter: int):
@@ -339,13 +341,9 @@ def haroutunian_rate(rho: float, p: FiniteDist, channel: DiscreteChannel) -> flo
     return augustin_fixed_point(rho, p, channel).tilted_rate
 
 
-def _tilted_pair(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
-    """(D_1(tilt || q | p), D_1(tilt || W | p)) from the support rows of p."""
-    return _tilted_at(rho, weights, w_rows, lw, q)[2]
-
-
 def _tilted_at(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
-    """The rows tilted toward q, ln q and the `_tilted_pair` they give."""
+    """The rows tilted toward q, ln q and the pair (D_1(tilt || q | p),
+    D_1(tilt || W | p)) they give, from the support rows of p."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t, lt = _tilts_and_logs(rho, w_rows, lw, q)
         lq = np.log(q)
@@ -355,8 +353,13 @@ def _tilted_at(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
 def tilted_kl_pair(
     rho: float, p: FiniteDist, channel: DiscreteChannel, q: np.ndarray
 ) -> tuple:
-    """(D_1(tilt || q | p), D_1(tilt || W | p)) at a prepared mean q."""
-    return _tilted_pair(rho, *_support_rows(p, channel), q)
+    """(D_1(tilt || q | p), D_1(tilt || W | p)) at a prepared mean q. A q that
+    vanishes on every output some row of p's support reaches leaves that row
+    no tilt, and raises InfiniteDivergenceError."""
+    pair = _tilted_at(rho, *_support_rows(p, channel), q)[2]
+    if math.isnan(pair[0]) or math.isnan(pair[1]):
+        raise InfiniteDivergenceError("tilted measure undefined for singular pair")
+    return pair
 
 
 # ---------------------------------------------------------------------------

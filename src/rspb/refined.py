@@ -122,9 +122,9 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
     n = len(channels)
     if n < 1:
         raise SymmetryError("need at least one component channel")
-    rho, comps, certified = _solve_symmetric(channels, log_M_over_L)
-    exponent_total = sum(c.exponent_term for c in comps)
-    params = HtParams.from_moments(sum(c.a2 for c in comps) / n, sum(c.a3 for c in comps) / n)
+    rho, sols, certified = _solve_symmetric(channels, log_M_over_L)
+    exponent_total = sum(s.tilted_exponent for s in sols)
+    params = HtParams.from_moments(sum(s.a2 for s in sols) / n, sum(s.a3 for s in sols) / n)
     return _assemble(n, log_M_over_L / n, rho, exponent_total, params,
                      slope_certified=certified)
 

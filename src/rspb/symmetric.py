@@ -13,8 +13,9 @@ equation, summed tilted rates equal to ln M - ln L; `_solve_symmetric`
 solves it, a single channel at rate R being the one-component case, on the
 kernels of `augustin`. Every center, here and in the diagnostics, comes
 from `_uniform_center` at one order. The solve's order probes tilt each
-distinct component once, and the exponent and moments at the root are read
-from the accepted probe's tilts.
+distinct component once, and at the root each distinct component's
+exponent and moments are read off one `AugustinSolution` at the accepted
+probe's center, as the constant-composition bound reads its own.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augustin import _kl_rows, _row_divergences, _tilts_and_logs
+from .augustin import _kl_rows, _row_divergences, _solution, _tilts_and_logs
 from .errors import InvalidOrderError, PreconditionError, SymmetryError
-from .measures import (DiscreteChannel, FiniteDist, _merge_atoms, _power_mean,
-                       _tilt_moments, uniform_dist)
+from .measures import DiscreteChannel, FiniteDist, _merge_atoms, _power_mean, uniform_dist
 from .spe import _check_rate, _find_order, _rate_endpoints
 
 DEFAULT_ORDER_GRID = tuple(np.round(np.arange(1, 21) * 0.05, 2))
@@ -173,65 +173,33 @@ def check_renyi_symmetry(
     )
 
 
-@dataclass(frozen=True)
-class SymmetricComponent:
-    """Per-order quantities of one symmetric factor of a product channel."""
-
-    rho: float
-    center: FiniteDist
-    rate_term: float
-    exponent_term: float
-    a2: float
-    a3: float
-    tilt_nonconstant: bool
-
-
 def _tilted_rates(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
-    """Uniform-input center at rho, each input's tilt toward it and the
-    tilt's log, and input 0's tilted KL rate to the center, which symmetry
-    makes input-independent: a spread above 1e-8 raises SymmetryError."""
+    """Uniform-input center at rho, each input's tilt toward it, and input
+    0's tilted KL rate to the center, which symmetry makes input-independent:
+    a spread not within 1e-8, NaN included, raises SymmetryError."""
     center, _ = _uniform_center(rho, w_rows, lw)
     with np.errstate(divide="ignore", invalid="ignore"):
         tilts, lt = _tilts_and_logs(rho, w_rows, lw, center.masses)
         rates = _kl_rows(tilts, lt, np.log(center.masses))
-    if rates.max() - rates.min() > 1e-8:
+    if not rates.max() - rates.min() <= 1e-8:
         raise SymmetryError("tilted rate differs across inputs")
-    return center, tilts, lt, float(rates[0])
-
-
-def _component(rho: float, lw: np.ndarray, center, tilts, lt, rate) -> SymmetricComponent:
-    """The quantities of input 0 at rho, from the `_tilted_rates` tuple there."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr = lw[0] - np.log(center.masses)
-        exponent = float(_kl_rows(tilts, lt, lw)[0])
-    _, a2, a3 = map(float, _tilt_moments(lr, tilts[0]))
-    ratios = lr[tilts[0] > 0]
-    nonconstant = bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
-    return SymmetricComponent(rho, center, rate, exponent, a2, a3, nonconstant)
-
-
-def component_quantities(rho: float, channel: DiscreteChannel) -> SymmetricComponent:
-    """Tilted rate/exponent/moments of a symmetric channel at one order.
-
-    Every input is tilted toward the center; symmetry makes the tilted rates
-    input-independent, which is asserted, and the values of input 0 are
-    returned.
-    """
-    w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    return _component(rho, lw, *_tilted_rates(rho, w_rows, lw))
+    return center, tilts, float(rates[0])
 
 
 def _solve_symmetric(channels, target: float, tol: float = DEFAULT_SYMMETRY_TOL) -> tuple:
     """Order where the summed tilted rates of the components meet target.
 
     Equal components, however built, are decided once by their column
-    classes, each probe tilts each distinct component once, and their
-    quantities at rho* are read from the accepted probe. The bracket sums
-    the components' rate ranges at a uniform input, from `_rate_endpoints`.
-    The slope (rho*-1)/rho* is certified when some component's tilted log
-    ratio is non-constant or every component's center is the same at every
-    order (one column class). Returns (rho*, the per-component quantities
-    at rho* in the order of `channels`, certified).
+    classes, and each probe tilts each distinct component once. At rho*
+    each distinct component's `AugustinSolution` is formed once, at a
+    uniform input and the accepted probe's center, which one map step
+    returns, so it carries the identity gate and the Frank-Wolfe gap. The
+    bracket sums the components' rate ranges at a uniform input, from
+    `_rate_endpoints`. The slope (rho*-1)/rho* is certified when some
+    component's tilted log ratio is non-constant on input 0's tilt or every
+    component's center is the same at every order (one column class).
+    Returns (rho*, the solutions at rho* in the order of `channels`,
+    certified).
     """
     distinct, layout = {}, []
     for ch in channels:
@@ -253,16 +221,21 @@ def _solve_symmetric(channels, target: float, tol: float = DEFAULT_SYMMETRY_TOL)
 
     def summed(rho):
         tilted = {k: _tilted_rates(rho, *rows[k]) for k in distinct}
-        return sum(tilted[k][3] for k in layout), tilted
+        return sum(tilted[k][2] for k in layout), tilted
 
     stop = 1e-12 * max(1.0, abs(target))
     rho, _, tilted = _find_order(
         summed, target, (0.0, low), (1.0, high),
         lambda rho, total, _: abs(total - target) <= stop,
     )
-    comp = {k: _component(rho, rows[k][1], *tilted[k]) for k in distinct}
-    certified = any(c.tilt_nonconstant for c in comp.values()) or all(one_class)
-    return rho, [comp[k] for k in layout], certified
+    sols, nonconstant = {}, False
+    for k, (w_rows, lw) in rows.items():
+        center, tilts, _ = tilted[k]
+        sols[k] = _solution(rho, uniform_dist(len(lw)).masses, w_rows, lw, center.masses, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = (lw[0] - np.log(center.masses))[tilts[0] > 0]
+        nonconstant |= bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
+    return rho, [sols[k] for k in layout], nonconstant or all(one_class)
 
 
 @dataclass(frozen=True)
@@ -288,12 +261,12 @@ def parametric_symmetric(
     certification flag. A channel that is not symmetric at log-ratio
     tolerance tol raises SymmetryError.
     """
-    rho, (comp,), certified = _solve_symmetric([channel], rate, tol)
+    rho, (sol,), certified = _solve_symmetric([channel], rate, tol)
     return SymmetricSpePoint(
         rate=rate,
         rho_star=rho,
-        exponent=comp.exponent_term,
+        exponent=sol.tilted_exponent,
         slope=(rho - 1.0) / rho,
         slope_certified=certified,
-        center=comp.center,
+        center=sol.mean,
     )

@@ -19,6 +19,7 @@ from rspb.augustin import (
 )
 from rspb.errors import (
     FeasibilityError,
+    InfiniteDivergenceError,
     InvalidOrderError,
     NonConvergenceError,
     PreconditionError,
@@ -465,6 +466,22 @@ def test_solution_carries_its_tilted_pair(rho, channel):
     assert (sol.tilted_rate, sol.tilted_exponent) == pair
 
 
+def test_a_row_without_a_tilt_gives_no_tilted_pair():
+    # q = [1, 0, 0] leaves the second row no mass: its tilt is NaN, and so is
+    # the pair, which once dropped the row and read (0.0, 0.0527)
+    rho, q = 0.2193, np.array([1.0, 0.0, 0.0])
+    channel = DiscreteChannel((FiniteDist([0.9, 0.1, 0.0]), FiniteDist([0.0, 0.1, 0.9])))
+    with pytest.raises(InfiniteDivergenceError):
+        tilted_measure(rho, channel.rows[1], FiniteDist(q))
+    with pytest.raises(InfiniteDivergenceError):
+        tilted_kl_pair(rho, U2, channel, q)
+    # the solution there returns, and its NaN gap refuses the point
+    sol = rspb.augustin._solution(rho, *rspb.augustin._support_rows(U2, channel), q, 1)
+    assert math.isnan(sol.tilted_rate) and math.isnan(sol.tilted_exponent)
+    assert math.isnan(sol.gap)
+    assert rspb.augustin._certified_mean(rho, U2, channel, q) is None
+
+
 ZERO_DRAWS = [channel_with_zeros(np.random.default_rng(seed)) for seed in range(12)]
 
 
@@ -484,7 +501,7 @@ def test_fused_tilted_pair_matches_two_passes_bit_for_bit(rho):
         mixture = weights @ w_rows
         means = [mixture] if rho == 1.0 else [mixture, rspb.augustin._start(rho, *rows)]
         for q in means:
-            got = rspb.augustin._tilted_pair(rho, *rows, q)
+            got = rspb.augustin._tilted_at(rho, *rows, q)[2]
             want = tilted_pair_two_passes(rho, *rows, q)
             assert [v.hex() for v in got] == [v.hex() for v in want]
 

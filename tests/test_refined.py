@@ -41,7 +41,7 @@ from rspb.refined import (
 )
 from rspb.spe import spe_parametric
 from rspb.symmetric import symmetric_center
-from conftest import channel_with_zeros, random_channel
+from conftest import CYCLIC4, channel_with_zeros, random_channel, symmetric_solution
 
 LN9 = math.log(9.0)
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -167,13 +167,17 @@ def test_constant_composition_moments_at_order_one_are_the_untilted_ones():
 
 
 def test_theorem_reports_coincide_on_stationary_symmetric():
-    for n, rate in ((64, R_CRIT), (600, R_CRIT), (200, 0.2)):
-        cc = rspb_constant_composition(bsc(0.1), U2, n, n * rate)
-        sym = rspb_symmetric([bsc(0.1)] * n, n * rate)
-        assert abs(cc.rho_star - sym.rho_star) <= 1e-9
-        assert abs(cc.exponent_total - sym.exponent_total) <= 1e-9
-        assert abs(cc.log_prefactor - sym.log_prefactor) <= 1e-9
-        assert sym.slope_certified
+    # both bounds read their constants off the uniform input's solution
+    cases = ((bsc(0.1), (R_CRIT, R_CRIT, 0.2)), (bec(0.3), (0.1, 0.25, 0.4)),
+             (CYCLIC4, (0.1, 0.3, 0.4)))
+    for channel, rates in cases:
+        u = uniform_dist(channel.input_size)
+        for n, rate in zip((64, 600, 200), rates):
+            cc = rspb_constant_composition(channel, u, n, n * rate)
+            sym = rspb_symmetric([channel] * n, n * rate)
+            for field in ("rho_star", "exponent_total", "log_prefactor", "bound_log", "a2", "a3"):
+                assert abs(getattr(cc, field) - getattr(sym, field)) <= 1e-9, (n, field)
+            assert sym.slope_certified
 
 
 def test_symmetric_balances_alternating_components():
@@ -214,10 +218,12 @@ def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
 
 
 def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
-    # each order probe tilts each distinct component once, and the root's
-    # exponent and moments are read from the probe the search accepted
-    probes, returned = [], []
-    rates, find = rspb.symmetric._tilted_rates, rspb.symmetric._find_order
+    # each order probe tilts each distinct component once, and once the
+    # search has returned, the root's exponent and moments are read off one
+    # solution per distinct component at the accepted probe's center
+    probes, returned, solved = [], [], []
+    rates, find, solution = (rspb.symmetric._tilted_rates, rspb.symmetric._find_order,
+                             rspb.symmetric._solution)
 
     def probing(rho, *rows):
         probes.append((rho, rows[0].tobytes()))
@@ -228,23 +234,30 @@ def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
         returned.append(len(probes))
         return out
 
+    def solving(*args):
+        solved.append(len(returned))
+        return solution(*args)
+
     monkeypatch.setattr(rspb.symmetric, "_tilted_rates", probing)
     monkeypatch.setattr(rspb.symmetric, "_find_order", finding)
+    monkeypatch.setattr(rspb.symmetric, "_solution", solving)
     channels = [bsc(0.1), bsc(0.2)] * 4
     high = 4 * sum(symmetric_center(1.0, ch)[1] for ch in (bsc(0.1), bsc(0.2)))
     for frac in (1e-3, 0.5, 0.99):
         probes.clear()
         returned.clear()
+        solved.clear()
         rep = rspb_symmetric(channels, frac * high)
         # at most 8 order probes of the 2 components, the low end's included,
         # and none once the search has returned
         assert len(probes) <= 16, frac
         assert returned == [len(probes)], frac
+        assert solved == [1, 1], frac
         assert len({rows for rho, rows in probes if rho == rep.rho_star}) == 2, frac
         assert rep.slope_certified
-        comps = [rspb.symmetric.component_quantities(rep.rho_star, ch) for ch in channels]
-        params = HtParams.from_moments(sum(c.a2 for c in comps) / 8, sum(c.a3 for c in comps) / 8)
-        assert rep.exponent_total == sum(c.exponent_term for c in comps), frac
+        sols = [symmetric_solution(rep.rho_star, ch) for ch in channels]
+        params = HtParams.from_moments(sum(s.a2 for s in sols) / 8, sum(s.a3 for s in sols) / 8)
+        assert rep.exponent_total == sum(s.tilted_exponent for s in sols), frac
         assert (rep.a2, rep.a3) == (params.a2, params.a3), frac
 
 

@@ -6,7 +6,13 @@ import pytest
 
 import rspb.symmetric
 from rspb import augustin
-from rspb.augustin import LOW_ORDER_PROBE, augustin_capacity, augustin_fixed_point
+from rspb.augustin import (
+    ALT_IDENTITY_TOL,
+    DEFAULT_FP_TOL,
+    LOW_ORDER_PROBE,
+    augustin_capacity,
+    augustin_fixed_point,
+)
 from rspb.errors import (
     DegenerateChannelError,
     InvalidOrderError,
@@ -30,15 +36,16 @@ from rspb.spe import _rate_endpoints, spe_parametric
 from rspb.symmetric import (
     DEFAULT_ORDER_GRID,
     DEFAULT_SYMMETRY_TOL,
+    PROFILE_MERGE_TOL,
     _column_classes,
+    _tilted_rates,
     _uniform_center,
     check_renyi_symmetry,
-    component_quantities,
     parametric_symmetric,
     symmetric_center,
 )
 
-from conftest import channel_with_zeros
+from conftest import CYCLIC4, DEAD_BEC, channel_with_zeros, symmetric_solution
 from oracle_helpers import symmetry_report_per_order
 
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -82,11 +89,18 @@ def _channel(rows):
     return DiscreteChannel(tuple(FiniteDist(r) for r in np.asarray(rows, dtype=float)))
 
 
-CYCLIC4 = _channel([np.roll([0.7, 0.2, 0.06, 0.04], k) for k in range(4)])
-
-
 def _classes(channel, tol=DEFAULT_SYMMETRY_TOL):
     return _column_classes(channel.row_matrix(), channel.log_row_matrix(), tol)
+
+
+def _tilt_nonconstant(rho, channel):
+    """Whether input 0's log ratio to the center varies on its tilt's support,
+    the slope flag's test."""
+    lw = channel.log_row_matrix()
+    center, tilts, _ = _tilted_rates(rho, channel.row_matrix(), lw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (lw[0] - np.log(center.masses))[tilts[0] > 0]
+    return bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
 
 
 def test_symmetry_certification():
@@ -239,8 +253,7 @@ def test_parametric_symmetric_bec_certified():
     # the certification here comes from the non-constant tilted log ratio;
     # the erasure channel's center does move with the order: its erasure
     # output and its two others are two column classes
-    comp = component_quantities(point.rho_star, bec(0.3))
-    assert comp.tilt_nonconstant
+    assert _tilt_nonconstant(point.rho_star, bec(0.3))
     assert _classes(bec(0.3)) == 2
 
 
@@ -271,13 +284,13 @@ def test_product_additivity_of_capacity_and_center():
 
 
 def test_component_quantities_input_independent():
-    comp = component_quantities(0.5, bsc(0.2))
+    sol = symmetric_solution(0.5, bsc(0.2))
     tilt_flip = 1.0 / 3.0
-    assert comp.rate_term == pytest.approx(
+    assert sol.tilted_rate == pytest.approx(
         tilt_flip * math.log(2 * tilt_flip) + (1 - tilt_flip) * math.log(2 * (1 - tilt_flip)),
         abs=1e-12,
     )
-    assert comp.a2 == pytest.approx(tilt_flip * (1 - tilt_flip) * math.log(4.0) ** 2, rel=1e-10)
+    assert sol.a2 == pytest.approx(tilt_flip * (1 - tilt_flip) * math.log(4.0) ** 2, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -293,8 +306,36 @@ def test_single_channel_is_the_one_component_product(channel, rate):
 
 
 def test_component_quantities_rejects_input_dependent_rates():
+    ch = zchannel(0.3)
     with pytest.raises(SymmetryError):
-        component_quantities(0.5, zchannel(0.3))
+        _tilted_rates(0.5, ch.row_matrix(), ch.log_row_matrix())
+
+
+def test_a_row_without_a_tilt_is_an_input_dependent_rate():
+    # at order 1e-4 the center underflows to 0 on output 0, which input 0
+    # alone reaches: its tilt and rate are NaN, not a rate of 0 that matches
+    # the other inputs'
+    ch = _channel([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    rows = ch.row_matrix(), ch.log_row_matrix()
+    assert _uniform_center(1e-4, *rows)[0].masses.tolist() == [0.0, 1.0]
+    with pytest.raises(SymmetryError):
+        _tilted_rates(1e-4, *rows)
+
+
+@pytest.mark.parametrize("channels", [
+    [bsc(0.1)], [bec(0.3)], [CYCLIC4], [DEAD_BEC], [bsc(0.1), bsc(0.2)] * 3,
+], ids=["bsc", "bec", "cyclic4", "dead_bec", "alternating"])
+def test_every_symmetric_solution_is_certified(channels):
+    # the uniform-input center is the Augustin mean, so one map step at it
+    # certifies each solution by its Frank-Wolfe gap and its identity residual
+    u = uniform_dist(channels[0].input_size)
+    low, high = (sum(e) for e in zip(*(_rate_endpoints(u, ch) for ch in channels)))
+    for frac in (1e-3, 0.3, 0.7, 0.999):
+        _, sols, _ = rspb.symmetric._solve_symmetric(channels, low + frac * (high - low))
+        assert len(sols) == len(channels)
+        for sol in sols:
+            assert sol.gap <= DEFAULT_FP_TOL, frac
+            assert sol.alt_identity_residual <= ALT_IDENTITY_TOL, frac
 
 
 def test_symmetry_preconditions():
@@ -343,7 +384,7 @@ def test_single_order_center_is_the_grid_center_bit_for_bit(label, channel, symm
     center, _ = _uniform_center(rho, w_rows, lw)
     assert center.masses.tobytes() == want.masses.tobytes()
     if symmetric:
-        got = component_quantities(rho, channel).center
+        got = _tilted_rates(rho, w_rows, lw)[0]
         assert got.masses.tobytes() == want.masses.tobytes()
     center, capacity = symmetric_center(rho, channel)
     assert center.masses.tobytes() == want.masses.tobytes()
@@ -354,8 +395,9 @@ def test_single_order_center_is_the_grid_center_bit_for_bit(label, channel, symm
 
 @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, math.nan])
 def test_component_quantities_rejects_orders_outside_the_unit_interval(rho):
+    ch = bsc(0.1)
     with pytest.raises(InvalidOrderError):
-        component_quantities(rho, bsc(0.1))
+        _tilted_rates(rho, ch.row_matrix(), ch.log_row_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +529,7 @@ def test_exact_decision_matches_the_order_grid():
             continue
         solved += 1
         point = parametric_symmetric(channel, low + rng.uniform(0.1, 0.9) * (high - low))
-        tilt = component_quantities(point.rho_star, channel).tilt_nonconstant
+        tilt = _tilt_nonconstant(point.rho_star, channel)
         assert point.slope_certified == (tilt or _centers_stay(want))
     assert (len(SCAN_CHANNELS), symmetric, solved) == (308, 178, 177)
 

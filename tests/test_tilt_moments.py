@@ -1,8 +1,9 @@
 """Tilted log-ratio moments against a per-output Python reference.
 
 Every caller of `measures._tilt_moments` is checked here against plain loops
-over the outputs: `tilted_log_moments`, the symmetric component moments, the
-order-one information derivative and the constant-composition report.
+over the outputs: `tilted_log_moments`, the solution moments of a symmetric
+component, the order-one information derivative and the constant-composition
+report.
 """
 
 import math
@@ -21,8 +22,7 @@ from rspb.measures import (
 )
 from rspb.refined import rspb_constant_composition
 from rspb.spe import spe_parametric
-from rspb.symmetric import component_quantities
-from conftest import channel_with_zeros
+from conftest import DEAD_BEC, channel_with_zeros, symmetric_solution
 
 REL = 1e-14
 
@@ -99,17 +99,16 @@ def test_info_derivative_at_order_one_matches_reference(channel, p):
     assert close(augustin_info_derivative(1.0, p, channel), ref)
 
 
-DEAD_BEC = _channel([[0.7, 0.3, 0.0, 0.0], [0.0, 0.3, 0.7, 0.0]])
-
-
 @pytest.mark.parametrize("channel", [bsc(0.11), bec(0.3), DEAD_BEC],
                          ids=["bsc", "bec", "bec with an unreached output"])
 @pytest.mark.parametrize("rho", [0.05, 0.5, 0.93, 1.0])
 def test_component_quantities_match_reference(channel, rho):
-    comp = component_quantities(rho, channel)
-    w, c = channel.row_matrix()[0], comp.center.masses
-    _, a2, a3 = reference_moments(w, c, tilt(rho, w, c))
-    assert close(comp.a2, a2) and close(comp.a3, a3)
+    # a symmetric component's moments are the uniform average over its inputs
+    sol = symmetric_solution(rho, channel)
+    rows, c = channel.row_matrix(), sol.mean.masses
+    moments = [reference_moments(w, c, tilt(rho, w, c)) for w in rows]
+    assert close(sol.a2, math.fsum(m[1] for m in moments) / len(rows))
+    assert close(sol.a3, math.fsum(m[2] for m in moments) / len(rows))
 
 
 @pytest.mark.parametrize("channel, p", list(_channels()))
