@@ -112,9 +112,9 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
     """Lower bound for codes on a product of Renyi symmetric channels.
 
     Components may differ; the matching order solves the summed per-component
-    tilted rate equation, and moment constants average over components. The
-    slope certification of the parametric characterization is propagated into
-    the report.
+    tilted rate equation, and moment constants average over the distinct
+    components weighted by their counts. The slope certification of the
+    parametric characterization is propagated into the report.
     """
     from .symmetric import _solve_symmetric
 
@@ -122,9 +122,10 @@ def rspb_symmetric(channels, log_M_over_L: float) -> RspbReport:
     n = len(channels)
     if n < 1:
         raise SymmetryError("need at least one component channel")
-    rho, sols, certified = _solve_symmetric(channels, log_M_over_L)
-    exponent_total = sum(s.tilted_exponent for s in sols)
-    params = HtParams.from_moments(sum(s.a2 for s in sols) / n, sum(s.a3 for s in sols) / n)
+    rho, parts, certified = _solve_symmetric(channels, log_M_over_L)
+    exponent_total = sum(c * s.tilted_exponent for c, s in parts)
+    params = HtParams.from_moments(sum(c * s.a2 for c, s in parts) / n,
+                                   sum(c * s.a3 for c, s in parts) / n)
     return _assemble(n, log_M_over_L / n, rho, exponent_total, params,
                      slope_certified=certified)
 

@@ -5,13 +5,13 @@ The exponent at rate R is the supremum over orders in (0, 1) of
 of the information at order 0, and the order-one information I_1 there is
 a unique interior order at which the tilted-channel rate matches R, and the
 exponent, its slope and the order come from the Augustin mean there.
-One search finds the order: Brent's root-finder on the monotone rate
-profile, bracketed by (0, I_0) and (1, I_1) at no fixed-point cost. Its
-first probe is the order that Newton's method on the fixed-point and rate
-equations in (ln q, rho) proposes, read with no fixed-point solve when the
-Frank-Wolfe gap of the solution at Newton's q certifies it, and from a cold
-fixed point otherwise; every later probe is a cold fixed point. The point
-takes its exponent and moments from the accepted probe's solution.
+One solve, `_solve_components`, finds the order of both discrete refined
+bounds: Brent's root-finder on count-weighted tilted rates, bracketed by
+the counted ends (0, I_0) and (1, I_1) at no fixed-point cost. A point is
+one component. Its first probe is Newton's order on the fixed-point and
+rate equations in (ln q, rho), read with no solve when the Frank-Wolfe gap
+at Newton's q certifies it; every other probe is a cold fixed point. The
+point takes its exponent and moments from the accepted probe's solution.
 Newton starts where the rate's law near order 0 puts the root: exponential
 in -1/rho when I_0 = 0 and rows of p's support miss an output that others
 reach, quadratic in rho otherwise. Over a constraint set the search runs
@@ -122,13 +122,13 @@ def _find_order(rate_at, target, lo, hi, done, first=None):
             return point
 
 
-def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
+def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, low, high):
     """A proposed (order, mean) for the rate, or None: Newton's method on the
     joint system ln T_rho(q) = ln q, D_1(tilt || q | p) = rate in (ln q, rho).
 
     q lives on the outputs p W reaches and starts at the power-mean center of
-    a start order rho_0 read from the ends lo and hi, the (order, rate)
-    pairs (0, I_0) and (1, I_1). When I_0 = 0 but some output that p W
+    a start order rho_0 read from the ends of the rate range, low = I_0 at
+    order 0 and high = I_1 at order 1. When I_0 = 0 but some output that p W
     reaches is missed by rows of p's support, the rate near order 0 behaves
     like I_1 exp(c (1 - 1/rho)), with c = -ln max s_y over those outputs and
     s_y = sum_x p(x) 1{W(y|x) > 0} (Shannon, Gallager and Berlekamp, Inform.
@@ -147,17 +147,16 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, lo, hi):
     at rho.
     """
     weights, w_rows, lw = _support_rows(p, channel)
-    root = math.sqrt(rate)
-    s_lo, s_hi = math.sqrt(max(lo[1], 0.0)), math.sqrt(max(hi[1], 0.0))
-    rho = lo[0] + (hi[0] - lo[0]) * (root - s_lo) / (s_hi - s_lo)
-    if lo[1] == 0.0:
+    s_lo, s_hi = math.sqrt(max(low, 0.0)), math.sqrt(max(high, 0.0))
+    rho = (math.sqrt(rate) - s_lo) / (s_hi - s_lo)
+    if low == 0.0:
         reach = w_rows > 0
         share = (weights @ reach)[reach.any(axis=0) & ~reach.all(axis=0)]
         # a share that rounds to 1 (the rows missing it carry no mass to
         # speak of) gives c = 0 and no start
         if share.size and share.max() < 1.0:
             c = -math.log(share.max())
-            rho = c / (c + math.log(hi[1] / rate))
+            rho = c / (c + math.log(high / rate))
     q = _start(rho, weights, w_rows, lw)
     reached = weights @ w_rows > 0
     if not reached.all():
@@ -242,25 +241,42 @@ def _check_rate(rate: float, low: float, high: float):
         raise RateOutOfRangeError(rate, low, high)
 
 
+def _solve_components(components, target: float, first=None) -> tuple:
+    """Order where the count-weighted tilted rates of the components meet target.
+
+    A component is (count, (I_0, I_1), rate_at): its tilted rates at orders
+    0 and 1, the search's free bracket, and rate_at(rho) -> (rate, state).
+    `_find_order`, from `first` if given, stops on `_rate_met` of
+    |sum count * rate - target| / min(max(1, |target|), sum count).
+    Returns (rho*, the accepted probe's states).
+    """
+    low, high = (sum(count * ends[end] for count, ends, _ in components) for end in (0, 1))
+    _check_rate(target, low, high)
+    scale = min(max(1.0, abs(target)), sum(count for count, _, _ in components))
+
+    def summed(rho):
+        probes = [(count, *rate_at(rho)) for count, _, rate_at in components]
+        return sum(count * rate for count, rate, _ in probes), [state for *_, state in probes]
+
+    rho, _, states = _find_order(summed, target, (0.0, low), (1.0, high),
+                                 lambda rho, total, _: _rate_met(rho, abs(total - target) / scale),
+                                 first)
+    return rho, states
+
+
 def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpePoint:
     """Solve the parametric characterization of the exponent at one rate.
 
-    Finds the order where the tilted-channel rate profile over (0, 1) meets
-    the rate, then reads off the exponent as the KL divergence of the tilted
-    channel from the true channel and the slope as (rho* - 1) / rho*.
-    `_find_order` searches the bracket (0, I_0), (1, I_1) from
-    `_rate_endpoints`, and the point is read from the probe it accepts.
-    `_newton_order`'s order, if any, is its first probe: its solution is
-    Newton's q when `_certified_mean` certifies q, with no fixed point
-    solved, and a cold fixed point otherwise, as at every later probe. The
-    point's exponent, a2 and a3 are the accepted solution's; the exponent is
-    cross-checked against the direct form (1 - rho*) / rho* * (I_rho* - rate).
+    `_solve_components` finds the order where the tilted rate meets the
+    rate, for the one component (1, (I_0, I_1), rate_at), first probing
+    `_newton_order`'s order, if any, at Newton's q when `_certified_mean`
+    certifies it; every other probe is a cold fixed point. The exponent, a2
+    and a3 are the accepted solution's, the slope is (rho* - 1) / rho*, and
+    the exponent is checked against (1 - rho*) / rho* * (I_rho* - rate).
     """
-    low, high = _rate_endpoints(p, channel)
-    _check_rate(rate, low, high)
-    # at both ends of the order range the tilted rate is the information
-    lo, hi = (0.0, low), (1.0, high)
-    first, q = _newton_order(p, channel, rate, lo, hi) or (None, None)
+    ends = _rate_endpoints(p, channel)
+    _check_rate(rate, *ends)  # before Newton, which needs an interior rate
+    first, q = _newton_order(p, channel, rate, *ends) or (None, None)
 
     def rate_at(rho):
         sol = _certified_mean(rho, p, channel, q) if rho == first else None
@@ -268,9 +284,7 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
             sol = augustin_fixed_point(rho, p, channel)
         return sol.tilted_rate, sol
 
-    rho_star, _, sol = _find_order(
-        rate_at, rate, lo, hi, lambda rho, r, _: _rate_met(rho, abs(r - rate)), first
-    )
+    rho_star, (sol,) = _solve_components([(1, ends, rate_at)], rate, first)
     exponent = sol.tilted_exponent
     slope = (rho_star - 1.0) / rho_star
     direct = (1.0 - rho_star) / rho_star * (sol.information - rate)

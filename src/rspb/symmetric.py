@@ -10,12 +10,12 @@ time. For such channels the center comes from a closed-form power mean
 over a uniform input, which also covers Gallager-symmetric partitions. On
 a product of such channels the sphere-packing order solves one scalar
 equation, summed tilted rates equal to ln M - ln L; `_solve_symmetric`
-solves it, a single channel at rate R being the one-component case, on the
-kernels of `augustin`. Every center, here and in the diagnostics, comes
-from `_uniform_center` at one order. The solve's order probes tilt each
-distinct component once, and at the root each distinct component's
-exponent and moments are read off one `AugustinSolution` at the accepted
-probe's center, as the constant-composition bound reads its own.
+hands it to `spe._solve_components` as counted distinct components, a
+single channel at rate R being the one-component case. Every center, here
+and in the diagnostics, comes from `_uniform_center` at one order. Each
+order probe tilts each distinct component once, and at the root each
+distinct component's exponent and moments are read off one
+`AugustinSolution` at the accepted probe's center.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .augustin import _kl_rows, _row_divergences, _solution, _tilts_and_logs
 from .errors import InvalidOrderError, PreconditionError, SymmetryError
 from .measures import DiscreteChannel, FiniteDist, _merge_atoms, _power_mean, uniform_dist
-from .spe import _check_rate, _find_order, _rate_endpoints
+from .spe import _rate_endpoints, _solve_components
 
 DEFAULT_ORDER_GRID = tuple(np.round(np.arange(1, 21) * 0.05, 2))
 DEFAULT_SYMMETRY_TOL = 1e-9
@@ -174,68 +174,52 @@ def check_renyi_symmetry(
 
 
 def _tilted_rates(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
-    """Uniform-input center at rho, each input's tilt toward it, and input
-    0's tilted KL rate to the center, which symmetry makes input-independent:
-    a spread not within 1e-8, NaN included, raises SymmetryError."""
+    """Input 0's tilted KL rate to the uniform-input center at rho, which
+    symmetry makes input-independent, with (center, each input's tilt
+    toward it): a spread not within 1e-8, NaN included, raises SymmetryError."""
     center, _ = _uniform_center(rho, w_rows, lw)
     with np.errstate(divide="ignore", invalid="ignore"):
         tilts, lt = _tilts_and_logs(rho, w_rows, lw, center.masses)
         rates = _kl_rows(tilts, lt, np.log(center.masses))
     if not rates.max() - rates.min() <= 1e-8:
         raise SymmetryError("tilted rate differs across inputs")
-    return center, tilts, float(rates[0])
+    return float(rates[0]), (center, tilts)
 
 
 def _solve_symmetric(channels, target: float, tol: float = DEFAULT_SYMMETRY_TOL) -> tuple:
     """Order where the summed tilted rates of the components meet target.
 
-    Equal components, however built, are decided once by their column
-    classes, and each probe tilts each distinct component once. At rho*
-    each distinct component's `AugustinSolution` is formed once, at a
-    uniform input and the accepted probe's center, which one map step
-    returns, so it carries the identity gate and the Frank-Wolfe gap. The
-    bracket sums the components' rate ranges at a uniform input, from
-    `_rate_endpoints`. The slope (rho*-1)/rho* is certified when some
-    component's tilted log ratio is non-constant on input 0's tilt or every
-    component's center is the same at every order (one column class).
-    Returns (rho*, the solutions at rho* in the order of `channels`,
-    certified).
+    Equal components, however built, are counted and decided once by their
+    column classes; `spe._solve_components` solves them sorted by content,
+    so no bit depends on their order, on `_tilted_rates` probes. At rho*
+    each distinct component's solution is formed once at the accepted
+    probe's center. The slope is certified when some component's tilted log
+    ratio is non-constant on input 0's tilt or every center is order-free
+    (one column class). Returns (rho*, [(count, solution)], certified).
     """
-    distinct, layout = {}, []
-    for ch in channels:
+    found = {}
+    for i, ch in enumerate(channels):
         key = (ch.input_size, ch.row_matrix().tobytes())
-        distinct.setdefault(key, ch)
-        layout.append(key)
-    ends, rows, one_class = {}, {}, []
-    for key, ch in distinct.items():
-        rows[key] = ch.row_matrix(), ch.log_row_matrix()
-        classes = _column_classes(*rows[key], tol)
-        if classes is None:
-            raise SymmetryError(f"component {layout.index(key)} failed symmetry certification "
-                                "(its inputs differ on a column class)")
-        one_class.append(classes == 1)
-        ends[key] = _rate_endpoints(uniform_dist(ch.input_size), ch)
-    low = sum(ends[k][0] for k in layout)
-    high = sum(ends[k][1] for k in layout)
-    _check_rate(target, low, high)
-
-    def summed(rho):
-        tilted = {k: _tilted_rates(rho, *rows[k]) for k in distinct}
-        return sum(tilted[k][2] for k in layout), tilted
-
-    stop = 1e-12 * max(1.0, abs(target))
-    rho, _, tilted = _find_order(
-        summed, target, (0.0, low), (1.0, high),
-        lambda rho, total, _: abs(total - target) <= stop,
-    )
-    sols, nonconstant = {}, False
-    for k, (w_rows, lw) in rows.items():
-        center, tilts, _ = tilted[k]
-        sols[k] = _solution(rho, uniform_dist(len(lw)).masses, w_rows, lw, center.masses, 0)
+        if key not in found:
+            rows = ch.row_matrix(), ch.log_row_matrix()
+            classes = _column_classes(*rows, tol)
+            if classes is None:
+                raise SymmetryError(f"component {i} failed symmetry certification "
+                                    "(its inputs differ on a column class)")
+            found[key] = [0, _rate_endpoints(uniform_dist(ch.input_size), ch), rows, classes == 1]
+        found[key][0] += 1
+    parts = [found[key] for key in sorted(found)]
+    rho, tilted = _solve_components(
+        [(c, ends, lambda rho, rows=rows: _tilted_rates(rho, *rows)) for c, ends, rows, _ in parts],
+        target)
+    sols, nonconstant = [], False
+    for (count, _, (w_rows, lw), _), (center, tilts) in zip(parts, tilted):
+        sols.append((count, _solution(rho, uniform_dist(len(lw)).masses, w_rows, lw,
+                                      center.masses, 0)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = (lw[0] - np.log(center.masses))[tilts[0] > 0]
         nonconstant |= bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
-    return rho, [sols[k] for k in layout], nonconstant or all(one_class)
+    return rho, sols, nonconstant or all(part[3] for part in parts)
 
 
 @dataclass(frozen=True)
@@ -261,7 +245,7 @@ def parametric_symmetric(
     certification flag. A channel that is not symmetric at log-ratio
     tolerance tol raises SymmetryError.
     """
-    rho, (sol,), certified = _solve_symmetric([channel], rate, tol)
+    rho, ((_, sol),), certified = _solve_symmetric([channel], rate, tol)
     return SymmetricSpePoint(
         rate=rate,
         rho_star=rho,

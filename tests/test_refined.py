@@ -200,6 +200,32 @@ def test_symmetric_rejects_asymmetric_component():
     with pytest.raises(SymmetryError) as err:
         rspb_symmetric([bsc(0.1), zchannel(0.5)], 0.1)
     assert "1" in str(err.value)
+    # the error names the first failing component in the list, whatever
+    # order the solve sums the components in
+    for failing in ([zchannel(0.5), zchannel(0.3)], [zchannel(0.3), zchannel(0.5)]):
+        with pytest.raises(SymmetryError, match="component 2 failed"):
+            rspb_symmetric([bsc(0.1), bsc(0.2), *failing, bsc(0.1)], 0.5)
+
+
+def test_symmetric_report_does_not_depend_on_component_order():
+    # 107 components, 5 distinct: every permutation gives every bit
+    kinds = ((bsc(0.05), 30), (bsc(0.2), 25), (bec(0.3), 20), (CYCLIC4, 17), (bsc(0.11), 15))
+    channels = [ch for ch, count in kinds for _ in range(count)]
+    base = rspb_symmetric(channels, 0.25 * 107)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        assert rspb_symmetric([channels[i] for i in rng.permutation(107)], 0.25 * 107) == base
+
+
+def test_symmetric_root_does_not_depend_on_the_number_of_letters():
+    # the alternating product's root depends only on its mean rate: counted
+    # sums give one rho* at every even n, and the per-letter exponent within
+    # one ulp
+    reports = [rspb_symmetric([bsc(0.1), bsc(0.2)] * (n // 2), 0.15 * n)
+               for n in (10**3, 10**4, 10**5)]
+    assert len({rep.rho_star for rep in reports}) == 1
+    per_letter = [rep.exponent_total / rep.n for rep in reports]
+    assert max(per_letter) - min(per_letter) <= math.ulp(per_letter[0])
 
 
 def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
@@ -222,7 +248,7 @@ def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
     # search has returned, the root's exponent and moments are read off one
     # solution per distinct component at the accepted probe's center
     probes, returned, solved = [], [], []
-    rates, find, solution = (rspb.symmetric._tilted_rates, rspb.symmetric._find_order,
+    rates, find, solution = (rspb.symmetric._tilted_rates, rspb.spe._find_order,
                              rspb.symmetric._solution)
 
     def probing(rho, *rows):
@@ -239,7 +265,7 @@ def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
         return solution(*args)
 
     monkeypatch.setattr(rspb.symmetric, "_tilted_rates", probing)
-    monkeypatch.setattr(rspb.symmetric, "_find_order", finding)
+    monkeypatch.setattr(rspb.spe, "_find_order", finding)
     monkeypatch.setattr(rspb.symmetric, "_solution", solving)
     channels = [bsc(0.1), bsc(0.2)] * 4
     high = 4 * sum(symmetric_center(1.0, ch)[1] for ch in (bsc(0.1), bsc(0.2)))
@@ -255,10 +281,17 @@ def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
         assert solved == [1, 1], frac
         assert len({rows for rho, rows in probes if rho == rep.rho_star}) == 2, frac
         assert rep.slope_certified
-        sols = [symmetric_solution(rep.rho_star, ch) for ch in channels]
-        params = HtParams.from_moments(sum(s.a2 for s in sols) / 8, sum(s.a3 for s in sols) / 8)
-        assert rep.exponent_total == sum(s.tilted_exponent for s in sols), frac
+        # the report sums each distinct solution times its count: bit for bit
+        # that sum, and within a few ulps of the per-letter one
+        pair = [symmetric_solution(rep.rho_star, ch) for ch in channels[:2]]
+        params = HtParams.from_moments(sum(4 * s.a2 for s in pair) / 8,
+                                       sum(4 * s.a3 for s in pair) / 8)
+        assert rep.exponent_total == sum(4 * s.tilted_exponent for s in pair), frac
         assert (rep.a2, rep.a3) == (params.a2, params.a3), frac
+        sols = [symmetric_solution(rep.rho_star, ch) for ch in channels]
+        per_letter = (sum(s.tilted_exponent for s in sols), sum(s.a2 for s in sols) / 8,
+                      sum(s.a3 for s in sols) / 8)
+        assert (rep.exponent_total, rep.a2, rep.a3) == pytest.approx(per_letter, rel=4e-16), frac
 
 
 def test_symmetric_rate_range():

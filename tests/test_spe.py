@@ -40,6 +40,7 @@ from rspb.spe import (
     _find_order,
     _rate_endpoints,
     _rate_met,
+    _solve_components,
     spe_constrained,
     spe_parametric,
 )
@@ -684,6 +685,83 @@ def test_spent_bracket_returns_the_probe_nearest_the_target():
     assert (rho, rate) == min(probes, key=lambda probe: abs(probe[1] - 0.25))
     assert state == "state"
     assert 0.0 < 0.5 - rho < 1e-14
+
+
+def _toy(probes, name, rate):
+    """A component's rate_at on a toy rate function, its state the name;
+    each probe is recorded in probes as (name, order)."""
+    def rate_at(rho):
+        probes.append((name, rho))
+        return rate(rho), name
+    return rate_at
+
+
+@pytest.mark.parametrize("target, scale", [(0.5, 1.0), (10.0, 10.0), (75.0, 60.0)])
+def test_solve_components_weights_counts_and_scales_the_stop_rule(monkeypatch, target, scale):
+    # 50 letters of rate rho^2 and 10 of rate 4 rho: the bracket is the
+    # counted ends (0, 50 + 40), each probe adds count * rate over the two
+    # distinct components, and the stop rule reads the residual over
+    # min(max(1, |target|), 60)
+    probes, stops = [], []
+    met = rspb.spe._rate_met
+
+    def recording(rho, residual):
+        stops.append((rho, residual))
+        return met(rho, residual)
+
+    monkeypatch.setattr(rspb.spe, "_rate_met", recording)
+    components = [(50, (0.0, 1.0), _toy(probes, "square", lambda r: r * r)),
+                  (10, (0.0, 4.0), _toy(probes, "line", lambda r: 4.0 * r))]
+    rho, states = _solve_components(components, target)
+    assert states == ["square", "line"]
+    assert [name for name, _ in probes] == ["square", "line"] * len(stops)
+    for probe_rho, residual in stops:
+        total = 50 * (probe_rho * probe_rho) + 10 * (4.0 * probe_rho)
+        assert residual == abs(total - target) / scale
+    assert stops[-1][0] == rho and met(*stops[-1])
+
+
+def test_solve_components_one_component_stops_on_the_absolute_residual(monkeypatch):
+    # one component of count 1 is `_find_order` on its own rate under
+    # `_rate_met` of |rate - target|, whatever the target's size
+    stops = []
+    met = rspb.spe._rate_met
+
+    def recording(rho, residual):
+        stops.append((rho, residual))
+        return met(rho, residual)
+
+    monkeypatch.setattr(rspb.spe, "_rate_met", recording)
+    probes = []
+    rho, (state,) = _solve_components([(1, (0.0, 20.0), _toy(probes, "line", lambda r: 20.0 * r))],
+                                      10.0)
+    assert state == "line"
+    assert [residual for _, residual in stops] == [abs(20.0 * r - 10.0) for _, r in probes]
+    direct = _find_order(lambda r: (20.0 * r, "line"), 10.0, (0.0, 0.0), (1.0, 20.0),
+                         lambda r, rate, _: met(r, abs(rate - 10.0)))
+    assert (rho, state) == (direct[0], direct[2])
+
+
+def test_solve_components_checks_the_summed_range():
+    line, flat = _toy([], "line", lambda r: r), _toy([], "flat", lambda r: 0.5)
+    # two letters of range (0, 1) hold 1.5, which one letter's range does not
+    rho, _ = _solve_components([(2, (0.0, 1.0), line)], 1.5)
+    assert rho == pytest.approx(0.75, abs=1e-12)
+    for target in (0.0, 2.0, math.nan):
+        with pytest.raises(RateOutOfRangeError) as err:
+            _solve_components([(2, (0.0, 1.0), line)], target)
+        assert (err.value.low, err.value.high) == (0.0, 2.0)
+    with pytest.raises(DegenerateChannelError):
+        _solve_components([(3, (0.5, 0.5), flat), (1, (0.0, 0.0), flat)], 1.5)
+
+
+def test_solve_components_accepts_a_first_probe():
+    probes = []
+    components = [(2, (0.0, 1.0), _toy(probes, "square", lambda r: r * r)),
+                  (1, (0.0, 2.0), _toy(probes, "line", lambda r: 2.0 * r))]
+    # at order 0.5 the rates are 0.25 and 1: the first probe meets 2 * 0.25 + 1
+    assert _solve_components(components, 1.5, first=0.5) == (0.5, ["square", "line"])
+    assert probes == [("square", 0.5), ("line", 0.5)]
 
 
 # The rate range is computed afresh for every point, with no state kept

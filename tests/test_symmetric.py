@@ -97,7 +97,7 @@ def _tilt_nonconstant(rho, channel):
     """Whether input 0's log ratio to the center varies on its tilt's support,
     the slope flag's test."""
     lw = channel.log_row_matrix()
-    center, tilts, _ = _tilted_rates(rho, channel.row_matrix(), lw)
+    _, (center, tilts) = _tilted_rates(rho, channel.row_matrix(), lw)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (lw[0] - np.log(center.masses))[tilts[0] > 0]
     return bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
@@ -331,9 +331,9 @@ def test_every_symmetric_solution_is_certified(channels):
     u = uniform_dist(channels[0].input_size)
     low, high = (sum(e) for e in zip(*(_rate_endpoints(u, ch) for ch in channels)))
     for frac in (1e-3, 0.3, 0.7, 0.999):
-        _, sols, _ = rspb.symmetric._solve_symmetric(channels, low + frac * (high - low))
-        assert len(sols) == len(channels)
-        for sol in sols:
+        _, parts, _ = rspb.symmetric._solve_symmetric(channels, low + frac * (high - low))
+        assert sum(count for count, _ in parts) == len(channels)
+        for _, sol in parts:
             assert sol.gap <= DEFAULT_FP_TOL, frac
             assert sol.alt_identity_residual <= ALT_IDENTITY_TOL, frac
 
@@ -384,7 +384,7 @@ def test_single_order_center_is_the_grid_center_bit_for_bit(label, channel, symm
     center, _ = _uniform_center(rho, w_rows, lw)
     assert center.masses.tobytes() == want.masses.tobytes()
     if symmetric:
-        got = _tilted_rates(rho, w_rows, lw)[0]
+        got, _ = _tilted_rates(rho, w_rows, lw)[1]
         assert got.masses.tobytes() == want.masses.tobytes()
     center, capacity = symmetric_center(rho, channel)
     assert center.masses.tobytes() == want.masses.tobytes()
