@@ -58,12 +58,12 @@ class AugustinSolution:
     mean `_certified_mean` accepts, of the one step that certifies it) and
     alt_identity_residual the gap between information and its tilted-channel
     decomposition rho/(1-rho) tilted_exponent + tilted_rate (0 at order one).
-    One tilt of p's rows toward the mean (the rows at order one) gives the
-    rest: tilted_rate = D_1(tilt || mean | p) and tilted_exponent =
-    D_1(tilt || W | p), bit for bit tilted_kl_pair(rho, p, channel,
-    mean.masses); the Frank-Wolfe gap of `_certified_mean`, which puts I_rho
-    in [information - max(gap, 0), information]; and a2 and a3, the
-    p-weighted `_tilt_moments` of ln W - ln mean.
+    One tilt of p's rows toward the mean (the rows at order one; a symmetric
+    root reuses its probe's, toward the center before renormalizing) gives:
+    tilted_rate = D_1(tilt || mean | p) and tilted_exponent = D_1(tilt || W |
+    p), tilted_kl_pair(rho, p, channel, mean.masses) up to that rounding; the
+    Frank-Wolfe gap of `_certified_mean`, which puts I_rho in [information -
+    max(gap, 0), information]; and a2, a3, the p-weighted `_tilt_moments` of ln W - ln mean.
     """
 
     mean: FiniteDist
@@ -250,15 +250,16 @@ def augustin_fixed_point(
     return _solution(rho, weights, w_rows, lw, q, iterations, step)
 
 
-def _solution(rho, weights, w_rows, lw, q, iterations, step=None) -> AugustinSolution:
+def _solution(rho, weights, w_rows, lw, q, iterations, step=None, tilted=None) -> AugustinSolution:
     """The solution at the mean q from p's support rows and a solver's last TV
     step (None: one map step's at q), read off one tilt toward the
-    renormalized mean. The identity gate raises ComputationError, but not below
-    order one where q leaves a row no mass: the residual and gap read NaN."""
+    renormalized mean, or off `tilted`, the caller's (tilts, logs) toward q.
+    The identity gate raises ComputationError, but not below order one where
+    q leaves a row no mass: the residual and gap read NaN."""
     info = float(weights @ _row_divergences(rho, lw, q))
     mean = FiniteDist(q)
     q = mean.masses
-    t, lq, (rate, exponent) = _tilted_at(rho, weights, w_rows, lw, q)
+    t, lq, (rate, exponent) = _tilted_at(rho, weights, w_rows, lw, q, tilted)
     image = weights @ t
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = float(np.max((image / q)[weights @ w_rows > 0])) - 1.0
@@ -341,11 +342,11 @@ def haroutunian_rate(rho: float, p: FiniteDist, channel: DiscreteChannel) -> flo
     return augustin_fixed_point(rho, p, channel).tilted_rate
 
 
-def _tilted_at(rho: float, weights, w_rows, lw, q: np.ndarray) -> tuple:
-    """The rows tilted toward q, ln q and the pair (D_1(tilt || q | p),
-    D_1(tilt || W | p)) they give, from the support rows of p."""
+def _tilted_at(rho: float, weights, w_rows, lw, q: np.ndarray, tilted=None) -> tuple:
+    """The rows tilted toward q (those `tilted` holds, if given), ln q and the
+    pair (D_1(tilt || q | p), D_1(tilt || W | p)) they give."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t, lt = _tilts_and_logs(rho, w_rows, lw, q)
+        t, lt = tilted or _tilts_and_logs(rho, w_rows, lw, q)
         lq = np.log(q)
         return t, lq, (float(weights @ _kl_rows(t, lt, lq)), float(weights @ _kl_rows(t, lt, lw)))
 
@@ -428,11 +429,15 @@ def read_constraint(path) -> ConstraintSet:
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """A capacity read off `solution`, the Augustin solution at the optimizer:
+    center is its mean itself, capacity its information."""
+
     capacity: float
     center: FiniteDist
     optimizer: FiniteDist
     certificate_gap: float
     certified: bool
+    solution: AugustinSolution
 
 
 # an output that only vanishing inputs reach can leave q = 0 there and D = inf
@@ -502,12 +507,9 @@ def augustin_capacity(
     if constraint is None:
         constraint = ConstraintSet.all_inputs()
     if constraint.kind == "list":
-        best = None
-        for cand in constraint.dists:
-            sol = augustin_fixed_point(rho, cand, channel)
-            if best is None or sol.information > best[0]:
-                best = (sol.information, sol.mean, cand)
-        return CapacityResult(best[0], best[1], best[2], 0.0, True)
+        sols = ((augustin_fixed_point(rho, cand, channel), cand) for cand in constraint.dists)
+        sol, cand = max(sols, key=lambda pair: pair[0].information)
+        return CapacityResult(sol.information, sol.mean, cand, 0.0, True, sol)
     n_in = channel.input_size
     uniform = FiniteDist(np.full(n_in, 1.0 / n_in))
     _check_inputs(rho, uniform, channel)
@@ -548,4 +550,4 @@ def augustin_capacity(
         d = _divergences_on(terms, sol.mean.masses)
     gap = float(np.max(d - lam_hi * costs) + lam_hi * budget - sol.information)
     certified = gap <= tol and float(p.masses @ costs) <= budget + 1e-9
-    return CapacityResult(sol.information, sol.mean, p, gap, certified)
+    return CapacityResult(sol.information, sol.mean, p, gap, certified, sol)

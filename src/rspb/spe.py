@@ -40,7 +40,6 @@ from .augustin import (
     _tilt,
     augustin_capacity,
     augustin_fixed_point,
-    tilted_kl_pair,
 )
 from .errors import ComputationError, DegenerateChannelError, RateOutOfRangeError
 from .measures import DiscreteChannel, FiniteDist
@@ -270,11 +269,14 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
     `_solve_components` finds the order where the tilted rate meets the
     rate, for the one component (1, (I_0, I_1), rate_at), first probing
     `_newton_order`'s order, if any, at Newton's q when `_certified_mean`
-    certifies it; every other probe is a cold fixed point. The exponent, a2
-    and a3 are the accepted solution's, the slope is (rho* - 1) / rho*, and
-    the exponent is checked against (1 - rho*) / rho* * (I_rho* - rate).
+    certifies it; every other probe is a cold fixed point. The point is
+    `_point`'s, from the accepted solution.
     """
-    ends = _rate_endpoints(p, channel)
+    return _spe_point(p, channel, rate, _rate_endpoints(p, channel))
+
+
+def _spe_point(p: FiniteDist, channel: DiscreteChannel, rate: float, ends) -> SpePoint:
+    """`spe_parametric` on the rate range ends = (I_0, I_1) of p."""
     _check_rate(rate, *ends)  # before Newton, which needs an interior rate
     first, q = _newton_order(p, channel, rate, *ends) or (None, None)
 
@@ -285,14 +287,18 @@ def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpeP
         return sol.tilted_rate, sol
 
     rho_star, (sol,) = _solve_components([(1, ends, rate_at)], rate, first)
+    return _point(rate, rho_star, sol)
+
+
+def _point(rate: float, rho: float, sol) -> SpePoint:
+    """The point at the order rho from its Augustin solution: the exponent,
+    a2 and a3 are the solution's, the slope is (rho - 1) / rho, and the
+    exponent is checked against (1 - rho) / rho * (I_rho - rate)."""
     exponent = sol.tilted_exponent
-    slope = (rho_star - 1.0) / rho_star
-    direct = (1.0 - rho_star) / rho_star * (sol.information - rate)
+    direct = (1.0 - rho) / rho * (sol.information - rate)
     if abs(direct - exponent) > EXPONENT_CONSISTENCY_TOL:
-        raise ComputationError(
-            f"exponent forms disagree by {abs(direct - exponent):.3e}"
-        )
-    return SpePoint(rate=rate, rho_star=rho_star, exponent=exponent, slope=slope,
+        raise ComputationError(f"exponent forms disagree by {abs(direct - exponent):.3e}")
+    return SpePoint(rate=rate, rho_star=rho, exponent=exponent, slope=(rho - 1.0) / rho,
                     mean=sol.mean, a2=sol.a2, a3=sol.a3)
 
 
@@ -302,17 +308,6 @@ class ConstrainedSpe:
     argmax_p: FiniteDist
     point: SpePoint | None
     certified: bool
-
-
-def _point_or_limit(p: FiniteDist, channel: DiscreteChannel, rate: float):
-    """Exponent value for one input distribution, honoring the edge cases."""
-    low, high = _rate_endpoints(p, channel)
-    if rate >= high:
-        return 0.0, None
-    if rate <= low:
-        return np.inf, None
-    pt = spe_parametric(p, channel, rate)
-    return pt.exponent, pt
 
 
 def spe_constrained(
@@ -328,27 +323,30 @@ def spe_constrained(
     attained where the tilted rate of the capacity center at the optimizer
     meets the rate. `_find_order` finds that order between the capacity
     solves at LOW_ORDER_PROBE and at order one (rates at or beyond their
-    capacities give inf and 0), and its optimizer is fed back through the
-    single-distribution solve. The result is certified when the order-one
-    and interior capacities certify, the root meets the `spe_parametric`
-    stop rule and the low capacity plus its gap is below the rate. Lists are
-    enumerated exactly.
+    capacities give inf and 0), each probe's rate read off its capacity's
+    solution, and the point is `_point`'s from the accepted one. The result
+    is certified when the order-one and interior capacities certify, the
+    root meets the `spe_parametric` stop rule and the low capacity plus its
+    gap is below the rate. Lists are enumerated exactly, on one rate range
+    per candidate.
     """
+    if math.isnan(rate):
+        raise RateOutOfRangeError(rate, 0.0, math.inf)
     if constraint.kind == "list":
         best = None
         for cand in constraint.dists:
-            value, pt = _point_or_limit(cand, channel, rate)
+            low, high = ends = _rate_endpoints(cand, channel)
+            pt = _spe_point(cand, channel, rate, ends) if low < rate < high else None
+            value = pt.exponent if pt is not None else 0.0 if rate >= high else math.inf
             if best is None or value > best[0]:
                 best = (value, cand, pt)
         return ConstrainedSpe(*best, True)
-    if math.isnan(rate):
-        raise RateOutOfRangeError(rate, 0.0, math.inf)
     solves = []
 
     def rate_at(rho):
         res = augustin_capacity(rho, channel, constraint, tol=tol)
         solves.append(res)
-        return tilted_kl_pair(rho, res.optimizer, channel, res.center.masses)[0], res
+        return res.solution.tilted_rate, res
 
     (low_rate, low), (high_rate, high) = rate_at(LOW_ORDER_PROBE), rate_at(1.0)
     if rate >= high.capacity:
@@ -362,5 +360,5 @@ def spe_constrained(
     )
     certified = (_rate_met(rho, abs(r - rate)) and all(res.certified for res in solves[1:])
                  and low.capacity + low.certificate_gap < rate)
-    value, pt = _point_or_limit(best.optimizer, channel, rate)
-    return ConstrainedSpe(value, best.optimizer, pt, certified)
+    pt = _point(rate, rho, best.solution)
+    return ConstrainedSpe(pt.exponent, best.optimizer, pt, certified)

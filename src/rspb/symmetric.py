@@ -15,7 +15,7 @@ single channel at rate R being the one-component case. Every center, here
 and in the diagnostics, comes from `_uniform_center` at one order. Each
 order probe tilts each distinct component once, and at the root each
 distinct component's exponent and moments are read off one
-`AugustinSolution` at the accepted probe's center.
+`AugustinSolution` built from the accepted probe's center and tilt.
 """
 
 from __future__ import annotations
@@ -174,16 +174,16 @@ def check_renyi_symmetry(
 
 
 def _tilted_rates(rho: float, w_rows: np.ndarray, lw: np.ndarray) -> tuple:
-    """Input 0's tilted KL rate to the uniform-input center at rho, which
-    symmetry makes input-independent, with (center, each input's tilt
-    toward it): a spread not within 1e-8, NaN included, raises SymmetryError."""
+    """Input 0's tilted KL rate to the uniform-input center, input-independent
+    by symmetry, with (center, (the inputs' tilts toward it, their logs)): a
+    spread not within 1e-8, NaN included, raises SymmetryError."""
     center, _ = _uniform_center(rho, w_rows, lw)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tilts, lt = _tilts_and_logs(rho, w_rows, lw, center.masses)
-        rates = _kl_rows(tilts, lt, np.log(center.masses))
+        tilted = _tilts_and_logs(rho, w_rows, lw, center.masses)
+        rates = _kl_rows(*tilted, np.log(center.masses))
     if not rates.max() - rates.min() <= 1e-8:
         raise SymmetryError("tilted rate differs across inputs")
-    return float(rates[0]), (center, tilts)
+    return float(rates[0]), (center, tilted)
 
 
 def _solve_symmetric(channels, target: float, tol: float = DEFAULT_SYMMETRY_TOL) -> tuple:
@@ -192,8 +192,8 @@ def _solve_symmetric(channels, target: float, tol: float = DEFAULT_SYMMETRY_TOL)
     Equal components, however built, are counted and decided once by their
     column classes; `spe._solve_components` solves them sorted by content,
     so no bit depends on their order, on `_tilted_rates` probes. At rho*
-    each distinct component's solution is formed once at the accepted
-    probe's center. The slope is certified when some component's tilted log
+    each distinct component's solution is read off the accepted probe's
+    center and tilt. The slope is certified when some component's tilted log
     ratio is non-constant on input 0's tilt or every center is order-free
     (one column class). Returns (rho*, [(count, solution)], certified).
     """
@@ -209,15 +209,15 @@ def _solve_symmetric(channels, target: float, tol: float = DEFAULT_SYMMETRY_TOL)
             found[key] = [0, _rate_endpoints(uniform_dist(ch.input_size), ch), rows, classes == 1]
         found[key][0] += 1
     parts = [found[key] for key in sorted(found)]
-    rho, tilted = _solve_components(
+    rho, states = _solve_components(
         [(c, ends, lambda rho, rows=rows: _tilted_rates(rho, *rows)) for c, ends, rows, _ in parts],
         target)
     sols, nonconstant = [], False
-    for (count, _, (w_rows, lw), _), (center, tilts) in zip(parts, tilted):
+    for (count, _, (w_rows, lw), _), (center, tilted) in zip(parts, states):
         sols.append((count, _solution(rho, uniform_dist(len(lw)).masses, w_rows, lw,
-                                      center.masses, 0)))
+                                      center.masses, 0, None, tilted)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = (lw[0] - np.log(center.masses))[tilts[0] > 0]
+            ratios = (lw[0] - np.log(center.masses))[tilted[0][0] > 0]
         nonconstant |= bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
     return rho, sols, nonconstant or all(part[3] for part in parts)
 

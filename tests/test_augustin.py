@@ -225,6 +225,21 @@ def test_capacity_single_and_list_constraints():
     assert listed.optimizer.allclose(uniform_dist(2))
 
 
+@pytest.mark.parametrize("constraint", [
+    None, ConstraintSet.cost([0.0, 1.0], 0.3), ConstraintSet.explicit([bern(0.3), U2, bern(0.6)]),
+], ids=["all", "cost", "list"])
+def test_capacity_carries_its_solution(constraint):
+    # the capacity and center are read off the solution at the optimizer,
+    # whose Frank-Wolfe gap bounds I_rho there from below
+    res = augustin_capacity(0.5, zchannel(0.3), constraint)
+    assert res.capacity == res.solution.information
+    assert res.center is res.solution.mean
+    assert math.isfinite(res.solution.gap)
+    if constraint is not None and constraint.kind == "list":
+        assert res.optimizer is U2
+        assert res.capacity == augustin_fixed_point(0.5, U2, zchannel(0.3)).information
+
+
 def test_capacity_z_channel_certified():
     # order-one capacity of the half-flip Z channel is ln(5/4)
     res = augustin_capacity(1.0, zchannel(0.5), tol=1e-8)

@@ -246,10 +246,11 @@ def test_symmetric_dedupes_equal_components_by_content(monkeypatch):
 def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
     # each order probe tilts each distinct component once, and once the
     # search has returned, the root's exponent and moments are read off one
-    # solution per distinct component at the accepted probe's center
-    probes, returned, solved = [], [], []
-    rates, find, solution = (rspb.symmetric._tilted_rates, rspb.spe._find_order,
-                             rspb.symmetric._solution)
+    # solution per distinct component at the accepted probe's center and
+    # tilt, with no tilt of its own
+    probes, returned, solved, tilts = [], [], [], []
+    rates, find, solution, tilt = (rspb.symmetric._tilted_rates, rspb.spe._find_order,
+                                   rspb.symmetric._solution, rspb.augustin._tilt)
 
     def probing(rho, *rows):
         probes.append((rho, rows[0].tobytes()))
@@ -264,7 +265,12 @@ def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
         solved.append(len(returned))
         return solution(*args)
 
+    def tilting(*args):
+        tilts.append(len(returned))
+        return tilt(*args)
+
     monkeypatch.setattr(rspb.symmetric, "_tilted_rates", probing)
+    monkeypatch.setattr(rspb.augustin, "_tilt", tilting)
     monkeypatch.setattr(rspb.spe, "_find_order", finding)
     monkeypatch.setattr(rspb.symmetric, "_solution", solving)
     channels = [bsc(0.1), bsc(0.2)] * 4
@@ -273,12 +279,14 @@ def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
         probes.clear()
         returned.clear()
         solved.clear()
+        tilts.clear()
         rep = rspb_symmetric(channels, frac * high)
         # at most 8 order probes of the 2 components, the low end's included,
         # and none once the search has returned
         assert len(probes) <= 16, frac
         assert returned == [len(probes)], frac
         assert solved == [1, 1], frac
+        assert tilts and set(tilts) == {0}, frac
         assert len({rows for rho, rows in probes if rho == rep.rho_star}) == 2, frac
         assert rep.slope_certified
         # the report sums each distinct solution times its count: bit for bit

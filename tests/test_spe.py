@@ -252,11 +252,71 @@ def test_constrained_order_root_find(monkeypatch, channel, constraint, rate, val
 
 def test_constrained_nan_rate_raises_before_any_solve(monkeypatch):
     calls = []
-    monkeypatch.setattr(rspb.spe, "augustin_capacity", lambda *args, **kw: calls.append(args))
-    for constraint in (ALL, ConstraintSet.cost([0.0, 1.0], 0.3)):
+    for name in ("augustin_capacity", "_rate_endpoints"):
+        monkeypatch.setattr(rspb.spe, name, lambda *args, **kw: calls.append(args))
+    listed = ConstraintSet.explicit([bern(0.3), point_mass(0, 2)])
+    for constraint in (ALL, ConstraintSet.cost([0.0, 1.0], 0.3), listed):
         with pytest.raises(RateOutOfRangeError):
             spe_constrained(bsc(0.1), constraint, math.nan)
     assert calls == []
+
+
+def _counting_calls(monkeypatch, names):
+    """Record, by name, every call the spe module makes to the named functions."""
+    calls = []
+    for name in names:
+        fn = getattr(rspb.spe, name)
+
+        def counting(*args, fn=fn, name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(rspb.spe, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "channel, constraint, rate",
+    [(bsc(0.1), ALL, 0.1), (R8X16, ALL, 0.1),
+     (zchannel(0.3), ConstraintSet.cost([0.0, 1.0], 0.3), 0.05)],
+    ids=["bsc-.1", "r8x16-.1", "z-cost-.05"],
+)
+def test_constrained_point_is_read_off_the_accepted_capacity(monkeypatch, channel, constraint,
+                                                             rate):
+    # the root-find's accepted capacity probe holds the point: no point
+    # solve, Newton proposal or rate range runs after it
+    probes = []
+    solve = rspb.spe.augustin_capacity
+
+    def probing(rho, *args, **kwargs):
+        probes.append(rho)
+        return solve(rho, *args, **kwargs)
+
+    monkeypatch.setattr(rspb.spe, "augustin_capacity", probing)
+    calls = _counting_calls(monkeypatch, ("spe_parametric", "_newton_order", "_rate_endpoints"))
+    res = spe_constrained(channel, constraint, rate)
+    assert res.certified
+    assert calls == []
+    assert res.point.rho_star == probes[-1]
+    center = solve(res.point.rho_star, channel, constraint).center
+    assert res.point.mean.masses.tobytes() == center.masses.tobytes()
+    assert res.value == res.point.exponent
+
+
+def test_constrained_list_forms_each_candidate_range_once(monkeypatch):
+    calls = _counting_calls(monkeypatch, ("_rate_endpoints",))
+    listed = ConstraintSet.explicit([bern(0.3), bern(0.5), bern(0.6)])
+    res = spe_constrained(zchannel(0.3), listed, 0.1)
+    assert calls == ["_rate_endpoints"] * 3
+    assert res.value == max(spe_parametric(p, zchannel(0.3), 0.1).exponent for p in listed.dists)
+
+
+def test_constrained_point_mass_candidate_is_a_limit():
+    # a point mass has a flat rate range, [0, 0]: a rate at or above it
+    # gives 0, one below it inf, and neither a point
+    for rate, value in ((0.1, 0.0), (0.0, 0.0), (-0.1, math.inf)):
+        res = spe_constrained(bsc(0.1), ConstraintSet.single(point_mass(0, 2)), rate)
+        assert (res.value, res.point, res.certified) == (value, None, True), rate
 
 
 def _counting_solves(monkeypatch):

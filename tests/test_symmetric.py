@@ -97,7 +97,7 @@ def _tilt_nonconstant(rho, channel):
     """Whether input 0's log ratio to the center varies on its tilt's support,
     the slope flag's test."""
     lw = channel.log_row_matrix()
-    _, (center, tilts) = _tilted_rates(rho, channel.row_matrix(), lw)
+    _, (center, (tilts, _)) = _tilted_rates(rho, channel.row_matrix(), lw)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (lw[0] - np.log(center.masses))[tilts[0] > 0]
     return bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)
