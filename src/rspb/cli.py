@@ -296,14 +296,7 @@ def _cmd_symmetric(args):
     channel = _get_channel(args)
     point = None if args.rate is None else parametric_symmetric(channel, args.rate, tol=args.tol)
     report = check_renyi_symmetry(channel, tol=args.tol)
-    out = {
-        "is_symmetric": report.is_symmetric,
-        "checked_orders": list(report.checked_orders),
-        "max_divergence_spread": report.max_divergence_spread,
-        "max_profile_distance": report.max_profile_distance,
-        "max_center_fixed_point_tv": report.max_center_fixed_point_tv,
-        "center_per_order": {f"{k:g}": v for k, v in report.center_per_order.items()},
-    }
+    out = asdict(report)
     if point is not None:
         out["parametric"] = {
             "rate": point.rate,
@@ -392,12 +385,19 @@ def _cmd_rspb(args):
     )
 
     _check_n(args)
+    discrete = args.mode in ("cc", "symmetric")
+    reads = dict.fromkeys(("channel", "bsc", "bec", "zchannel"), discrete)
+    reads.update(sigma2=not discrete, cost=not discrete, composition=args.mode == "cc")
+    for option, read in reads.items():
+        if not read and getattr(args, option) is not None:
+            raise PreconditionError(f"rspb --mode {args.mode} does not read --{option}")
     if args.log_m_over_l is None and args.rate is None:
         raise PreconditionError("give --log-m-over-l or --rate")
     log_ml = args.log_m_over_l if args.log_m_over_l is not None else args.rate * args.n
     if args.mode == "cc":
         channel = _get_channel(args)
-        comp = _get_dist(args.composition, channel.input_size)
+        spec = "uniform" if args.composition is None else args.composition
+        comp = _get_dist(spec, channel.input_size)
         rep = rspb_constant_composition(channel, comp, args.n, log_ml)
     elif args.mode == "symmetric":
         channel = _get_channel(args)
@@ -419,18 +419,8 @@ def _cmd_htbe(args):
     from .htbe import ht_params, htbe_achievability, htbe_converse, threshold_gamma, threshold_test
     from .measures import bern, read_distribution, renyi_divergence, tilted_measure
 
-    if args.w_bern is not None:
-        w = bern(args.w_bern)
-    elif args.w:
-        w = read_distribution(args.w)
-    else:
-        raise PreconditionError("give --w FILE or --w-bern P")
-    if args.q_bern is not None:
-        q = bern(args.q_bern)
-    elif args.q:
-        q = read_distribution(args.q)
-    else:
-        raise PreconditionError("give --q FILE or --q-bern P")
+    w = bern(args.w_bern) if args.w is None else read_distribution(args.w)
+    q = bern(args.q_bern) if args.q is None else read_distribution(args.q)
     n = args.n
     params = ht_params(args.order, [w], [q])
     tilt = tilted_measure(args.order, w, q)
@@ -552,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("cc", "symmetric", "awgn", "awgn-shannon", "awgn-vv"),
                     required=True)
     _add_channel_args(sp)
-    sp.add_argument("--composition", default="uniform", help="'uniform' or a file")
+    sp.add_argument("--composition", help="'uniform' (the default) or a file; --mode cc only")
     sp.add_argument("--n", type=int, required=True)
     given = sp.add_mutually_exclusive_group()
     given.add_argument("--log-m-over-l", type=float, help="ln M - ln L")
@@ -565,10 +555,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--w", help="distribution file")
-    sp.add_argument("--q", help="distribution file")
-    sp.add_argument("--w-bern", type=float, help="Bernoulli shorthand for --w")
-    sp.add_argument("--q-bern", type=float, help="Bernoulli shorthand for --q")
+    for side in ("w", "q"):
+        given = sp.add_mutually_exclusive_group(required=True)
+        given.add_argument(f"--{side}", help="distribution file")
+        given.add_argument(f"--{side}-bern", type=float, help=f"Bernoulli shorthand for --{side}")
     sp.add_argument("--budget", type=int, default=2_000_000)
     sp.set_defaults(func=_cmd_htbe)
 

@@ -22,6 +22,7 @@ from .errors import (
     InfiniteDivergenceError,
     InvalidOrderError,
     InvalidProbabilityError,
+    PreconditionError,
 )
 
 NORMALIZATION_TOL = 1e-12
@@ -441,8 +442,11 @@ def product_log_ratio(w_seq, q_seq, budget: int = 2_000_000) -> ProductLogRatio:
     """Convolve per-component log-likelihood-ratio atoms exactly.
 
     Raises BudgetExceededError when an intermediate atom count would exceed
-    the budget.
+    the budget, so a budget of 0 enumerates nothing, and PreconditionError
+    on a negative budget.
     """
+    if budget < 0:
+        raise PreconditionError(f"budget must be non-negative, got {budget}")
     if len(w_seq) != len(q_seq) or not w_seq:
         raise ValueError("need equal-length non-empty sequences")
     values = np.array([0.0])

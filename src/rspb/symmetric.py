@@ -5,17 +5,18 @@ against the order rho center does not depend on the input, at every order
 with finite capacity. The center at an output depends only on the nonzero
 entries of its column, so `_column_classes` decides symmetry at every order
 at once from classes of columns (the proof is in the README), and
-`check_renyi_symmetry` adds three diagnostics, one order of a grid at a
-time. For such channels the center comes from a closed-form power mean
-over a uniform input, which also covers Gallager-symmetric partitions. On
-a product of such channels the sphere-packing order solves one scalar
-equation, summed tilted rates equal to ln M - ln L; `_solve_symmetric`
-hands it to `spe._solve_components` as counted distinct components, a
-single channel at rate R being the one-component case. Every center, here
-and in the diagnostics, comes from `_uniform_center` at one order. Each
-order probe tilts each distinct component once, and at the root each
-distinct component's exponent and moments are read off one
-`AugustinSolution` built from the accepted probe's center and tilt.
+`check_renyi_symmetry` reports the decision with its number of classes and
+three diagnostics, one order of a fixed grid at a time. For such channels
+the center comes from a closed-form power mean over a uniform input, which
+also covers Gallager-symmetric partitions. On a product of such channels
+the sphere-packing order solves one scalar equation, summed tilted rates
+equal to ln M - ln L; `_solve_symmetric` hands it to
+`spe._solve_components` as counted distinct components, a single channel
+at rate R being the one-component case. Every center, here and in the
+diagnostics, comes from `_uniform_center` at one order. Each order probe
+tilts each distinct component once, and at the root each distinct
+component's exponent and moments are read off one `AugustinSolution`
+built from the accepted probe's center and tilt.
 """
 
 from __future__ import annotations
@@ -95,56 +96,46 @@ def _column_classes(w_rows: np.ndarray, lw: np.ndarray, tol: float):
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """The exact symmetry decision, with the worst value of each grid
-    condition over the checked orders as diagnostics.
+    """The exact symmetry decision, its number of column classes (None for a
+    channel that is not symmetric; 1 exactly when the center does not move
+    with the order), and the worst value of each of three conditions over
+    `DEFAULT_ORDER_GRID` as diagnostics.
 
     `max_center_fixed_point_tv` is TV(T(c), c) for the power-mean center c
     and the uniform-input Augustin map T(q) = mean_x tilt_rho(W(x), q), whose
     unique fixed point is the Augustin mean. T(c) = c when the divergences
     D_rho(W(x)||c) agree, and TV(T(c), c) <= (exp((1-rho) spread) - 1)/2.
-    Where c underflows to 0 on every output an input reaches, that input has
-    no tilt and the step reads inf, as the spread and profile distance do.
     """
 
     is_symmetric: bool
-    checked_orders: tuple
-    center_per_order: dict
+    column_classes: int | None
     max_divergence_spread: float
     max_profile_distance: float
     max_center_fixed_point_tv: float
 
 
 def check_renyi_symmetry(
-    channel: DiscreteChannel,
-    rho_grid=DEFAULT_ORDER_GRID,
-    tol: float = DEFAULT_SYMMETRY_TOL,
+    channel: DiscreteChannel, *, tol: float = DEFAULT_SYMMETRY_TOL
 ) -> SymmetryReport:
-    """Decide Renyi symmetry exactly and report three diagnostics on an order grid.
+    """Decide Renyi symmetry exactly and report three diagnostics on the order grid.
 
-    `is_symmetric` is the column-class decision at log-ratio tolerance tol,
-    which holds at every order. The grid is walked one order at a time: the
-    center c is `_uniform_center`'s, and the worst value over the orders of
-    three conditions is reported: the spread of the per-input divergences
-    to c, the distance between the per-input log-likelihood-ratio profiles
-    as merged multisets, and the step of one application of the
-    uniform-input Augustin map at c (see SymmetryReport). No fixed point is
-    iterated. A failing channel is reported, not raised; a negative or NaN
-    tol raises PreconditionError.
+    `is_symmetric` and `column_classes` are the column-class decision at
+    log-ratio tolerance tol, which holds at every order. `DEFAULT_ORDER_GRID`
+    is walked one order at a time: the center c is `_uniform_center`'s, and
+    the worst value over the orders of three conditions is reported: the
+    spread of the per-input divergences to c, the distance between the
+    per-input log-likelihood-ratio profiles as merged multisets, and the
+    step of one application of the uniform-input Augustin map at c (see
+    SymmetryReport). No fixed point is iterated. A failing channel is
+    reported, not raised; a negative or NaN tol raises PreconditionError.
     """
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    symmetric = _column_classes(w_rows, lw, tol) is not None
-    rhos = np.asarray(rho_grid, dtype=float)
-    if rhos.ndim != 1 or rhos.size == 0:
-        raise PreconditionError(f"orders must be a non-empty 1-d sequence, got {rhos.tolist()}")
-    if not np.all((rhos > 0) & (rhos <= 1)):
-        raise InvalidOrderError(f"orders must lie in (0, 1], got {rhos.tolist()}")
-    centers, worst = {}, []
-    for rho in rhos.tolist():
-        centers[rho], _ = _uniform_center(rho, w_rows, lw)
-        c = centers[rho].masses
-        # at order one the map's image is the row mixture whatever q: tilting
-        # would form 0 * (-inf) on an output no input reaches, NaN on a row c misses
-        with np.errstate(divide="ignore", invalid="ignore"):
+    classes = _column_classes(w_rows, lw, tol)
+    worst = []
+    for rho in DEFAULT_ORDER_GRID:
+        c = _uniform_center(rho, w_rows, lw)[0].masses
+        # c(y) >= W(y|x) k^(-1/rho)/|Y| on k inputs: no row loses its tilt below k ~ 1e15
+        with np.errstate(divide="ignore"):
             image = _tilts_and_logs(rho, w_rows, lw, c)[0].mean(axis=0)
         divs = _row_divergences(rho, lw, c)
         # one profile row per input: ln W(y|x) - ln c(y) with mass W(y|x)
@@ -160,13 +151,11 @@ def check_renyi_symmetry(
             gaps = np.abs(np.subtract(values, v0, out=np.zeros(values.shape),
                                       where=(values != v0) & ~absent))
             profile = max(gaps.max(), np.abs(m - m[0]).max())
-        step = 0.5 * np.abs(image - c).sum()
-        worst.append((divs.max() - divs.min(), profile, math.inf if np.isnan(step) else step))
+        worst.append((divs.max() - divs.min(), profile, 0.5 * np.abs(image - c).sum()))
     spread_max, profile_max, center_tv_max = map(float, np.max(worst, axis=0))
     return SymmetryReport(
-        is_symmetric=symmetric,
-        checked_orders=tuple(rhos.tolist()),
-        center_per_order=centers,
+        is_symmetric=classes is not None,
+        column_classes=classes,
         max_divergence_spread=spread_max,
         max_profile_distance=profile_max,
         max_center_fixed_point_tv=center_tv_max,

@@ -19,7 +19,7 @@ import numpy as np
 from rspb.augustin import _row_divergences, _tilt
 from rspb.errors import InvalidProbabilityError, PreconditionError
 from rspb.gaussian import AwgnParams
-from rspb.symmetric import PROFILE_MERGE_TOL, SymmetryReport, _uniform_center
+from rspb.symmetric import DEFAULT_ORDER_GRID, PROFILE_MERGE_TOL, _uniform_center
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
@@ -170,22 +170,34 @@ def merge_atoms_1d(values, tol, *masses):
     return (values[starts], *(np.add.reduceat(m[order], starts) for m in masses))
 
 
-def symmetry_report_per_order(channel, rho_grid, tol) -> SymmetryReport:
-    """`check_renyi_symmetry` with its centers, spread and profiles taken one
-    order, and the profiles one input, at a time: per-order `_uniform_center`
-    and `_row_divergences` calls and one `merge_atoms_1d` per input."""
-    rhos = np.asarray(rho_grid, dtype=float)
+@dataclass(frozen=True)
+class PerOrderReport:
+    """The grid reference's decision, its center at each order of the grid,
+    and the worst value of each of `SymmetryReport`'s three diagnostics."""
+
+    is_symmetric: bool
+    center_per_order: dict
+    max_divergence_spread: float
+    max_profile_distance: float
+    max_center_fixed_point_tv: float
+
+
+def symmetry_report_per_order(channel, tol) -> PerOrderReport:
+    """`check_renyi_symmetry`'s diagnostics with its centers, spread and
+    profiles taken one order, and the profiles one input, at a time:
+    per-order `_uniform_center` and `_row_divergences` calls and one
+    `merge_atoms_1d` per input. The decision holds each diagnostic to tol
+    on `DEFAULT_ORDER_GRID`, the rule the column classes replaced."""
+    rhos = np.asarray(DEFAULT_ORDER_GRID, dtype=float)
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
     centers = [_uniform_center(float(rho), w_rows, lw)[0] for rho in rhos]
     masses = np.array([c.masses for c in centers])
     low = rhos < 1.0
     images = np.broadcast_to(w_rows.mean(axis=0), masses.shape).copy()
     r = rhos[low, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         images[low] = _tilt(r * lw, 1.0 - r, masses[low, None, :]).mean(axis=1)
-    # a row the center leaves no mass has no tilt: its step reads inf
-    steps = 0.5 * np.abs(images - masses).sum(axis=1)
-    center_tv_max = float(np.where(np.isnan(steps), np.inf, steps).max())
+    center_tv_max = float((0.5 * np.abs(images - masses).sum(axis=1)).max())
     spread_max = profile_max = 0.0
     support = w_rows > 0
     for rho, c in zip(rhos, masses):
@@ -203,9 +215,8 @@ def symmetry_report_per_order(channel, rho_grid, tol) -> SymmetryReport:
                 gaps = np.abs(np.subtract(v, v0, out=np.zeros(v.size), where=v != v0))
                 gap = max(gaps.max(), np.abs(m - m0).max())
             profile_max = max(profile_max, float(gap))
-    return SymmetryReport(
+    return PerOrderReport(
         is_symmetric=spread_max <= tol and profile_max <= tol and center_tv_max <= tol,
-        checked_orders=tuple(rhos.tolist()),
         center_per_order=dict(zip(rhos.tolist(), centers)),
         max_divergence_spread=spread_max,
         max_profile_distance=profile_max,

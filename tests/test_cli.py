@@ -577,6 +577,57 @@ def test_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+HTBE = ("htbe", "--order", "0.5", "--n", "64", "--beta", "0.004")
+
+
+@pytest.mark.parametrize("sides", [
+    ("--w-bern", "0.1", "--w", "w.json", "--q-bern", "0.5"),
+    ("--w-bern", "0.1", "--q-bern", "0.5", "--q", "q.json"),
+    ("--q-bern", "0.5"),
+    ("--w-bern", "0.1"),
+], ids=["both w", "both q", "no w", "no q"])
+def test_htbe_takes_exactly_one_of_each_pair(capsys, sides):
+    # argparse refuses the pair, or its absence, before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main([*HTBE, *sides])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_htbe_budget_below_zero_is_a_precondition_error(capsys):
+    pair = ("--w-bern", "0.1", "--q-bern", "0.5")
+    code, out, err = run_cli(capsys, *HTBE, *pair, "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert "budget must be non-negative, got -1" in err
+    # a budget of 0 enumerates nothing: the rule alone, not an error
+    code, out, _ = run_cli(capsys, *HTBE, *pair, "--budget", "0")
+    assert code == 0
+    assert json.loads(out)["threshold_test"]["exact"] is False
+
+
+AWGN_OPTIONS = ("--sigma2", "1", "--cost", "1")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("awgn", *AWGN_OPTIONS, "--bsc", "0.1"), "--bsc"),
+    (("awgn-vv", *AWGN_OPTIONS, "--channel", "c.json"), "--channel"),
+    (("awgn-shannon", *AWGN_OPTIONS, "--composition", "uniform"), "--composition"),
+    (("cc", "--bsc", "0.1", "--sigma2", "5"), "--sigma2"),
+    (("symmetric", "--bec", "0.3", "--cost", "1"), "--cost"),
+    (("symmetric", "--bsc", "0.1", "--composition", "uniform"), "--composition"),
+], ids=["awgn channel", "awgn-vv channel file", "awgn-shannon composition", "cc sigma2",
+        "symmetric cost", "symmetric composition"])
+def test_rspb_rejects_an_option_its_mode_does_not_read(capsys, argv, option):
+    code, out, err = run_cli(capsys, "rspb", "--mode", *argv, "--n", "100", "--rate", "0.1")
+    assert (code, out) == (2, "")
+    assert f"rspb --mode {argv[0]} does not read {option}" in err
+
+
+def test_rspb_cc_reads_a_uniform_composition_by_default(capsys):
+    argv = ("rspb", "--mode", "cc", "--bsc", "0.1", "--n", "600", "--rate", "0.1308120")
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--composition", "uniform")
+
+
 def test_closed_stdout_exits_0_quietly(monkeypatch, tmp_path):
     class ClosedPipe:
         def __init__(self, fd):

@@ -159,9 +159,12 @@ def test_threshold_test_binomial_example():
 
 
 def test_threshold_test_rule_only_when_budget_exceeded():
-    res = threshold_test(0.0, [W] * 12, [Q] * 12, 0.5, budget=4)
-    assert not res.exact and res.type_i is None
-    assert math.isfinite(res.threshold)
+    for budget in (4, 0):
+        res = threshold_test(0.0, [W] * 12, [Q] * 12, 0.5, budget=budget)
+        assert not res.exact and res.type_i is None
+        assert math.isfinite(res.threshold)
+    with pytest.raises(PreconditionError, match="budget must be non-negative"):
+        threshold_test(0.0, [W] * 12, [Q] * 12, 0.5, budget=-1)
 
 
 def test_threshold_gamma_meets_q_budget():

@@ -440,6 +440,11 @@ def test_product_log_ratio_budget():
     q = [random_dist(rng, 4, floor=1e-3) for _ in range(8)]
     with pytest.raises(BudgetExceededError):
         product_log_ratio(w, q, budget=100)
+    # a budget of 0 enumerates nothing; a negative one is refused
+    with pytest.raises(BudgetExceededError):
+        product_log_ratio([bern(0.1)], [bern(0.5)], budget=0)
+    with pytest.raises(PreconditionError, match="budget must be non-negative, got -1"):
+        product_log_ratio([bern(0.1)], [bern(0.5)], budget=-1)
 
 
 def test_tensor_and_product_channel():

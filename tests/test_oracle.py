@@ -148,6 +148,8 @@ def test_np_budget_error():
     q = [random_dist(rng, 5, 1e-3) for _ in range(9)]
     with pytest.raises(BudgetExceededError):
         exact_np_tradeoff(w, q, budget=50)
+    with pytest.raises(PreconditionError, match="budget must be non-negative"):
+        exact_np_tradeoff(w, q, budget=-1)
 
 
 def test_mc_always_accept_has_zero_miss():

@@ -120,12 +120,11 @@ def test_symmetry_certification():
     ids=["bsc", "bec", "cyclic4", "bsc_x_bec"],
 )
 def test_certified_centers_are_the_iterated_augustin_means(channel):
-    report = check_renyi_symmetry(channel)
-    assert report.is_symmetric
+    assert check_renyi_symmetry(channel).is_symmetric
     u = uniform_dist(channel.input_size)
-    for rho in DEFAULT_ORDER_GRID:
-        mean = augustin_fixed_point(float(rho), u, channel).mean.masses
-        center = report.center_per_order[float(rho)].masses
+    for rho in map(float, DEFAULT_ORDER_GRID):
+        mean = augustin_fixed_point(rho, u, channel).mean.masses
+        center = symmetric_center(rho, channel)[0].masses
         assert 0.5 * np.abs(mean - center).sum() <= 1e-10
 
 
@@ -157,16 +156,6 @@ def test_dead_output_certifies_without_warnings():
     assert report.is_symmetric
 
 
-def test_underflowed_center_profiles_are_compared_without_nan():
-    # at order 1e-6 the BEC center underflows to [0, 1, 0], so both inputs'
-    # profiles hold a +inf atom; equal infinities must compare as 0 apart
-    # (the suite turns RuntimeWarning into an error)
-    report = check_renyi_symmetry(bec(0.3), rho_grid=(1e-6, 0.5))
-    assert report.center_per_order[1e-6].masses.tolist() == [0.0, 1.0, 0.0]
-    assert report.max_profile_distance == 0.0
-    assert report.is_symmetric
-
-
 REFERENCE_CHANNELS = {
     "bsc": bsc(0.11),
     "bec": bec(0.3),
@@ -174,54 +163,30 @@ REFERENCE_CHANNELS = {
     "cyclic4": CYCLIC4,
     "dirichlet3x5": _channel(np.random.default_rng(5).dirichlet(np.ones(5), size=3)),
     "dead_output": DEAD_OUTPUT,
-    # at order 1e-6 the center underflows at two outputs that one input reaches
     "bsc_x_bec": product_channel(bsc(0.1), bec(0.3)),
 }
-REFERENCE_GRIDS = {
-    "default": DEFAULT_ORDER_GRID,
-    "tiny_half": (1e-6, 0.5),
-    "tiny_mid_one": (1e-6, 0.3, 1.0),
-}
 
 
-@pytest.mark.parametrize("grid", REFERENCE_GRIDS.values(), ids=REFERENCE_GRIDS.keys())
 @pytest.mark.parametrize("channel", REFERENCE_CHANNELS.values(), ids=REFERENCE_CHANNELS.keys())
-def test_symmetry_report_matches_per_order_reference(channel, grid):
-    # the array pass over orders x inputs reports every field bit for bit as
-    # one order and one input at a time does, and warns nowhere
-    got = check_renyi_symmetry(channel, grid)
-    want = symmetry_report_per_order(channel, grid, DEFAULT_SYMMETRY_TOL)
+def test_symmetry_report_matches_per_order_reference(channel):
+    # the array pass over inputs reports every diagnostic bit for bit as one
+    # order and one input at a time does, and warns nowhere
+    got = check_renyi_symmetry(channel)
+    want = symmetry_report_per_order(channel, DEFAULT_SYMMETRY_TOL)
     assert got.is_symmetric == want.is_symmetric
-    assert got.checked_orders == want.checked_orders
-    assert list(got.center_per_order) == list(want.center_per_order)
-    for rho, center in want.center_per_order.items():
-        assert got.center_per_order[rho].masses.tobytes() == center.masses.tobytes()
     for field in ("max_divergence_spread", "max_profile_distance", "max_center_fixed_point_tv"):
         assert getattr(got, field).hex() == getattr(want, field).hex(), field
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_center_that_leaves_a_row_no_mass_reads_an_infinite_step():
-    # at order 1e-6 these draws' centers underflow to 0 on every output that
-    # some input reaches; that input has no tilt, and the map's step reads
-    # inf, as the spread and profile distance do, with no warning
-    rng = np.random.default_rng(5)
-    draws = [channel_with_zeros(rng) for _ in range(120)]
-    grid = (1e-6, 0.999999)
-    for index in (20, 40, 62, 82, 104):
-        got = check_renyi_symmetry(draws[index], grid)
-        want = symmetry_report_per_order(draws[index], grid, DEFAULT_SYMMETRY_TOL)
-        for field in ("max_divergence_spread", "max_profile_distance", "max_center_fixed_point_tv"):
-            assert getattr(got, field) == getattr(want, field) == math.inf, (index, field)
-
-
 def test_symmetry_report_contents():
     report = check_renyi_symmetry(bsc(0.1))
-    assert len(report.checked_orders) == 20
+    assert (report.is_symmetric, report.column_classes) == (True, 1)
     assert report.max_profile_distance <= 1e-12
     assert report.max_center_fixed_point_tv <= 1e-10
-    for rho, center in report.center_per_order.items():
-        assert center.allclose(bern(0.5), tol=1e-12)
+    for rho in map(float, DEFAULT_ORDER_GRID):
+        assert symmetric_center(rho, bsc(0.1))[0].allclose(bern(0.5), tol=1e-12)
+    assert check_renyi_symmetry(bec(0.3)).column_classes == 2
+    assert check_renyi_symmetry(zchannel(0.5)).column_classes is None
 
 
 def test_parametric_symmetric_matches_parametric_solve():
@@ -345,14 +310,9 @@ def test_symmetry_preconditions():
     for rho in (0.0, -0.5, 1.5, math.nan):
         with pytest.raises(InvalidOrderError):
             symmetric_center(rho, bsc(0.1))
-    with pytest.raises(InvalidOrderError):
-        check_renyi_symmetry(bsc(0.1), rho_grid=(0.5, 1.5))
-
-
-@pytest.mark.parametrize("grid", [(), [], np.array([]), 0.5, [[0.5]]])
-def test_order_grid_must_be_a_non_empty_sequence(grid):
-    with pytest.raises(PreconditionError, match="non-empty 1-d"):
-        check_renyi_symmetry(bsc(0.1), rho_grid=grid)
+    # tol is keyword-only: an order grid in its place is refused
+    with pytest.raises(TypeError):
+        check_renyi_symmetry(bsc(0.1), DEFAULT_ORDER_GRID)
 
 
 # symmetric_center's (center masses, capacity) as float.hex(), pinned bit for bit
@@ -377,12 +337,10 @@ SYMMETRIC_CENTER_PINS = {
     ("bsc", bsc(0.11), True), ("bec", bec(0.3), True), ("z", zchannel(0.3), False),
     ("cyclic4", CYCLIC4, True)], ids=["bsc", "bec", "z", "cyclic4"])
 def test_single_order_center_is_the_grid_center_bit_for_bit(label, channel, symmetric, rho):
-    # every order probe takes its center from one power mean, without the
-    # grid pass; the default grid's orders end at 1.0
+    # every order probe and symmetric_center take their center from the one
+    # power mean the grid diagnostics use; the default grid's orders end at 1.0
     w_rows, lw = channel.row_matrix(), channel.log_row_matrix()
-    want = check_renyi_symmetry(channel, [rho]).center_per_order[rho]
-    center, _ = _uniform_center(rho, w_rows, lw)
-    assert center.masses.tobytes() == want.masses.tobytes()
+    want, _ = _uniform_center(rho, w_rows, lw)
     if symmetric:
         got, _ = _tilted_rates(rho, w_rows, lw)[1]
         assert got.masses.tobytes() == want.masses.tobytes()
@@ -512,17 +470,24 @@ def _centers_stay(report, tol=1e-9):
 
 
 def test_exact_decision_matches_the_order_grid():
-    # on 308 channels, 178 of them symmetric, the decision is the grid's, and
-    # the slope flag is the grid's rule: some tilt is non-constant, or the
-    # grid centers stay within 1e-9 in total variation. One symmetric draw
-    # with zeros is noiseless, with a flat rate range and no point to solve.
+    # on 308 channels, 178 of them symmetric, the decision is the grid's; a
+    # symmetric channel has one column class exactly when its grid centers
+    # stay within 1e-9 in total variation, and the slope flag is the grid's
+    # rule: some tilt is non-constant, or the centers stay. A channel that is
+    # not symmetric has no classes, though the centers of 4 of the cyclic
+    # draws moved by 1e-7 stay within 1e-9. One symmetric draw with zeros is
+    # noiseless, with a flat rate range and no point to solve.
     rng = np.random.default_rng(12)
-    symmetric = solved = 0
+    symmetric = solved = asymmetric_staying = 0
     for channel in SCAN_CHANNELS:
-        want = symmetry_report_per_order(channel, DEFAULT_ORDER_GRID, DEFAULT_SYMMETRY_TOL)
-        assert check_renyi_symmetry(channel).is_symmetric == want.is_symmetric
+        want = symmetry_report_per_order(channel, DEFAULT_SYMMETRY_TOL)
+        got = check_renyi_symmetry(channel)
+        assert got.is_symmetric == want.is_symmetric
+        assert (got.column_classes is None) == (not want.is_symmetric)
         if not want.is_symmetric:
+            asymmetric_staying += _centers_stay(want)
             continue
+        assert (got.column_classes == 1) == _centers_stay(want)
         symmetric += 1
         low, high = _rate_endpoints(uniform_dist(channel.input_size), channel)
         if high - low <= 1e-9:
@@ -531,7 +496,7 @@ def test_exact_decision_matches_the_order_grid():
         point = parametric_symmetric(channel, low + rng.uniform(0.1, 0.9) * (high - low))
         tilt = _tilt_nonconstant(point.rho_star, channel)
         assert point.slope_certified == (tilt or _centers_stay(want))
-    assert (len(SCAN_CHANNELS), symmetric, solved) == (308, 178, 177)
+    assert (len(SCAN_CHANNELS), symmetric, solved, asymmetric_staying) == (308, 178, 177, 4)
 
 
 def test_split_and_permuted_outputs_keep_the_decision_and_the_exponent():
