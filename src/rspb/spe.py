@@ -14,10 +14,13 @@ at Newton's q certifies it; every other probe is a cold fixed point. The
 point takes its exponent and moments from the accepted probe's solution.
 Newton starts where the rate's law near order 0 puts the root: exponential
 in -1/rho when I_0 = 0 and rows of p's support miss an output that others
-reach, quadratic in rho otherwise. Over a constraint set the search runs
-on the capacity curve. The direct form (1 - rho*) / rho* (I_rho* - R) at
-the root checks the exponent; an independent check is `oracle.brute_spe`,
-which never runs the fixed point.
+reach, quadratic in rho otherwise, and a search from the exponential law's
+start that gives up runs once more from the quadratic law's. A step that
+would leave (0, 1) is scaled once by the power of two that keeps it
+inside. Over a constraint set the search runs on the capacity curve. The
+direct form (1 - rho*) / rho* (I_rho* - R) at the root checks the
+exponent; an independent check is `oracle.brute_spe`, which never runs the
+fixed point.
 """
 
 from __future__ import annotations
@@ -125,29 +128,22 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, low, hig
     """A proposed (order, mean) for the rate, or None: Newton's method on the
     joint system ln T_rho(q) = ln q, D_1(tilt || q | p) = rate in (ln q, rho).
 
-    q lives on the outputs p W reaches and starts at the power-mean center of
-    a start order rho_0 read from the ends of the rate range, low = I_0 at
-    order 0 and high = I_1 at order 1. When I_0 = 0 but some output that p W
-    reaches is missed by rows of p's support, the rate near order 0 behaves
-    like I_1 exp(c (1 - 1/rho)), with c = -ln max s_y over those outputs and
-    s_y = sum_x p(x) 1{W(y|x) > 0} (Shannon, Gallager and Berlekamp, Inform.
-    Control 1967), so rho_0 = c / (c + ln(I_1 / R)); otherwise the rate
-    grows like rho^2 and rho_0 is the sqrt-secant order between the ends.
-    With V the rows tilted toward q, L = ln W - ln q, m and a2 the tilted
-    mean and variance of L, C = L - m, T = p V and P = diag(p), the
-    Jacobian is [[(rho-1) diag(1/T) V^T P V - rho I, p(V C)/T],
-    [rho(1-rho) p(V C) - T, rho sum_x p(x) a2(x)]]. A step that would leave
-    (0, 1) is halved, in rho and ln q together, until it stays inside. The
-    search stops once an undamped order step is below 1e-9 rho and returns
-    its final (rho, q), that step taken, q renormalized over the outputs p W
-    reaches and 0 elsewhere. It gives up (None) on a step that is not finite
-    or singular, or after NEWTON_MAX_STEPS steps. The answer is only a
-    proposal: the caller certifies q with `_certified_mean`, or solves cold
-    at rho.
+    `_newton_search` runs from a start order rho_0 read from the ends of the
+    rate range, low = I_0 at order 0 and high = I_1 at order 1. When I_0 = 0
+    but some output that p W reaches is missed by rows of p's support, the
+    rate near order 0 behaves like I_1 exp(c (1 - 1/rho)), with
+    c = -ln max s_y over those outputs and s_y = sum_x p(x) 1{W(y|x) > 0}
+    (Shannon, Gallager and Berlekamp, Inform. Control 1967), so the search
+    starts at rho_0 = c / (c + ln(I_1 / R)), and if it gives up, once more at
+    the sqrt-secant order between the ends; otherwise the rate grows like
+    rho^2 and the sqrt-secant order is the only start. Neither start
+    dominates: each certifies points on which the other gives up. The answer
+    is only a proposal: the caller certifies q with `_certified_mean`, or
+    solves cold at rho.
     """
     weights, w_rows, lw = _support_rows(p, channel)
     s_lo, s_hi = math.sqrt(max(low, 0.0)), math.sqrt(max(high, 0.0))
-    rho = (math.sqrt(rate) - s_lo) / (s_hi - s_lo)
+    starts = [(math.sqrt(rate) - s_lo) / (s_hi - s_lo)]
     if low == 0.0:
         reach = w_rows > 0
         share = (weights @ reach)[reach.any(axis=0) & ~reach.all(axis=0)]
@@ -155,7 +151,29 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, low, hig
         # speak of) gives c = 0 and no start
         if share.size and share.max() < 1.0:
             c = -math.log(share.max())
-            rho = c / (c + math.log(high / rate))
+            starts.insert(0, c / (c + math.log(high / rate)))
+    for rho in starts:
+        found = _newton_search(rho, rate, weights, w_rows, lw)
+        if found is not None:
+            return found
+    return None
+
+
+def _newton_search(rho: float, rate: float, weights, w_rows, lw):
+    """Newton's search of `_newton_order` from the start order rho, on the
+    inputs of p's support (masses, rows and log-rows): (order, mean) or None.
+
+    q lives on the outputs p W reaches and starts at the power-mean center of
+    order rho. With V the rows tilted toward q, L = ln W - ln q, m and a2 the
+    tilted mean and variance of L, C = L - m, T = p V and P = diag(p), the
+    Jacobian is [[(rho-1) diag(1/T) V^T P V - rho I, p(V C)/T],
+    [rho(1-rho) p(V C) - T, rho sum_x p(x) a2(x)]]. A step that would leave
+    (0, 1) is scaled by `_damped`, in rho and ln q together. The search stops
+    once an undamped order step is below 1e-9 rho and returns its final
+    (rho, q), that step taken, q renormalized over the outputs p W reaches
+    and 0 elsewhere. It gives up (None) on a step that is not finite or
+    singular, or after NEWTON_MAX_STEPS steps.
+    """
     q = _start(rho, weights, w_rows, lw)
     reached = weights @ w_rows > 0
     if not reached.all():
@@ -185,19 +203,39 @@ def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, low, hig
                 return None
             if not np.isfinite(step).all():
                 return None
-            damped = False
-            while not 0.0 < rho + float(step[size]) < 1.0:
-                step *= 0.5
-                damped = True
+            step, halvings = _damped(rho, step)
             d_rho = float(step[size])
             rho += d_rho
             lq = lq + step[:size]
             q = np.exp(lq)
-            if not damped and abs(d_rho) <= 1e-9 * rho:
+            if not halvings and abs(d_rho) <= 1e-9 * rho:
                 mean = np.zeros(reached.size)
                 mean[reached] = q / np.add.reduce(q)
                 return rho, mean
     return None
+
+
+def _damped(rho: float, step):
+    """(step * 2^-k, k) for the least k >= 0 that keeps rho + step[-1], the
+    order step, in (0, 1), for rho in (0, 1) and a finite step.
+
+    This is the step halved k times, scaled once: a power of two scales every
+    entry exactly, unless the entry turns subnormal, where k halvings round k
+    times and one scaling rounds once, so that the two may differ in the last
+    bit of the subnormal. The scaled order step is about half its room or
+    more, so it stays normal, and exact, for rho above 2^-1021. k is at
+    least the difference of the binary exponents of the order step and of its
+    room rho or 1 - rho (a smaller k leaves the step longer than the room),
+    and a count from there meets the least k within two halvings.
+    """
+    d_rho = float(step[-1])
+    if 0.0 < rho + d_rho < 1.0:
+        return step, 0
+    room = rho if d_rho < 0.0 else 1.0 - rho
+    k = max(0, math.frexp(d_rho)[1] - math.frexp(room)[1])
+    while not 0.0 < rho + math.ldexp(d_rho, -k) < 1.0:
+        k += 1
+    return np.ldexp(step, -k), k
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,6 +37,7 @@ from rspb.refined import rspb_constant_composition
 from rspb.spe import (
     EXPONENT_CONSISTENCY_TOL,
     RATE_RESIDUAL_TOL,
+    _damped,
     _find_order,
     _rate_endpoints,
     _rate_met,
@@ -533,23 +534,122 @@ def test_newton_order_matches_brent(monkeypatch, label, channel):
             assert pt.exponent - brute <= 1e-4, frac
 
 
+def _counting_searches(monkeypatch):
+    """Record the start order of every Newton search `_newton_order` runs."""
+    starts = []
+    search = rspb.spe._newton_search
+
+    def counting(rho, *args):
+        starts.append(rho)
+        return search(rho, *args)
+
+    monkeypatch.setattr(rspb.spe, "_newton_search", counting)
+    return starts
+
+
 def test_newton_proposals_certify_and_none_bail(monkeypatch):
     proposals = _counting_newton(monkeypatch)
     calls = _counting_solves(monkeypatch)
-    for _, channel in NEWTON_CHANNELS[:6]:
+    starts = _counting_searches(monkeypatch)
+    for label, channel in NEWTON_CHANNELS[:6]:
         p = uniform_dist(channel.input_size)
         low, high = _rate_endpoints(p, channel)
         for frac in RATE_FRACTIONS:
             calls.clear()
+            starts.clear()
             pt = spe_parametric(p, channel, low + frac * (high - low))
             # a certified proposal is the point, with no cold solve
             assert calls == []
             rho, q = proposals[-1]
             assert pt.rho_star == rho
             assert pt.mean.masses.tobytes() == FiniteDist(q).masses.tobytes()
+            # full-support rows (bsc, the Dirichlet channels) have no order-0
+            # law start, so their one search starts at the sqrt-secant order
+            if label not in ("bec", "z"):
+                assert len(starts) == 1, (label, frac)
     # bec and z start from their order-0 rate law, and a step that would
     # leave (0, 1) is damped instead of ending the search
     assert None not in proposals
+
+
+def test_zero_laden_scan_counts(monkeypatch):
+    # ROADMAP item 10's scan on s = 0-1: `channel_with_zeros(default_rng(s))`,
+    # 20 draws each, uniform input, six rate fractions. A search from the
+    # order-0 law's start that gives up runs again from the sqrt-secant order
+    proposals = _counting_newton(monkeypatch)
+    calls = _counting_solves(monkeypatch)
+    errors = 0
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            channel = channel_with_zeros(rng)
+            p = uniform_dist(channel.input_size)
+            low, high = _rate_endpoints(p, channel)
+            for frac in (1e-3, 0.05, 0.25, 0.5, 0.75, 0.995):
+                try:
+                    spe_parametric(p, channel, low + frac * (high - low))
+                except NonConvergenceError:
+                    errors += 1
+    assert len(proposals) == 240
+    # the error is draw 0-8 at fraction 1e-3, a fixed point of Brent's search
+    assert (proposals.count(None), len(calls), errors) == (14, 128, 1)
+
+
+def test_bec_law_start_bail_certifies_from_the_secant_start(monkeypatch):
+    # the search from the order-0 law's start (0.395 against rho* = 0.209)
+    # diverges; the one from the sqrt-secant order certifies with no solve
+    channel, rate = bec(0.14740149), 0.20470333447689654
+    calls = _counting_solves(monkeypatch)
+    starts = _counting_searches(monkeypatch)
+    pt = spe_parametric(U2, channel, rate)
+    assert calls == []
+    assert len(starts) == 2 and starts[0] > 0.39
+    ends = _rate_endpoints(U2, channel)
+    rho, _, sol = _brent_point(U2, channel, rate, ends)
+    assert abs(pt.rho_star - rho) <= 1e-9 * rho
+    assert abs(pt.exponent - sol.tilted_exponent) <= 1e-8
+
+
+def _halved(rho, step):
+    """The damping `_damped` replaces: halve the step until the order stays
+    in (0, 1), and count the halvings."""
+    step, k = step.copy(), 0
+    while not 0.0 < rho + float(step[-1]) < 1.0:
+        step *= 0.5
+        k += 1
+    return step, k
+
+
+def test_damped_step_is_the_halving_loop_bit_for_bit():
+    tiny = np.finfo(float).tiny
+    rng = np.random.default_rng(3)
+    rhos = np.concatenate([rng.uniform(0.0, 1.0, 200),
+                           10.0 ** rng.uniform(-300.0, -1.0, 200),
+                           1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 200),
+                           [1e-300, 1.0 - 2.0**-53, 0.5]])
+    subnormal = 0
+    for rho in rhos:
+        size = int(rng.integers(1, 6))
+        step = rng.choice([-1.0, 1.0], size + 1) * 10.0 ** rng.uniform(-320.0, 300.0, size + 1)
+        got, k = _damped(float(rho), step)
+        want, halvings = _halved(float(rho), step)
+        assert k == halvings, rho
+        assert 0.0 < rho + got[-1] < 1.0
+        # a power of two scales exactly, except where an entry turns
+        # subnormal: k halvings round it k times, one scaling once
+        moved = got != want
+        assert (np.abs(got[moved]) < tiny).all() and (np.abs(want[moved]) < tiny).all(), rho
+        assert not moved[-1], rho
+        subnormal += moved.any()
+    # the exception occurs: 11 * 2^-1074 halved 3 times rounds 5.5 to 6 and
+    # 1.5 to 2, where one scaling rounds 11 / 8 to 1
+    assert subnormal > 0
+    step = np.array([11 * 5e-324, 2.0])
+    assert _halved(0.5, step)[0].tolist() == [2 * 5e-324, 0.25]
+    assert _damped(0.5, step)[0].tolist() == [5e-324, 0.25]
+    # an order step that keeps inside is not scaled
+    inside = step / 8.0
+    assert _damped(0.5, inside) == (inside, 0)
 
 
 def _outside(rho, p, channel, q):
