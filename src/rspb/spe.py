@@ -5,22 +5,22 @@ The exponent at rate R is the supremum over orders in (0, 1) of
 of the information at order 0, and the order-one information I_1 there is
 a unique interior order at which the tilted-channel rate matches R, and the
 exponent, its slope and the order come from the Augustin mean there.
-One solve, `_solve_components`, finds the order of both discrete refined
-bounds: Brent's root-finder on count-weighted tilted rates, bracketed by
-the counted ends (0, I_0) and (1, I_1) at no fixed-point cost. A point is
-one component. Its first probe is Newton's order on the fixed-point and
-rate equations in (ln q, rho), read with no solve when the Frank-Wolfe gap
-at Newton's q certifies it; every other probe is a cold fixed point. The
-point takes its exponent and moments from the accepted probe's solution.
-Newton starts where the rate's law near order 0 puts the root: exponential
-in -1/rho when I_0 = 0 and rows of p's support miss an output that others
-reach, quadratic in rho otherwise, and a search from the exponential law's
-start that gives up runs once more from the quadratic law's. A step that
-would leave (0, 1) is scaled once by the power of two that keeps it
-inside. Over a constraint set the search runs on the capacity curve. The
-direct form (1 - rho*) / rho* (I_rho* - R) at the root checks the
-exponent; an independent check is `oracle.brute_spe`, which never runs the
-fixed point.
+One solve, `_solve_components`, finds the order of every exponent: Brent's
+root-finder on count-weighted tilted rates, bracketed by the counted ends
+(0, I_0) and (1, I_1) at no fixed-point cost. A point is one component.
+Its first probe is Newton's order on the fixed-point and rate equations in
+(ln q, rho), read with no solve when the Frank-Wolfe gap at Newton's q
+certifies it; every other probe is a cold fixed point. The point takes its
+exponent and moments from the accepted probe's solution. Newton starts
+where the rate's law near order 0 puts the root: exponential in -1/rho
+when I_0 = 0 and rows of p's support miss an output that others reach,
+quadratic in rho otherwise, and a search from the exponential law's start
+that gives up runs once more from the quadratic law's. A step that would
+leave (0, 1) is scaled once by the power of two that keeps it inside.
+Over a constraint set the same solve runs on the capacity curve, one
+component bracketed from the capacity at LOW_ORDER_PROBE. The direct form
+(1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
+independent check is `oracle.brute_spe`, which never runs the fixed point.
 """
 
 from __future__ import annotations
@@ -54,74 +54,6 @@ EXPONENT_CONSISTENCY_TOL = 1e-8
 ORDER_XTOL = 1e-15
 # Newton steps on (ln q, rho) before the order search falls back to Brent
 NEWTON_MAX_STEPS = 12
-
-
-def _find_order(rate_at, target, lo, hi, done, first=None):
-    """Brent's method for the order where a non-decreasing rate crosses target.
-
-    lo and hi are known (order, rate) pairs, lo's rate below the target and
-    hi's above. rate_at(rho) returns (rate, state) at a new order; the state
-    comes back with the chosen probe. A proposed `first` order in the bracket
-    is probed before all others; unless done accepts it, it replaces the end
-    on its side of the target. Each later probe interpolates inversely
-    through the last three points (a secant through two), falling back to
-    halving when the interpolant leaves the bracket or shrinks it more slowly
-    than halving would (Brent, Algorithms for Minimization Without
-    Derivatives, 1973, ch. 4). It interpolates sqrt(rate) - sqrt(target),
-    which has the same root: when every input reaches a common output the
-    tilted rate grows like rho^2 from 0, so its square root is near linear in
-    the order, and low rates need about half the probes. Returns the first
-    (rho, rate, state) probe that done(rho, rate, state) accepts or, once the
-    bracket is spent, the probe with the smallest residual.
-    """
-    best = None
-    if first is not None:
-        best = (first, *rate_at(first))
-        if done(*best):
-            return best
-        lo, hi = (best[:2], hi) if best[1] < target else (lo, best[:2])
-    eps = np.finfo(float).eps
-    root = math.sqrt(target)
-    a, fa = lo[0], math.sqrt(max(lo[1], 0.0)) - root
-    b, fb = hi[0], math.sqrt(max(hi[1], 0.0)) - root
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        # b is the best end of the bracket [b, c]; a is the previous b
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * eps * abs(b) + 0.5 * ORDER_XTOL
-        m = 0.5 * (c - b)
-        if abs(m) <= tol1:
-            return best
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            q, p = (-q, p) if p > 0.0 else (q, -p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                e = d = m
-        else:
-            e = d = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        rate, state = rate_at(b)
-        fb = math.sqrt(max(rate, 0.0)) - root
-        point = (b, rate, state)
-        if best is None or abs(rate - target) < abs(best[1] - target):
-            best = point
-        if done(*point):
-            return point
 
 
 def _newton_order(p: FiniteDist, channel: DiscreteChannel, rate: float, low, high):
@@ -278,27 +210,83 @@ def _check_rate(rate: float, low: float, high: float):
         raise RateOutOfRangeError(rate, low, high)
 
 
-def _solve_components(components, target: float, first=None) -> tuple:
+def _solve_components(components, target: float, first=None, *, low_order=0.0) -> tuple:
     """Order where the count-weighted tilted rates of the components meet target.
 
-    A component is (count, (I_0, I_1), rate_at): its tilted rates at orders
-    0 and 1, the search's free bracket, and rate_at(rho) -> (rate, state).
-    `_find_order`, from `first` if given, stops on `_rate_met` of
-    |sum count * rate - target| / min(max(1, |target|), sum count).
-    Returns (rho*, the accepted probe's states).
+    A component is (count, (R_lo, R_1), rate_at): its tilted rates at the
+    low order and at order 1, the search's free bracket, and
+    rate_at(rho) -> (rate, state). The low order is 0, where R_lo is I_0,
+    unless the caller's rates start at a positive order. A proposed `first`
+    order in the bracket is probed before all others; unless it meets the
+    stop rule, `_rate_met` of |sum count * rate - target| / min(max(1,
+    |target|), sum count), it replaces the end on its side of the target.
+    Each later probe interpolates inversely through the last three points (a
+    secant through two), falling back to halving when the interpolant leaves
+    the bracket or shrinks it more slowly than halving would (Brent,
+    Algorithms for Minimization Without Derivatives, 1973, ch. 4). It
+    interpolates sqrt(rate) - sqrt(target), which has the same root: when
+    every input reaches a common output the tilted rate grows like rho^2 from
+    0, so its square root is near linear in the order, and low rates need
+    about half the probes. Returns (rho*, states) of the first probe that
+    meets the stop rule or, once the bracket is spent, of the probe with the
+    smallest residual.
     """
     low, high = (sum(count * ends[end] for count, ends, _ in components) for end in (0, 1))
     _check_rate(target, low, high)
     scale = min(max(1.0, abs(target)), sum(count for count, _, _ in components))
 
-    def summed(rho):
+    def probe(rho):
         probes = [(count, *rate_at(rho)) for count, _, rate_at in components]
-        return sum(count * rate for count, rate, _ in probes), [state for *_, state in probes]
+        return rho, sum(count * rate for count, rate, _ in probes), [state for *_, state in probes]
 
-    rho, _, states = _find_order(summed, target, (0.0, low), (1.0, high),
-                                 lambda rho, total, _: _rate_met(rho, abs(total - target) / scale),
-                                 first)
-    return rho, states
+    lo, hi, best = (low_order, low), (1.0, high), None
+    if first is not None:
+        best = probe(first)
+        if _rate_met(first, abs(best[1] - target) / scale):
+            return first, best[2]
+        lo, hi = (best[:2], hi) if best[1] < target else (lo, best[:2])
+    eps = np.finfo(float).eps
+    root = math.sqrt(target)
+    a, fa = lo[0], math.sqrt(max(lo[1], 0.0)) - root
+    b, fb = hi[0], math.sqrt(max(hi[1], 0.0)) - root
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        # b is the best end of the bracket [b, c]; a is the previous b
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * eps * abs(b) + 0.5 * ORDER_XTOL
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1:
+            return best[0], best[2]
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q, p = (-q, p) if p > 0.0 else (q, -p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
+        else:
+            e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        point = probe(b)
+        residual = abs(point[1] - target)
+        fb = math.sqrt(max(point[1], 0.0)) - root
+        if best is None or residual < abs(best[1] - target):
+            best = point
+        if _rate_met(b, residual / scale):
+            return b, point[2]
 
 
 def spe_parametric(p: FiniteDist, channel: DiscreteChannel, rate: float) -> SpePoint:
@@ -348,25 +336,25 @@ class ConstrainedSpe:
     certified: bool
 
 
-def spe_constrained(
-    channel: DiscreteChannel,
-    constraint: ConstraintSet,
-    rate: float,
-    tol: float = 1e-8,
-) -> ConstrainedSpe:
+def spe_constrained(channel: DiscreteChannel, constraint: ConstraintSet,
+                    rate: float) -> ConstrainedSpe:
     """Supremum of the exponent over a constraint set.
 
     Swapping the two suprema reduces the search to the capacity curve: the
     exponent of the set is sup over orders of (1-rho)/rho (C_rho - rate),
     attained where the tilted rate of the capacity center at the optimizer
-    meets the rate. `_find_order` finds that order between the capacity
-    solves at LOW_ORDER_PROBE and at order one (rates at or beyond their
-    capacities give inf and 0), each probe's rate read off its capacity's
-    solution, and the point is `_point`'s from the accepted one. The result
-    is certified when the order-one and interior capacities certify, the
-    root meets the `spe_parametric` stop rule and the low capacity plus its
-    gap is below the rate. Lists are enumerated exactly, on one rate range
-    per candidate.
+    meets the rate. Capacities run at `augustin_capacity`'s default tolerance.
+    Rates at or below the capacity at LOW_ORDER_PROBE give inf, and rates at
+    or above the capacity or the tilted rate at order one give 0. Any other
+    rate lies strictly between the tilted rates of those two solves (a
+    tilted rate is at most the information at its order), so
+    `_solve_components` finds the order on one component of count 1, the
+    capacity curve bracketed from LOW_ORDER_PROBE, each probe's rate read
+    off its capacity's solution; the point is `_point`'s from the accepted
+    one. The result is certified when the order-one and interior capacities
+    certify, the accepted capacity's tilted rate meets the `spe_parametric`
+    stop rule and the low capacity plus its gap is below the rate. Lists are
+    enumerated exactly, on one rate range per candidate.
     """
     if math.isnan(rate):
         raise RateOutOfRangeError(rate, 0.0, math.inf)
@@ -382,21 +370,22 @@ def spe_constrained(
     solves = []
 
     def rate_at(rho):
-        res = augustin_capacity(rho, channel, constraint, tol=tol)
+        res = augustin_capacity(rho, channel, constraint)
         solves.append(res)
         return res.solution.tilted_rate, res
 
     (low_rate, low), (high_rate, high) = rate_at(LOW_ORDER_PROBE), rate_at(1.0)
-    if rate >= high.capacity:
+    # at order one the tilted rate is the capacity up to rounding, and a rate
+    # within that rounding of it is the 0 limit
+    if rate >= min(high.capacity, high_rate):
         return ConstrainedSpe(0.0, high.optimizer, None, high.certified)
     if rate <= low.capacity:
         # a feasible input reaches the low capacity, so the exponent is inf
         return ConstrainedSpe(math.inf, low.optimizer, None, True)
-    rho, r, best = _find_order(
-        rate_at, rate, (LOW_ORDER_PROBE, low_rate), (1.0, high_rate),
-        lambda rho, r, _: _rate_met(rho, abs(r - rate)),
-    )
-    certified = (_rate_met(rho, abs(r - rate)) and all(res.certified for res in solves[1:])
+    rho, (best,) = _solve_components([(1, (low_rate, high_rate), rate_at)], rate,
+                                     low_order=LOW_ORDER_PROBE)
+    certified = (_rate_met(rho, abs(best.solution.tilted_rate - rate))
+                 and all(res.certified for res in solves[1:])
                  and low.capacity + low.certificate_gap < rate)
     pt = _point(rate, rho, best.solution)
     return ConstrainedSpe(pt.exponent, best.optimizer, pt, certified)

@@ -92,6 +92,21 @@ def test_precondition_violation_exits_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, "spe", "--rate", "0.1")
     assert code == 2
+    # a rate grid is start:stop:count with start < stop and count >= 2
+    for grid in ("0.1:0.2", "0.2:0.1:5", "0.1:0.2:1"):
+        code, out, err = run_cli(capsys, "spe", "--bsc", "0.1", "--rate", grid)
+        assert (code, out) == (2, ""), grid
+        assert "precondition" in err, grid
+    # a command that needs a rate or its stand-in refuses to run without one
+    for argv in (("awgn", "--sigma2", "1", "--cost", "1"),
+                 ("rspb", "--mode", "cc", "--bsc", "0.1", "--n", "100")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "precondition" in err, argv
+    code, out, err = run_cli(capsys, "htbe", "--order", "1", "--n", "10", "--beta", "0.004",
+                             "--w-bern", "0.1", "--q-bern", "0.5")
+    assert (code, out) == (2, "")
+    assert "precondition" in err
     # out-of-range channel parameters read no file
     code, _, err = run_cli(capsys, "spe", "--bsc", "1.5", "--rate", "0.1")
     assert code == 2
@@ -140,7 +155,7 @@ def test_precondition_violation_exits_2(capsys, tmp_path):
     f = tmp_path / "cost.json"
     for costs, budget in (([0.0, math.nan], 0.3), ([0.0, math.inf], 0.3), ([], 0.3),
                           ([[0.0, 1.0]], 0.3), ([0.0, 1.0], math.nan),
-                          ([0.0, 1.0], math.inf)):
+                          ([0.0, 1.0], math.inf), ([0.0, 1.0, 2.0], 0.3)):
         f.write_text(json.dumps({"kind": "cost", "costs": costs, "budget": budget}))
         code, out, err = run_cli(capsys, "capacity", "--order", "0.5", "--bsc", "0.1",
                                  "--constraint", str(f))
@@ -538,10 +553,12 @@ ROWS = [[0.9, 0.1], [0.1, 0.9]]
         ("--channel", ROWS),
         ("--channel", {"inputs": 2, "outputs": 2, "rows": [[0.9, 0.1], [1.0]]}),
         ("--channel", {"inputs": 1, "outputs": 1, "rows": [{}]}),
+        ("--channel", {"inputs": 2, "outputs": 2, "rows": [[1.1, -0.1], [0.1, 0.9]]}),
+        ("--channel", {"inputs": 3, "outputs": 2, "rows": ROWS}),
     ],
     ids=["no budget", "null budget", "no costs", "constraint list", "text budget",
          "object costs", "null inputs", "fractional inputs", "text outputs", "no rows",
-         "channel list", "ragged rows", "object row"],
+         "channel list", "ragged rows", "object row", "negative entry", "shape mismatch"],
 )
 def test_malformed_input_file_is_invalid_input(capsys, tmp_path, flag, data):
     f = tmp_path / "input.json"

@@ -92,6 +92,8 @@ def test_constant_composition_threshold_scan():
 def test_composition_must_be_integral():
     with pytest.raises(CompositionError):
         rspb_constant_composition(bsc(0.1), bern(0.3), 9, 1.0)
+    with pytest.raises(CompositionError, match="positive integer"):
+        rspb_constant_composition(bsc(0.1), U2, 0, 1.0)
     rspb_constant_composition(bsc(0.1), bern(0.3), 10, 10 * 0.2)
 
 
@@ -197,6 +199,8 @@ def test_symmetric_single_component():
 
 
 def test_symmetric_rejects_asymmetric_component():
+    with pytest.raises(SymmetryError, match="at least one component"):
+        rspb_symmetric([], 0.1)
     with pytest.raises(SymmetryError) as err:
         rspb_symmetric([bsc(0.1), zchannel(0.5)], 0.1)
     assert "1" in str(err.value)
@@ -249,7 +253,7 @@ def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
     # solution per distinct component at the accepted probe's center and
     # tilt, with no tilt of its own
     probes, returned, solved, tilts = [], [], [], []
-    rates, find, solution, tilt = (rspb.symmetric._tilted_rates, rspb.spe._find_order,
+    rates, find, solution, tilt = (rspb.symmetric._tilted_rates, rspb.symmetric._solve_components,
                                    rspb.symmetric._solution, rspb.augustin._tilt)
 
     def probing(rho, *rows):
@@ -271,7 +275,7 @@ def test_symmetric_product_solves_each_distinct_component_once(monkeypatch):
 
     monkeypatch.setattr(rspb.symmetric, "_tilted_rates", probing)
     monkeypatch.setattr(rspb.augustin, "_tilt", tilting)
-    monkeypatch.setattr(rspb.spe, "_find_order", finding)
+    monkeypatch.setattr(rspb.symmetric, "_solve_components", finding)
     monkeypatch.setattr(rspb.symmetric, "_solution", solving)
     channels = [bsc(0.1), bsc(0.2)] * 4
     high = 4 * sum(symmetric_center(1.0, ch)[1] for ch in (bsc(0.1), bsc(0.2)))

@@ -7,6 +7,7 @@ import rspb.augustin
 import rspb.spe
 from rspb.augustin import (
     DEFAULT_FP_TOL,
+    LOW_ORDER_PROBE,
     ConstraintSet,
     _certified_mean,
     augustin_capacity,
@@ -38,7 +39,6 @@ from rspb.spe import (
     EXPONENT_CONSISTENCY_TOL,
     RATE_RESIDUAL_TOL,
     _damped,
-    _find_order,
     _rate_endpoints,
     _rate_met,
     _solve_components,
@@ -205,29 +205,30 @@ R8X16 = DiscreteChannel(tuple(
 ALL = ConstraintSet.all_inputs()
 
 
-# (channel, constraint, rate, value): values are those of a 33-point order
-# grid refined by 40 golden-section steps, an order search that shares no
-# logic with the root-find, or None where only the certificate is checked
+# (channel, constraint, rate, value, probes): values are those of a 33-point
+# order grid refined by 40 golden-section steps, an order search that shares
+# no logic with the root-find, or None where only the certificate is checked;
+# probes counts the capacity solves, the two bracket ends included
 @pytest.mark.parametrize(
-    "channel, constraint, rate, value",
+    "channel, constraint, rate, value, probes",
     [
-        (bsc(0.1), ALL, 0.0, math.inf),
-        (bsc(0.1), ALL, 0.05, 0.216341242564238),
-        (bsc(0.1), ALL, 0.1, 0.12788746919890392),
-        (bsc(0.1), ALL, 0.2, 0.04029236546921471),
-        (bec(0.3), ALL, 0.05, 0.8837269731821933),
-        (bec(0.3), ALL, 0.1, 0.6690947553247982),
-        (bec(0.3), ALL, 0.2, 0.3586559747365889),
-        (zchannel(0.3), ALL, 0.05, 0.03692205561235368),
-        (zchannel(0.3), ALL, 0.1, 0.0025298180681334226),
-        (zchannel(0.3), ALL, 0.2, 0.0),
-        (R8X16, ALL, 0.1, 0.1289986981098806),
-        (zchannel(0.3), ConstraintSet.cost([0.0, 1.0], 0.3), 0.05, None),
+        (bsc(0.1), ALL, 0.0, math.inf, 2),
+        (bsc(0.1), ALL, 0.05, 0.216341242564238, 7),
+        (bsc(0.1), ALL, 0.1, 0.12788746919890392, 7),
+        (bsc(0.1), ALL, 0.2, 0.04029236546921471, 8),
+        (bec(0.3), ALL, 0.05, 0.8837269731821933, 9),
+        (bec(0.3), ALL, 0.1, 0.6690947553247982, 10),
+        (bec(0.3), ALL, 0.2, 0.3586559747365889, 10),
+        (zchannel(0.3), ALL, 0.05, 0.03692205561235368, 8),
+        (zchannel(0.3), ALL, 0.1, 0.0025298180681334226, 7),
+        (zchannel(0.3), ALL, 0.2, 0.0, 2),
+        (R8X16, ALL, 0.1, 0.1289986981098806, 8),
+        (zchannel(0.3), ConstraintSet.cost([0.0, 1.0], 0.3), 0.05, None, 9),
     ],
     ids=["bsc-low-limit", "bsc-.05", "bsc-.1", "bsc-.2", "bec-.05", "bec-.1", "bec-.2",
          "z-.05", "z-.1", "z-capacity", "r8x16-.1", "z-cost-.05"],
 )
-def test_constrained_order_root_find(monkeypatch, channel, constraint, rate, value):
+def test_constrained_order_root_find(monkeypatch, channel, constraint, rate, value, probes):
     calls = []
     solve = rspb.spe.augustin_capacity
 
@@ -240,12 +241,13 @@ def test_constrained_order_root_find(monkeypatch, channel, constraint, rate, val
     assert res.certified
     if value is not None:
         assert res.value == pytest.approx(value, abs=1e-10)
+    # the bracket ends first, then the root-find's probes, none below the low end
+    assert len(calls) == probes
+    assert calls[:2] == [LOW_ORDER_PROBE, 1.0] and min(calls) == LOW_ORDER_PROBE
     if res.point is None:
         # a limit is decided by the two bracket solves alone
         assert math.isinf(res.value) or res.value == 0.0
-        assert len(calls) == 2
         return
-    assert len(calls) <= 12
     rho = res.point.rho_star
     cap = augustin_capacity(rho, channel, constraint).capacity
     assert abs((1.0 - rho) / rho * (cap - rate) - res.value) <= 1e-8
@@ -318,6 +320,18 @@ def test_constrained_point_mass_candidate_is_a_limit():
     for rate, value in ((0.1, 0.0), (0.0, 0.0), (-0.1, math.inf)):
         res = spe_constrained(bsc(0.1), ConstraintSet.single(point_mass(0, 2)), rate)
         assert (res.value, res.point, res.certified) == (value, None, True), rate
+
+
+def test_constrained_rate_within_rounding_of_the_order_one_capacity_is_a_limit():
+    # at order one the tilted rate and the capacity agree up to rounding; a
+    # rate between them gives 0, not a point or a range error
+    for channel in (bec(0.3), zchannel(0.3)):
+        high = augustin_capacity(1.0, channel, ALL)
+        tilted = high.solution.tilted_rate
+        assert tilted < high.capacity
+        for rate in (tilted, math.nextafter(high.capacity, 0.0)):
+            res = spe_constrained(channel, ALL, rate)
+            assert (res.value, res.point, res.certified) == (0.0, None, True), rate
 
 
 def _counting_solves(monkeypatch):
@@ -479,15 +493,16 @@ NEWTON_CHANNELS = (
 RATE_FRACTIONS = (1e-3, 0.05, 0.5, 0.995)
 
 
-def _brent_point(p, channel, rate, ends, bracket=None):
-    """The order, rate and solve that Brent's method alone finds, between the
-    endpoint solves or on a given (lo, hi) pair of solved (order, rate)."""
+def _brent_point(p, channel, rate, ends, first=None):
+    """The order and solve that Brent's method alone finds on cold fixed
+    points between the rate range's ends, from a cold probe at `first` if
+    given."""
     def rate_at(rho):
         sol = augustin_fixed_point(rho, p, channel)
         return sol.tilted_rate, sol
 
-    lo, hi = bracket or ((0.0, ends[0]), (1.0, ends[1]))
-    return _find_order(rate_at, rate, lo, hi, lambda rho, r, _: _rate_met(rho, abs(r - rate)))
+    rho, (sol,) = _solve_components([(1, ends, rate_at)], rate, first)
+    return rho, sol
 
 
 def _counting_newton(monkeypatch):
@@ -525,7 +540,7 @@ def test_newton_order_matches_brent(monkeypatch, label, channel):
             # its order, stopped by its TV step, agrees within the targets
             assert abs(cold.tilted_rate - rate) <= RATE_RESIDUAL_TOL, frac
             assert abs(pt.exponent - cold.tilted_exponent) <= EXPONENT_CONSISTENCY_TOL, frac
-        rho, _, sol = _brent_point(p, channel, rate, ends)
+        rho, sol = _brent_point(p, channel, rate, ends)
         assert abs(pt.rho_star - rho) <= 1e-9 * rho, frac
         assert abs(pt.exponent - sol.tilted_exponent) <= 1e-8, frac
         if frac <= 0.05:
@@ -605,7 +620,7 @@ def test_bec_law_start_bail_certifies_from_the_secant_start(monkeypatch):
     assert calls == []
     assert len(starts) == 2 and starts[0] > 0.39
     ends = _rate_endpoints(U2, channel)
-    rho, _, sol = _brent_point(U2, channel, rate, ends)
+    rho, sol = _brent_point(U2, channel, rate, ends)
     assert abs(pt.rho_star - rho) <= 1e-9 * rho
     assert abs(pt.exponent - sol.tilted_exponent) <= 1e-8
 
@@ -773,24 +788,40 @@ def test_newton_start_keeps_full_support_orders_bit_for_bit():
 
 
 def test_newton_bail_runs_brent_from_the_full_bracket(monkeypatch):
-    # with no proposal, the search is Brent's alone on (0, I_0) and (1, I_1)
+    # with no proposal, the search is Brent's alone on (0, I_0) and (1, I_1),
+    # whether Newton is skipped or numpy finds each of its systems singular
     channel = bec(0.3)
     ends = _rate_endpoints(U2, channel)
     rate = 0.5 * (ends[0] + ends[1])
-    monkeypatch.setattr(rspb.spe, "_newton_order", lambda *args: None)
-    calls = _counting_solves(monkeypatch)
-    pt = spe_parametric(U2, channel, rate)
-    assert len(calls) > 1
-    rho, _, sol = _brent_point(U2, channel, rate, ends)
-    assert pt.rho_star == rho
-    assert pt.exponent == sol.tilted_exponent
+    rho, sol = _brent_point(U2, channel, rate, ends)
+    singular = []
+
+    def refusing(*args):
+        singular.append(args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    for bail in ("skipped", "singular"):
+        with monkeypatch.context() as patch:
+            if bail == "skipped":
+                patch.setattr(rspb.spe, "_newton_order", lambda *args: None)
+            else:
+                patch.setattr(rspb.spe.np.linalg, "solve", refusing)
+            proposals = _counting_newton(patch)
+            calls = _counting_solves(patch)
+            pt = spe_parametric(U2, channel, rate)
+        assert proposals == [None] and len(calls) > 1, bail
+        assert pt.rho_star == rho, bail
+        assert pt.exponent == sol.tilted_exponent, bail
+    # bec searches from its order-0 law's start, then from the sqrt-secant order
+    assert len(singular) == 2
 
 
 @pytest.mark.parametrize("channel", [bsc(0.1), bec(0.3)], ids=["bsc", "bec"])
 def test_rejected_proposal_narrows_the_bracket_for_brent(monkeypatch, channel):
     # a proposal off the root whose mean certifies is read from that mean, with
-    # no solve at its order; it fails the stop rule, and the search goes on
-    # from the bracket it leaves, exactly as Brent alone does on that bracket
+    # no solve at its order; it fails the stop rule, every later probe lies in
+    # the bracket it leaves, and the search goes on exactly as Brent does from
+    # a cold first probe at that order
     ends = low, high = _rate_endpoints(U2, channel)
     proposal = []
     monkeypatch.setattr(rspb.spe, "_newton_order", lambda *args: proposal[-1])
@@ -805,13 +836,14 @@ def test_rejected_proposal_narrows_the_bracket_for_brent(monkeypatch, channel):
         proposal.append((first, off.mean.masses))
         calls.clear()
         pt = spe_parametric(U2, channel, rate)
-        assert calls and all(call[0] != first for call in calls), frac
+        assert calls, frac
+        if off.tilted_rate < rate:
+            assert all(call[0] > first for call in calls), frac
+        else:
+            assert all(call[0] < first for call in calls), frac
         cold = augustin_fixed_point(pt.rho_star, U2, channel)
         assert _rate_met(pt.rho_star, abs(cold.tilted_rate - rate)), frac
-        lo, hi = (0.0, low), (1.0, high)
-        off = off.tilted_rate
-        bracket = ((first, off), hi) if off < rate else (lo, (first, off))
-        rho, _, sol = _brent_point(U2, channel, rate, ends, bracket)
+        rho, sol = _brent_point(U2, channel, rate, ends, first)
         assert pt.rho_star == rho, frac
         assert pt.exponent == sol.tilted_exponent, frac
         assert pt.mean.masses.tobytes() == sol.mean.masses.tobytes(), frac
@@ -824,9 +856,7 @@ def test_accepted_first_probe_is_the_only_probe():
         calls.append(rho)
         return rho * rho, "state"
 
-    found = _find_order(rate_at, 0.25, (0.0, 0.0), (1.0, 1.0),
-                        lambda rho, r, _: abs(r - 0.25) <= 1e-12, first=0.5)
-    assert found == (0.5, 0.25, "state")
+    assert _solve_components([(1, (0.0, 1.0), rate_at)], 0.25, first=0.5) == (0.5, ["state"])
     assert calls == [0.5]
 
 
@@ -834,16 +864,16 @@ def test_spent_bracket_returns_the_probe_nearest_the_target():
     # the rate jumps over the target at order 0.5, so no probe meets it: the
     # bracket closes on the jump, partly by plain halving, and once it is
     # spent the probe with the smallest residual comes back
-    probes = []
+    probes = {}
 
     def rate_at(rho):
         rate = 0.2 * rho if rho < 0.5 else 1.0
-        probes.append((rho, rate))
+        probes[rho] = rate
         return rate, "state"
 
-    rho, rate, state = _find_order(rate_at, 0.25, (0.0, 0.0), (1.0, 1.0), lambda *_: False)
-    assert (rho, rate) == min(probes, key=lambda probe: abs(probe[1] - 0.25))
-    assert state == "state"
+    rho, states = _solve_components([(1, (0.0, 1.0), rate_at)], 0.25)
+    assert rho == min(probes, key=lambda order: abs(probes[order] - 0.25))
+    assert states == ["state"]
     assert 0.0 < 0.5 - rho < 1e-14
 
 
@@ -882,8 +912,8 @@ def test_solve_components_weights_counts_and_scales_the_stop_rule(monkeypatch, t
 
 
 def test_solve_components_one_component_stops_on_the_absolute_residual(monkeypatch):
-    # one component of count 1 is `_find_order` on its own rate under
-    # `_rate_met` of |rate - target|, whatever the target's size
+    # one component of count 1 stops on `_rate_met` of |rate - target|,
+    # whatever the target's size, at the first probe that meets it
     stops = []
     met = rspb.spe._rate_met
 
@@ -896,10 +926,29 @@ def test_solve_components_one_component_stops_on_the_absolute_residual(monkeypat
     rho, (state,) = _solve_components([(1, (0.0, 20.0), _toy(probes, "line", lambda r: 20.0 * r))],
                                       10.0)
     assert state == "line"
-    assert [residual for _, residual in stops] == [abs(20.0 * r - 10.0) for _, r in probes]
-    direct = _find_order(lambda r: (20.0 * r, "line"), 10.0, (0.0, 0.0), (1.0, 20.0),
-                         lambda r, rate, _: met(r, abs(rate - 10.0)))
-    assert (rho, state) == (direct[0], direct[2])
+    assert stops == [(r, abs(20.0 * r - 10.0)) for _, r in probes]
+    assert [met(*stop) for stop in stops] == [False] * (len(stops) - 1) + [True]
+    assert rho == stops[-1][0]
+
+
+def test_solve_components_brackets_at_the_given_low_order():
+    # the capacity curve starts at a positive order: the bracket's low end is
+    # that order, and no probe goes below it, where this rate refuses
+    probes = []
+
+    def rate_at(rho):
+        if rho < 0.25:
+            raise ValueError(f"probe below the low order: {rho!r}")
+        probes.append(rho)
+        return rho * rho, "state"
+
+    rho, states = _solve_components([(1, (0.0625, 1.0), rate_at)], 0.09, low_order=0.25)
+    assert states == ["state"]
+    assert rho == pytest.approx(0.3, abs=1e-12)
+    assert probes and min(probes) >= 0.25
+    # the same ends at order 0 probe below it
+    with pytest.raises(ValueError, match="below the low order"):
+        _solve_components([(1, (0.0625, 1.0), rate_at)], 0.09)
 
 
 def test_solve_components_checks_the_summed_range():
