@@ -52,18 +52,17 @@ _GATE_ULPS = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True, slots=True)
 class AugustinSolution:
-    """Converged fixed point: mean, information, and iteration diagnostics.
+    """Certified fixed point: mean, information, and iteration diagnostics.
 
-    residual is the total-variation size of the last step of the map (for a
-    mean `_certified_mean` accepts, of the one step that certifies it) and
-    alt_identity_residual the gap between information and its tilted-channel
-    decomposition rho/(1-rho) tilted_exponent + tilted_rate (0 at order one).
     One tilt of p's rows toward the mean (the rows at order one; a symmetric
     root reuses its probe's, toward the center before renormalizing) gives:
-    tilted_rate = D_1(tilt || mean | p) and tilted_exponent = D_1(tilt || W |
-    p), tilted_kl_pair(rho, p, channel, mean.masses) up to that rounding; the
-    Frank-Wolfe gap of `_certified_mean`, which puts I_rho in [information -
-    max(gap, 0), information]; and a2, a3, the p-weighted `_tilt_moments` of ln W - ln mean.
+    the Frank-Wolfe gap of `_certified_mean`, the one rule that accepts a
+    mean, which puts I_rho in [information - max(gap, 0), information];
+    residual, the TV size of that map step; tilted_rate = D_1(tilt || mean |
+    p) and tilted_exponent = D_1(tilt || W | p), tilted_kl_pair(rho, p,
+    channel, mean.masses) up to that rounding; and a2, a3, the p-weighted
+    `_tilt_moments` of ln W - ln mean. alt_identity_residual is the gap between
+    information and rho/(1-rho) tilted_exponent + tilted_rate (0 at order one).
     """
 
     mean: FiniteDist
@@ -104,26 +103,30 @@ def _start(rho: float, weights, w_rows, lw) -> np.ndarray:
 
 
 def _solve(r_lw, one_r, weights, q, tol, max_iter):
-    """Iterate q <- sum_x p(x) tilt_rho(W(x), q) at an order below one, from
-    rho * ln W, 1 - rho and the start q, a vector over the outputs.
+    """Iterate q <- T(q) = sum_x p(x) tilt_rho(W(x), q) at an order below one,
+    from rho * ln W, 1 - rho and the start q, a vector over the outputs, until
+    the Frank-Wolfe gap g of `_certified_mean`, over the outputs the rows
+    reach, is at most tol or NaN.
 
     The map contracts like (1 - rho), which is hopeless to iterate plainly
-    for tiny orders, so once the step ratio stabilizes we take a
-    geometric-series extrapolation jump and let a few plain steps re-certify
-    the tolerance. Returns (mean, step, iterations); a solve that takes no step
-    has certified nothing and reports an infinite step. Needs tol >= 0, so
-    that a kept step is positive and the next step ratio is defined.
+    for tiny orders, so once the ratio of successive total-variation steps
+    stabilizes we take a geometric-series extrapolation jump. Returns
+    (q, g, map evaluations) of the iterate g was read at, not of T(q), or of
+    the last iterate; a solve that evaluates no map reports an infinite g.
     """
-    step, prev, n = math.inf, (math.nan, math.nan), 0
-    with np.errstate(divide="ignore"):
+    gap, prev, n = math.inf, (math.nan, math.nan), 0
+    reached = np.logical_or.reduce(r_lw > -np.inf, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         while n < max_iter:
             n += 1
             qn = np.einsum("s,sy->y", weights, _tilt(r_lw, one_r, q))
-            delta = qn - q
-            step = float(0.5 * np.add.reduce(np.abs(delta)))
-            q = qn
-            if step <= tol:
+            gap = float(np.max((qn / q)[reached])) - 1.0
+            # a NaN gap is a reached mass at 0, which the map keeps at 0
+            if not gap > tol:
                 break
+            delta = qn - q
+            step = 0.5 * np.add.reduce(np.abs(delta))  # numpy's, so that 0 divides
+            q = qn
             ratio = step / prev[0]
             if ratio < 1.0 and abs(ratio - prev[1]) < 0.02 * ratio:
                 jump = q + delta * (ratio / (1.0 - ratio))
@@ -135,7 +138,7 @@ def _solve(r_lw, one_r, weights, q, tol, max_iter):
                 prev = (math.nan, math.nan)
             else:
                 prev = (step, ratio)
-    return q, step, n
+    return q, gap, n
 
 
 def _row_divergences(rho: float, lw: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -229,33 +232,32 @@ def augustin_fixed_point(
     """Solve for the order rho Augustin mean of (p, channel).
 
     Starts from the power-mean center of the same order (with START_MIX of
-    the order-one mean), stops when the total-variation step falls below
-    tol, and cross-checks the converged information value against its
-    tilted-channel KL decomposition before returning. Order one returns the
-    plain mixture directly.
+    the order-one mean) and accepts the solution, as `_certified_mean` does
+    Newton's mean, when its Frank-Wolfe gap is at most tol; otherwise it
+    raises NonConvergenceError carrying the gap (NaN where the mean vanishes
+    on an output p W reaches). Order one returns the plain mixture directly.
     """
     _check_inputs(rho, p, channel)
     _check_limits(tol, max_iter)
     weights, w_rows, lw = _support_rows(p, channel)
     if rho == 1.0:
-        q, iterations, step = weights @ w_rows, 0, 0.0
-    else:
-        q, step, iterations = _solve(
-            rho * lw, 1.0 - rho, weights, _start(rho, weights, w_rows, lw), tol, max_iter
-        )
-        if step > tol:
-            raise NonConvergenceError(
-                f"fixed point did not converge in {max_iter} iterations", step
-            )
-    return _solution(rho, weights, w_rows, lw, q, iterations, step)
+        return _solution(rho, weights, w_rows, lw, weights @ w_rows, 0)
+    q, _, iterations = _solve(
+        rho * lw, 1.0 - rho, weights, _start(rho, weights, w_rows, lw), tol, max_iter
+    )
+    sol = _solution(rho, weights, w_rows, lw, q, iterations)
+    if not sol.gap <= tol:
+        raise NonConvergenceError(f"fixed point not certified after {iterations} iterations",
+                                  sol.gap)
+    return sol
 
 
-def _solution(rho, weights, w_rows, lw, q, iterations, step=None, tilted=None) -> AugustinSolution:
-    """The solution at the mean q from p's support rows and a solver's last TV
-    step (None: one map step's at q), read off one tilt toward the
-    renormalized mean, or off `tilted`, the caller's (tilts, logs) toward q.
-    The identity gate raises ComputationError, but not below order one where
-    q leaves a row no mass: the residual and gap read NaN."""
+def _solution(rho, weights, w_rows, lw, q, iterations, tilted=None) -> AugustinSolution:
+    """The solution at the mean q from p's support rows, read off one tilt
+    toward the renormalized mean, or off `tilted`, the caller's (tilts, logs)
+    toward q; its residual is the TV of that one map step. The identity gate
+    raises ComputationError, but not below order one where q leaves a row no
+    mass: the residual and gap read NaN."""
     info = float(weights @ _row_divergences(rho, lw, q))
     mean = FiniteDist(q)
     q = mean.masses
@@ -264,7 +266,7 @@ def _solution(rho, weights, w_rows, lw, q, iterations, step=None, tilted=None) -
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = float(np.max((image / q)[weights @ w_rows > 0])) - 1.0
         _, a2, a3 = _tilt_moments(lw - lq, t)
-    step = float(0.5 * np.add.reduce(np.abs(image - q))) if step is None else step
+    step = float(0.5 * np.add.reduce(np.abs(image - q)))
     alt = 0.0
     if rho < 1.0:
         # an infinite information, where q leaves a row (next to) no mass, has
@@ -291,10 +293,9 @@ def _certified_mean(rho: float, p: FiniteDist, channel: DiscreteChannel, q: np.n
     sum_x p(x) tilt_rho(W(x), q) is one step of the map. Its Frank-Wolfe gap
     g = max_y T(q)(y)/q(y) - 1, over the outputs p W reaches, bounds the
     information: I_rho(p) lies in [f - max(g, 0), f] (Jaggi, ICML 2013). q is
-    accepted when g <= DEFAULT_FP_TOL. Since TV(T(q), q) <= max(g, 0), that
-    certifies at least what the step rule of `augustin_fixed_point` does, and
-    a q that vanishes where p W does not has no finite gap. The solution
-    reports one iteration, and that step's TV as its residual.
+    accepted when g <= DEFAULT_FP_TOL, as `augustin_fixed_point` accepts its
+    own, and a q that vanishes where p W does not has no finite gap. The
+    solution reports one iteration.
     """
     sol = _solution(rho, *_support_rows(p, channel), q, 1)
     return sol if sol.gap <= DEFAULT_FP_TOL else None
@@ -304,22 +305,18 @@ def _order_zero_information(weights, w_rows) -> float:
     """I_0(p) = min_q f(q) = -sum_x p(x) ln q(S_x), S_x the support of W(x),
     the order-0 limit of the Augustin information: 0.0 when the rows share an
     output, else at the order-0 mean from p W, where the tilt is q restricted
-    to S_x. Jensen certifies it: f(q) - I_0 <= ln max_y sum_x p(x)
-    1{y in S_x} / q(S_x), and a bound above 1e-12 raises NonConvergenceError.
+    to S_x. `_solve` stops on this map's gap g, and Jensen gives
+    f(q) - I_0 <= ln(1 + g); a g above DEFAULT_FP_TOL raises NonConvergenceError.
     """
     reach = w_rows > 0
     if reach.all(axis=0).any():
         return 0.0
-    # the step certifies nothing here, so iterate to rounding: at a step of
-    # 1e-13, 55 of 1676 random zero-laden pairs stopped above the 1e-12 bound
-    # and 9 at 1e-16
     with np.errstate(divide="ignore"):
-        q = _solve(np.log(reach), 1.0, weights, weights @ w_rows, 1e-16, DEFAULT_FP_MAX_ITER)[0]
-    mass = reach @ q
-    gap = math.log(float(np.max((weights / mass) @ reach)))
-    if not gap <= 1e-12:
+        q, gap, _ = _solve(np.log(reach), 1.0, weights, weights @ w_rows, DEFAULT_FP_TOL,
+                           DEFAULT_FP_MAX_ITER)
+    if not gap <= DEFAULT_FP_TOL:
         raise NonConvergenceError("order-0 mean is not certified", gap)
-    return float(-(weights @ np.log(mass)))
+    return float(-(weights @ np.log(reach @ q)))
 
 
 def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:
@@ -471,7 +468,10 @@ def _power_mean_ascent(rho, w_rho, terms, penalty, lp, tol, max_iter):
         lp, d, value = cur[:3]
         if np.maximum.reduce(d) - value <= 0.1 * tol:
             break
-        g = np.minimum(d - np.maximum.reduce(d[np.isfinite(d)]), 0.0)
+        finite = d[np.isfinite(d)]
+        if not finite.size:
+            raise NonConvergenceError("capacity ascent has no finite divergence", math.nan)
+        g = np.minimum(d - np.maximum.reduce(finite), 0.0)
         x = lp + s * g
         top = np.maximum.reduce(x)
         trial = state(x - (top + math.log(np.add.reduce(np.exp(x - top)))))

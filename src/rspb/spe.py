@@ -344,17 +344,17 @@ def spe_constrained(channel: DiscreteChannel, constraint: ConstraintSet,
     exponent of the set is sup over orders of (1-rho)/rho (C_rho - rate),
     attained where the tilted rate of the capacity center at the optimizer
     meets the rate. Capacities run at `augustin_capacity`'s default tolerance.
-    Rates at or below the capacity at LOW_ORDER_PROBE give inf, and rates at
-    or above the capacity or the tilted rate at order one give 0. Any other
-    rate lies strictly between the tilted rates of those two solves (a
-    tilted rate is at most the information at its order), so
-    `_solve_components` finds the order on one component of count 1, the
-    capacity curve bracketed from LOW_ORDER_PROBE, each probe's rate read
-    off its capacity's solution; the point is `_point`'s from the accepted
-    one. The result is certified when the order-one and interior capacities
-    certify, the accepted capacity's tilted rate meets the `spe_parametric`
-    stop rule and the low capacity plus its gap is below the rate. Lists are
-    enumerated exactly, on one rate range per candidate.
+    Rates at or below I_0 of the optimizer at LOW_ORDER_PROBE, a certified
+    lower end of C_0, give inf, and rates at or above the capacity or the
+    tilted rate at order one give 0. Between those, `_solve_components`
+    finds the order on one component of count 1, the capacity curve
+    bracketed from LOW_ORDER_PROBE (a rate below its tilted rate there raises
+    RateOutOfRangeError), each probe's rate read off its capacity's solution;
+    the point is `_point`'s from the accepted one. The result is certified
+    when the order-one and interior capacities certify, the accepted
+    capacity's tilted rate meets the `spe_parametric` stop rule and the low
+    capacity plus its gap is below the rate. Lists are enumerated exactly, on
+    one rate range per candidate.
     """
     if math.isnan(rate):
         raise RateOutOfRangeError(rate, 0.0, math.inf)
@@ -379,8 +379,8 @@ def spe_constrained(channel: DiscreteChannel, constraint: ConstraintSet,
     # within that rounding of it is the 0 limit
     if rate >= min(high.capacity, high_rate):
         return ConstrainedSpe(0.0, high.optimizer, None, high.certified)
-    if rate <= low.capacity:
-        # a feasible input reaches the low capacity, so the exponent is inf
+    if rate <= _order_zero_information(*_support_rows(low.optimizer, channel)[:2]):
+        # a feasible input's I_0, at most C_0, reaches the rate: the exponent is inf
         return ConstrainedSpe(math.inf, low.optimizer, None, True)
     rho, (best,) = _solve_components([(1, (low_rate, high_rate), rate_at)], rate,
                                      low_order=LOW_ORDER_PROBE)

@@ -204,7 +204,7 @@ def _solve_symmetric(channels, target: float, tol: float = DEFAULT_SYMMETRY_TOL)
     sols, nonconstant = [], False
     for (count, _, (w_rows, lw), _), (center, tilted) in zip(parts, states):
         sols.append((count, _solution(rho, uniform_dist(len(lw)).masses, w_rows, lw,
-                                      center.masses, 0, None, tilted)))
+                                      center.masses, 0, tilted)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = (lw[0] - np.log(center.masses))[tilted[0][0] > 0]
         nonconstant |= bool(ratios.size > 1 and ratios.max() - ratios.min() > PROFILE_MERGE_TOL)

@@ -18,6 +18,7 @@ from rspb.cli import main
 from rspb.errors import NonConvergenceError
 from rspb.measures import uniform_dist, zchannel
 from rspb.spe import spe_parametric
+from conftest import channel_with_zeros
 
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
 
@@ -192,6 +193,20 @@ def test_fixed_point_without_steps_exits_3(capsys):
     code, out, err = run_cli(
         capsys, "augustin", "--order", "0.3", "--zchannel", "0.3", "--max-iter", "0"
     )
+    assert code == 3
+    assert json.loads(out)["error"] == "NonConvergenceError"
+    assert "not certified" in err
+
+
+def test_capacity_ascent_with_no_finite_divergence_exits_3(capsys, tmp_path):
+    # draw 26's power-mean ascent at this order reaches a point where no
+    # divergence is finite; that is a failed computation, not invalid input
+    rows = channel_with_zeros(np.random.default_rng(26)).row_matrix()
+    path = tmp_path / "c26.json"
+    path.write_text(json.dumps({"inputs": rows.shape[0], "outputs": rows.shape[1],
+                                "rows": rows.tolist()}))
+    code, out, err = run_cli(capsys, "capacity", "--order", "1.1827650669214335e-05",
+                             "--channel", str(path))
     assert code == 3
     assert json.loads(out)["error"] == "NonConvergenceError"
     assert "not certified" in err

@@ -24,7 +24,7 @@ from rspb.oracle import (
     independent_triple,
     third_moment_inequality_check,
 )
-from rspb.spe import spe_parametric
+from rspb.spe import _rate_endpoints, spe_parametric
 from conftest import random_channel, random_dist
 from oracle_helpers import (
     DiscreteProduct,
@@ -270,8 +270,12 @@ def test_brute_spe_channel_with_exact_zeros():
         [0.8530, 0.0007, 0.0, 0.0, 0.1463],
     )))
     p = uniform_dist(3)
-    low = augustin_fixed_point(1e-6, p, channel).information
-    high = augustin_fixed_point(1.0, p, channel).information
+    # the rows share an output, so I_0 = 0; the fixed point at order 1e-6
+    # leaves a mass the rows reach underflowed and is refused
+    low, high = _rate_endpoints(p, channel)
+    assert low == 0.0
+    with pytest.raises(NonConvergenceError):
+        augustin_fixed_point(1e-6, p, channel)
     for share in (0.25, 0.5, 0.75):
         rate = low + share * (high - low)
         pt = spe_parametric(p, channel, rate)

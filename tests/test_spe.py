@@ -334,6 +334,20 @@ def test_constrained_rate_within_rounding_of_the_order_one_capacity_is_a_limit()
             assert (res.value, res.point, res.certified) == (0.0, None, True), rate
 
 
+@pytest.mark.parametrize("channel", [bsc(0.1), bec(0.3)], ids=["bsc", "bec"])
+def test_constrained_rates_above_the_order_zero_capacity_are_finite(channel):
+    # C_0 = 0 here (the rows share an output), so every positive rate has a
+    # finite exponent; the capacity 5.1e-7 at LOW_ORDER_PROBE on bsc(0.1) once
+    # gave these rates a certified inf. `_rate_met` holds each side's
+    # exponent within 1e-10 of the root's
+    for rate in (1e-8, 1e-7, 4e-7):
+        res = spe_constrained(channel, ALL, rate)
+        want = spe_parametric(uniform_dist(2), channel, rate).exponent
+        assert res.value == pytest.approx(want, abs=1e-10), rate
+        # the low probe's capacity plus its gap is not below the rate
+        assert not res.certified, rate
+
+
 def _counting_solves(monkeypatch):
     """Record the order, and any argument past the channel, of every
     fixed-point solve the spe module makes."""
@@ -1032,9 +1046,9 @@ def _disjoint_draws():
 
 
 DISJOINT_DRAWS = _disjoint_draws()
-# the draws whose fixed point at uniform input and order 1e-6 does not converge
-LOW_PROBE_FAILS = {"0-5", "0-8", "0-14", "0-19", "2-0", "3-9", "3-18", "4-18", "5-17",
-                   "6-4", "6-14", "6-19", "7-13", "8-10", "8-13"}
+# the draws whose fixed point at uniform input and order 1e-6 is not certified
+LOW_PROBE_FAILS = {"0-4", "0-5", "0-8", "0-14", "0-19", "2-0", "3-9", "3-18", "4-18",
+                   "5-17", "6-4", "6-8", "6-14", "6-19", "7-13", "8-10", "8-13"}
 
 
 def _order_zero(p, channel):
@@ -1050,6 +1064,8 @@ def test_order_zero_end_certifies_on_every_disjoint_draw():
         assert _rate_endpoints(p, channel) == (
             low, augustin_fixed_point(1.0, p, channel).information), label
         if label in LOW_PROBE_FAILS:
+            with pytest.raises(NonConvergenceError):
+                augustin_fixed_point(1e-6, p, channel)
             continue
         # the information grows with the order from its order-0 limit
         assert 0.0 <= augustin_fixed_point(1e-6, p, channel).information - low <= 4e-6, label
