@@ -38,8 +38,6 @@ from .measures import (
 )
 
 DEFAULT_FP_TOL = 1e-12
-# The low order of the capacity bracket of `spe_constrained`.
-LOW_ORDER_PROBE = 1e-6
 DEFAULT_FP_MAX_ITER = 20000
 ALT_IDENTITY_TOL = 1e-9
 # Weight of the order-one mean mixed into every start. The map keeps a zero
@@ -317,6 +315,46 @@ def _order_zero_information(weights, w_rows) -> float:
     if not gap <= DEFAULT_FP_TOL:
         raise NonConvergenceError("order-0 mean is not certified", gap)
     return float(-(weights @ np.log(reach @ q)))
+
+
+def _order_zero_capacity(channel: DiscreteChannel, constraint: ConstraintSet) -> tuple:
+    """(lower, upper, p0): certified ends of the order-0 capacity
+    C_0 = -ln min_p max_y (pA)(y) over an `all` or `cost` set, A = 1{W > 0}
+    (Csiszar, IEEE TIT 1995), and the feasible p0 that gives lower.
+
+    With u = p / that min, C_0 = ln max sum u subject to A^T u <= 1, u >= 0
+    and, under a cost, (c - b) u <= 0: a dense tableau simplex from the
+    feasible slack basis, with Bland's rule. Outside the tableau, lower is
+    -ln max_y (p0 A)(y) at p0 = u / sum u, less its rounding, and upper is
+    -ln min_x [(Aq)(x) + mu (c(x) - b)] at the normalized dual (q, mu), by
+    weak duality; C_0 >= 0 clips both to +0.0.
+    """
+    reach = (channel.row_matrix() > 0).astype(float)
+    (n_in, n_out), rows = reach.shape, reach.T
+    if constraint.kind == "cost":
+        spare = constraint.costs - constraint.budget
+        rows = np.vstack([rows, spare / (np.abs(spare).max() or 1.0)])
+    m = rows.shape[0]
+    tab, basis = np.zeros((m + 1, n_in + m + 1)), np.arange(n_in, n_in + m)
+    tab[:m, :n_in], tab[:m, n_in:-1], tab[:n_out, -1], tab[m, :n_in] = rows, np.eye(m), 1.0, -1.0
+    while (tab[m, :-1] < -1e-12).any():
+        j = int(np.argmax(tab[m, :-1] < -1e-12))
+        ratios = np.divide(tab[:m, -1], tab[:m, j], out=np.full(m, math.inf),
+                           where=tab[:m, j] > 1e-12)
+        # Bland: the least basic index among the least ratios
+        i = min(np.flatnonzero(ratios == ratios.min()), key=basis.__getitem__)
+        pivot = tab[i] / tab[i, j]
+        tab -= np.outer(tab[:, j], pivot)
+        tab[i], basis[i] = pivot, j
+    u = np.maximum(np.bincount(basis, tab[:m, -1], n_in + m)[:n_in], 0.0)
+    dual = np.maximum(tab[m, n_in:-1], 0.0)
+    # exact sums, so that an output every row reaches gives a ratio of exactly 1
+    top = max(math.fsum(u * a) for a in reach.T) / math.fsum(u)
+    low = min(math.fsum(dual * r) for r in rows.T) / math.fsum(dual[:n_out])
+    lower = -math.log(top)
+    # lower gives up the rounding of the ratio and the log, at most 2 eps (1 + lower)
+    return (max(0.0, lower - 2.0 * (1.0 + lower) * math.ulp(1.0)),
+            max(0.0, -math.log(low)) if low > 0.0 else math.inf, u / math.fsum(u))
 
 
 def augustin_info_derivative(rho: float, p: FiniteDist, channel: DiscreteChannel) -> float:

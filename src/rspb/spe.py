@@ -8,19 +8,14 @@ exponent, its slope and the order come from the Augustin mean there.
 One solve, `_solve_components`, finds the order of every exponent: Brent's
 root-finder on count-weighted tilted rates, bracketed by the counted ends
 (0, I_0) and (1, I_1) at no fixed-point cost. A point is one component.
-Its first probe is Newton's order on the fixed-point and rate equations in
-(ln q, rho), read with no solve when the Frank-Wolfe gap at Newton's q
-certifies it; every other probe is a cold fixed point. The point takes its
-exponent and moments from the accepted probe's solution. Newton starts
-where the rate's law near order 0 puts the root: exponential in -1/rho
-when I_0 = 0 and rows of p's support miss an output that others reach,
-quadratic in rho otherwise, and a search from the exponential law's start
-that gives up runs once more from the quadratic law's. A step that would
-leave (0, 1) is scaled once by the power of two that keeps it inside.
-Over a constraint set the same solve runs on the capacity curve, one
-component bracketed from the capacity at LOW_ORDER_PROBE. The direct form
-(1 - rho*) / rho* (I_rho* - R) at the root checks the exponent; an
-independent check is `oracle.brute_spe`, which never runs the fixed point.
+Its first probe is `_newton_order`'s, on the fixed-point and rate equations
+in (ln q, rho), read with no solve when the Frank-Wolfe gap at Newton's q
+certifies it; every other probe is a cold fixed point, and the point takes
+its exponent and moments from the accepted probe's solution. Over a
+constraint set the same solve runs on the capacity curve from (0, C_0), the
+order-0 capacity of one linear program. The direct form (1 - rho*) / rho*
+(I_rho* - R) at the root checks the exponent, and `oracle.brute_spe`, which
+never runs the fixed point, checks it independently.
 """
 
 from __future__ import annotations
@@ -31,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augustin import (
-    LOW_ORDER_PROBE,
     ConstraintSet,
     _certified_mean,
     _check_inputs,
     _kl_rows,
+    _order_zero_capacity,
     _order_zero_information,
     _row_divergences,
     _start,
@@ -210,16 +205,15 @@ def _check_rate(rate: float, low: float, high: float):
         raise RateOutOfRangeError(rate, low, high)
 
 
-def _solve_components(components, target: float, first=None, *, low_order=0.0) -> tuple:
+def _solve_components(components, target: float, first=None) -> tuple:
     """Order where the count-weighted tilted rates of the components meet target.
 
-    A component is (count, (R_lo, R_1), rate_at): its tilted rates at the
-    low order and at order 1, the search's free bracket, and
-    rate_at(rho) -> (rate, state). The low order is 0, where R_lo is I_0,
-    unless the caller's rates start at a positive order. A proposed `first`
-    order in the bracket is probed before all others; unless it meets the
-    stop rule, `_rate_met` of |sum count * rate - target| / min(max(1,
-    |target|), sum count), it replaces the end on its side of the target.
+    A component is (count, (R_0, R_1), rate_at): its tilted rates in the
+    limit of order 0 and at order 1, the search's free bracket, and
+    rate_at(rho) -> (rate, state). A proposed `first` order in the bracket
+    is probed before all others; unless it meets the stop rule, `_rate_met`
+    of |sum count * rate - target| / min(max(1, |target|), sum count), it
+    replaces the end on its side of the target.
     Each later probe interpolates inversely through the last three points (a
     secant through two), falling back to halving when the interpolant leaves
     the bracket or shrinks it more slowly than halving would (Brent,
@@ -239,7 +233,7 @@ def _solve_components(components, target: float, first=None, *, low_order=0.0) -
         probes = [(count, *rate_at(rho)) for count, _, rate_at in components]
         return rho, sum(count * rate for count, rate, _ in probes), [state for *_, state in probes]
 
-    lo, hi, best = (low_order, low), (1.0, high), None
+    lo, hi, best = (0.0, low), (1.0, high), None
     if first is not None:
         best = probe(first)
         if _rate_met(first, abs(best[1] - target) / scale):
@@ -343,18 +337,13 @@ def spe_constrained(channel: DiscreteChannel, constraint: ConstraintSet,
     Swapping the two suprema reduces the search to the capacity curve: the
     exponent of the set is sup over orders of (1-rho)/rho (C_rho - rate),
     attained where the tilted rate of the capacity center at the optimizer
-    meets the rate. Capacities run at `augustin_capacity`'s default tolerance.
-    Rates at or below I_0 of the optimizer at LOW_ORDER_PROBE, a certified
-    lower end of C_0, give inf, and rates at or above the capacity or the
-    tilted rate at order one give 0. Between those, `_solve_components`
-    finds the order on one component of count 1, the capacity curve
-    bracketed from LOW_ORDER_PROBE (a rate below its tilted rate there raises
-    RateOutOfRangeError), each probe's rate read off its capacity's solution;
-    the point is `_point`'s from the accepted one. The result is certified
-    when the order-one and interior capacities certify, the accepted
-    capacity's tilted rate meets the `spe_parametric` stop rule and the low
-    capacity plus its gap is below the rate. Lists are enumerated exactly, on
-    one rate range per candidate.
+    meets the rate. It is 0 at rates at or above C_1 or the tilted rate at
+    order one, and inf, at p0, at or below `_order_zero_capacity`'s lower end.
+    Between, `_solve_components` runs on one component, the capacity curve
+    bracketed from (0, lower), at the default capacity tolerance; the point
+    is `_point`'s from the accepted capacity, certified when every capacity
+    is, the stop rule holds and C_0's upper end is below the rate. Lists are
+    enumerated exactly, on one rate range per candidate.
     """
     if math.isnan(rate):
         raise RateOutOfRangeError(rate, 0.0, math.inf)
@@ -374,18 +363,17 @@ def spe_constrained(channel: DiscreteChannel, constraint: ConstraintSet,
         solves.append(res)
         return res.solution.tilted_rate, res
 
-    (low_rate, low), (high_rate, high) = rate_at(LOW_ORDER_PROBE), rate_at(1.0)
+    high_rate, high = rate_at(1.0)
     # at order one the tilted rate is the capacity up to rounding, and a rate
     # within that rounding of it is the 0 limit
     if rate >= min(high.capacity, high_rate):
         return ConstrainedSpe(0.0, high.optimizer, None, high.certified)
-    if rate <= _order_zero_information(*_support_rows(low.optimizer, channel)[:2]):
-        # a feasible input's I_0, at most C_0, reaches the rate: the exponent is inf
-        return ConstrainedSpe(math.inf, low.optimizer, None, True)
-    rho, (best,) = _solve_components([(1, (low_rate, high_rate), rate_at)], rate,
-                                     low_order=LOW_ORDER_PROBE)
+    lower, upper, p0 = _order_zero_capacity(channel, constraint)
+    if rate <= lower:
+        # p0's I_0 is at least its Sibson I_0, lower, which reaches the rate
+        return ConstrainedSpe(math.inf, FiniteDist(p0), None, True)
+    rho, (best,) = _solve_components([(1, (lower, high_rate), rate_at)], rate)
     certified = (_rate_met(rho, abs(best.solution.tilted_rate - rate))
-                 and all(res.certified for res in solves[1:])
-                 and low.capacity + low.certificate_gap < rate)
+                 and all(res.certified for res in solves) and upper < rate)
     pt = _point(rate, rho, best.solution)
     return ConstrainedSpe(pt.exponent, best.optimizer, pt, certified)

@@ -8,8 +8,8 @@ import pytest
 import rspb.augustin
 import rspb.measures
 from rspb.augustin import (
-    LOW_ORDER_PROBE,
     ConstraintSet,
+    _order_zero_capacity,
     augustin_capacity,
     augustin_fixed_point,
     augustin_info_derivative,
@@ -41,6 +41,8 @@ from rspb.spe import spe_parametric
 from conftest import channel_with_zeros, random_channel, random_dist
 from oracle_helpers import fd_derivative_check, tilted_pair_two_passes
 
+# the smallest order these tests solve at
+LOW_ORDER = 1e-6
 U2 = uniform_dist(2)
 I_HALF = -2.0 * math.log(2.0 / math.sqrt(5.0))
 I_ONE = math.log(2.0) - (-0.1 * math.log(0.1) - 0.9 * math.log(0.9))
@@ -130,7 +132,7 @@ def _rows_channel(rows):
 
 
 @pytest.mark.parametrize("rows", SWEEP_LOW_ORDER_ROWS)
-@pytest.mark.parametrize("rho", [LOW_ORDER_PROBE, 1e-4, 1e-3])
+@pytest.mark.parametrize("rho", [LOW_ORDER, 1e-4, 1e-3])
 def test_low_order_fixed_point_converges(rows, rho):
     channel = _rows_channel(rows)
     p = uniform_dist(channel.input_size)
@@ -389,7 +391,7 @@ FACE_TRAPS = {
 
 
 @pytest.mark.parametrize("name, rho", [
-    ("D3x4", 0.02637610819043479), ("D4x8", LOW_ORDER_PROBE), ("D4x8", 0.01)])
+    ("D3x4", 0.02637610819043479), ("D4x8", LOW_ORDER), ("D4x8", 0.01)])
 def test_fixed_point_leaves_no_face_of_the_simplex(name, rho):
     channel = channel_of(FACE_TRAPS[name])
     p = uniform_dist(channel.input_size)
@@ -409,13 +411,13 @@ def test_fixed_point_leaves_no_face_of_the_simplex(name, rho):
 KERNEL_PINS = [
     ("bsc", 0.5, "606e5166986dd9f186277d16e3d18bae", "0x1.c8ff7c79a9a24p-3", 1,
      "0x1.0000000000000p-54"),
-    ("R8x16", LOW_ORDER_PROBE, "0f612d0f45635f05e72509855d459cd5", "0x1.0d35c535ba0f8p-21", 1,
+    ("R8x16", LOW_ORDER, "0f612d0f45635f05e72509855d459cd5", "0x1.0d35c535ba0f8p-21", 1,
      "0x1.233c000000000p-45"),
     ("R8x16", 0.5, "7b1c1205b12fcea44448bf40a7b9dfab", "0x1.9b90317440f38p-3", 16,
      "0x1.3fd0000000000p-47"),
-    ("low0", LOW_ORDER_PROBE, "3390bacb44b97daaceae412fa471e826", "0x1.4a4ab4ad92286p-20", 1,
+    ("low0", LOW_ORDER, "3390bacb44b97daaceae412fa471e826", "0x1.4a4ab4ad92286p-20", 1,
      "0x1.4268000000000p-43"),
-    ("low1", LOW_ORDER_PROBE, "5ba803b05ece4ad85bc1603118a285b7", "0x1.8f9cee1e3eea6p-22", 1,
+    ("low1", LOW_ORDER, "5ba803b05ece4ad85bc1603118a285b7", "0x1.8f9cee1e3eea6p-22", 1,
      "0x1.5430000000000p-45"),
     ("zeros", 0.02, "6bcf21fa3512f82c4784f4aa7a04552e", "0x1.6ed75a355b595p-5", 44,
      "0x1.45da7ef55c349p-53"),
@@ -473,7 +475,7 @@ def test_capacity_random_channels_with_zeros_certify():
         assert_capacity_certified(rho, channel, res, 1e-8)
 
 
-@pytest.mark.parametrize("rho", [LOW_ORDER_PROBE, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("rho", [LOW_ORDER, 0.3, 0.9, 1.0])
 @pytest.mark.parametrize("channel", [bsc(0.1), bec(0.3), zchannel(0.3), channel_of(R8X16)],
                          ids=["bsc", "bec", "z", "R8x16"])
 def test_solution_carries_its_tilted_pair(rho, channel):
@@ -502,7 +504,7 @@ def test_a_row_without_a_tilt_gives_no_tilted_pair():
 ZERO_DRAWS = [channel_with_zeros(np.random.default_rng(seed)) for seed in range(12)]
 
 
-@pytest.mark.parametrize("rho", [LOW_ORDER_PROBE, 0.02, 0.5, 1.0])
+@pytest.mark.parametrize("rho", [LOW_ORDER, 0.02, 0.5, 1.0])
 def test_fused_tilted_pair_matches_two_passes_bit_for_bit(rho):
     # one log of the tilt, and ln W read from the channel, give the bits of
     # two passes that each take both logs anew: at the support rows' mixture,
@@ -567,7 +569,7 @@ def test_full_support_shares_the_channel_arrays():
     assert w_rows is channel.row_matrix() and lw is channel.log_row_matrix()
 
 
-@pytest.mark.parametrize("rho", [LOW_ORDER_PROBE, 0.02, 0.5, 1.0])
+@pytest.mark.parametrize("rho", [LOW_ORDER, 0.02, 0.5, 1.0])
 def test_zero_masses_solve_as_their_support_on_its_rows(rho):
     # dyadic masses sum to one exactly, so restricting p renormalizes nothing
     for channel in ZERO_DRAWS:
@@ -650,3 +652,50 @@ def test_capacity_ascent_with_no_finite_divergence_raises_non_convergence(seed, 
     channel = channel_with_zeros(np.random.default_rng(seed))
     with pytest.raises(NonConvergenceError, match="no finite divergence"):
         augustin_capacity(rho, channel)
+
+
+def _linprog_order_zero_capacity(channel, costs=None, budget=None):
+    """-ln min_p max_y (pA)(y) over the set, A = 1{W > 0}, from scipy's LP on
+    (p, t): min t subject to pA <= t, sum p = 1, p >= 0 and c p <= b."""
+    from scipy.optimize import linprog
+
+    reach = (channel.row_matrix() > 0).astype(float)
+    n_in, n_out = reach.shape
+    a_ub, b_ub = np.c_[reach.T, -np.ones(n_out)], np.zeros(n_out)
+    if costs is not None:
+        a_ub, b_ub = np.vstack([a_ub, np.r_[costs, 0.0]]), np.r_[b_ub, budget]
+    res = linprog(np.r_[np.zeros(n_in), 1.0], A_ub=a_ub, b_ub=b_ub,
+                  A_eq=np.r_[np.ones(n_in), 0.0][None], b_eq=[1.0], method="highs")
+    assert res.status == 0
+    return -math.log(res.fun)
+
+
+def test_order_zero_capacity_matches_linprog_on_zero_laden_draws():
+    positive = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        channel = channel_with_zeros(rng)
+        costs = rng.random(channel.input_size)
+        budget = float(rng.uniform(costs.min(), costs.max()))
+        for constraint, args in ((ConstraintSet.all_inputs(), ()),
+                                 (ConstraintSet.cost(costs, budget), (costs, budget))):
+            lower, upper, p0 = _order_zero_capacity(channel, constraint)
+            want = _linprog_order_zero_capacity(channel, *args)
+            assert abs(lower - want) <= 1e-12 and abs(upper - want) <= 1e-12, seed
+            assert lower <= upper, seed
+            # p0 is a feasible input that gives the lower end
+            assert p0.min() >= 0.0 and p0.sum() == pytest.approx(1.0, abs=1e-15), seed
+            assert not args or p0 @ costs <= budget + 1e-12, seed
+            top = float(np.max(p0 @ (channel.row_matrix() > 0)))
+            assert lower <= -math.log(top) <= lower + 1e-15, seed
+            positive += not args and lower > 0.0
+    assert positive == 81
+
+
+@pytest.mark.parametrize("channel", [bsc(0.1), bec(0.3), zchannel(0.3)], ids=["bsc", "bec", "z"])
+def test_order_zero_capacity_is_exactly_zero_when_the_rows_share_an_output(channel):
+    for constraint in (ConstraintSet.all_inputs(), ConstraintSet.cost([0.0, 1.0], 0.3)):
+        lower, upper, _ = _order_zero_capacity(channel, constraint)
+        # +0.0, not -0.0 = -ln 1
+        assert (math.copysign(1.0, lower), math.copysign(1.0, upper)) == (1.0, 1.0)
+        assert lower == upper == 0.0

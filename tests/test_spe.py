@@ -7,9 +7,9 @@ import rspb.augustin
 import rspb.spe
 from rspb.augustin import (
     DEFAULT_FP_TOL,
-    LOW_ORDER_PROBE,
     ConstraintSet,
     _certified_mean,
+    _order_zero_capacity,
     augustin_capacity,
     augustin_fixed_point,
     tilted_kl_pair,
@@ -208,22 +208,22 @@ ALL = ConstraintSet.all_inputs()
 # (channel, constraint, rate, value, probes): values are those of a 33-point
 # order grid refined by 40 golden-section steps, an order search that shares
 # no logic with the root-find, or None where only the certificate is checked;
-# probes counts the capacity solves, the two bracket ends included
+# probes counts the capacity solves, the order-one end included
 @pytest.mark.parametrize(
     "channel, constraint, rate, value, probes",
     [
-        (bsc(0.1), ALL, 0.0, math.inf, 2),
-        (bsc(0.1), ALL, 0.05, 0.216341242564238, 7),
-        (bsc(0.1), ALL, 0.1, 0.12788746919890392, 7),
-        (bsc(0.1), ALL, 0.2, 0.04029236546921471, 8),
-        (bec(0.3), ALL, 0.05, 0.8837269731821933, 9),
-        (bec(0.3), ALL, 0.1, 0.6690947553247982, 10),
-        (bec(0.3), ALL, 0.2, 0.3586559747365889, 10),
-        (zchannel(0.3), ALL, 0.05, 0.03692205561235368, 8),
-        (zchannel(0.3), ALL, 0.1, 0.0025298180681334226, 7),
-        (zchannel(0.3), ALL, 0.2, 0.0, 2),
-        (R8X16, ALL, 0.1, 0.1289986981098806, 8),
-        (zchannel(0.3), ConstraintSet.cost([0.0, 1.0], 0.3), 0.05, None, 9),
+        (bsc(0.1), ALL, 0.0, math.inf, 1),
+        (bsc(0.1), ALL, 0.05, 0.216341242564238, 6),
+        (bsc(0.1), ALL, 0.1, 0.12788746919890392, 6),
+        (bsc(0.1), ALL, 0.2, 0.04029236546921471, 7),
+        (bec(0.3), ALL, 0.05, 0.8837269731821933, 8),
+        (bec(0.3), ALL, 0.1, 0.6690947553247982, 9),
+        (bec(0.3), ALL, 0.2, 0.3586559747365889, 9),
+        (zchannel(0.3), ALL, 0.05, 0.03692205561235368, 7),
+        (zchannel(0.3), ALL, 0.1, 0.0025298180681334226, 6),
+        (zchannel(0.3), ALL, 0.2, 0.0, 1),
+        (R8X16, ALL, 0.1, 0.1289986981098806, 7),
+        (zchannel(0.3), ConstraintSet.cost([0.0, 1.0], 0.3), 0.05, None, 8),
     ],
     ids=["bsc-low-limit", "bsc-.05", "bsc-.1", "bsc-.2", "bec-.05", "bec-.1", "bec-.2",
          "z-.05", "z-.1", "z-capacity", "r8x16-.1", "z-cost-.05"],
@@ -241,11 +241,12 @@ def test_constrained_order_root_find(monkeypatch, channel, constraint, rate, val
     assert res.certified
     if value is not None:
         assert res.value == pytest.approx(value, abs=1e-10)
-    # the bracket ends first, then the root-find's probes, none below the low end
+    # the order-one end first, then the root-find's probes; order 0 is the
+    # linear program's, never a capacity solve
     assert len(calls) == probes
-    assert calls[:2] == [LOW_ORDER_PROBE, 1.0] and min(calls) == LOW_ORDER_PROBE
+    assert calls[0] == 1.0 and min(calls) > 0.0
     if res.point is None:
-        # a limit is decided by the two bracket solves alone
+        # a limit is decided by the order-one solve and the order-0 ends alone
         assert math.isinf(res.value) or res.value == 0.0
         return
     rho = res.point.rho_star
@@ -255,7 +256,7 @@ def test_constrained_order_root_find(monkeypatch, channel, constraint, rate, val
 
 def test_constrained_nan_rate_raises_before_any_solve(monkeypatch):
     calls = []
-    for name in ("augustin_capacity", "_rate_endpoints"):
+    for name in ("augustin_capacity", "_order_zero_capacity", "_rate_endpoints"):
         monkeypatch.setattr(rspb.spe, name, lambda *args, **kw: calls.append(args))
     listed = ConstraintSet.explicit([bern(0.3), point_mass(0, 2)])
     for constraint in (ALL, ConstraintSet.cost([0.0, 1.0], 0.3), listed):
@@ -334,18 +335,49 @@ def test_constrained_rate_within_rounding_of_the_order_one_capacity_is_a_limit()
             assert (res.value, res.point, res.certified) == (0.0, None, True), rate
 
 
-@pytest.mark.parametrize("channel", [bsc(0.1), bec(0.3)], ids=["bsc", "bec"])
-def test_constrained_rates_above_the_order_zero_capacity_are_finite(channel):
+# bec(0.3) leaves out 1e-15: near its root, order 2.4e-7, the fixed point
+# accepts means whose two edge masses, 4e-17 or 7e-13, are within its 1e-12
+# gap of 0, and their tilted rates scatter over [4e-22, 7e-13]
+@pytest.mark.parametrize("channel, rates", [(bsc(0.1), (1e-15, 1e-8, 1e-7, 4e-7)),
+                                            (bec(0.3), (1e-8, 1e-7, 4e-7))], ids=["bsc", "bec"])
+def test_constrained_rates_above_the_order_zero_capacity_are_finite(channel, rates):
     # C_0 = 0 here (the rows share an output), so every positive rate has a
-    # finite exponent; the capacity 5.1e-7 at LOW_ORDER_PROBE on bsc(0.1) once
+    # finite exponent; the capacity 5.1e-7 at order 1e-6 on bsc(0.1) once
     # gave these rates a certified inf. `_rate_met` holds each side's
     # exponent within 1e-10 of the root's
-    for rate in (1e-8, 1e-7, 4e-7):
+    for rate in rates:
         res = spe_constrained(channel, ALL, rate)
         want = spe_parametric(uniform_dist(2), channel, rate).exponent
         assert res.value == pytest.approx(want, abs=1e-10), rate
-        # the low probe's capacity plus its gap is not below the rate
-        assert not res.certified, rate
+        assert res.certified, rate
+
+
+def test_constrained_rate_far_below_the_order_one_end_is_the_point_exponent():
+    # a bracket from order 1e-6 left rates below its tilted rate, 6.0e-13
+    # on bsc(0.1), out of range; the order-0 end holds them
+    want = spe_parametric(U2, bsc(0.1), 1e-15).exponent
+    assert want == 0.5108255733186707
+    assert spe_constrained(bsc(0.1), ALL, 1e-15).value == want
+
+
+# the cases of the zero-laden all-input census (channel_with_zeros of
+# default_rng(s), s = 20-39, rates 0.1, 0.4, 0.7 and 0.95 of C_1) whose rate
+# lies below C_0; draw 29 has C_0 = C_1 = ln 2
+BELOW_ORDER_ZERO_CAPACITY = [(25, 0.1), (25, 0.4), (26, 0.1), (26, 0.4), (29, 0.1), (29, 0.4),
+                             (29, 0.7), (29, 0.95), (32, 0.1), (32, 0.4), (33, 0.1), (39, 0.1)]
+
+
+@pytest.mark.parametrize("seed, share", BELOW_ORDER_ZERO_CAPACITY)
+def test_constrained_rates_below_the_order_zero_capacity_are_a_certified_inf(seed, share):
+    channel = channel_with_zeros(np.random.default_rng(seed))
+    rate = share * augustin_capacity(1.0, channel).capacity
+    lower, upper, _ = _order_zero_capacity(channel, ALL)
+    assert rate <= lower <= upper
+    res = spe_constrained(channel, ALL, rate)
+    assert (res.value, res.point, res.certified) == (math.inf, None, True)
+    # the argmax attains the order-0 capacity's lower end
+    top = float(np.max(res.argmax_p.masses @ (channel.row_matrix() > 0)))
+    assert -math.log(top) == pytest.approx(lower, abs=1e-15)
 
 
 def _counting_solves(monkeypatch):
@@ -943,26 +975,6 @@ def test_solve_components_one_component_stops_on_the_absolute_residual(monkeypat
     assert stops == [(r, abs(20.0 * r - 10.0)) for _, r in probes]
     assert [met(*stop) for stop in stops] == [False] * (len(stops) - 1) + [True]
     assert rho == stops[-1][0]
-
-
-def test_solve_components_brackets_at_the_given_low_order():
-    # the capacity curve starts at a positive order: the bracket's low end is
-    # that order, and no probe goes below it, where this rate refuses
-    probes = []
-
-    def rate_at(rho):
-        if rho < 0.25:
-            raise ValueError(f"probe below the low order: {rho!r}")
-        probes.append(rho)
-        return rho * rho, "state"
-
-    rho, states = _solve_components([(1, (0.0625, 1.0), rate_at)], 0.09, low_order=0.25)
-    assert states == ["state"]
-    assert rho == pytest.approx(0.3, abs=1e-12)
-    assert probes and min(probes) >= 0.25
-    # the same ends at order 0 probe below it
-    with pytest.raises(ValueError, match="below the low order"):
-        _solve_components([(1, (0.0625, 1.0), rate_at)], 0.09)
 
 
 def test_solve_components_checks_the_summed_range():

@@ -9,7 +9,6 @@ from rspb import augustin
 from rspb.augustin import (
     ALT_IDENTITY_TOL,
     DEFAULT_FP_TOL,
-    LOW_ORDER_PROBE,
     augustin_capacity,
     augustin_fixed_point,
 )
@@ -48,6 +47,8 @@ from rspb.symmetric import (
 from conftest import CYCLIC4, DEAD_BEC, channel_with_zeros, symmetric_solution
 from oracle_helpers import symmetry_report_per_order
 
+# the smallest order these tests solve at
+LOW_ORDER = 1e-6
 R_CRIT = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
 E_CRIT = 0.25 * math.log(2.5) + 0.75 * math.log(0.75 / 0.9)
 C_HALF_BSC01 = -math.log(0.8)
@@ -332,7 +333,7 @@ SYMMETRIC_CENTER_PINS = {
 }
 
 
-@pytest.mark.parametrize("rho", (LOW_ORDER_PROBE,) + DEFAULT_ORDER_GRID)
+@pytest.mark.parametrize("rho", (LOW_ORDER,) + DEFAULT_ORDER_GRID)
 @pytest.mark.parametrize("label, channel, symmetric", [
     ("bsc", bsc(0.11), True), ("bec", bec(0.3), True), ("z", zchannel(0.3), False),
     ("cyclic4", CYCLIC4, True)], ids=["bsc", "bec", "z", "cyclic4"])
