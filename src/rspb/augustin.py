@@ -462,7 +462,7 @@ def read_constraint(path) -> ConstraintSet:
     return ConstraintSet.cost(costs, budget)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapacityResult:
     """A capacity read off `solution`, the Augustin solution at the optimizer:
     center is its mean itself, capacity its information."""
@@ -473,6 +473,68 @@ class CapacityResult:
     certificate_gap: float
     certified: bool
     solution: AugustinSolution
+
+
+# first-order evaluations of the ascent in which its stop gap has not halved
+# before it tries a Newton step
+NEWTON_STALL = 33
+# inputs with less mass than this are held fixed by the Newton step
+NEWTON_FACE = 1e-10
+
+
+def _newton_proposal(rho, w_rho, penalty, lp):
+    """A bordered Newton step for the ascent's value at p = exp(lp), an order
+    below one; returns the normalized log-masses, or None where the system is
+    singular or not finite.
+
+    With u = p exp((1 - rho) penalty) and A = W^rho, the value is
+    rho/(rho-1) ln G(u), G(u) = sum_y (uA)_y^(1/rho), which is convex in u; the
+    step minimizes its quadratic model over the face of inputs with mass above
+    NEWTON_FACE, bordered by sum_x u(x) exp(-(1 - rho) penalty(x)) = 1, that
+    is sum p = 1. Inputs with equal rows and penalties enter as one, their
+    summed mass: no step along their difference changes G or sum p, so apart
+    they would leave the system singular. The step of that sum is split in
+    proportion to their masses. G is homogeneous in u, so u and b = uA are
+    scaled by their largest entries, and the border by the largest
+    curvature. A fraction-to-boundary cut of 0.99 keeps u positive.
+    """
+    face = np.flatnonzero(lp > math.log(NEWTON_FACE))
+    _, first, group = np.unique(np.column_stack([w_rho[face], penalty[face]]), axis=0,
+                                return_index=True, return_inverse=True)
+    group = group.ravel()  # numpy 2.0.0 returns it with the input's dimensions
+    rows = face[first]
+    log_u = lp + (1.0 - rho) * penalty
+    u = np.exp(log_u - np.maximum.reduce(log_u))
+    mass = np.bincount(group, u[face])
+    b = u @ w_rho
+    top = np.maximum.reduce(b)
+    live = b > 0.0
+    beta = b[live] / top
+    a_rows = w_rho[rows][:, live]
+    hess = (a_rows * beta ** (1.0 / rho - 2.0)) @ a_rows.T
+    n = rows.size
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = hess
+    system[:n, n] = system[n, :n] = np.maximum.reduce(np.diag(hess)) * np.exp(
+        -(1.0 - rho) * (penalty[rows] - np.minimum.reduce(penalty[rows])))
+    try:
+        z = np.linalg.solve(system, np.append(a_rows @ beta ** (1.0 / rho - 1.0), 0.0))
+    except np.linalg.LinAlgError:
+        return None
+    # -H^-1 grad G, with H and grad G taken at b / top
+    step = z[:n] * (-top / (1.0 / rho - 1.0))
+    if not np.isfinite(step).all():
+        return None
+    falls = step < 0.0
+    cut = np.minimum.reduce(mass[falls] / -step[falls], initial=math.inf)
+    u[face] *= (1.0 + min(1.0, 0.99 * cut) * step / mass)[group]
+    return _log_normalized(np.log(u) - (1.0 - rho) * penalty)
+
+
+def _log_normalized(x):
+    """x - ln sum exp(x), the log-masses proportional to exp(x)."""
+    top = np.maximum.reduce(x)
+    return x - (top + math.log(np.add.reduce(np.exp(x - top))))
 
 
 # an output that only vanishing inputs reach can leave q = 0 there and D = inf
@@ -490,6 +552,12 @@ def _power_mean_ascent(rho, w_rho, terms, penalty, lp, tol, max_iter):
     the step, taken to first order in D - value: at most 8 s after a kept
     step, s/2 after a dropped one, never below rho. Stops once
     max_x [D - penalty] is within tol/10 of the value.
+
+    Below order one, where that stop gap has not halved in NEWTON_STALL
+    first-order evaluations, the ascent first tries `_newton_proposal`, a
+    bordered Newton step on the inputs that carry mass. It is evaluated once
+    and kept by the rule that keeps a longer step, so a NaN value is never
+    kept; after any proposal the count starts again.
     """
     def state(lp):
         p = np.exp(lp)
@@ -502,21 +570,34 @@ def _power_mean_ascent(rho, w_rho, terms, penalty, lp, tol, max_iter):
         return lp, d, value, p, p @ d
 
     cur, s = state(lp), rho
+    # stalled counts the first-order evaluations since the stop gap was marked
+    stalled, mark = 0, math.inf
     for _ in range(max_iter):
         lp, d, value = cur[:3]
-        if np.maximum.reduce(d) - value <= 0.1 * tol:
+        gap = np.maximum.reduce(d) - value
+        if gap <= 0.1 * tol:
             break
         finite = d[np.isfinite(d)]
         if not finite.size:
             raise NonConvergenceError("capacity ascent has no finite divergence", math.nan)
+        if gap <= 0.5 * mark:
+            stalled, mark = 0, gap
+        floor = value - 8.0 * np.spacing(abs(value))
+        if stalled >= NEWTON_STALL and rho < 1.0:
+            stalled, mark = 0, gap
+            x = _newton_proposal(rho, w_rho, penalty, lp)
+            if x is not None:
+                trial = state(x)
+                if trial[2] >= floor:
+                    cur = trial
+                    continue
+        stalled += 1
         g = np.minimum(d - np.maximum.reduce(finite), 0.0)
-        x = lp + s * g
-        top = np.maximum.reduce(x)
-        trial = state(x - (top + math.log(np.add.reduce(np.exp(x - top)))))
+        trial = state(_log_normalized(lp + s * g))
         s0, s1 = (float(st[3] @ ((st[1] - st[4]) * g)) for st in (cur, trial))
         root = s * s0 / (s0 - s1) if s0 > s1 else 2.0 * s
         # equal values up to rounding count as kept, so that s keeps its scale
-        if trial[2] >= value - 8.0 * np.spacing(abs(value)) or s == rho:
+        if trial[2] >= floor or s == rho:
             cur, s = trial, max(min(root, 8.0 * s), rho)
         else:
             s = max(min(root, 0.5 * s), rho)
@@ -533,8 +614,10 @@ def augustin_capacity(
     """Maximize the Augustin information over a constraint set.
 
     Sibson and Augustin capacities and centers coincide, so a power-mean
-    ascent finds the optimizer p; one Augustin fixed point at p, started like
-    every other at the power-mean center of p, gives the center,
+    ascent finds the optimizer p; below order one, where its first-order step
+    stalls, it also tries a bordered Newton step, kept only when it does not
+    lower the value (`_power_mean_ascent`). One Augustin fixed point at p,
+    started like every other at the power-mean center of p, gives the center,
     C = sum_x p(x) D_rho(W(x) || center) and the gap
     max_x D_rho(W(x) || center) - C, which certifies C within tol. A cost
     constraint bisects the Lagrange multiplier, warm-starting each ascent,

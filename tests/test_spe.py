@@ -1128,17 +1128,10 @@ def _split_and_permuted(rng, rows, p):
     return twin, FiniteDist(p.masses[inputs])
 
 
-# Known defect (ROADMAP item 12): on draw 37, a 4 x 3 channel, the capacity
-# ascent at order 0.3 stops at its 4000-step cap with gap 4.0e-8 (its split
-# twin 7.3e-8) while an input's mass decays toward 0; max_iter=40000 ends at
-# gap 1.2e-9, certified.
-UNCERTIFIED_SPLIT_CAPACITIES = {(37, 0.3)}
-
-
 def test_split_and_permuted_channels_keep_the_exponent_and_the_capacity():
     # a split output makes two proportional columns, and no Augustin quantity
     # sees the labels, so the general solvers must not move beyond rounding
-    # or their certificates
+    # or their certificates, and every capacity certifies
     rng = np.random.default_rng(2033)
     uncertified = set()
     for k in range(40):
@@ -1158,4 +1151,4 @@ def test_split_and_permuted_channels_keep_the_exponent_and_the_capacity():
                 uncertified.add((k, rho))
             bound = cap.certificate_gap + twin_cap.certificate_gap
             assert abs(cap.capacity - twin_cap.capacity) <= bound, (k, rho)
-    assert uncertified == UNCERTIFIED_SPLIT_CAPACITIES
+    assert not uncertified
